@@ -8,7 +8,7 @@ the file.
 from __future__ import annotations
 
 import copy
-import math
+import dataclasses
 
 import yaml
 
@@ -18,6 +18,17 @@ from .env import EnvConfig, RacingEnv, RewardWeights
 from .ppo import PPOConfig
 from .vehicle import SimConfig
 
+# train.<key> -> PPOConfig field. PPOConfig.hidden is not exposed.
+PPO_KEYS = {"steps": "total_steps", **{name: name for name in (
+    "n_steps", "minibatch_size", "epochs", "gamma", "gae_lambda",
+    "clip_epsilon", "target_kl", "entropy_coef", "value_coef",
+    "max_grad_norm", "learning_rate", "lr_schedule", "eval_every",
+    "checkpoint_every", "n_envs")}}
+
+_PPO = PPOConfig()
+_ENV = EnvConfig()
+
+# Sections with a dataclass take its defaults; the rest are written out.
 DEFAULTS = {
     "seed": 0,
     "track": {
@@ -32,15 +43,7 @@ DEFAULTS = {
         "v_cap": 8.0,
         "a_lat_max": 3.0,
     },
-    "sim": {
-        "wheelbase": 0.33,
-        "dt_physics": 0.01,
-        "dt_control": 0.05,
-        "delta_max": 0.4189,
-        "delta_rate_max": math.pi,
-        "a_max": 3.0,
-        "speed_gain": 2.0,
-    },
+    "sim": dataclasses.asdict(SimConfig()),
     "controller": {
         "type": "teacher",  # fixed | adaptive | teacher | rl | mpc
         "multiplier": 1.0,
@@ -57,45 +60,17 @@ DEFAULTS = {
     },
     "compare": [],
     "train": {
-        "steps": 200_000,
-        "mode": "joint",  # joint | ld-only
-        "lr_schedule": "linear",
+        "mode": _ENV.action_mode,  # joint | ld-only
         "multiplier": 1.0,
-        "laps": 50,
-        "max_steps": 6000,
+        "laps": _ENV.laps,
+        "max_steps": _ENV.max_steps,
+        # The validated fixed-baseline gain, not EnvConfig's 0.9.
         "fixed_gain": DEFAULT_FIXED_GAIN,
-        "n_steps": 4096,
-        "minibatch_size": 256,
-        "epochs": 5,
-        "gamma": 0.99,
-        "gae_lambda": 0.98,
-        "clip_epsilon": 0.2,
-        "target_kl": 0.015,
-        "entropy_coef": 0.02,
-        "value_coef": 0.6,
-        "max_grad_norm": 0.7,
-        "learning_rate": 2.4e-4,
-        "eval_every": 5000,
-        "checkpoint_every": 25000,
-        "n_envs": 1,
+        **{key: getattr(_PPO, name) for key, name in PPO_KEYS.items()},
+        # CLI runs default to 200k steps; PPOConfig's 1.2M is the full schedule.
+        "steps": 200_000,
     },
-    "reward": {
-        "speed": 1.8,
-        "lookahead_tracking": 3.0,
-        "gain_tracking": 0.0,
-        "lookahead_jerk": 0.4,
-        "gain_jerk": 0.0,
-        "curvature": 1.5,
-        "lookahead_curvature": 2.0,
-        "preshorten_bonus": 1.5,
-        "collision": 10.0,
-        "slow": 0.5,
-        "progress": 1.0,
-        "clip_lo": -30.0,
-        "clip_hi": 100.0,
-        "kappa_bend": 0.3,
-        "v_slow": 0.5,
-    },
+    "reward": dataclasses.asdict(RewardWeights()),
 }
 
 
@@ -176,21 +151,4 @@ def build_env_factory(cfg: dict, track: rl.Raceline):
 
 def build_ppo_config(cfg: dict) -> PPOConfig:
     train = cfg["train"]
-    return PPOConfig(
-        n_steps=train["n_steps"],
-        minibatch_size=train["minibatch_size"],
-        epochs=train["epochs"],
-        gamma=train["gamma"],
-        gae_lambda=train["gae_lambda"],
-        clip_epsilon=train["clip_epsilon"],
-        target_kl=train["target_kl"],
-        entropy_coef=train["entropy_coef"],
-        value_coef=train["value_coef"],
-        max_grad_norm=train["max_grad_norm"],
-        learning_rate=train["learning_rate"],
-        lr_schedule=train["lr_schedule"],
-        total_steps=train["steps"],
-        eval_every=train["eval_every"],
-        checkpoint_every=train["checkpoint_every"],
-        n_envs=train["n_envs"],
-    )
+    return PPOConfig(**{name: train[key] for key, name in PPO_KEYS.items()})

@@ -17,8 +17,8 @@ from .env import observe
 from .mpc import MPCConfig, MPCTracker
 from .ppo import PolicyBundle, load_checkpoint
 from .pure_pursuit import (AdaptiveLinearSource, ExternalSource, FixedSource,
-                           GAIN_BOUNDS, LOOKAHEAD_BOUNDS, PPParams,
-                           PurePursuitController, TeacherSource)
+                           PPParams, PurePursuitController, TeacherSource,
+                           params_from_action)
 from .vehicle import Command, SimConfig, VehicleState
 
 # Fixed steering gain used where a constant gain is required (the
@@ -82,18 +82,11 @@ class RLPurePursuitController:
         self.source.last_params = None
         self.source.last_receipt = -np.inf
 
-    def _params_from_action(self, action: np.ndarray) -> PPParams:
-        lookahead = float(np.clip(action[0], *LOOKAHEAD_BOUNDS))
-        if self.action_mode == "joint":
-            gain = float(np.clip(action[1], *GAIN_BOUNDS))
-        else:
-            gain = self.fixed_gain
-        return PPParams(lookahead, gain)
-
     def step(self, state: VehicleState, now: float) -> ControllerOutput:
         if self.publish_enabled:
             action = self.bundle.act(observe(state, self.raceline))
-            self.source.publish(self._params_from_action(action), now)
+            self.source.publish(
+                params_from_action(action, self.action_mode, self.fixed_gain), now)
         result = self.controller.step(state, now)
         return ControllerOutput(result.command, result.params, result.mode)
 

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import raceline as rl
-from .pure_pursuit import (ExternalSource, GAIN_BOUNDS, LOOKAHEAD_BOUNDS,
-                           PPParams, PurePursuitController, TEACHER_L_BASE,
-                           TEACHER_L_SPEED, teacher_gain, teacher_lookahead)
+from .pure_pursuit import (ExternalSource, PPParams, PurePursuitController,
+                           TEACHER_L_BASE, TEACHER_L_SPEED, params_from_action,
+                           teacher_gain, teacher_lookahead)
 from .vehicle import SimConfig, VehicleState, collision_check, control_step, wrap_angle
 
 OBS_DIM = 5
@@ -186,7 +186,7 @@ class RacingEnv:
         lat = float(self.rng.uniform(-1.0, 1.0)) * self.config.spawn_lateral_jitter
         dtheta = float(self.rng.uniform(-1.0, 1.0)) * self.config.spawn_heading_jitter
 
-        heading = self._tangent(spawn_index)
+        heading = rl.tangent_heading(track, spawn_index)
         nx, ny = -math.sin(heading), math.cos(heading)  # unit left normal
         self.state = VehicleState(
             float(track.x[spawn_index]) + lat * nx,
@@ -206,22 +206,6 @@ class RacingEnv:
         self._done = False
         return observe(self.state, track)
 
-    def _tangent(self, i: int) -> float:
-        track = self.raceline
-        j = (i + 1) % track.n
-        return math.atan2(track.y[j] - track.y[i], track.x[j] - track.x[i])
-
-    def _clip_action(self, action) -> PPParams:
-        action = np.asarray(action, dtype=float).ravel()
-        if action.shape[0] != self.config.action_dim:
-            raise ValueError(f"expected {self.config.action_dim}-D action, got {action.shape[0]}")
-        lookahead = min(max(float(action[0]), LOOKAHEAD_BOUNDS[0]), LOOKAHEAD_BOUNDS[1])
-        if self.config.action_mode == "joint":
-            gain = min(max(float(action[1]), GAIN_BOUNDS[0]), GAIN_BOUNDS[1])
-        else:
-            gain = self.config.fixed_gain
-        return PPParams(lookahead, gain)
-
     def step(self, action):
         """Returns (observation, reward, done, info)."""
         if self._done:
@@ -229,7 +213,8 @@ class RacingEnv:
         track = self.raceline
         now = self.step_count * self.sim_config.dt_control
 
-        raw = self._clip_action(action)
+        raw = params_from_action(action, self.config.action_mode,
+                                 self.config.fixed_gain)
         self.controller.source.publish(raw, now)
         result = self.controller.step(self.state, now)
         self.state, self.prev_delta = control_step(

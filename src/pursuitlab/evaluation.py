@@ -66,14 +66,10 @@ class LapReport:
                 f"({100.0 * self.teacher_fraction:.3f}%)")
 
 
-def _start_state(raceline: rl.Raceline, sim_config: SimConfig,
-                 start_index: int = 0) -> VehicleState:
-    j = (start_index + 1) % raceline.n
-    heading = math.atan2(raceline.y[j] - raceline.y[start_index],
-                         raceline.x[j] - raceline.x[start_index])
+def _start_state(raceline: rl.Raceline, start_index: int = 0) -> VehicleState:
     return VehicleState(float(raceline.x[start_index]),
                         float(raceline.y[start_index]),
-                        heading,
+                        rl.tangent_heading(raceline, start_index),
                         0.5 * float(raceline.v_max[start_index]))
 
 
@@ -108,7 +104,7 @@ def run_laps(controller, raceline: rl.Raceline, sim_config: SimConfig,
     steer_rate_sq_sum = 0.0
     global_step = 0
 
-    state = _start_state(raceline, sim_config, start_index)
+    state = _start_state(raceline, start_index)
     controller.reset()
     prev_delta = 0.0
     prev_index = start_index
@@ -155,7 +151,7 @@ def run_laps(controller, raceline: rl.Raceline, sim_config: SimConfig,
         if crashed or timed_out:
             report.laps.append(LapRecord(lap_no, math.nan, False))
             lap_no += 1
-            state = _start_state(raceline, sim_config, start_index)
+            state = _start_state(raceline, start_index)
             controller.reset()
             prev_delta = 0.0
             prev_index = start_index

@@ -13,7 +13,7 @@ MPC state order is (x, y, v, psi) and control order is (a, delta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,12 +66,6 @@ class HorizonReference:
         self.indices = np.asarray(self.indices, dtype=int)
 
 
-def path_heading(raceline: rl.Raceline, i: int) -> float:
-    """Tangent direction of the raceline segment leaving waypoint ``i``."""
-    j = (i + 1) % raceline.n
-    return math.atan2(raceline.y[j] - raceline.y[i], raceline.x[j] - raceline.x[i])
-
-
 def build_reference(raceline: rl.Raceline, state: VehicleState,
                     config: MPCConfig) -> HorizonReference:
     """Sample the horizon by advancing waypoints proportional to speed."""
@@ -80,7 +74,7 @@ def build_reference(raceline: rl.Raceline, state: VehicleState,
     advance = max(int(round(v_ref * config.dt / raceline.mean_spacing)), 1)
     indices = (i0 + advance * np.arange(config.horizon + 1)) % raceline.n
 
-    headings = np.array([path_heading(raceline, int(i)) for i in indices])
+    headings = np.array([rl.tangent_heading(raceline, int(i)) for i in indices])
     psi = np.unwrap(headings)
     states = np.column_stack([
         raceline.x[indices],
@@ -252,6 +246,9 @@ class MPCStepInfo:
     dual_residual: float = float("nan")
     converged: bool = False
     reference_head: tuple = (float("nan"),) * NX
+    # ADMM primal/dual iterates, the next step's warm start when converged.
+    solution_x: np.ndarray | None = field(default=None, repr=False, compare=False)
+    solution_y: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 class MPCTracker:
@@ -297,8 +294,8 @@ class MPCTracker:
                              warm=(self._warm_x, self._warm_y))
         self.last_info = info
         if info.converged:
-            self._warm_x = info._solution_x
-            self._warm_y = info._solution_y
+            self._warm_x = info.solution_x
+            self._warm_y = info.solution_y
         self.prev_command = cmd
         if self._log_writer is not None:
             accel = (cmd.v_cmd - state.v) / self.dt_control
@@ -331,9 +328,7 @@ def mpc_step(raceline: rl.Raceline, state: VehicleState, prev_command: Command,
 
     info = MPCStepInfo(result.iterations, result.primal_residual,
                        result.dual_residual, result.converged,
-                       tuple(reference.states[0]))
-    info._solution_x = result.x
-    info._solution_y = result.y
+                       tuple(reference.states[0]), result.x, result.y)
     if not result.converged:
         return prev_command, info
 

@@ -108,10 +108,6 @@ class GaussianPolicy:
     def params(self):
         return self.mean_net.params + [self.log_std]
 
-    def set_params(self, params):
-        self.mean_net.params = [p for p in params[:-1]]
-        self.log_std = params[-1]
-
     def std(self) -> np.ndarray:
         return np.exp(self.log_std)
 

@@ -274,9 +274,7 @@ def ppo_loss_and_grads(policy: GaussianPolicy, value_net: DenseNet,
     with np.errstate(over="ignore"):
         ratio = np.exp(logp - log_probs_old)
 
-    unclipped = ratio * advantages
-    clipped = np.clip(ratio, 1.0 - eps, 1.0 + eps) * advantages
-    surrogate = np.minimum(unclipped, clipped)
+    surrogate = clipped_surrogate(ratio, advantages, eps)
     policy_loss = -surrogate.mean()
 
     values, cache_v = value_net.forward(obs)
@@ -289,7 +287,7 @@ def ppo_loss_and_grads(policy: GaussianPolicy, value_net: DenseNet,
 
     # Reverse pass. The surrogate gradient flows through the branch the min
     # selected; the clipped branch is flat outside the band.
-    take_unclipped = unclipped <= clipped
+    take_unclipped = ratio * advantages <= surrogate
     inside_band = (ratio > 1.0 - eps) & (ratio < 1.0 + eps)
     dsurr_dratio = np.where(take_unclipped, advantages, advantages * inside_band)
     dloss_dlogp = -(dsurr_dratio * ratio) / b
@@ -381,6 +379,8 @@ def save_checkpoint(path, policy: GaussianPolicy, value_net: DenseNet,
     arrays["obs_mean"] = obs_norm.mean
     arrays["obs_var"] = obs_norm.var
     arrays["obs_count"] = np.array(obs_norm.count)
+    # Acting never reads the return statistics; they stay in the file so
+    # that readers expecting them still load it.
     arrays["ret_var"] = np.array(ret_norm.stats.var)
     arrays["ret_count"] = np.array(ret_norm.stats.count)
     full_meta = {"format_version": CHECKPOINT_FORMAT_VERSION,
@@ -404,8 +404,6 @@ class PolicyBundle:
     policy: GaussianPolicy
     value_net: DenseNet
     obs_norm: RunningNormalizer
-    ret_var: float
-    ret_count: float
     meta: dict
 
     def act(self, raw_obs: np.ndarray) -> np.ndarray:
@@ -431,9 +429,7 @@ def load_checkpoint(path) -> PolicyBundle:
         obs_norm = RunningNormalizer(meta["obs_dim"])
         obs_norm.load_state({"mean": data["obs_mean"], "var": data["obs_var"],
                              "count": float(data["obs_count"])})
-        ret_var = float(np.asarray(data["ret_var"]).reshape(-1)[0])
-        ret_count = float(np.asarray(data["ret_count"]).reshape(-1)[0])
-        return PolicyBundle(policy, value_net, obs_norm, ret_var, ret_count, meta)
+        return PolicyBundle(policy, value_net, obs_norm, meta)
 
 
 class PPOTrainer:

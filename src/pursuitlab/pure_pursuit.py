@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import raceline as rl
 from .vehicle import Command, VehicleState
 
@@ -47,6 +49,26 @@ class PPParams:
     def clipped(self) -> "PPParams":
         return PPParams(_clip(self.lookahead, *LOOKAHEAD_BOUNDS),
                         _clip(self.gain, *GAIN_BOUNDS))
+
+
+def params_from_action(action, action_mode: str, fixed_gain: float) -> PPParams:
+    """Policy action clipped to the parameter bounds.
+
+    ``action`` is (lookahead, gain) in ``joint`` mode and (lookahead,) in
+    ``ld_only`` mode, where ``fixed_gain`` is passed through unclipped.
+    """
+    action = np.asarray(action, dtype=float).ravel()
+    dim = 2 if action_mode == "joint" else 1
+    if action.shape[0] != dim:
+        raise ValueError(f"expected {dim}-D action, got {action.shape[0]}")
+    # min(max(...)) lets a NaN through to the caller; _clip would hide it
+    # as the upper bound.
+    lookahead = min(max(float(action[0]), LOOKAHEAD_BOUNDS[0]), LOOKAHEAD_BOUNDS[1])
+    if action_mode == "joint":
+        gain = min(max(float(action[1]), GAIN_BOUNDS[0]), GAIN_BOUNDS[1])
+    else:
+        gain = fixed_gain
+    return PPParams(lookahead, gain)
 
 
 class ParamSmoother:

@@ -31,16 +31,6 @@ CLOSURE_FACTOR = 3.0
 
 
 @dataclass(frozen=True)
-class Waypoint:
-    """One raceline sample: position [m], signed curvature [1/m], speed [m/s]."""
-
-    x: float
-    y: float
-    kappa: float
-    v_max: float
-
-
-@dataclass(frozen=True)
 class CurvatureTaps:
     """Absolute curvature previews at the fixed near/mid/far index offsets."""
 
@@ -119,7 +109,7 @@ class Raceline:
         # Cumulative arc length at each waypoint, plus the total lap length.
         self.cum_s = np.concatenate(([0.0], np.cumsum(seg_len)))
         self.total_length = float(self.cum_s[-1])
-        # Segment endpoint caches for the lateral-error scan.
+        # Segment vectors for the lateral-error scan and the tangent heading.
         self._seg_dx = dx
         self._seg_dy = dy
         self._seg_len2 = seg_len * seg_len
@@ -127,14 +117,6 @@ class Raceline:
         for a in (self.x, self.y, self.kappa, self.v_base, self.v_max,
                   self.seg_len, self.cum_s):
             a.setflags(write=False)
-
-    def waypoint(self, i: int) -> Waypoint:
-        return Waypoint(float(self.x[i]), float(self.y[i]),
-                        float(self.kappa[i]), float(self.v_max[i]))
-
-    @property
-    def waypoints(self) -> list[Waypoint]:
-        return [self.waypoint(i) for i in range(self.n)]
 
 
 def load_raceline(source: str, half_width: float = 1.1) -> Raceline:
@@ -305,6 +287,11 @@ def nearest_index(raceline: Raceline, p) -> int:
     dx = raceline.x - p[0]
     dy = raceline.y - p[1]
     return int(np.argmin(dx * dx + dy * dy))
+
+
+def tangent_heading(raceline: Raceline, i: int) -> float:
+    """Direction [rad] of the segment leaving waypoint ``i``."""
+    return math.atan2(raceline._seg_dy[i], raceline._seg_dx[i])
 
 
 def taps(raceline: Raceline, i: int) -> CurvatureTaps:

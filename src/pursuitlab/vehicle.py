@@ -52,11 +52,10 @@ class SimConfig:
     delta_rate_max: float = math.pi  # 180 deg/s
     a_max: float = 3.0
     speed_gain: float = 2.0
-    half_width: float = 1.1
 
     def __post_init__(self):
         for name in ("wheelbase", "dt_physics", "dt_control", "delta_max",
-                     "delta_rate_max", "a_max", "speed_gain", "half_width"):
+                     "delta_rate_max", "a_max", "speed_gain"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be > 0")
         if abs(self.substeps * self.dt_physics - self.dt_control) > 1e-9:
@@ -67,14 +66,13 @@ class SimConfig:
         return int(round(self.dt_control / self.dt_physics))
 
 
-def derivatives(state: VehicleState, a: float, delta: float, wheelbase: float):
-    """Kinematic bicycle time-derivative (dx, dy, dtheta, dv)."""
-    return (
-        state.v * math.cos(state.theta),
-        state.v * math.sin(state.theta),
-        state.v / wheelbase * math.tan(delta),
-        a,
-    )
+def derivatives(theta: float, v: float, a: float, delta: float, wheelbase: float):
+    """Kinematic bicycle time-derivative (dx, dy, dtheta, dv).
+
+    Position never enters it, so only heading and speed are arguments.
+    """
+    return (v * math.cos(theta), v * math.sin(theta),
+            v / wheelbase * math.tan(delta), a)
 
 
 def rk4_step(state: VehicleState, a: float, delta: float, dt: float,
@@ -83,17 +81,13 @@ def rk4_step(state: VehicleState, a: float, delta: float, dt: float,
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
 
-    def f(x, y, theta, v):
-        return (v * math.cos(theta), v * math.sin(theta),
-                v / wheelbase * math.tan(delta), a)
-
-    k1 = f(state.x, state.y, state.theta, state.v)
-    k2 = f(state.x + 0.5 * dt * k1[0], state.y + 0.5 * dt * k1[1],
-           state.theta + 0.5 * dt * k1[2], state.v + 0.5 * dt * k1[3])
-    k3 = f(state.x + 0.5 * dt * k2[0], state.y + 0.5 * dt * k2[1],
-           state.theta + 0.5 * dt * k2[2], state.v + 0.5 * dt * k2[3])
-    k4 = f(state.x + dt * k3[0], state.y + dt * k3[1],
-           state.theta + dt * k3[2], state.v + dt * k3[3])
+    k1 = derivatives(state.theta, state.v, a, delta, wheelbase)
+    k2 = derivatives(state.theta + 0.5 * dt * k1[2], state.v + 0.5 * dt * k1[3],
+                     a, delta, wheelbase)
+    k3 = derivatives(state.theta + 0.5 * dt * k2[2], state.v + 0.5 * dt * k2[3],
+                     a, delta, wheelbase)
+    k4 = derivatives(state.theta + dt * k3[2], state.v + dt * k3[3],
+                     a, delta, wheelbase)
 
     sixth = dt / 6.0
     return VehicleState(
@@ -130,9 +124,6 @@ def control_step(state: VehicleState, cmd: Command, prev_delta: float,
     return state, delta
 
 
-def collision_check(raceline: Raceline, state: VehicleState,
-                    half_width: float | None = None) -> bool:
-    """True iff the vehicle left the lateral corridor (strict inequality)."""
-    if half_width is None:
-        half_width = raceline.half_width
-    return abs(lateral_error(raceline, state.position)) > half_width
+def collision_check(raceline: Raceline, state: VehicleState) -> bool:
+    """True iff the vehicle left the raceline's corridor (strict inequality)."""
+    return abs(lateral_error(raceline, state.position)) > raceline.half_width

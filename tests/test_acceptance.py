@@ -350,7 +350,7 @@ def test_criterion_10_teacher_fallback():
     policy = GaussianPolicy(5, 2, rng,
                             mean_bias=[1.8, 0.7])  # sensible constant params
     bundle = PolicyBundle(policy, DenseNet((5, 8, 1), rng, final_gain=1.0),
-                          RunningNormalizer(5), 1.0, 0.0,
+                          RunningNormalizer(5),
                           {"action_mode": "joint", "fixed_gain": 0.6})
     controller = RLPurePursuitController(bundle, track)
     full_eval = run_laps(controller, track, SIM, laps=3, max_lap_time=30.0)

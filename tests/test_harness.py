@@ -1,20 +1,22 @@
 import csv
 import math
-import os
 
 import numpy as np
 import pytest
 
 from pursuitlab import cli
 from pursuitlab import raceline as rl
-from pursuitlab.config import DEFAULTS, build_track, load_config
-from pursuitlab.controllers import (ControllerOutput, MPCAdapter,
-                                    PurePursuitAdapter, RLPurePursuitController,
-                                    build_controller)
+from pursuitlab.config import (DEFAULTS, build_ppo_config, build_reward_weights,
+                               build_sim_config, build_track, load_config)
+from pursuitlab.controllers import (DEFAULT_FIXED_GAIN, ControllerOutput,
+                                    MPCAdapter, PurePursuitAdapter,
+                                    RLPurePursuitController, build_controller)
+from pursuitlab.env import RewardWeights
 from pursuitlab.evaluation import (format_comparison,
                                    report_from_laps_csv, run_laps,
                                    sweep_multipliers, write_comparison_csv,
                                    write_laps_csv)
+from pursuitlab.ppo import PPOConfig
 from pursuitlab.pure_pursuit import TeacherSource
 from pursuitlab.vehicle import Command, SimConfig
 
@@ -245,10 +247,12 @@ def test_build_track_kinds(tmp_path):
         build_track(cfg)
 
 
-def test_repository_default_config_matches_defaults():
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    cfg = load_config(os.path.join(root, "configs", "default.yaml"))
-    assert cfg == load_config()
+def test_config_defaults_come_from_the_dataclasses():
+    cfg = load_config()
+    assert build_sim_config(cfg) == SimConfig()
+    assert build_reward_weights(cfg) == RewardWeights()
+    assert build_ppo_config(cfg) == PPOConfig(total_steps=200_000)
+    assert cfg["train"]["fixed_gain"] == DEFAULT_FIXED_GAIN
 
 
 # ----------------------------------------------------------------------

@@ -259,6 +259,21 @@ def test_tracker_reset_clears_state():
     assert tracker.prev_command == Command(0.0, 0.0)
 
 
+def test_tracker_info_carries_the_solution_once_converged():
+    track = uniform_speed_oval()
+    config = MPCConfig()
+    tracker = MPCTracker(track, config, 0.05)
+    assert tracker.last_info.solution_x is None
+    assert tracker.last_info.solution_y is None
+    tracker.step(VehicleState(2.0, 0.3, 0.0, 2.5), 0.0)
+    info = tracker.last_info
+    assert info.converged
+    assert info.solution_x.shape == (NX * (config.horizon + 1) + NU * config.horizon,)
+    assert info.solution_y is not None and np.all(np.isfinite(info.solution_y))
+    assert tracker._warm_x is info.solution_x
+    assert tracker._warm_y is info.solution_y
+
+
 def test_mpc_debug_log(tmp_path):
     import csv
     track = uniform_speed_oval()

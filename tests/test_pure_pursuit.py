@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from pursuitlab import pure_pursuit as pp
 from pursuitlab.vehicle import VehicleState
@@ -182,6 +183,35 @@ def test_smoothed_params_stay_in_bounds():
         out = smoother.smooth(raw)
         assert pp.LOOKAHEAD_BOUNDS[0] <= out.lookahead <= pp.LOOKAHEAD_BOUNDS[1]
         assert pp.GAIN_BOUNDS[0] <= out.gain <= pp.GAIN_BOUNDS[1]
+
+
+# ----------------------------------------------------------------------
+# Policy action to parameters
+# ----------------------------------------------------------------------
+
+reals = st.floats(allow_nan=False)
+
+
+@given(reals, reals)
+def test_joint_action_is_clipped_into_the_bounds(lookahead, gain):
+    params = pp.params_from_action([lookahead, gain], "joint", 0.6)
+    assert pp.LOOKAHEAD_BOUNDS[0] <= params.lookahead <= pp.LOOKAHEAD_BOUNDS[1]
+    assert pp.GAIN_BOUNDS[0] <= params.gain <= pp.GAIN_BOUNDS[1]
+    assert params == pp.PPParams(lookahead, gain).clipped()
+
+
+@given(reals, reals)
+def test_ld_only_action_passes_the_fixed_gain_through(lookahead, fixed_gain):
+    params = pp.params_from_action(np.array([lookahead]), "ld_only", fixed_gain)
+    assert params.gain == fixed_gain
+    assert params.lookahead == pp.PPParams(lookahead, 0.6).clipped().lookahead
+
+
+@given(st.sampled_from(["joint", "ld_only"]), st.integers(0, 4))
+def test_wrong_length_action_is_rejected(mode, length):
+    assume(length != (2 if mode == "joint" else 1))
+    with pytest.raises(ValueError, match="-D action"):
+        pp.params_from_action(np.ones(length), mode, 0.6)
 
 
 # ----------------------------------------------------------------------

@@ -18,18 +18,18 @@ CFG = SimConfig()
 # ----------------------------------------------------------------------
 
 def test_derivatives_straight_motion():
-    d = derivatives(VehicleState(0, 0, 0, 1.0), 0.0, 0.0, CFG.wheelbase)
+    d = derivatives(0.0, 1.0, 0.0, 0.0, CFG.wheelbase)
     assert d == (1.0, 0.0, 0.0, 0.0)
 
 
 def test_derivatives_at_rest():
-    d = derivatives(VehicleState(0, 0, 0.7, 0.0), 2.5, 0.3, CFG.wheelbase)
+    d = derivatives(0.7, 0.0, 2.5, 0.3, CFG.wheelbase)
     assert d[0] == 0.0 and d[1] == 0.0 and d[2] == 0.0
     assert d[3] == 2.5
 
 
 def test_derivatives_yaw_rate():
-    d = derivatives(VehicleState(0, 0, 0, 1.0), 0.0, 0.3, 0.33)
+    d = derivatives(0.0, 1.0, 0.0, 0.3, 0.33)
     assert d[2] == pytest.approx(math.tan(0.3) / 0.33, abs=1e-12)
     assert d[2] == pytest.approx(0.93738, abs=1e-5)
 
