@@ -18,7 +18,7 @@ from .mpc import MPCConfig, MPCTracker
 from .ppo import PolicyBundle, load_checkpoint
 from .pure_pursuit import (AdaptiveLinearSource, ExternalSource, FixedSource,
                            PPParams, PurePursuitController, TeacherSource,
-                           params_from_action)
+                           params_from_action, smoother_start)
 from .vehicle import Command, SimConfig, VehicleState
 
 # Fixed steering gain used where a constant gain is required (the
@@ -47,7 +47,8 @@ class PurePursuitAdapter:
         self.controller.reset()
 
     def step(self, state: VehicleState, now: float) -> ControllerOutput:
-        result = self.controller.step(state, now)
+        index = rl.nearest_index(self.controller.raceline, state.position)
+        result = self.controller.step(state, index, now)
         return ControllerOutput(result.command, result.params, result.mode)
 
 
@@ -75,19 +76,17 @@ class RLPurePursuitController:
         self.publish_enabled = True
 
     def reset(self):
-        if self.action_mode == "ld_only":
-            self.controller.reset(PPParams(1.0, self.fixed_gain))
-        else:
-            self.controller.reset()
+        self.controller.reset(smoother_start(self.action_mode, self.fixed_gain))
         self.source.last_params = None
         self.source.last_receipt = -np.inf
 
     def step(self, state: VehicleState, now: float) -> ControllerOutput:
+        index = rl.nearest_index(self.raceline, state.position)
         if self.publish_enabled:
-            action = self.bundle.act(observe(state, self.raceline))
+            action = self.bundle.act(observe(state, self.raceline, index))
             self.source.publish(
                 params_from_action(action, self.action_mode, self.fixed_gain), now)
-        result = self.controller.step(state, now)
+        result = self.controller.step(state, index, now)
         return ControllerOutput(result.command, result.params, result.mode)
 
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import raceline as rl
-from .pure_pursuit import (ExternalSource, PPParams, PurePursuitController,
-                           TEACHER_L_BASE, TEACHER_L_SPEED, params_from_action,
+from .pure_pursuit import (ExternalSource, PurePursuitController, TEACHER_L_BASE,
+                           TEACHER_L_SPEED, params_from_action, smoother_start,
                            teacher_gain, teacher_lookahead)
 from .vehicle import SimConfig, VehicleState, collision_check, control_step, wrap_angle
 
@@ -100,9 +100,8 @@ def compute_reward(ctx: RewardContext, weights: RewardWeights) -> float:
     return max(weights.clip_lo, min(weights.clip_hi, r))
 
 
-def observe(state: VehicleState, raceline: rl.Raceline) -> np.ndarray:
-    """Observation vector [v, kappa0, kappa1, kappa2, dkappa]."""
-    i = rl.nearest_index(raceline, state.position)
+def observe(state: VehicleState, raceline: rl.Raceline, i: int) -> np.ndarray:
+    """Observation [v, kappa0, kappa1, kappa2, dkappa]; ``i`` is the nearest waypoint."""
     t = rl.taps(raceline, i)
     return np.array([state.v, t.kappa0, t.kappa1, t.kappa2, t.dkappa])
 
@@ -197,14 +196,13 @@ class RacingEnv:
         self.prev_delta = 0.0
         self.step_count = 0
         self.total_progress = 0
+        # Waypoint nearest the current state, handed to the controller each step.
         self.prev_index = rl.nearest_index(track, self.state.position)
-        if self.config.action_mode == "ld_only":
-            self.controller.reset(PPParams(1.0, self.config.fixed_gain))
-        else:
-            self.controller.reset()
+        self.controller.reset(smoother_start(self.config.action_mode,
+                                             self.config.fixed_gain))
         self.prev_params = self.controller.smoother.state()
         self._done = False
-        return observe(self.state, track)
+        return observe(self.state, track, self.prev_index)
 
     def step(self, action):
         """Returns (observation, reward, done, info)."""
@@ -216,7 +214,7 @@ class RacingEnv:
         raw = params_from_action(action, self.config.action_mode,
                                  self.config.fixed_gain)
         self.controller.source.publish(raw, now)
-        result = self.controller.step(self.state, now)
+        result = self.controller.step(self.state, self.prev_index, now)
         self.state, self.prev_delta = control_step(
             self.state, result.command, self.prev_delta, self.sim_config)
         self.step_count += 1
@@ -225,8 +223,9 @@ class RacingEnv:
         progress = rl.progress_count(self.prev_index, index, track.n)
         self.prev_index = index
         self.total_progress += progress
+        lateral_error = rl.lateral_error(track, self.state.position)
 
-        collided = collision_check(track, self.state)
+        collided = collision_check(track, lateral_error)
         slow = self.state.v < self.weights.v_slow
         preview = rl.taps(track, index)
         ctx = RewardContext(
@@ -244,12 +243,12 @@ class RacingEnv:
             teacher_gain=teacher_gain(self.state.v),
         )
         reward = compute_reward(ctx, self.weights)
+        obs = observe(self.state, track, index)
         if self._trace_writer is not None:
-            obs_now = observe(self.state, track)
             bend = ctx.kappa_max > self.weights.kappa_bend \
                 and ctx.lookahead <= preshorten_ceiling(ctx.v)
             self._trace_writer.writerow([
-                self.step_count, *(f"{x:.6f}" for x in obs_now),
+                self.step_count, *(f"{x:.6f}" for x in obs),
                 f"{raw.lookahead:.6f}", f"{raw.gain:.6f}",
                 f"{result.params.lookahead:.6f}", f"{result.params.gain:.6f}",
                 f"{reward:.6f}",
@@ -272,8 +271,8 @@ class RacingEnv:
             "params": result.params,
             "raw_params": raw,
             "mode": result.mode,
-            "lateral_error": rl.lateral_error(track, self.state.position),
+            "lateral_error": lateral_error,
             "progress": progress,
             "reward_context": ctx,
         }
-        return observe(self.state, track), reward, self._done, info
+        return obs, reward, self._done, info

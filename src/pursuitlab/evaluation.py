@@ -146,7 +146,7 @@ def run_laps(controller, raceline: rl.Raceline, sim_config: SimConfig,
                              f"{output.command.delta:.6f}", f"{lat:.6f}",
                              output.mode])
 
-        crashed = collision_check(raceline, state)
+        crashed = collision_check(raceline, lat)
         timed_out = lap_steps >= max_lap_steps
         if crashed or timed_out:
             report.laps.append(LapRecord(lap_no, math.nan, False))

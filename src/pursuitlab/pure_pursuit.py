@@ -61,14 +61,19 @@ def params_from_action(action, action_mode: str, fixed_gain: float) -> PPParams:
     dim = 2 if action_mode == "joint" else 1
     if action.shape[0] != dim:
         raise ValueError(f"expected {dim}-D action, got {action.shape[0]}")
-    # min(max(...)) lets a NaN through to the caller; _clip would hide it
-    # as the upper bound.
-    lookahead = min(max(float(action[0]), LOOKAHEAD_BOUNDS[0]), LOOKAHEAD_BOUNDS[1])
+    lookahead = _clip(float(action[0]), *LOOKAHEAD_BOUNDS)
     if action_mode == "joint":
-        gain = min(max(float(action[1]), GAIN_BOUNDS[0]), GAIN_BOUNDS[1])
+        gain = _clip(float(action[1]), *GAIN_BOUNDS)
     else:
         gain = fixed_gain
     return PPParams(lookahead, gain)
+
+
+def smoother_start(action_mode: str, fixed_gain: float) -> PPParams:
+    """Smoother start for a policy in ``action_mode``: ``ld_only`` keeps ``fixed_gain``."""
+    if action_mode == "ld_only":
+        return PPParams(SMOOTHER_INIT[0], fixed_gain)
+    return PPParams(*SMOOTHER_INIT)
 
 
 class ParamSmoother:
@@ -205,11 +210,8 @@ class PurePursuitController:
         self.source = source
         self.smoother = ParamSmoother()
 
-    def reset(self, smoother_init: PPParams | None = None):
-        if smoother_init is None:
-            self.smoother.reset()
-        else:
-            self.smoother.reset(smoother_init.lookahead, smoother_init.gain)
+    def reset(self, smoother_init: PPParams = PPParams(*SMOOTHER_INIT)):
+        self.smoother.reset(smoother_init.lookahead, smoother_init.gain)
 
     def _select_params(self, state: VehicleState, index: int, now: float):
         source = self.source
@@ -226,12 +228,12 @@ class PurePursuitController:
                             teacher_gain(state.v)), "teacher", True
         raise TypeError(f"unknown parameter source {type(source).__name__}")
 
-    def step(self, state: VehicleState, now: float = 0.0) -> PPStepResult:
-        index = rl.nearest_index(self.raceline, state.position)
+    def step(self, state: VehicleState, index: int, now: float = 0.0) -> PPStepResult:
+        """One control step from ``state``, whose nearest waypoint is ``index``."""
         params, mode, smoothed = self._select_params(state, index, now)
         if smoothed:
             params = self.smoother.smooth(params)
-        target = rl.lookahead_target(self.raceline, state.position, params.lookahead)
+        target = rl.lookahead_target(self.raceline, index, params.lookahead)
         _, y_prime = to_vehicle_frame(state, target)
         gamma = pp_steering(y_prime, params.lookahead, params.gain)
         v_cmd = float(self.raceline.v_max[index])

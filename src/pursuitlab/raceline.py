@@ -21,9 +21,9 @@ import numpy as np
 # Waypoint-index offsets of the near/mid/far curvature preview taps.
 TAP_OFFSETS = (0, 5, 12)
 
-# Window (in waypoints, centered on the nearest index) used to smooth the
-# local curvature reported to the reward.
-LOCAL_CURVATURE_WINDOW = 5
+# Waypoint-index offsets of the 5-waypoint window, centred on the nearest
+# index, that smooths the local curvature reported to the reward.
+LOCAL_CURVATURE_OFFSETS = np.arange(-2, 3)
 
 MIN_WAYPOINTS = 20
 SPACING_RANGE = (0.05, 1.0)
@@ -115,7 +115,8 @@ class Raceline:
         self._seg_len2 = seg_len * seg_len
 
         for a in (self.x, self.y, self.kappa, self.v_base, self.v_max,
-                  self.seg_len, self.cum_s):
+                  self.seg_len, self.cum_s, self._seg_dx, self._seg_dy,
+                  self._seg_len2):
             a.setflags(write=False)
 
 
@@ -303,23 +304,21 @@ def taps(raceline: Raceline, i: int) -> CurvatureTaps:
     return CurvatureTaps(k0, k1, k2, k1 - k0, max(k0, k1, k2))
 
 
-def local_curvature(raceline: Raceline, i: int, window: int = LOCAL_CURVATURE_WINDOW) -> float:
-    """Mean absolute curvature over a ``window``-waypoint span centred on ``i``."""
-    half = window // 2
-    idx = (np.arange(i - half, i - half + window)) % raceline.n
+def local_curvature(raceline: Raceline, i: int) -> float:
+    """Mean absolute curvature over the 5 waypoints centred on ``i``."""
+    idx = (i + LOCAL_CURVATURE_OFFSETS) % raceline.n
     return float(np.mean(np.abs(raceline.kappa[idx])))
 
 
-def lookahead_target(raceline: Raceline, p, lookahead: float):
-    """Point ``lookahead`` metres along the polyline ahead of the waypoint nearest ``p``.
+def lookahead_target(raceline: Raceline, i: int, lookahead: float):
+    """Point ``lookahead`` metres along the polyline ahead of waypoint ``i``.
 
-    Walks forward from the nearest waypoint, wrapping across the loop seam,
-    and interpolates linearly inside the segment where the accumulated arc
-    length crosses ``lookahead``. Returns an (x, y) array.
+    Walks forward from waypoint ``i`` (the pose's nearest), wrapping across
+    the loop seam, and interpolates linearly inside the segment where the
+    accumulated arc length crosses ``lookahead``. Returns an (x, y) array.
     """
     if lookahead <= 0.0:
         raise ValueError("lookahead must be > 0")
-    i = nearest_index(raceline, p)
     s = (raceline.cum_s[i] + lookahead) % raceline.total_length
     j = int(np.searchsorted(raceline.cum_s, s, side="right")) - 1
     j = min(j, raceline.n - 1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .raceline import Raceline, lateral_error
+from .raceline import Raceline
 
 
 def wrap_angle(angle: float) -> float:
@@ -124,6 +124,6 @@ def control_step(state: VehicleState, cmd: Command, prev_delta: float,
     return state, delta
 
 
-def collision_check(raceline: Raceline, state: VehicleState) -> bool:
-    """True iff the vehicle left the raceline's corridor (strict inequality)."""
-    return abs(lateral_error(raceline, state.position)) > raceline.half_width
+def collision_check(raceline: Raceline, lateral_error: float) -> bool:
+    """True iff a pose with this ``raceline.lateral_error`` left the corridor (strict)."""
+    return abs(lateral_error) > raceline.half_width

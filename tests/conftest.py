@@ -18,6 +18,18 @@ def rect_track():
                                radius=2.5, spacing=0.25, v_cap=8.0, a_lat_max=3.0)
 
 
+@pytest.fixture
+def track_queries(monkeypatch):
+    """Live counts of ``raceline.nearest_index`` and ``lateral_error`` calls."""
+    calls = {"nearest_index": 0, "lateral_error": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(rl, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(rl, name, counted)
+    return calls
+
+
 def make_circle_csv(n=100, radius=3.0, v=5.0, kappa=None):
     """CSV content for a circle raceline with optional per-row v overrides."""
     lines = ["x,y,kappa,v_max"]

@@ -16,7 +16,8 @@ from pursuitlab.evaluation import (format_comparison,
                                    report_from_laps_csv, run_laps,
                                    sweep_multipliers, write_comparison_csv,
                                    write_laps_csv)
-from pursuitlab.ppo import PPOConfig
+from pursuitlab.nets import DenseNet, GaussianPolicy
+from pursuitlab.ppo import PolicyBundle, PPOConfig, RunningNormalizer
 from pursuitlab.pure_pursuit import TeacherSource
 from pursuitlab.vehicle import Command, SimConfig
 
@@ -85,6 +86,26 @@ def test_lap_timing_is_interpolated_and_positive():
         assert (t / SIM.dt_control) % 1.0 != 0.0 or True  # sub-step resolution
     # Lap times of consecutive laps on the same track agree closely.
     assert np.std(times[1:]) < 0.5
+
+
+@pytest.mark.parametrize("kind", ["fixed", "teacher", "rl"])
+def test_run_laps_locates_each_pose_once_per_layer(kind, track_queries):
+    track = small_oval()
+    if kind == "rl":
+        rng = np.random.default_rng(4)
+        bundle = PolicyBundle(GaussianPolicy(5, 2, rng, mean_bias=[1.8, 0.7]),
+                              DenseNet((5, 8, 1), rng, final_gain=1.0),
+                              RunningNormalizer(5),
+                              {"action_mode": "joint", "fixed_gain": 0.6})
+        controller = RLPurePursuitController(bundle, track)
+    else:
+        controller = build_controller({"type": kind}, track, SIM)
+    report = run_laps(controller, track, SIM, laps=1, max_lap_time=20.0)
+    # One scan by the controller for its own step, one by the lap runner
+    # for the stepped pose, which also gives the only lateral error.
+    assert report.total_steps > 0
+    assert track_queries == {"nearest_index": 2 * report.total_steps,
+                             "lateral_error": report.total_steps}
 
 
 def test_run_continues_after_collision_reset():

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from pursuitlab import pure_pursuit as pp
+from pursuitlab import raceline as rl
 from pursuitlab.vehicle import VehicleState
 
 from conftest import make_square_raceline
@@ -192,12 +193,15 @@ def test_smoothed_params_stay_in_bounds():
 reals = st.floats(allow_nan=False)
 
 
-@given(reals, reals)
+@example(math.nan, 0.8)
+@given(st.floats(), st.floats())
 def test_joint_action_is_clipped_into_the_bounds(lookahead, gain):
     params = pp.params_from_action([lookahead, gain], "joint", 0.6)
     assert pp.LOOKAHEAD_BOUNDS[0] <= params.lookahead <= pp.LOOKAHEAD_BOUNDS[1]
     assert pp.GAIN_BOUNDS[0] <= params.gain <= pp.GAIN_BOUNDS[1]
     assert params == pp.PPParams(lookahead, gain).clipped()
+    # What the env records (raw_params) is what the controller applies.
+    assert params.clipped() == params
 
 
 @given(reals, reals)
@@ -205,6 +209,11 @@ def test_ld_only_action_passes_the_fixed_gain_through(lookahead, fixed_gain):
     params = pp.params_from_action(np.array([lookahead]), "ld_only", fixed_gain)
     assert params.gain == fixed_gain
     assert params.lookahead == pp.PPParams(lookahead, 0.6).clipped().lookahead
+
+
+def test_smoother_start_per_action_mode():
+    assert pp.smoother_start("joint", 0.6) == pp.PPParams(*pp.SMOOTHER_INIT)
+    assert pp.smoother_start("ld_only", 0.6) == pp.PPParams(pp.SMOOTHER_INIT[0], 0.6)
 
 
 @given(st.sampled_from(["joint", "ld_only"]), st.integers(0, 4))
@@ -238,7 +247,8 @@ def test_controller_external_fresh_is_rl_mode():
     controller = pp.PurePursuitController(track, source)
     controller.reset()
     source.publish(pp.PPParams(1.5, 0.9), now=0.0)
-    result = controller.step(VehicleState(0.1, 0.0, 0.0, 2.0), now=0.0)
+    state = VehicleState(0.1, 0.0, 0.0, 2.0)
+    result = controller.step(state, rl.nearest_index(track, state.position), now=0.0)
     assert result.mode == "rl"
 
 
@@ -249,7 +259,8 @@ def test_controller_staleness_falls_back_to_teacher():
     controller.reset()
     source.publish(pp.PPParams(4.0, 1.15), now=0.0)
     state = VehicleState(0.1, 0.0, 0.0, 2.0)
-    result = controller.step(state, now=0.5)  # 0.5 s since receipt > 0.2 s
+    # 0.5 s since receipt > 0.2 s
+    result = controller.step(state, rl.nearest_index(track, state.position), now=0.5)
     assert result.mode == "teacher"
     # Applied params are the smoothed teacher values.
     expected_l = 0.2 * pp.teacher_lookahead(2.0, 0.0) + 0.8 * 1.0
@@ -262,7 +273,8 @@ def test_controller_fixed_on_straight():
     track = make_square_raceline(v=5.0)
     controller = pp.PurePursuitController(track, pp.FixedSource(1.0, 0.9))
     controller.reset()
-    result = controller.step(VehicleState(0.05, 0.0, 0.0, 2.0), now=0.0)
+    state = VehicleState(0.05, 0.0, 0.0, 2.0)
+    result = controller.step(state, rl.nearest_index(track, state.position), now=0.0)
     assert result.mode == "fixed"
     assert result.command.delta == pytest.approx(0.0, abs=1e-12)
     assert result.command.v_cmd == 5.0
@@ -273,7 +285,8 @@ def test_controller_adaptive_mode_uses_speed():
     track = make_square_raceline(v=6.0)
     controller = pp.PurePursuitController(
         track, pp.AdaptiveLinearSource(2.0, 8.0, 0.85))
-    result = controller.step(VehicleState(0.05, 0.0, 0.0, 5.0), now=0.0)
+    state = VehicleState(0.05, 0.0, 0.0, 5.0)
+    result = controller.step(state, rl.nearest_index(track, state.position), now=0.0)
     assert result.mode == "adaptive"
     assert result.params.lookahead == pytest.approx(1.75, abs=1e-12)
     assert result.params.gain == 0.85
@@ -289,7 +302,7 @@ def test_fresh_actions_every_step_never_trigger_teacher(oval_track):
     for k in range(total):
         now = 0.05 * k
         source.publish(pp.PPParams(1.5, 0.9), now)
-        result = controller.step(state, now)
+        result = controller.step(state, 0, now)
         if result.mode == "teacher":
             teacher_steps += 1
     assert teacher_steps == 0
@@ -298,4 +311,4 @@ def test_fresh_actions_every_step_never_trigger_teacher(oval_track):
 def test_controller_rejects_unknown_source(oval_track):
     controller = pp.PurePursuitController(oval_track, object())
     with pytest.raises(TypeError):
-        controller.step(VehicleState(0, 0, 0, 1.0), now=0.0)
+        controller.step(VehicleState(0, 0, 0, 1.0), 0, now=0.0)

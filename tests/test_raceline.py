@@ -208,6 +208,25 @@ def test_taps_shift_consistency():
         assert rl.taps(track, i) == rl.taps(rolled, (i - shift) % 90)
 
 
+def test_local_curvature_is_zero_on_a_straight(oval_track):
+    assert not oval_track.kappa[8:13].any()
+    assert rl.local_curvature(oval_track, 10) == 0.0
+
+
+def test_local_curvature_inside_an_arc_is_one_over_radius(oval_track):
+    arc_start = int(np.argmax(oval_track.kappa != 0.0))
+    assert rl.local_curvature(oval_track, arc_start + 10) == pytest.approx(
+        1.0 / 3.0, abs=1e-15)
+
+
+def test_local_curvature_averages_across_the_seam():
+    track = make_indexed_kappa_circle(100)  # kappa[i] = i / 100
+    assert rl.local_curvature(track, 0) == pytest.approx(
+        (0.98 + 0.99 + 0.0 + 0.01 + 0.02) / 5, abs=1e-15)
+    assert rl.local_curvature(track, 99) == pytest.approx(
+        (0.97 + 0.98 + 0.99 + 0.0 + 0.01) / 5, abs=1e-15)
+
+
 # ----------------------------------------------------------------------
 # Lookahead target
 # ----------------------------------------------------------------------
@@ -227,21 +246,20 @@ def polyline_walk_oracle(track, start_index, distance):
 
 def test_lookahead_on_straight_is_collinear():
     track = make_square_raceline()
-    target = rl.lookahead_target(track, (0.0, 0.0), 0.8)
+    target = rl.lookahead_target(track, 0, 0.8)
     np.testing.assert_allclose(target, [0.8, 0.0], atol=1e-12)
 
 
 def test_lookahead_interpolates_within_first_segment():
     track = make_square_raceline()
     # 0.1 into the first 0.25-long segment: hand interpolation gives (0.1, 0).
-    target = rl.lookahead_target(track, (0.0, 0.0), 0.1)
+    target = rl.lookahead_target(track, 0, 0.1)
     np.testing.assert_allclose(target, [0.1, 0.0], atol=1e-12)
 
 
 def test_lookahead_wraps_across_seam(oval_track):
     n = oval_track.n
-    start = (oval_track.x[n - 1], oval_track.y[n - 1])
-    target = rl.lookahead_target(oval_track, start, 2.0)
+    target = rl.lookahead_target(oval_track, n - 1, 2.0)
     oracle = polyline_walk_oracle(oval_track, n - 1, 2.0)
     np.testing.assert_allclose(target, oracle, atol=1e-9)
 
@@ -253,7 +271,7 @@ def test_lookahead_arc_length_property(oval_track):
         p = rng.uniform(-5.0, 20.0, size=2)
         lookahead = float(rng.uniform(0.05, 4.0))
         i = rl.nearest_index(track, p)
-        target = rl.lookahead_target(track, p, lookahead)
+        target = rl.lookahead_target(track, i, lookahead)
         # Walk forward from waypoint i until the segment containing the
         # target (triangle equality), accumulating polyline length.
         walked = None
@@ -276,7 +294,7 @@ def test_lookahead_arc_length_property(oval_track):
 def test_lookahead_rejects_nonpositive():
     track = make_square_raceline()
     with pytest.raises(ValueError):
-        rl.lookahead_target(track, (0.0, 0.0), 0.0)
+        rl.lookahead_target(track, 0, 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -304,6 +322,16 @@ def test_scale_composition_is_exact(oval_track):
         once = rl.scale_speeds(oval_track, a * b)
         twice = rl.scale_speeds(rl.scale_speeds(oval_track, a), b)
         assert np.array_equal(once.v_max, twice.v_max)
+
+
+def test_every_cached_array_is_read_only(oval_track):
+    for track in (oval_track, rl.scale_speeds(oval_track, 1.2)):
+        arrays = {k: v for k, v in vars(track).items() if isinstance(v, np.ndarray)}
+        assert {"x", "y", "kappa", "v_base", "v_max", "seg_len", "cum_s",
+                "_seg_dx", "_seg_dy", "_seg_len2"} == set(arrays)
+        for name, a in arrays.items():
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
 
 
 def test_scale_down(oval_track):
@@ -394,5 +422,5 @@ def test_lateral_error_matches_bruteforce(oval_track):
 def test_lookahead_two_metres_on_long_straight(oval_track):
     # Vehicle exactly on a waypoint early in the 10 m straight.
     p = (float(oval_track.x[2]), float(oval_track.y[2]))
-    target = rl.lookahead_target(oval_track, p, 2.0)
+    target = rl.lookahead_target(oval_track, 2, 2.0)
     np.testing.assert_allclose(target, [p[0] + 2.0, 0.0], atol=1e-9)

@@ -192,16 +192,16 @@ def test_control_step_determinism():
 
 def test_collision_inside_corridor(oval_track):
     state = VehicleState(float(oval_track.x[4]), float(oval_track.y[4]), 0.0, 1.0)
-    assert not collision_check(oval_track, state)
+    assert not collision_check(oval_track, rl.lateral_error(oval_track, state.position))
 
 
 def test_collision_outside_corridor():
     track = make_square_raceline()  # half_width 1.1
-    assert collision_check(track, VehicleState(0.7, -1.2, 0.0, 1.0))
+    assert collision_check(track, rl.lateral_error(track, (0.7, -1.2)))
 
 
 def test_collision_boundary_is_strict():
     track = make_square_raceline()
     # Exactly half_width off the bottom straight: 1.1 is exact in both places.
     assert rl.lateral_error(track, (0.7, -1.1)) == -1.1
-    assert not collision_check(track, VehicleState(0.7, -1.1, 0.0, 1.0))
+    assert not collision_check(track, rl.lateral_error(track, (0.7, -1.1)))
