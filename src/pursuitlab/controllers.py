@@ -83,7 +83,7 @@ class RLPurePursuitController:
     def step(self, state: VehicleState, now: float) -> ControllerOutput:
         index = rl.nearest_index(self.raceline, state.position)
         if self.publish_enabled:
-            action = self.bundle.act(observe(state, self.raceline, index))
+            action = self.bundle.act(observe(state, rl.taps(self.raceline, index)))
             self.source.publish(
                 params_from_action(action, self.action_mode, self.fixed_gain), now)
         result = self.controller.step(state, index, now)

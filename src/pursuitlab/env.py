@@ -100,10 +100,11 @@ def compute_reward(ctx: RewardContext, weights: RewardWeights) -> float:
     return max(weights.clip_lo, min(weights.clip_hi, r))
 
 
-def observe(state: VehicleState, raceline: rl.Raceline, i: int) -> np.ndarray:
-    """Observation [v, kappa0, kappa1, kappa2, dkappa]; ``i`` is the nearest waypoint."""
-    t = rl.taps(raceline, i)
-    return np.array([state.v, t.kappa0, t.kappa1, t.kappa2, t.dkappa])
+def observe(state: VehicleState, preview: rl.CurvatureTaps) -> np.ndarray:
+    """Observation [v, kappa0, kappa1, kappa2, dkappa]; ``preview`` holds the
+    taps of the state's nearest waypoint."""
+    return np.array([state.v, preview.kappa0, preview.kappa1, preview.kappa2,
+                     preview.dkappa])
 
 
 @dataclass
@@ -202,7 +203,7 @@ class RacingEnv:
                                              self.config.fixed_gain))
         self.prev_params = self.controller.smoother.state()
         self._done = False
-        return observe(self.state, track, self.prev_index)
+        return observe(self.state, rl.taps(track, self.prev_index))
 
     def step(self, action):
         """Returns (observation, reward, done, info)."""
@@ -243,7 +244,7 @@ class RacingEnv:
             teacher_gain=teacher_gain(self.state.v),
         )
         reward = compute_reward(ctx, self.weights)
-        obs = observe(self.state, track, index)
+        obs = observe(self.state, preview)
         if self._trace_writer is not None:
             bend = ctx.kappa_max > self.weights.kappa_bend \
                 and ctx.lookahead <= preshorten_ceiling(ctx.v)

@@ -3,7 +3,7 @@
 Each control step: sample a speed-proportional reference horizon from the
 raceline, linearize the kinematic bicycle about it (forward Euler, with
 curvature-feedforward reference steering), stack the tracking/effort/rate
-objective into one sparse QP with actuator and rate constraints, and solve
+objective into one dense QP with actuator and rate constraints, and solve
 it with the internal ADMM solver. The first optimized control is applied;
 if the solver fails to converge the previous command is held.
 
@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import raceline as rl
 from .qp import QPProblem, admm_solve
@@ -137,7 +136,7 @@ def reference_controls(raceline: rl.Raceline, reference: HorizonReference,
 
 def assemble_qp(reference: HorizonReference, linearizations, state: VehicleState,
                 config: MPCConfig) -> QPProblem:
-    """Stack states and controls into one sparse box-constrained QP.
+    """Stack states and controls into one dense box-constrained QP.
 
     Decision vector: [x_0 .. x_T, u_0 .. u_{T-1}]. Equality rows (l == u)
     pin x_0 to the current state and encode the affine dynamics; inequality
@@ -153,89 +152,46 @@ def assemble_qp(reference: HorizonReference, linearizations, state: VehicleState
     n_states = NX * (horizon + 1)
     n = n_states + NU * horizon
 
-    def u_index(t):
-        return n_states + NU * t
-
     # Cost: 0.5 z' P z + q' z  matching the sum of squared weighted errors.
-    q_diag = np.asarray(config.state_weights, dtype=float)
-    qf_diag = np.asarray(config.terminal_weights, dtype=float)
-    r_diag = np.asarray(config.control_weights, dtype=float)
-    rd_diag = np.asarray(config.control_rate_weights, dtype=float)
-
-    p_rows, p_cols, p_vals = [], [], []
+    w_state = np.concatenate([np.tile(config.state_weights, horizon),
+                              config.terminal_weights])
+    p_mat = np.diag(2.0 * np.concatenate(
+        [w_state, np.tile(config.control_weights, horizon)]))
+    # Knot differences u_{t+1} - u_t, penalized by the rate weights.
+    diff = np.eye(horizon - 1, horizon, 1) - np.eye(horizon - 1, horizon)
+    p_mat[n_states:, n_states:] += np.kron(
+        diff.T @ diff, np.diag(2.0 * np.asarray(config.control_rate_weights)))
     q_vec = np.zeros(n)
-    for t in range(horizon + 1):
-        w = qf_diag if t == horizon else q_diag
-        idx = NX * t + np.arange(NX)
-        p_rows.extend(idx)
-        p_cols.extend(idx)
-        p_vals.extend(2.0 * w)
-        q_vec[idx] = -2.0 * w * reference.states[t]
-    for t in range(horizon):
-        idx = u_index(t) + np.arange(NU)
-        p_rows.extend(idx)
-        p_cols.extend(idx)
-        p_vals.extend(2.0 * r_diag)
-    for t in range(horizon - 1):
-        a_idx = u_index(t) + np.arange(NU)
-        b_idx = u_index(t + 1) + np.arange(NU)
-        for rows, cols, sign in ((a_idx, a_idx, 1.0), (b_idx, b_idx, 1.0),
-                                 (a_idx, b_idx, -1.0), (b_idx, a_idx, -1.0)):
-            p_rows.extend(rows)
-            p_cols.extend(cols)
-            p_vals.extend(sign * 2.0 * rd_diag)
-    p_mat = sp.coo_matrix((p_vals, (p_rows, p_cols)), shape=(n, n)).tocsc()
+    q_vec[:n_states] = -2.0 * w_state * reference.states.ravel()
 
     # Current-state psi expressed in the reference's unwrap branch.
     psi0 = reference.states[0, 3] + wrap_angle(state.theta - reference.states[0, 3])
     x_init = np.array([state.x, state.y, state.v, psi0])
 
-    m_eq = NX * (horizon + 1)
     m_box = NU * horizon
-    m_rate = 2 * (horizon - 1)
-    m = m_eq + m_box + m_rate
-    a_rows, a_cols, a_vals = [], [], []
+    m = n_states + m_box + 2 * (horizon - 1)
+    a_mat = np.zeros((m, n))
     lower = np.empty(m)
     upper = np.empty(m)
 
-    def put_block(row0, col0, block):
-        r, c = np.nonzero(block)
-        a_rows.extend(row0 + r)
-        a_cols.extend(col0 + c)
-        a_vals.extend(block[r, c])
+    a_mat[:n_states, :n_states] = np.eye(n_states)
+    lower[:NX] = upper[:NX] = x_init
+    for t, (a_t, b_t, c_t) in enumerate(linearizations):
+        rows = slice(NX * (t + 1), NX * (t + 2))
+        a_mat[rows, NX * t:NX * (t + 1)] = -a_t
+        a_mat[rows, n_states + NU * t:n_states + NU * (t + 1)] = -b_t
+        lower[rows] = upper[rows] = c_t
 
-    row = 0
-    put_block(row, 0, np.eye(NX))
-    lower[row:row + NX] = x_init
-    upper[row:row + NX] = x_init
-    row += NX
-    for t in range(horizon):
-        a_t, b_t, c_t = linearizations[t]
-        put_block(row, NX * (t + 1), np.eye(NX))
-        put_block(row, NX * t, -a_t)
-        put_block(row, u_index(t), -b_t)
-        lower[row:row + NX] = c_t
-        upper[row:row + NX] = c_t
-        row += NX
+    box = slice(n_states, n_states + m_box)
+    a_mat[box, n_states:] = np.eye(m_box)
+    upper[box] = np.tile((config.a_max, config.delta_max), horizon)
+    lower[box] = -upper[box]
 
-    for t in range(horizon):
-        put_block(row, u_index(t), np.eye(NU))
-        lower[row:row + NU] = (-config.a_max, -config.delta_max)
-        upper[row:row + NU] = (config.a_max, config.delta_max)
-        row += NU
-
-    rate_bound = config.delta_rate_max * config.dt
-    for t in range(horizon - 1):
-        delta_t = u_index(t) + 1
-        delta_next = u_index(t + 1) + 1
-        a_rows.extend((row, row, row + 1, row + 1))
-        a_cols.extend((delta_next, delta_t, delta_next, delta_t))
-        a_vals.extend((1.0, -1.0, -1.0, 1.0))
-        lower[row:row + 2] = -np.inf
-        upper[row:row + 2] = rate_bound
-        row += 2
-
-    a_mat = sp.coo_matrix((a_vals, (a_rows, a_cols)), shape=(m, n)).tocsc()
+    # Two one-sided rows per consecutive steering pair: +-(d_{t+1} - d_t).
+    rate = slice(n_states + m_box, m)
+    a_mat[rate, n_states + 1::NU] = np.kron(diff, [[1.0], [-1.0]])
+    lower[rate] = -np.inf
+    upper[rate] = config.delta_rate_max * config.dt
     return QPProblem(p_mat, q_vec, a_mat, lower, upper)
 
 

@@ -1,4 +1,4 @@
-"""Operator-splitting ADMM solver for box-constrained sparse QPs.
+"""Operator-splitting ADMM solver for small dense box-constrained QPs.
 
 Solves
 
@@ -7,7 +7,9 @@ Solves
 
 by alternating a regularized KKT solve with projection onto [l, u],
 using over-relaxation and an adaptive penalty. Equality rows are simply
-rows with l == u. Bounds may be +-inf.
+rows with l == u. Bounds may be +-inf. The problems are small (the MPC's
+has 52 variables), so the data is dense and the KKT matrix is inverted
+once per penalty value.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 DEFAULT_RHO = 0.1
 DEFAULT_SIGMA = 1e-6
@@ -29,17 +29,17 @@ RHO_EQUALITY_BOOST = 1e3
 
 @dataclass
 class QPProblem:
-    """Sparse QP data. ``P`` must be symmetric PSD and ``l <= u`` elementwise."""
+    """Dense QP data. ``P`` must be symmetric PSD and ``l <= u`` elementwise."""
 
-    P: sp.csc_matrix
+    P: np.ndarray
     q: np.ndarray
-    A: sp.csc_matrix
+    A: np.ndarray
     l: np.ndarray
     u: np.ndarray
 
     def __post_init__(self):
-        self.P = sp.csc_matrix(self.P)
-        self.A = sp.csc_matrix(self.A)
+        self.P = np.asarray(self.P, dtype=float)
+        self.A = np.asarray(self.A, dtype=float)
         self.q = np.asarray(self.q, dtype=float).ravel()
         self.l = np.asarray(self.l, dtype=float).ravel()
         self.u = np.asarray(self.u, dtype=float).ravel()
@@ -47,7 +47,7 @@ class QPProblem:
         m = self.l.shape[0]
         if self.P.shape != (n, n):
             raise ValueError("P must be n x n")
-        if (abs(self.P - self.P.T) > 1e-12).nnz:
+        if np.any(np.abs(self.P - self.P.T) > 1e-12):
             raise ValueError("P must be symmetric")
         if self.A.shape != (m, n):
             raise ValueError("A shape inconsistent with q and bounds")
@@ -85,13 +85,11 @@ def _rho_vector(qp: QPProblem, rho: float) -> np.ndarray:
     return rho_vec
 
 
-def _kkt_factor(qp: QPProblem, rho_vec: np.ndarray, sigma: float):
-    kkt = sp.bmat(
-        [[qp.P + sigma * sp.eye(qp.n), qp.A.T],
-         [qp.A, -sp.diags(1.0 / rho_vec)]],
-        format="csc",
-    )
-    return spla.splu(kkt)
+def _kkt_inverse(qp: QPProblem, rho_vec: np.ndarray, sigma: float) -> np.ndarray:
+    """Inverse of the quasi-definite KKT matrix for one penalty vector."""
+    kkt = np.block([[qp.P + sigma * np.eye(qp.n), qp.A.T],
+                    [qp.A, -np.diag(1.0 / rho_vec)]])
+    return np.linalg.inv(kkt)
 
 
 def admm_solve(qp: QPProblem, tol_primal: float = 1e-6, tol_dual: float = 1e-6,
@@ -109,7 +107,7 @@ def admm_solve(qp: QPProblem, tol_primal: float = 1e-6, tol_dual: float = 1e-6,
     z = np.clip(qp.A @ x, qp.l, qp.u)
 
     rho_vec = _rho_vector(qp, rho)
-    solve = _kkt_factor(qp, rho_vec, sigma)
+    kkt_inv = _kkt_inverse(qp, rho_vec, sigma)
     alpha = OVER_RELAXATION
     rhs = np.empty(n + m)
 
@@ -118,7 +116,7 @@ def admm_solve(qp: QPProblem, tol_primal: float = 1e-6, tol_dual: float = 1e-6,
     for iteration in range(1, max_iter + 1):
         rhs[:n] = sigma * x - qp.q
         rhs[n:] = z - y / rho_vec
-        sol = solve.solve(rhs)
+        sol = kkt_inv @ rhs
         x_tilde = sol[:n]
         z_tilde = z + (sol[n:] - y) / rho_vec
 
@@ -143,6 +141,6 @@ def admm_solve(qp: QPProblem, tol_primal: float = 1e-6, tol_dual: float = 1e-6,
             if new_rho != rho:
                 rho = new_rho
                 rho_vec = _rho_vector(qp, rho)
-                solve = _kkt_factor(qp, rho_vec, sigma)
+                kkt_inv = _kkt_inverse(qp, rho_vec, sigma)
 
     return ADMMResult(x, y, primal, dual, max_iter, False)

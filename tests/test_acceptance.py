@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import scipy.sparse as sp
 
 from pursuitlab import pure_pursuit as pp
 from pursuitlab import raceline as rl
@@ -229,7 +228,7 @@ def test_criterion_07_qp_solver():
         kkt_ok &= result.converged and kkt < 1e-5
 
     # analytic box projection
-    qp1 = QPProblem(sp.eye(1) * 2.0, np.array([-2.0]), sp.eye(1),
+    qp1 = QPProblem(np.eye(1) * 2.0, np.array([-2.0]), np.eye(1),
                     np.array([-0.4189]), np.array([0.4189]))
     r1 = admm_solve(qp1)
     proj_ok = abs(r1.x[0] - 0.4189) < 2e-4
@@ -238,7 +237,7 @@ def test_criterion_07_qp_solver():
     factor = rng.standard_normal((2, 2))
     p2 = factor.T @ factor + 0.3 * np.eye(2)
     q2 = rng.uniform(-1.0, 1.0, size=2)
-    qp2 = QPProblem(sp.csc_matrix(p2), q2, sp.eye(2),
+    qp2 = QPProblem(p2, q2, np.eye(2),
                     np.array([-0.5, -0.5]), np.array([0.5, 0.5]))
     r2 = admm_solve(qp2)
     xs = np.arange(-0.5, 0.5 + 5e-5, 1e-4)

@@ -147,7 +147,7 @@ def test_preshorten_bonus_factorial():
 
 def test_observe_stationary_on_straight(oval_track):
     state = VehicleState(float(oval_track.x[2]), float(oval_track.y[2]), 0.0, 0.0)
-    obs = observe(state, oval_track, 2)
+    obs = observe(state, rl.taps(oval_track, 2))
     np.testing.assert_allclose(obs, [0.0, 0.0, 0.0, 0.0, 0.0], atol=1e-15)
 
 
@@ -156,7 +156,7 @@ def test_observe_far_tap_previews_arc():
     arc_start = int(np.argmax(track.kappa != 0.0))
     i = arc_start - 8  # offset 12 reaches into the arc, offset 5 does not
     state = VehicleState(float(track.x[i]), float(track.y[i]), 0.0, 3.0)
-    obs = observe(state, track, i)
+    obs = observe(state, rl.taps(track, i))
     assert obs[1] == 0.0           # kappa0 still on the straight
     assert obs[2] == 0.0           # kappa1 still on the straight
     assert obs[3] == pytest.approx(0.5, abs=1e-12)  # kappa2 inside radius 2
@@ -167,7 +167,7 @@ def test_observe_dkappa_identity(oval_track):
     for _ in range(100):
         p = rng.uniform(-5, 20, size=2)
         state = VehicleState(p[0], p[1], 0.0, float(rng.uniform(0, 8)))
-        obs = observe(state, oval_track, rl.nearest_index(oval_track, p))
+        obs = observe(state, rl.taps(oval_track, rl.nearest_index(oval_track, p)))
         assert obs[4] == obs[2] - obs[1]
 
 
@@ -216,8 +216,8 @@ def test_action_clipped_before_smoothing(oval_track):
 def test_step_after_done_is_an_error(oval_track):
     env = RacingEnv(oval_track, env_config=EnvConfig(max_steps=2), seed=0)
     env.reset(seed=0)
-    env.step(teacher_action(observe(env.state, oval_track,
-                                    rl.nearest_index(oval_track, env.state.position))))
+    env.step(teacher_action(observe(env.state, rl.taps(
+        oval_track, rl.nearest_index(oval_track, env.state.position)))))
     obs, _, done, _ = env.step([1.5, 0.9])
     assert done
     with pytest.raises(RuntimeError):
@@ -350,9 +350,10 @@ def test_env_step_locates_the_new_pose_once(tmp_path, oval_track, track_queries)
     env = RacingEnv(oval_track, seed=2, trace_path=tmp_path / "trace.csv")
     obs = env.reset(seed=2)
     for _ in range(40):
-        track_queries.update(nearest_index=0, lateral_error=0)
+        track_queries.update(nearest_index=0, lateral_error=0, taps=0)
         obs, _, done, info = env.step(teacher_action(obs))
-        assert track_queries == {"nearest_index": 1, "lateral_error": 1}
+        # Fresh actions: the reward and the observation share one preview.
+        assert track_queries == {"nearest_index": 1, "lateral_error": 1, "taps": 1}
         if done:
             obs = env.reset()
     env.close()

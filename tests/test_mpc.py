@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pursuitlab import raceline as rl
-from pursuitlab.mpc import (MPCConfig, MPCTracker, NU, NX, assemble_qp,
-                            build_reference, linearize, mpc_step,
+from pursuitlab.mpc import (HorizonReference, MPCConfig, MPCTracker, NU, NX,
+                            assemble_qp, build_reference, linearize, mpc_step,
                             reference_controls)
 from pursuitlab.qp import admm_solve
 from pursuitlab.vehicle import Command, SimConfig, VehicleState, control_step
@@ -180,6 +181,54 @@ def test_assemble_rejects_wrong_linearization_count():
     ref, lins = one_step_problem(track, state, config)
     with pytest.raises(ValueError):
         assemble_qp(ref, lins[:-1], state, config)
+
+
+weights = st.tuples(*[st.floats(0.0, 50.0)] * NX)
+control_weights = st.tuples(*[st.floats(0.0, 50.0)] * NU)
+
+
+@settings(max_examples=60, deadline=None)
+@given(horizon=st.integers(1, 10), state_w=weights, terminal_w=weights,
+       control_w=control_weights, rate_w=control_weights,
+       seed=st.integers(0, 2**32 - 1))
+def test_assemble_qp_matches_the_mpc_cost_and_constraints(
+        horizon, state_w, terminal_w, control_w, rate_w, seed):
+    """Oracle: P, q and A against the MPC objective and rows written out
+    from their definitions, at a random decision vector z."""
+    rng = np.random.default_rng(seed)
+    config = MPCConfig(horizon=horizon, state_weights=state_w,
+                       terminal_weights=terminal_w, control_weights=control_w,
+                       control_rate_weights=rate_w)
+    ref = HorizonReference(rng.uniform(-5.0, 5.0, (horizon + 1, NX)),
+                           np.arange(horizon + 1))
+    lins = [(rng.standard_normal((NX, NX)), rng.standard_normal((NX, NU)),
+             rng.standard_normal(NX)) for _ in range(horizon)]
+    state = VehicleState(*rng.uniform(-5.0, 5.0, 4))
+    qp = assemble_qp(ref, lins, state, config)
+
+    z = rng.uniform(-5.0, 5.0, qp.n)
+    xs = z[:NX * (horizon + 1)].reshape(horizon + 1, NX)
+    us = z[NX * (horizon + 1):].reshape(horizon, NU)
+    err = xs - ref.states
+    w = np.array([terminal_w if t == horizon else state_w for t in range(horizon + 1)])
+    cost = (np.sum(w * err ** 2) + np.sum(np.array(control_w) * us ** 2)
+            + np.sum(np.array(rate_w) * np.diff(us, axis=0) ** 2))
+    constant = np.sum(w * ref.states ** 2)
+    quadratic = 0.5 * z @ qp.P @ z + qp.q @ z + constant
+    scale = 0.5 * np.abs(z) @ np.abs(qp.P) @ np.abs(z) + np.abs(qp.q) @ np.abs(z) + constant
+    assert abs(quadratic - cost) <= 1e-9 * max(cost, scale)
+
+    az = qp.A @ z
+    np.testing.assert_allclose(az[:NX], xs[0], rtol=0, atol=1e-12)
+    for t, (a_t, b_t, _) in enumerate(lins):
+        rows = az[NX * (t + 1):NX * (t + 2)]
+        np.testing.assert_allclose(rows, xs[t + 1] - a_t @ xs[t] - b_t @ us[t],
+                                   rtol=1e-12, atol=1e-12)
+    m_eq = NX * (horizon + 1)
+    np.testing.assert_array_equal(az[m_eq:m_eq + NU * horizon], us.ravel())
+    rate = np.diff(us[:, 1])
+    np.testing.assert_array_equal(az[m_eq + NU * horizon:],
+                                  np.column_stack([rate, -rate]).ravel())
 
 
 def test_solution_respects_actuator_and_rate_limits():

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from pursuitlab.qp import ADMMResult, QPProblem, admm_solve
 
@@ -18,8 +17,7 @@ def random_box_qp(rng, n, m, spread=1.0):
     feasible = rng.standard_normal(n)
     center = a @ feasible
     width = rng.uniform(0.2, 2.0, size=m)
-    return QPProblem(sp.csc_matrix(p), q, sp.csc_matrix(a),
-                     center - width, center + width)
+    return QPProblem(p, q, a, center - width, center + width)
 
 
 # ----------------------------------------------------------------------
@@ -28,19 +26,19 @@ def random_box_qp(rng, n, m, spread=1.0):
 
 def test_qpproblem_rejects_inconsistent_dims():
     with pytest.raises(ValueError):
-        QPProblem(sp.eye(3), np.zeros(2), sp.eye(3), -np.ones(3), np.ones(3))
+        QPProblem(np.eye(3), np.zeros(2), np.eye(3), -np.ones(3), np.ones(3))
 
 
 def test_qpproblem_rejects_asymmetric_p():
     p = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError, match="symmetric"):
-        QPProblem(sp.csc_matrix(p), np.zeros(2), sp.eye(2),
+        QPProblem(p, np.zeros(2), np.eye(2),
                   -np.ones(2), np.ones(2))
 
 
 def test_qpproblem_rejects_crossed_bounds():
     with pytest.raises(ValueError, match="l <= u"):
-        QPProblem(sp.eye(2), np.zeros(2), sp.eye(2),
+        QPProblem(np.eye(2), np.zeros(2), np.eye(2),
                   np.ones(2), -np.ones(2))
 
 
@@ -50,7 +48,7 @@ def test_qpproblem_rejects_crossed_bounds():
 
 def test_box_projection_of_unconstrained_optimum():
     # minimize (u - 1)^2 on [-0.4189, 0.4189]: optimum projects to the bound.
-    qp = QPProblem(sp.eye(1) * 2.0, np.array([-2.0]), sp.eye(1),
+    qp = QPProblem(np.eye(1) * 2.0, np.array([-2.0]), np.eye(1),
                    np.array([-0.4189]), np.array([0.4189]))
     result = admm_solve(qp)
     assert result.converged
@@ -64,7 +62,7 @@ def test_unconstrained_matches_direct_solve():
         factor = rng.standard_normal((n, n))
         p = factor.T @ factor + 0.5 * np.eye(n)
         q = rng.standard_normal(n)
-        qp = QPProblem(sp.csc_matrix(p), q, sp.eye(n),
+        qp = QPProblem(p, q, np.eye(n),
                        np.full(n, -np.inf), np.full(n, np.inf))
         result = admm_solve(qp)
         direct = np.linalg.solve(p, -q)
@@ -80,7 +78,7 @@ def test_pure_equality_is_satisfied():
     q = rng.standard_normal(n)
     a = rng.standard_normal((2, n))
     b = rng.standard_normal(2)
-    qp = QPProblem(sp.csc_matrix(p), q, sp.csc_matrix(a), b, b)
+    qp = QPProblem(p, q, a, b, b)
     result = admm_solve(qp)
     assert result.converged
     np.testing.assert_allclose(a @ result.x, b, atol=1e-6)
@@ -120,11 +118,10 @@ def grid_search_objective(qp, step=1e-4):
     lo, hi = qp.l, qp.u
     xs = np.arange(lo[0], hi[0] + step / 2, step)
     ys = np.arange(lo[1], hi[1] + step / 2, step)
-    p = qp.P.toarray()
     best = np.inf
     for x0 in xs:
         grid = np.column_stack([np.full_like(ys, x0), ys])
-        vals = 0.5 * np.einsum("ij,jk,ik->i", grid, p, grid) + grid @ qp.q
+        vals = 0.5 * np.einsum("ij,jk,ik->i", grid, qp.P, grid) + grid @ qp.q
         best = min(best, float(vals.min()))
     return best
 
@@ -135,7 +132,7 @@ def test_two_variable_qp_matches_grid_search():
         factor = rng.standard_normal((2, 2))
         p = factor.T @ factor + 0.3 * np.eye(2)
         q = rng.uniform(-1.0, 1.0, size=2)
-        qp = QPProblem(sp.csc_matrix(p), q, sp.eye(2),
+        qp = QPProblem(p, q, np.eye(2),
                        np.array([-0.5, -0.5]), np.array([0.5, 0.5]))
         result = admm_solve(qp)
         assert result.converged
@@ -144,7 +141,7 @@ def test_two_variable_qp_matches_grid_search():
 
 
 def test_one_variable_qp_matches_grid_search():
-    qp = QPProblem(sp.eye(1) * 3.0, np.array([0.7]), sp.eye(1),
+    qp = QPProblem(np.eye(1) * 3.0, np.array([0.7]), np.eye(1),
                    np.array([-0.4]), np.array([0.4]))
     result = admm_solve(qp)
     xs = np.arange(-0.4, 0.4 + 5e-5, 1e-4)
