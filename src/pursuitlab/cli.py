@@ -13,6 +13,7 @@ from .config import (action_mode_from_cli, build_env_factory,
 from .controllers import build_controller
 from .evaluation import (format_comparison, run_laps, sweep_multipliers,
                          write_comparison_csv, write_laps_csv)
+from .files import atomic_open
 from .ppo import PPOTrainer
 
 
@@ -23,10 +24,8 @@ def _out_dir(args, default: str) -> str:
 
 
 def _write_text(path: str, text: str):
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         f.write(text)
-    os.replace(tmp, path)
 
 
 def cmd_train(args) -> int:

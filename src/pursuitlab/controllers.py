@@ -8,8 +8,6 @@ tracker interchangeably.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import raceline as rl
@@ -17,9 +15,9 @@ from .env import observe
 from .mpc import MPCConfig, MPCTracker
 from .ppo import PolicyBundle, load_checkpoint
 from .pure_pursuit import (AdaptiveLinearSource, ExternalSource, FixedSource,
-                           PPParams, PurePursuitController, TeacherSource,
+                           PurePursuitController, TeacherSource,
                            params_from_action, smoother_start)
-from .vehicle import Command, SimConfig, VehicleState
+from .vehicle import ControllerOutput, SimConfig, VehicleState
 
 # Fixed steering gain used where a constant gain is required (the
 # lookahead-only policy and the fixed/adaptive baselines). Chosen by a
@@ -28,13 +26,6 @@ from .vehicle import Command, SimConfig, VehicleState
 # criterion: 0.6 sustains the highest speed multiplier (2.6 vs 1.7 for 1.0).
 DEFAULT_FIXED_GAIN = 0.6
 DEFAULT_FIXED_LOOKAHEAD = 1.5
-
-
-@dataclass(frozen=True)
-class ControllerOutput:
-    command: Command
-    params: PPParams | None
-    mode: str
 
 
 class PurePursuitAdapter:
@@ -48,8 +39,7 @@ class PurePursuitAdapter:
 
     def step(self, state: VehicleState, now: float) -> ControllerOutput:
         index = rl.nearest_index(self.controller.raceline, state.position)
-        result = self.controller.step(state, index, now)
-        return ControllerOutput(result.command, result.params, result.mode)
+        return self.controller.step(state, index, now)
 
 
 class RLPurePursuitController:
@@ -86,27 +76,7 @@ class RLPurePursuitController:
             action = self.bundle.act(observe(state, rl.taps(self.raceline, index)))
             self.source.publish(
                 params_from_action(action, self.action_mode, self.fixed_gain), now)
-        result = self.controller.step(state, index, now)
-        return ControllerOutput(result.command, result.params, result.mode)
-
-
-class MPCAdapter:
-    """Wraps the MPC tracker; reports solver health through ``last_info``."""
-
-    def __init__(self, raceline: rl.Raceline, config: MPCConfig,
-                 dt_control: float):
-        self.tracker = MPCTracker(raceline, config, dt_control)
-
-    def reset(self):
-        self.tracker.reset()
-
-    @property
-    def last_info(self):
-        return self.tracker.last_info
-
-    def step(self, state: VehicleState, now: float) -> ControllerOutput:
-        command = self.tracker.step(state, now)
-        return ControllerOutput(command, None, "mpc")
+        return self.controller.step(state, index, now)
 
 
 def build_controller(spec: dict, raceline: rl.Raceline, sim_config: SimConfig):
@@ -139,9 +109,8 @@ def build_controller(spec: dict, raceline: rl.Raceline, sim_config: SimConfig):
     if kind == "mpc":
         fields = {k: spec[k] for k in
                   ("horizon", "dt", "delta_max", "a_max", "delta_rate_max",
-                   "wheelbase", "v_floor", "rho", "tol", "max_iter")
+                   "v_floor", "rho", "tol", "max_iter")
                   if k in spec}
-        config = MPCConfig(wheelbase=sim_config.wheelbase, **{
-            k: v for k, v in fields.items() if k != "wheelbase"})
-        return MPCAdapter(raceline, config, sim_config.dt_control)
+        config = MPCConfig(wheelbase=sim_config.wheelbase, **fields)
+        return MPCTracker(raceline, config, sim_config.dt_control)
     raise ValueError(f"unknown controller type {kind!r}")

@@ -13,12 +13,15 @@ run several independent instances for parallel collection.
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import raceline as rl
+from .files import atomic_open
 from .pure_pursuit import (ExternalSource, PurePursuitController, TEACHER_L_BASE,
                            TEACHER_L_SPEED, params_from_action, smoother_start,
                            teacher_gain, teacher_lookahead)
@@ -134,8 +137,9 @@ class EnvConfig:
 class RacingEnv:
     """Gym-style episodic wrapper around raceline + Pure Pursuit + simulator.
 
-    ``trace_path`` optionally streams one CSV row per step (observation,
-    raw and smoothed action, reward terms, flags) for reward debugging.
+    ``trace_path`` optionally receives one CSV row per step (observation,
+    raw and smoothed action, reward terms, flags) for reward debugging;
+    the file appears at :meth:`close`.
     """
 
     def __init__(self, raceline: rl.Raceline, sim_config: SimConfig = SimConfig(),
@@ -148,12 +152,11 @@ class RacingEnv:
         self.config = env_config
         self.rng = np.random.default_rng(seed)
         self.controller = PurePursuitController(raceline, ExternalSource())
-        self._trace_file = None
+        self._trace = contextlib.ExitStack()
         self._trace_writer = None
         if trace_path is not None:
-            import csv
-            self._trace_file = open(trace_path, "w", newline="")
-            self._trace_writer = csv.writer(self._trace_file)
+            self._trace_writer = csv.writer(
+                self._trace.enter_context(atomic_open(trace_path)))
             self._trace_writer.writerow(
                 ["step", "v", "kappa0", "kappa1", "kappa2", "dkappa",
                  "raw_lookahead", "raw_gain", "lookahead", "gain", "reward",
@@ -163,11 +166,8 @@ class RacingEnv:
         self._done = True
 
     def close(self):
-        if self._trace_file is not None:
-            self._trace_file.flush()
-            self._trace_file.close()
-            self._trace_file = None
-            self._trace_writer = None
+        """Publish the trace file, if any; a second call does nothing."""
+        self._trace.close()
 
     @property
     def observation_dim(self) -> int:

@@ -9,14 +9,15 @@ teacher-activation counts, tracking error, and steering smoothness.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import raceline as rl
+from .files import atomic_open
 from .vehicle import SimConfig, VehicleState, collision_check, control_step
 
 
@@ -82,7 +83,8 @@ def run_laps(controller, raceline: rl.Raceline, sim_config: SimConfig,
     incomplete and restarts the run from the start line. Lap split times
     interpolate the crossing between the two straddling control steps.
 
-    ``trace_path`` optionally streams one CSV row per control step.
+    ``trace_path`` optionally receives one CSV row per control step; the
+    file appears when the run returns and not at all if it raises.
     """
     if laps < 1:
         raise ValueError("laps must be >= 1")
@@ -91,15 +93,6 @@ def run_laps(controller, raceline: rl.Raceline, sim_config: SimConfig,
     max_lap_steps = int(math.ceil(max_lap_time / dt))
 
     report = LapReport()
-    trace_file = None
-    writer = None
-    if trace_path is not None:
-        trace_file = open(str(trace_path) + ".tmp", "w", newline="")
-        writer = csv.writer(trace_file)
-        writer.writerow(["step", "time", "lap", "index", "x", "y", "v",
-                         "lookahead", "gain", "kappa_max", "gamma",
-                         "lateral_error", "mode"])
-
     abs_lat_sum = 0.0
     steer_rate_sq_sum = 0.0
     global_step = 0
@@ -115,68 +108,71 @@ def run_laps(controller, raceline: rl.Raceline, sim_config: SimConfig,
     lap_steps = 0
     clock = 0.0
 
-    while lap_no <= laps:
-        output = controller.step(state, clock)
-        new_state, applied_delta = control_step(state, output.command,
-                                                prev_delta, sim_config)
-        steer_rate_sq_sum += ((applied_delta - prev_delta) / dt) ** 2
-        state = new_state
-        prev_delta = applied_delta
-        clock += dt
-        lap_steps += 1
-        global_step += 1
+    with contextlib.ExitStack() as files:
+        writer = None
+        if trace_path is not None:
+            writer = csv.writer(files.enter_context(atomic_open(trace_path)))
+            writer.writerow(["step", "time", "lap", "index", "x", "y", "v",
+                             "lookahead", "gain", "kappa_max", "gamma",
+                             "lateral_error", "mode"])
+        while lap_no <= laps:
+            output = controller.step(state, clock)
+            new_state, applied_delta = control_step(state, output.command,
+                                                    prev_delta, sim_config)
+            steer_rate_sq_sum += ((applied_delta - prev_delta) / dt) ** 2
+            state = new_state
+            prev_delta = applied_delta
+            clock += dt
+            lap_steps += 1
+            global_step += 1
 
-        index = rl.nearest_index(raceline, state.position)
-        advance = rl.progress_count(prev_index, index, n)
-        prev_index = index
-        lat = rl.lateral_error(raceline, state.position)
-        abs_lat_sum += abs(lat)
-        if output.mode == "teacher":
-            report.teacher_steps += 1
-        report.total_steps += 1
+            index = rl.nearest_index(raceline, state.position)
+            advance = rl.progress_count(prev_index, index, n)
+            prev_index = index
+            lat = rl.lateral_error(raceline, state.position)
+            abs_lat_sum += abs(lat)
+            if output.mode == "teacher":
+                report.teacher_steps += 1
+            report.total_steps += 1
 
-        if writer is not None:
-            params = output.params
-            preview = rl.taps(raceline, index)
-            writer.writerow([global_step, f"{clock:.6f}", lap_no, index,
-                             f"{state.x:.6f}", f"{state.y:.6f}", f"{state.v:.6f}",
-                             "" if params is None else f"{params.lookahead:.6f}",
-                             "" if params is None else f"{params.gain:.6f}",
-                             f"{preview.kappa_max:.6f}",
-                             f"{output.command.delta:.6f}", f"{lat:.6f}",
-                             output.mode])
+            if writer is not None:
+                params = output.params
+                preview = rl.taps(raceline, index)
+                writer.writerow([global_step, f"{clock:.6f}", lap_no, index,
+                                 f"{state.x:.6f}", f"{state.y:.6f}", f"{state.v:.6f}",
+                                 "" if params is None else f"{params.lookahead:.6f}",
+                                 "" if params is None else f"{params.gain:.6f}",
+                                 f"{preview.kappa_max:.6f}",
+                                 f"{output.command.delta:.6f}", f"{lat:.6f}",
+                                 output.mode])
 
-        crashed = collision_check(raceline, lat)
-        timed_out = lap_steps >= max_lap_steps
-        if crashed or timed_out:
-            report.laps.append(LapRecord(lap_no, math.nan, False))
-            lap_no += 1
-            state = _start_state(raceline, start_index)
-            controller.reset()
-            prev_delta = 0.0
-            prev_index = start_index
-            lap_progress = 0
-            lap_start_time = clock
-            lap_steps = 0
-            continue
+            crashed = collision_check(raceline, lat)
+            timed_out = lap_steps >= max_lap_steps
+            if crashed or timed_out:
+                report.laps.append(LapRecord(lap_no, math.nan, False))
+                lap_no += 1
+                state = _start_state(raceline, start_index)
+                controller.reset()
+                prev_delta = 0.0
+                prev_index = start_index
+                lap_progress = 0
+                lap_start_time = clock
+                lap_steps = 0
+                continue
 
-        before = lap_progress
-        lap_progress += advance
-        while lap_progress >= n and lap_no <= laps:
-            # Interpolate the start-line crossing inside this control step.
-            frac = (n - before) / (lap_progress - before) \
-                if lap_progress > before else 1.0
-            crossing = clock - dt + frac * dt
-            report.laps.append(LapRecord(lap_no, crossing - lap_start_time, True))
-            lap_no += 1
-            lap_start_time = crossing
-            lap_progress -= n
-            before = 0
-            lap_steps = 0
-
-    if trace_file is not None:
-        trace_file.close()
-        os.replace(str(trace_path) + ".tmp", trace_path)
+            before = lap_progress
+            lap_progress += advance
+            while lap_progress >= n and lap_no <= laps:
+                # Interpolate the start-line crossing inside this control step.
+                frac = (n - before) / (lap_progress - before) \
+                    if lap_progress > before else 1.0
+                crossing = clock - dt + frac * dt
+                report.laps.append(LapRecord(lap_no, crossing - lap_start_time, True))
+                lap_no += 1
+                lap_start_time = crossing
+                lap_progress -= n
+                before = 0
+                lap_steps = 0
 
     if report.total_steps:
         report.mean_abs_lateral_error = abs_lat_sum / report.total_steps
@@ -185,15 +181,13 @@ def run_laps(controller, raceline: rl.Raceline, sim_config: SimConfig,
 
 
 def write_laps_csv(report: LapReport, path):
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", newline="") as f:
+    with atomic_open(path) as f:
         writer = csv.writer(f)
         writer.writerow(["lap", "time", "completed"])
         for lap in report.laps:
             writer.writerow([lap.lap,
                              "" if math.isnan(lap.time) else f"{lap.time:.6f}",
                              int(lap.completed)])
-    os.replace(tmp, path)
 
 
 def report_from_laps_csv(path) -> list[LapRecord]:
@@ -285,8 +279,7 @@ def format_comparison(rows: list[tuple[str, LapReport]]) -> str:
 
 
 def write_comparison_csv(rows: list[tuple[str, LapReport]], path):
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", newline="") as f:
+    with atomic_open(path) as f:
         writer = csv.writer(f)
         writer.writerow(["controller", "mean", "std", "min", "max",
                          "completed", "attempted", "teacher_steps",
@@ -299,4 +292,3 @@ def write_comparison_csv(rows: list[tuple[str, LapReport]], path):
                              report.teacher_steps, report.total_steps,
                              report.mean_abs_lateral_error,
                              report.steering_rate_rms])
-    os.replace(tmp, path)

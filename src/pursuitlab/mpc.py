@@ -12,14 +12,17 @@ MPC state order is (x, y, v, psi) and control order is (a, delta).
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import raceline as rl
+from .files import atomic_open
 from .qp import QPProblem, admm_solve
-from .vehicle import Command, VehicleState, wrap_angle
+from .vehicle import Command, ControllerOutput, VehicleState, wrap_angle
 
 NX = 4
 NU = 2
@@ -210,8 +213,12 @@ class MPCStepInfo:
 class MPCTracker:
     """Stateful wrapper: warm starts between steps and holds on failure.
 
-    ``log_path`` optionally streams one CSV row per step (reference head,
-    applied control, solver iterations and residuals) for debugging.
+    ``step`` returns the lap runner's :class:`ControllerOutput`, and
+    ``last_info`` holds the solver health of the latest step.
+
+    ``log_path`` optionally receives one CSV row per step (reference head,
+    applied control, solver iterations and residuals) for debugging; the
+    file appears at :meth:`close`.
     """
 
     def __init__(self, raceline: rl.Raceline, config: MPCConfig = MPCConfig(),
@@ -219,12 +226,10 @@ class MPCTracker:
         self.raceline = raceline
         self.config = config
         self.dt_control = dt_control
-        self._log_file = None
+        self._log = contextlib.ExitStack()
         self._log_writer = None
         if log_path is not None:
-            import csv
-            self._log_file = open(log_path, "w", newline="")
-            self._log_writer = csv.writer(self._log_file)
+            self._log_writer = csv.writer(self._log.enter_context(atomic_open(log_path)))
             self._log_writer.writerow(
                 ["time", "ref_x", "ref_y", "ref_v", "ref_psi", "accel",
                  "delta", "iterations", "primal_residual", "dual_residual",
@@ -238,13 +243,10 @@ class MPCTracker:
         self.last_info = MPCStepInfo()
 
     def close(self):
-        if self._log_file is not None:
-            self._log_file.flush()
-            self._log_file.close()
-            self._log_file = None
-            self._log_writer = None
+        """Publish the log file, if any; a second call does nothing."""
+        self._log.close()
 
-    def step(self, state: VehicleState, now: float = 0.0) -> Command:
+    def step(self, state: VehicleState, now: float = 0.0) -> ControllerOutput:
         cmd, info = mpc_step(self.raceline, state, self.prev_command, self.config,
                              dt_control=self.dt_control,
                              warm=(self._warm_x, self._warm_y))
@@ -260,7 +262,7 @@ class MPCTracker:
                  f"{accel:.6f}", f"{cmd.delta:.6f}", info.iterations,
                  f"{info.primal_residual:.3e}", f"{info.dual_residual:.3e}",
                  int(info.converged)])
-        return cmd
+        return ControllerOutput(cmd, None, "mpc")
 
 
 def mpc_step(raceline: rl.Raceline, state: VehicleState, prev_command: Command,

@@ -15,14 +15,14 @@ derives from the master seed by fixed offsets, so runs are reproducible.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .files import atomic_open
 from .nets import Adam, DenseNet, GaussianPolicy, clip_gradients
 from .pure_pursuit import GAIN_BOUNDS, LOOKAHEAD_BOUNDS
 
@@ -145,11 +145,6 @@ class ReturnNormalizer:
         return {"var": self.stats.var.copy(), "count": self.stats.count,
                 "accumulator": self.accumulator.copy()}
 
-    def load_state(self, state: dict):
-        self.stats.var = np.array(state["var"], dtype=float)
-        self.stats.count = float(state["count"])
-        self.accumulator = np.array(state["accumulator"], dtype=float)
-
 
 class RolloutBuffer:
     """Fixed-capacity on-policy storage, written once per update cycle."""
@@ -224,19 +219,14 @@ class Diagnostics:
     eval_return: float
     learning_rate: float
     aborted: bool = False
+    epochs_completed: int = 0
 
     def row(self) -> dict:
-        out = {
-            "step": self.step,
-            "approx_kl": self.approx_kl,
-            "clip_fraction": self.clip_fraction,
-            "value_loss": self.value_loss,
-            "entropy": self.entropy,
-            "mean_episode_return": self.mean_episode_return,
-            "eval_return": self.eval_return,
-            "learning_rate": self.learning_rate,
-        }
-        for j, s in enumerate(self.action_std):
+        """One metrics.csv row: the fields in order, ``aborted`` as 0/1 and
+        ``action_std`` split into trailing ``action_std_<j>`` columns."""
+        out = asdict(self)
+        out["aborted"] = int(self.aborted)
+        for j, s in enumerate(out.pop("action_std")):
             out[f"action_std_{j}"] = s
         return out
 
@@ -389,12 +379,8 @@ def save_checkpoint(path, policy: GaussianPolicy, value_net: DenseNet,
     full_meta.update(meta)
     arrays["meta_json"] = np.array(json.dumps(full_meta))
 
-    buf = io.BytesIO()
-    np.savez(buf, **arrays)
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(buf.getvalue())
-    os.replace(tmp, path)
+    with atomic_open(path, "wb") as f:
+        np.savez(f, **arrays)
 
 
 @dataclass
@@ -606,17 +592,18 @@ class PPOTrainer:
                 eval_return=self.last_eval_return,
                 learning_rate=lr,
                 aborted=stats["aborted"],
+                epochs_completed=stats["epochs_completed"],
             ))
+            if self.out_dir is not None:
+                # Every finished update is on disk, even if a later one dies.
+                self.write_metrics(os.path.join(self.out_dir, "metrics.csv"))
         if self.out_dir is not None:
             self.save(os.path.join(self.out_dir, "final_model.npz"))
-            self.write_metrics(os.path.join(self.out_dir, "metrics.csv"))
         return self.metrics
 
     def _check_finite(self):
         for p in self.policy.params + self.value_net.params:
             if not np.all(np.isfinite(p)):
-                if self.out_dir is not None:
-                    self.write_metrics(os.path.join(self.out_dir, "metrics.csv"))
                 raise TrainingDiverged(
                     f"non-finite parameters at step {self.global_step}")
 
@@ -624,9 +611,7 @@ class PPOTrainer:
         if not self.metrics:
             return
         rows = [d.row() for d in self.metrics]
-        tmp = str(path) + ".tmp"
-        with open(tmp, "w", newline="") as f:
+        with atomic_open(path) as f:
             writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
             writer.writeheader()
             writer.writerows(rows)
-        os.replace(tmp, path)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import raceline as rl
-from .vehicle import Command, VehicleState
+from .vehicle import Command, ControllerOutput, VehicleState
 
 LOOKAHEAD_BOUNDS = (0.35, 4.0)
 GAIN_BOUNDS = (0.45, 1.15)
@@ -190,13 +190,6 @@ class ExternalSource:
         return self.last_params is not None and (now - self.last_receipt) <= self.timeout
 
 
-@dataclass(frozen=True)
-class PPStepResult:
-    command: Command
-    params: PPParams
-    mode: str  # rl | teacher | fixed | adaptive
-
-
 class PurePursuitController:
     """Tracks a raceline with Pure Pursuit under one parameter source.
 
@@ -228,7 +221,7 @@ class PurePursuitController:
                             teacher_gain(state.v)), "teacher", True
         raise TypeError(f"unknown parameter source {type(source).__name__}")
 
-    def step(self, state: VehicleState, index: int, now: float = 0.0) -> PPStepResult:
+    def step(self, state: VehicleState, index: int, now: float = 0.0) -> ControllerOutput:
         """One control step from ``state``, whose nearest waypoint is ``index``."""
         params, mode, smoothed = self._select_params(state, index, now)
         if smoothed:
@@ -237,4 +230,4 @@ class PurePursuitController:
         _, y_prime = to_vehicle_frame(state, target)
         gamma = pp_steering(y_prime, params.lookahead, params.gain)
         v_cmd = float(self.raceline.v_max[index])
-        return PPStepResult(Command(gamma, v_cmd), params, mode)
+        return ControllerOutput(Command(gamma, v_cmd), params, mode)

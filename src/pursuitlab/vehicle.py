@@ -9,8 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .raceline import Raceline
+
+if TYPE_CHECKING:
+    from .pure_pursuit import PPParams
 
 
 def wrap_angle(angle: float) -> float:
@@ -41,6 +45,16 @@ class Command:
 
     delta: float
     v_cmd: float
+
+
+@dataclass(frozen=True)
+class ControllerOutput:
+    """One control step's command, the Pure Pursuit parameters it applied
+    (None for the MPC), and the mode that produced it."""
+
+    command: Command
+    params: PPParams | None
+    mode: str  # rl | teacher | fixed | adaptive | mpc
 
 
 @dataclass(frozen=True)

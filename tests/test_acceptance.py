@@ -12,8 +12,7 @@ import numpy as np
 
 from pursuitlab import pure_pursuit as pp
 from pursuitlab import raceline as rl
-from pursuitlab.controllers import (MPCAdapter, PurePursuitAdapter,
-                                    RLPurePursuitController)
+from pursuitlab.controllers import PurePursuitAdapter, RLPurePursuitController
 from pursuitlab.env import RacingEnv, EnvConfig, RewardWeights, compute_reward
 from pursuitlab.evaluation import run_laps, sweep_multipliers
 from pursuitlab.mpc import MPCConfig, MPCTracker
@@ -256,7 +255,7 @@ def test_criterion_07_qp_solver():
     prev_delta = 0.0
     steady_ok = True
     for k in range(80):
-        command = tracker.step(state, k * SIM.dt_control)
+        command = tracker.step(state, k * SIM.dt_control).command
         state, prev_delta = control_step(state, command, prev_delta, SIM)
         if k * SIM.dt_control >= 3.0:
             steady_ok &= abs(rl.lateral_error(track, state.position)) < 0.05
@@ -488,7 +487,7 @@ def test_criterion_12_ordering_trend():
         float(s.v_max.min()), float(s.v_max.max()), 0.6)))
     res_ld = sweep(lambda s: RLPurePursuitController(ldonly, s))
     res_joint = sweep(lambda s: RLPurePursuitController(joint, s))
-    res_mpc = sweep(lambda s: MPCAdapter(s, MPCConfig(), SIM.dt_control),
+    res_mpc = sweep(lambda s: MPCTracker(s, MPCConfig(), SIM.dt_control),
                     g=[0.8, 0.9, 1.0])
 
     m_fixed = res_fixed.best_multiplier

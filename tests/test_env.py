@@ -373,3 +373,19 @@ def test_training_trace_csv(tmp_path, oval_track):
     assert len(rows) == 25
     assert {"raw_lookahead", "lookahead", "reward", "collision", "mode"} \
         <= set(rows[0].keys())
+
+
+def test_training_trace_appears_whole_at_close(tmp_path, oval_track):
+    path = tmp_path / "trace.csv"
+    env = RacingEnv(oval_track, seed=0, trace_path=path)
+    obs = env.reset(seed=0)
+    for _ in range(10):
+        obs, _, done, _ = env.step(teacher_action(obs))
+        if done:
+            obs = env.reset()
+    assert not path.exists()
+    env.close()
+    assert list(tmp_path.iterdir()) == [path]
+    assert len(path.read_text().splitlines()) == 1 + 10  # header, one row per step
+    env.close()
+    assert list(tmp_path.iterdir()) == [path]

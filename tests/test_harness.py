@@ -9,9 +9,10 @@ from pursuitlab import raceline as rl
 from pursuitlab.config import (DEFAULTS, build_ppo_config, build_reward_weights,
                                build_sim_config, build_track, load_config)
 from pursuitlab.controllers import (DEFAULT_FIXED_GAIN, ControllerOutput,
-                                    MPCAdapter, PurePursuitAdapter,
-                                    RLPurePursuitController, build_controller)
+                                    PurePursuitAdapter, RLPurePursuitController,
+                                    build_controller)
 from pursuitlab.env import RewardWeights
+from pursuitlab.mpc import MPCTracker
 from pursuitlab.evaluation import (format_comparison,
                                    report_from_laps_csv, run_laps,
                                    sweep_multipliers, write_comparison_csv,
@@ -64,6 +65,22 @@ def test_teacher_completes_laps_with_consistent_stats(tmp_path):
     assert np.std(times) == pytest.approx(stats["std"], abs=1e-9)
     assert min(times) == pytest.approx(stats["min"], abs=1e-9)
     assert max(times) == pytest.approx(stats["max"], abs=1e-9)
+
+
+def test_run_laps_that_raises_leaves_no_trace(tmp_path):
+    track = small_oval()
+    controller = PurePursuitAdapter(track, TeacherSource())
+    teacher_step = controller.step
+
+    def step(state, now):
+        if now > 1.0:
+            raise RuntimeError("controller failed")
+        return teacher_step(state, now)
+
+    controller.step = step
+    with pytest.raises(RuntimeError, match="controller failed"):
+        run_laps(controller, track, SIM, laps=2, trace_path=tmp_path / "trace.csv")
+    assert list(tmp_path.iterdir()) == []  # neither trace.csv nor trace.csv.tmp
 
 
 def test_lap_is_incomplete_if_any_step_collided():
@@ -244,7 +261,7 @@ def test_build_controller_types(oval_track):
     assert isinstance(build_controller({"type": "adaptive"}, oval_track, SIM),
                       PurePursuitAdapter)
     assert isinstance(build_controller({"type": "mpc", "max_iter": 500},
-                                       oval_track, SIM), MPCAdapter)
+                                       oval_track, SIM), MPCTracker)
     with pytest.raises(ValueError, match="checkpoint"):
         build_controller({"type": "rl"}, oval_track, SIM)
     with pytest.raises(ValueError, match="unknown"):

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -23,3 +24,34 @@ def test_pursuitlab_imports_no_scipy():
     done = subprocess.run([sys.executable, "-c", PROBE], capture_output=True,
                           text=True, env=env, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def _file_writes(tree):
+    """Yield (line, what) for every call in ``tree`` that opens a file for
+    writing or renames one."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name in ("replace", "rename") and isinstance(func, ast.Attribute) \
+                and isinstance(func.value, ast.Name) and func.value.id == "os":
+            yield node.lineno, f"os.{name}"
+        elif name == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), None)
+            if mode is None:
+                continue  # the default mode reads
+            literal = isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+            if not literal or set(mode.value) & set("wax+"):
+                yield node.lineno, "open for writing"
+
+
+def test_only_files_py_writes_files():
+    """Every output goes through files.atomic_open, so each appears whole."""
+    package = Path(pursuitlab.__file__).resolve().parent
+    writes = {path.name: list(_file_writes(ast.parse(path.read_text(encoding="utf-8"))))
+              for path in sorted(package.rglob("*.py"))}
+    writer = writes.pop("files.py", [])
+    assert {name: found for name, found in writes.items() if found} == {}
+    assert {what for _, what in writer} == {"os.replace", "open for writing"}

@@ -293,7 +293,7 @@ def test_closed_loop_straight_line_steady_state():
     state = VehicleState(1.0, 0.12, 0.0, 2.0)
     prev_delta = 0.0
     for k in range(80):  # 4 s at 20 Hz; the straight is long enough
-        command = tracker.step(state, k * sim.dt_control)
+        command = tracker.step(state, k * sim.dt_control).command
         state, prev_delta = control_step(state, command, prev_delta, sim)
         if k * sim.dt_control >= 3.0:
             assert abs(rl.lateral_error(track, state.position)) < 0.05
@@ -332,10 +332,24 @@ def test_mpc_debug_log(tmp_path):
     prev_delta = 0.0
     sim = SimConfig()
     for k in range(10):
-        cmd = tracker.step(state, k * 0.05)
+        cmd = tracker.step(state, k * 0.05).command
         state, prev_delta = control_step(state, cmd, prev_delta, sim)
     tracker.close()
     rows = list(csv.DictReader(open(path)))
     assert len(rows) == 10
     assert int(rows[0]["converged"]) == 1
     assert float(rows[0]["dual_residual"]) < 1e-5
+
+
+def test_mpc_log_appears_whole_at_close(tmp_path):
+    path = tmp_path / "mpc_log.csv"
+    tracker = MPCTracker(uniform_speed_oval(), MPCConfig(), 0.05, log_path=path)
+    state = VehicleState(2.0, 0.1, 0.0, 2.5)
+    for k in range(3):
+        tracker.step(state, k * 0.05)
+    assert not path.exists()
+    tracker.close()
+    assert list(tmp_path.iterdir()) == [path]
+    assert len(path.read_text().splitlines()) == 1 + 3  # header, one row per step
+    tracker.close()
+    assert list(tmp_path.iterdir()) == [path]

@@ -1,14 +1,17 @@
 import copy
+import csv
 import math
 
 import numpy as np
 import pytest
 
+from pursuitlab import ppo
 from pursuitlab.nets import Adam, DenseNet, GaussianPolicy
 from pursuitlab.ppo import (PPOConfig, PPOTrainer, PolicyBundle,
                             ReturnNormalizer, RolloutBuffer, RunningNormalizer,
-                            clipped_surrogate, compute_gae, load_checkpoint,
-                            lr_schedule, ppo_loss_and_grads, ppo_update)
+                            TrainingDiverged, clipped_surrogate, compute_gae,
+                            load_checkpoint, lr_schedule, ppo_loss_and_grads,
+                            ppo_update)
 
 from test_nets import assert_grads_close, finite_difference_grads
 
@@ -413,6 +416,20 @@ class ConstantRewardEnv:
         return self.rng.standard_normal(5), 1.0, self.steps >= 64, {}
 
 
+class DiesInSecondRolloutEnv(QuadraticEnv):
+    """Raises on its first step after one 512-step rollout."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.taken = 0
+
+    def step(self, action):
+        self.taken += 1
+        if self.taken > 512:
+            raise RuntimeError("simulator died")
+        return super().step(action)
+
+
 def small_config(**overrides):
     base = dict(n_steps=512, minibatch_size=128, epochs=3, total_steps=2048,
                 eval_every=10 ** 9, checkpoint_every=10 ** 9)
@@ -510,3 +527,39 @@ def test_metrics_csv_columns(tmp_path):
                    "entropy", "mean_episode_return", "eval_return",
                    "learning_rate", "action_std_0", "action_std_1"):
         assert column in header
+
+
+@pytest.mark.parametrize("failure", ["env_raises", "diverges"])
+def test_metrics_csv_holds_every_finished_update(tmp_path, monkeypatch, failure):
+    if failure == "env_raises":
+        env_factory, expected, message = DiesInSecondRolloutEnv, RuntimeError, "died"
+    else:
+        env_factory, expected, message = QuadraticEnv, TrainingDiverged, "non-finite"
+        real_update, calls = ppo.ppo_update, []
+
+        def poisoned_update(policy, value_net, *args):
+            calls.append(1)
+            stats = real_update(policy, value_net, *args)
+            if len(calls) == 2:
+                value_net.params[0][...] = np.nan
+            return stats
+
+        monkeypatch.setattr(ppo, "ppo_update", poisoned_update)
+    trainer = PPOTrainer(env_factory, small_config(), seed=3, out_dir=str(tmp_path))
+    with pytest.raises(expected, match=message):
+        trainer.train()
+
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv"]
+    with open(tmp_path / "metrics.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert list(rows[0]) == ["step", "approx_kl", "clip_fraction", "value_loss",
+                             "entropy", "mean_episode_return", "eval_return",
+                             "learning_rate", "aborted", "epochs_completed",
+                             "action_std_0", "action_std_1"]
+    first = trainer.metrics[0]
+    assert len(rows) == 1 and rows[0]["step"] == "512"
+    assert rows[0]["aborted"] == "0"
+    assert int(rows[0]["epochs_completed"]) == first.epochs_completed
+    assert 1 <= first.epochs_completed <= small_config().epochs
+    assert float(rows[0]["learning_rate"]) == first.learning_rate
+    assert float(rows[0]["action_std_1"]) == first.action_std[1]
