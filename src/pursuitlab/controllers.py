@@ -111,6 +111,7 @@ def build_controller(spec: dict, raceline: rl.Raceline, sim_config: SimConfig):
                   ("horizon", "dt", "delta_max", "a_max", "delta_rate_max",
                    "v_floor", "rho", "tol", "max_iter")
                   if k in spec}
-        config = MPCConfig(wheelbase=sim_config.wheelbase, **fields)
-        return MPCTracker(raceline, config, sim_config.dt_control)
+        config = MPCConfig(wheelbase=sim_config.wheelbase,
+                           speed_gain=sim_config.speed_gain, **fields)
+        return MPCTracker(raceline, config)
     raise ValueError(f"unknown controller type {kind!r}")

@@ -4,8 +4,14 @@ Each control step: sample a speed-proportional reference horizon from the
 raceline, linearize the kinematic bicycle about it (forward Euler, with
 curvature-feedforward reference steering), stack the tracking/effort/rate
 objective into one dense QP with actuator and rate constraints, and solve
-it with the internal ADMM solver. The first optimized control is applied;
-if the solver fails to converge the previous command is held.
+it. The solve condenses the states out through the dynamics rows and runs
+the primal active-set solver on the 16 controls (for the default horizon),
+warm-started from the previous step's solution and active set; when that
+fails (singular KKT matrix, infeasible start, iteration cap, or residuals
+on the full QP above ``tol``) warm-started ADMM solves the full QP instead.
+The first optimized acceleration becomes a speed command that the
+simulator's P speed loop turns back into that acceleration; if no solver
+converges the previous command is held.
 
 MPC state order is (x, y, v, psi) and control order is (a, delta).
 """
@@ -21,8 +27,8 @@ import numpy as np
 
 from . import raceline as rl
 from .files import atomic_open
-from .qp import QPProblem, admm_solve
-from .vehicle import Command, ControllerOutput, VehicleState, wrap_angle
+from .qp import QPProblem, active_set_solve, admm_solve, condense, residuals
+from .vehicle import Command, ControllerOutput, SimConfig, VehicleState, wrap_angle
 
 NX = 4
 NU = 2
@@ -40,6 +46,7 @@ class MPCConfig:
     a_max: float = 3.0
     delta_rate_max: float = math.pi  # 180 deg/s
     wheelbase: float = 0.33
+    speed_gain: float = SimConfig.speed_gain  # the simulator's P speed-loop gain [1/s]
     v_floor: float = 0.5
     rho: float = 0.1
     tol: float = 1e-6
@@ -50,6 +57,8 @@ class MPCConfig:
             raise ValueError("horizon must be >= 1")
         if self.dt <= 0.0:
             raise ValueError("dt must be > 0")
+        if self.speed_gain <= 0.0:
+            raise ValueError("speed_gain must be > 0")
         for w in (*self.state_weights, *self.terminal_weights,
                   *self.control_weights, *self.control_rate_weights):
             if w < 0.0:
@@ -200,12 +209,13 @@ def assemble_qp(reference: HorizonReference, linearizations, state: VehicleState
 
 @dataclass
 class MPCStepInfo:
-    iterations: int = 0
+    iterations: int = 0  # of the solver that produced the result
     primal_residual: float = float("nan")
     dual_residual: float = float("nan")
     converged: bool = False
     reference_head: tuple = (float("nan"),) * NX
-    # ADMM primal/dual iterates, the next step's warm start when converged.
+    solver: str = ""  # "active_set", or "admm" after a fallback
+    # Full-QP primal/dual solution, the next step's warm start when converged.
     solution_x: np.ndarray | None = field(default=None, repr=False, compare=False)
     solution_y: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -216,24 +226,24 @@ class MPCTracker:
     ``step`` returns the lap runner's :class:`ControllerOutput`, and
     ``last_info`` holds the solver health of the latest step.
 
-    ``log_path`` optionally receives one CSV row per step (reference head,
-    applied control, solver iterations and residuals) for debugging; the
-    file appears at :meth:`close`.
+    ``dt_control`` is unused: it stays only because existing callers pass
+    it positionally. ``log_path`` optionally receives one CSV row per step
+    (reference head, applied control, solver, its iterations and
+    residuals) for debugging; the file appears at :meth:`close`.
     """
 
     def __init__(self, raceline: rl.Raceline, config: MPCConfig = MPCConfig(),
                  dt_control: float = 0.05, log_path=None):
         self.raceline = raceline
         self.config = config
-        self.dt_control = dt_control
         self._log = contextlib.ExitStack()
         self._log_writer = None
         if log_path is not None:
             self._log_writer = csv.writer(self._log.enter_context(atomic_open(log_path)))
             self._log_writer.writerow(
                 ["time", "ref_x", "ref_y", "ref_v", "ref_psi", "accel",
-                 "delta", "iterations", "primal_residual", "dual_residual",
-                 "converged"])
+                 "delta", "solver", "iterations", "primal_residual",
+                 "dual_residual", "converged"])
         self.reset()
 
     def reset(self):
@@ -248,7 +258,6 @@ class MPCTracker:
 
     def step(self, state: VehicleState, now: float = 0.0) -> ControllerOutput:
         cmd, info = mpc_step(self.raceline, state, self.prev_command, self.config,
-                             dt_control=self.dt_control,
                              warm=(self._warm_x, self._warm_y))
         self.last_info = info
         if info.converged:
@@ -256,40 +265,74 @@ class MPCTracker:
             self._warm_y = info.solution_y
         self.prev_command = cmd
         if self._log_writer is not None:
-            accel = (cmd.v_cmd - state.v) / self.dt_control
+            accel = (cmd.v_cmd - state.v) * self.config.speed_gain
             self._log_writer.writerow(
                 [f"{now:.6f}", *(f"{r:.6f}" for r in info.reference_head),
-                 f"{accel:.6f}", f"{cmd.delta:.6f}", info.iterations,
+                 f"{accel:.6f}", f"{cmd.delta:.6f}", info.solver, info.iterations,
                  f"{info.primal_residual:.3e}", f"{info.dual_residual:.3e}",
                  int(info.converged)])
         return ControllerOutput(cmd, None, "mpc")
 
 
-def mpc_step(raceline: rl.Raceline, state: VehicleState, prev_command: Command,
-             config: MPCConfig, dt_control: float = 0.05, warm=(None, None)):
-    """One MPC solve; returns (Command, MPCStepInfo).
+def solve_qp(qp: QPProblem, config: MPCConfig, warm=(None, None)) -> MPCStepInfo:
+    """Solve the MPC QP from ``assemble_qp``; returns the solver health.
 
-    The first optimized control (a0, delta0) becomes a Command with
-    ``v_cmd = v + a0 * dt_control``. On non-convergence the previous
-    command is returned unchanged.
+    The states are condensed out and the active-set solver runs on the
+    controls, warm-started from ``warm`` (the previous full solution): its
+    controls are the start point, and its carried, still-tight inequality
+    rows the working set. The result stands if its residuals on the full
+    QP are below ``config.tol``; otherwise warm-started ADMM solves the
+    full QP.
     """
+    n_states = NX * (config.horizon + 1)
+    try:
+        condensed = condense(qp, n_states)
+        u0, working = condensed.warm_start(*warm, tol=config.tol)
+        result = active_set_solve(condensed.H, condensed.g, condensed.C, condensed.h,
+                                  u0, working, max_iter=config.max_iter, tol=config.tol)
+    except np.linalg.LinAlgError:
+        result = None
+    if result is not None and result.converged:
+        x, y = condensed.expand(result.x, result.multipliers)
+        primal, dual = residuals(qp, x, y)
+        if primal < config.tol and dual < config.tol:
+            return MPCStepInfo(result.iterations, primal, dual, True,
+                               solver="active_set", solution_x=x, solution_y=y)
+
+    fallback = admm_solve(qp, tol_primal=config.tol, tol_dual=config.tol,
+                          max_iter=config.max_iter, rho=config.rho,
+                          x0=warm[0], y0=warm[1])
+    return MPCStepInfo(fallback.iterations, fallback.primal_residual,
+                       fallback.dual_residual, fallback.converged, solver="admm",
+                       solution_x=fallback.x, solution_y=fallback.y)
+
+
+def mpc_qp(raceline: rl.Raceline, state: VehicleState, config: MPCConfig):
+    """The step's reference horizon and its QP."""
     reference = build_reference(raceline, state, config)
     controls = reference_controls(raceline, reference, config)
     linearizations = [
         linearize(reference.states[t], controls[t], config.wheelbase, config.dt)
         for t in range(config.horizon)
     ]
-    qp = assemble_qp(reference, linearizations, state, config)
-    result = admm_solve(qp, tol_primal=config.tol, tol_dual=config.tol,
-                        max_iter=config.max_iter, rho=config.rho,
-                        x0=warm[0], y0=warm[1])
+    return reference, assemble_qp(reference, linearizations, state, config)
 
-    info = MPCStepInfo(result.iterations, result.primal_residual,
-                       result.dual_residual, result.converged,
-                       tuple(reference.states[0]), result.x, result.y)
-    if not result.converged:
+
+def mpc_step(raceline: rl.Raceline, state: VehicleState, prev_command: Command,
+             config: MPCConfig, warm=(None, None)):
+    """One MPC solve; returns (Command, MPCStepInfo).
+
+    The first optimized control (a0, delta0) becomes a Command with
+    ``v_cmd = v + a0 / config.speed_gain``, so the simulator's P speed loop
+    (``speed_gain * (v_cmd - v)``) applies a0 over the next control period.
+    On non-convergence the previous command is returned unchanged.
+    """
+    reference, qp = mpc_qp(raceline, state, config)
+    info = solve_qp(qp, config, warm)
+    info.reference_head = tuple(reference.states[0])
+    if not info.converged:
         return prev_command, info
 
-    u0 = result.x[NX * (config.horizon + 1): NX * (config.horizon + 1) + NU]
+    u0 = info.solution_x[NX * (config.horizon + 1): NX * (config.horizon + 1) + NU]
     a0, delta0 = float(u0[0]), float(u0[1])
-    return Command(delta0, state.v + a0 * dt_control), info
+    return Command(delta0, state.v + a0 / config.speed_gain), info

@@ -1,15 +1,30 @@
-"""Operator-splitting ADMM solver for small dense box-constrained QPs.
+"""Two solvers for small dense convex QPs, and the condensing that links them.
 
-Solves
+``admm_solve`` is an operator-splitting ADMM solver for
 
     minimize    0.5 x' P x + q' x
     subject to  l <= A x <= u
 
-by alternating a regularized KKT solve with projection onto [l, u],
+that alternates a regularized KKT solve with projection onto [l, u],
 using over-relaxation and an adaptive penalty. Equality rows are simply
 rows with l == u. Bounds may be +-inf. The problems are small (the MPC's
 has 52 variables), so the data is dense and the KKT matrix is inverted
 once per penalty value.
+
+``active_set_solve`` is a primal active-set solver for strictly convex
+QPs with inequality rows only,
+
+    minimize    0.5 u' H u + g' u
+    subject to  C u <= h,
+
+started from a feasible point and an initial working set. Each iteration
+solves one KKT system over the working set and adds or drops one row, so
+a warm start from a nearby problem's active set needs few iterations
+(the idea of qpOASES, Ferreau et al., Math. Prog. Comp. 2014).
+
+``condense`` turns a ``QPProblem`` whose leading rows are equalities over
+its leading variables into that inequality-only form over the remaining
+variables, and maps warm starts and solutions between the two.
 """
 
 from __future__ import annotations
@@ -25,6 +40,12 @@ RHO_RESCALE = 10.0
 RHO_CHECK_INTERVAL = 25
 RHO_LIMITS = (1e-6, 1e6)
 RHO_EQUALITY_BOOST = 1e3
+# The active-set loop stops after this many iterations per row of C (plus one).
+ACTIVE_SET_ITER_PER_ROW = 3
+# A step no longer than this counts as zero, and a row enters the ratio test
+# only if the step moves towards it by more than this, so rounding neither
+# repeats a step nor re-adds a row just dropped at a zero multiplier.
+STEP_TOL = 1e-12
 
 
 @dataclass
@@ -144,3 +165,166 @@ def admm_solve(qp: QPProblem, tol_primal: float = 1e-6, tol_dual: float = 1e-6,
                 kkt_inv = _kkt_inverse(qp, rho_vec, sigma)
 
     return ADMMResult(x, y, primal, dual, max_iter, False)
+
+
+def residuals(qp: QPProblem, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Primal and dual residuals of ``(x, y)`` on ``qp``, in ``admm_solve``'s terms.
+
+    The primal residual is the largest bound violation of ``A x`` (ADMM's
+    ``A x - z`` with ``z`` the projection of ``A x`` onto ``[l, u]``); the dual
+    residual is the stationarity error ``P x + q + A' y``.
+    """
+    ax = qp.A @ x
+    primal = float(np.linalg.norm(ax - np.clip(ax, qp.l, qp.u), np.inf)) if qp.m else 0.0
+    dual = float(np.linalg.norm(qp.P @ x + qp.q + qp.A.T @ y, np.inf))
+    return primal, dual
+
+
+@dataclass
+class ActiveSetResult:
+    x: np.ndarray
+    multipliers: np.ndarray  # one per row of C: >= 0, zero off the working set
+    iterations: int  # KKT solves
+    converged: bool
+
+
+def active_set_solve(H: np.ndarray, g: np.ndarray, C: np.ndarray, h: np.ndarray,
+                     x0: np.ndarray, working=(), max_iter: int = 4000,
+                     tol: float = 1e-9) -> ActiveSetResult:
+    """Primal active-set solve of ``min 0.5 x'Hx + g'x  s.t.  C x <= h``.
+
+    ``H`` must be positive definite on the null space of every working set.
+    ``x0`` must satisfy ``C x0 <= h + tol``; the rows listed in ``working``
+    must be linearly independent and tight at ``x0``. An iteration solves
+    the KKT system of the working set; it then moves towards that optimum
+    (adding the first row it meets), or, already there, stops or releases
+    the row with the most negative multiplier. The loop stops after
+    ``min(max_iter, ACTIVE_SET_ITER_PER_ROW * (len(h) + 1))`` iterations.
+    An infeasible start or the iteration cap returns
+    ``converged=False``; a singular KKT matrix raises
+    ``numpy.linalg.LinAlgError``.
+    """
+    n, m = g.shape[0], h.shape[0]
+    x = np.asarray(x0, dtype=float).copy()
+    multipliers = np.zeros(m)
+    if m and np.max(C @ x - h) > tol:
+        return ActiveSetResult(x, multipliers, 0, False)
+    work = list(working)
+    cap = min(max_iter, ACTIVE_SET_ITER_PER_ROW * (m + 1))
+    for iteration in range(1, cap + 1):
+        k = len(work)
+        kkt = np.zeros((n + k, n + k))
+        kkt[:n, :n] = H
+        kkt[:n, n:] = C[work].T
+        kkt[n:, :n] = C[work]
+        sol = np.linalg.solve(kkt, np.concatenate([-g, h[work]]))
+        step = sol[:n] - x
+        if np.max(np.abs(step)) > STEP_TOL:
+            # Move towards the optimum on the working set, stopping at the
+            # nearest row outside it that the step would cross (at once for
+            # a row the start violates within tol).
+            towards = C @ step
+            towards[work] = 0.0
+            candidates = np.flatnonzero(towards > STEP_TOL)
+            if candidates.size:
+                ratios = (h[candidates] - C[candidates] @ x) / towards[candidates]
+                nearest = int(np.argmin(ratios))
+                if ratios[nearest] < 1.0:
+                    x = x + max(ratios[nearest], 0.0) * step
+                    work.append(int(candidates[nearest]))
+                    continue
+            x = sol[:n]
+            continue
+        # x is optimal on the working set: done if no multiplier is negative,
+        # else release the row with the most negative one.
+        x = sol[:n]
+        lam = sol[n:]
+        if k == 0 or lam.min() >= 0.0:
+            multipliers[work] = lam
+            return ActiveSetResult(x, multipliers, iteration, True)
+        work.pop(int(np.argmin(lam)))
+    return ActiveSetResult(x, multipliers, cap, False)
+
+
+@dataclass
+class CondensedQP:
+    """A ``QPProblem`` over its trailing variables only.
+
+    The leading ``n_eq`` variables of the full problem are eliminated
+    through its leading ``n_eq`` equality rows, so the full decision vector
+    is ``lift @ u + offset``. Each finite bound of a remaining (inequality)
+    row becomes one row of ``C u <= h``: ``source`` names the full row and
+    ``sign`` is +1 for its upper bound, -1 for its lower one.
+    """
+
+    qp: QPProblem
+    n_eq: int
+    H: np.ndarray
+    g: np.ndarray
+    C: np.ndarray
+    h: np.ndarray
+    lift: np.ndarray
+    offset: np.ndarray
+    source: np.ndarray
+    sign: np.ndarray
+
+    def warm_start(self, x, y, tol: float) -> tuple[np.ndarray, list[int]]:
+        """Start point and working set from a full-problem primal/dual pair.
+
+        The start is the trailing part of ``x``; the working set is the rows
+        whose bound carries a multiplier in ``y`` and is still within ``tol``
+        of tight. Without a pair (``x`` None) the start is zero, with no rows.
+        """
+        if x is None:
+            return np.zeros(self.g.shape[0]), []
+        u0 = np.asarray(x, dtype=float)[self.n_eq:]
+        carried = self.sign * np.asarray(y, dtype=float)[self.source] > 0.0
+        tight = self.h - self.C @ u0 <= tol
+        return u0, np.flatnonzero(carried & tight).tolist()
+
+    def expand(self, u: np.ndarray, multipliers: np.ndarray):
+        """Full ``(x, y)`` from a condensed solution and its multipliers.
+
+        Inequality multipliers fold back onto their rows (upper minus
+        lower); the equality multipliers come from the stationarity of the
+        eliminated variables' rows of ``P x + q + A' y = 0``.
+        """
+        qp, n_eq = self.qp, self.n_eq
+        x = self.lift @ u + self.offset
+        y = np.zeros(qp.m)
+        np.add.at(y, self.source, self.sign * multipliers)
+        rest = qp.P[:n_eq] @ x + qp.q[:n_eq] + qp.A[n_eq:, :n_eq].T @ y[n_eq:]
+        y[:n_eq] = np.linalg.solve(qp.A[:n_eq, :n_eq].T, -rest)
+        return x, y
+
+
+def condense(qp: QPProblem, n_eq: int) -> CondensedQP:
+    """Eliminate the first ``n_eq`` variables through the first ``n_eq`` rows.
+
+    Those rows must be equalities (``l == u``) whose block on the first
+    ``n_eq`` variables is invertible; all other rows become one-sided rows
+    on the trailing variables.
+    """
+    if not np.array_equal(qp.l[:n_eq], qp.u[:n_eq]):
+        raise ValueError("the leading n_eq rows must be equalities")
+    n_free = qp.n - n_eq
+    eliminated = np.linalg.solve(qp.A[:n_eq, :n_eq],
+                                 np.column_stack([qp.u[:n_eq], qp.A[:n_eq, n_eq:]]))
+    lift = np.vstack([-eliminated[:, 1:], np.eye(n_free)])
+    offset = np.concatenate([eliminated[:, 0], np.zeros(n_free)])
+
+    p_lift = qp.P @ lift
+    H = lift.T @ p_lift
+    g = lift.T @ (qp.P @ offset + qp.q)
+    rows = qp.A[n_eq:] @ lift
+    at_offset = qp.A[n_eq:] @ offset
+    upper = np.flatnonzero(np.isfinite(qp.u[n_eq:]))
+    lower = np.flatnonzero(np.isfinite(qp.l[n_eq:]))
+    return CondensedQP(
+        qp, n_eq, 0.5 * (H + H.T), g,
+        np.vstack([rows[upper], -rows[lower]]),
+        np.concatenate([qp.u[n_eq:][upper] - at_offset[upper],
+                        at_offset[lower] - qp.l[n_eq:][lower]]),
+        lift, offset,
+        n_eq + np.concatenate([upper, lower]),
+        np.concatenate([np.ones(upper.size), -np.ones(lower.size)]))

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pursuitlab import raceline as rl
+from pursuitlab import mpc, raceline as rl
+from pursuitlab.evaluation import run_laps
 from pursuitlab.mpc import (HorizonReference, MPCConfig, MPCTracker, NU, NX,
-                            assemble_qp, build_reference, linearize, mpc_step,
-                            reference_controls)
+                            assemble_qp, build_reference, linearize, mpc_qp,
+                            mpc_step, reference_controls)
 from pursuitlab.qp import admm_solve
-from pursuitlab.vehicle import Command, SimConfig, VehicleState, control_step
+from pursuitlab.vehicle import (Command, SimConfig, VehicleState, control_step,
+                                speed_controller)
 
 
 def uniform_speed_oval(straight=30.0, radius=3.0, v=2.5):
@@ -338,6 +340,7 @@ def test_mpc_debug_log(tmp_path):
     rows = list(csv.DictReader(open(path)))
     assert len(rows) == 10
     assert int(rows[0]["converged"]) == 1
+    assert {row["solver"] for row in rows} == {"active_set"}
     assert float(rows[0]["dual_residual"]) < 1e-5
 
 
@@ -353,3 +356,111 @@ def test_mpc_log_appears_whole_at_close(tmp_path):
     assert len(path.read_text().splitlines()) == 1 + 3  # header, one row per step
     tracker.close()
     assert list(tmp_path.iterdir()) == [path]
+
+
+# ----------------------------------------------------------------------
+# Command law and solver choice
+# ----------------------------------------------------------------------
+
+def heldout_rect():
+    """The held-out rounded rectangle of configs/heldout_rect.yaml, at x1.0."""
+    return rl.synthesize_track("rounded_rectangle", length_x=14.0, length_y=5.0,
+                               radius=2.0, spacing=0.25, v_cap=12.0, a_lat_max=3.0)
+
+
+def test_speed_loop_applies_the_planned_acceleration():
+    # Slower than the 2.5 m/s reference: the plan accelerates, within a_max.
+    track = uniform_speed_oval()
+    sim = SimConfig()
+    config = MPCConfig(speed_gain=sim.speed_gain)
+    state = VehicleState(2.0, 0.1, 0.0, 2.3)
+    command, info = mpc_step(track, state, Command(0.0, 2.3), config)
+    assert info.converged
+    a0 = info.solution_x[NX * (config.horizon + 1)]
+    assert 0.1 < a0 < sim.a_max - 0.1
+    assert speed_controller(state.v, command.v_cmd, sim) == pytest.approx(a0, abs=1e-12)
+
+
+def test_build_controller_passes_the_speed_gain():
+    from pursuitlab.controllers import build_controller
+    tracker = build_controller({"type": "mpc"}, uniform_speed_oval(),
+                               SimConfig(speed_gain=3.5))
+    assert tracker.config.speed_gain == 3.5
+
+
+@pytest.mark.parametrize("speed_gain", [20.0, 2.0], ids=["v_plus_a_dt", "v_plus_a_over_gain"])
+def test_active_set_matches_cold_admm_along_a_run(speed_gain):
+    """Every step of 4 s on the held-out rectangle: the accepted controls
+    equal a cold ADMM solve of the same QP. ``speed_gain`` 20 reproduces the
+    older ``v + a0 * dt_control`` law, under which only acceleration bounds
+    bind; under the P-loop law steering bounds bind as well."""
+    track = heldout_rect()
+    sim = SimConfig()
+    config = MPCConfig(speed_gain=speed_gain)
+    tracker = MPCTracker(track, config, sim.dt_control)
+    n_states = NX * (config.horizon + 1)
+    box = slice(n_states, n_states + NU * config.horizon)
+    state = VehicleState(float(track.x[0]), float(track.y[0]),
+                         rl.tangent_heading(track, 0), 0.5 * float(track.v_max[0]))
+    prev_delta = 0.0
+    accel_bound = steer_bound = False
+    for k in range(80):
+        _, qp = mpc_qp(track, state, config)
+        command = tracker.step(state, k * sim.dt_control).command
+        info = tracker.last_info
+        assert info.converged and info.solver == "active_set"
+        reference = admm_solve(qp, tol_primal=1e-9, tol_dual=1e-9, max_iter=20000)
+        assert reference.converged
+        np.testing.assert_allclose(info.solution_x[n_states:], reference.x[n_states:],
+                                   rtol=0, atol=1e-5)
+        y_box = info.solution_y[box]
+        accel_bound |= bool(np.any(y_box[0::NU] != 0.0))
+        steer_bound |= bool(np.any(y_box[1::NU] != 0.0)
+                            or np.any(info.solution_y[box.stop:] != 0.0))
+        state, prev_delta = control_step(state, command, prev_delta, sim)
+    assert accel_bound
+    assert steer_bound == (speed_gain == 2.0)
+
+
+def test_singular_condensed_hessian_falls_back_to_admm():
+    # With every weight 0 the condensed Hessian is 0: no KKT system solves.
+    config = MPCConfig(state_weights=(0.0,) * NX, terminal_weights=(0.0,) * NX,
+                       control_weights=(0.0,) * NU, control_rate_weights=(0.0,) * NU)
+    command, info = mpc_step(uniform_speed_oval(), VehicleState(2.0, 0.3, 0.0, 2.5),
+                             Command(0.0, 2.5), config)
+    assert info.solver == "admm"
+    assert info.converged
+    assert info.iterations >= 1
+
+
+@pytest.fixture
+def admm_calls(monkeypatch):
+    """Live count of the MPC's ``admm_solve`` calls."""
+    calls = {"admm_solve": 0}
+
+    def counted(*args, **kwargs):
+        calls["admm_solve"] += 1
+        return admm_solve(*args, **kwargs)
+    monkeypatch.setattr(mpc, "admm_solve", counted)
+    return calls
+
+
+def test_a_heldout_lap_takes_the_active_set_path(admm_calls):
+    track = heldout_rect()
+    tracker = MPCTracker(track, MPCConfig(), SimConfig().dt_control)
+    infos = []
+
+    class Recorder:
+        def reset(self):
+            tracker.reset()
+
+        def step(self, state, now):
+            output = tracker.step(state, now)
+            infos.append(tracker.last_info)
+            return output
+
+    report = run_laps(Recorder(), track, SimConfig(), laps=1, max_lap_time=60.0)
+    assert report.completed == 1
+    assert len(infos) > 100
+    assert admm_calls["admm_solve"] == 0
+    assert all(info.converged and info.solver == "active_set" for info in infos)

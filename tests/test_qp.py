@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from pursuitlab.qp import ADMMResult, QPProblem, admm_solve
+from pursuitlab.qp import (ADMMResult, QPProblem, active_set_solve, admm_solve,
+                           condense, residuals)
 
 
 def random_box_qp(rng, n, m, spread=1.0):
@@ -180,3 +182,119 @@ def test_warm_start_speeds_up_resolve():
     warm = admm_solve(qp, x0=cold.x, y0=cold.y)
     assert warm.converged
     assert warm.iterations <= cold.iterations
+
+
+# ----------------------------------------------------------------------
+# Active set and condensing
+# ----------------------------------------------------------------------
+
+def random_inequality_qp(rng, n, m, n_tight):
+    """Strictly convex ``min 0.5 x'Hx + g'x s.t. Cx <= h`` with unit-norm
+    rows and a feasible start at which the first ``n_tight`` rows are tight."""
+    factor = rng.standard_normal((n, n))
+    h_mat = factor.T @ factor / n + 0.5 * np.eye(n)
+    g = 2.0 * rng.standard_normal(n)
+    c_mat = rng.standard_normal((m, n))
+    c_mat /= np.linalg.norm(c_mat, axis=1, keepdims=True)
+    start = rng.standard_normal(n)
+    slack = rng.uniform(0.1, 2.0, m)
+    slack[:n_tight] = 0.0
+    return h_mat, g, c_mat, c_mat @ start + slack, start
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 8), m=st.integers(0, 12), tight=st.integers(0, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_active_set_matches_admm_and_satisfies_kkt(n, m, tight, seed):
+    rng = np.random.default_rng(seed)
+    n_tight = min(tight, m, n)
+    h_mat, g, c_mat, h, start = random_inequality_qp(rng, n, m, n_tight)
+    result = active_set_solve(h_mat, g, c_mat, h, start, range(n_tight))
+    assert result.converged
+
+    x, lam = result.x, result.multipliers
+    active = lam > 0.0
+    assert np.all(c_mat @ x <= h + 1e-9)
+    assert np.all(lam >= 0.0)
+    np.testing.assert_allclose(h_mat @ x + g + c_mat.T @ lam, 0.0, atol=1e-9)
+    assert np.all(h[active] - c_mat[active] @ x <= 1e-9)
+
+    # ADMM, a first-order method, can stall at a near-degenerate vertex
+    # (active rows almost dependent, multipliers in the hundreds); the KKT
+    # checks above already cover those, so compare only well-posed ones.
+    assume(not active.any() or np.linalg.svd(c_mat[active], compute_uv=False).min() >= 0.2)
+    reference = admm_solve(QPProblem(h_mat, g, c_mat, np.full(m, -np.inf), h),
+                           tol_primal=1e-9, tol_dual=1e-9, max_iter=20000)
+    assert reference.converged
+    np.testing.assert_allclose(x, reference.x, rtol=0, atol=1e-5)
+
+
+def test_active_set_warm_start_at_the_optimum_takes_one_iteration():
+    rng = np.random.default_rng(11)
+    h_mat, g, c_mat, h, start = random_inequality_qp(rng, 6, 10, 0)
+    cold = active_set_solve(h_mat, g, c_mat, h, start)
+    active = np.flatnonzero(cold.multipliers > 0.0)
+    assert cold.converged and active.size > 0
+    warm = active_set_solve(h_mat, g, c_mat, h, cold.x, active)
+    assert warm.converged and warm.iterations == 1
+    np.testing.assert_allclose(warm.x, cold.x, atol=1e-12)
+
+
+def test_active_set_flags_an_infeasible_start():
+    result = active_set_solve(np.eye(2), np.zeros(2), np.eye(2), np.ones(2),
+                              np.array([0.0, 1.5]))
+    assert not result.converged
+    assert result.iterations == 0
+
+
+def test_active_set_flags_the_iteration_cap():
+    # The unconstrained optimum (2, 2) crosses both bounds: two rows to add.
+    args = (np.eye(2), np.array([-2.0, -2.0]), np.eye(2), np.ones(2), np.zeros(2))
+    assert active_set_solve(*args).converged
+    capped = active_set_solve(*args, max_iter=1)
+    assert not capped.converged
+    assert capped.iterations == 1
+
+
+def test_active_set_raises_on_a_singular_kkt_matrix():
+    with pytest.raises(np.linalg.LinAlgError):
+        active_set_solve(np.zeros((2, 2)), np.ones(2), np.eye(2), np.ones(2),
+                         np.zeros(2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_eq=st.integers(1, 6), n_free=st.integers(1, 5), m_in=st.integers(0, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_condensed_solution_solves_the_full_qp(n_eq, n_free, m_in, seed):
+    """Equality rows over the leading variables are eliminated; the
+    condensed optimum, expanded, has zero residuals on the full QP."""
+    rng = np.random.default_rng(seed)
+    n = n_eq + n_free
+    factor = rng.standard_normal((n, n))
+    p_mat = factor.T @ factor + 0.5 * np.eye(n)
+    a_eq = np.hstack([np.eye(n_eq) + np.tril(rng.standard_normal((n_eq, n_eq)), -1),
+                      rng.standard_normal((n_eq, n_free))])
+    a_in = rng.standard_normal((m_in, n))
+    point = rng.standard_normal(n_free)
+    x_point = np.concatenate([np.zeros(n_eq), point])
+    b_eq = rng.standard_normal(n_eq)
+    x_point[:n_eq] = np.linalg.solve(a_eq[:, :n_eq], b_eq - a_eq[:, n_eq:] @ point)
+    centre = a_in @ x_point
+    lower = centre - rng.uniform(0.1, 1.0, m_in)
+    lower[rng.uniform(size=m_in) < 0.3] = -np.inf
+    qp = QPProblem(p_mat, rng.standard_normal(n), np.vstack([a_eq, a_in]),
+                   np.concatenate([b_eq, lower]),
+                   np.concatenate([b_eq, centre + rng.uniform(0.1, 1.0, m_in)]))
+
+    condensed = condense(qp, n_eq)
+    assert condensed.C.shape == (m_in + int(np.isfinite(lower).sum()), n_free)
+    result = active_set_solve(condensed.H, condensed.g, condensed.C, condensed.h, point)
+    assert result.converged
+    x, y = condensed.expand(result.x, result.multipliers)
+    primal, dual = residuals(qp, x, y)
+    assert primal < 1e-9 and dual < 1e-8
+
+    # The expanded pair warm-starts the same working set.
+    u0, working = condensed.warm_start(x, y, tol=1e-9)
+    np.testing.assert_array_equal(u0, result.x)
+    assert working == np.flatnonzero(result.multipliers > 0.0).tolist()
