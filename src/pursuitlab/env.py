@@ -220,11 +220,10 @@ class RacingEnv:
             self.state, result.command, self.prev_delta, self.sim_config)
         self.step_count += 1
 
-        index = rl.nearest_index(track, self.state.position)
+        index, lateral_error = rl.locate(track, self.state.position)
         progress = rl.progress_count(self.prev_index, index, track.n)
         self.prev_index = index
         self.total_progress += progress
-        lateral_error = rl.lateral_error(track, self.state.position)
 
         collided = collision_check(track, lateral_error)
         slow = self.state.v < self.weights.v_slow

@@ -126,10 +126,9 @@ def run_laps(controller, raceline: rl.Raceline, sim_config: SimConfig,
             lap_steps += 1
             global_step += 1
 
-            index = rl.nearest_index(raceline, state.position)
+            index, lat = rl.locate(raceline, state.position)
             advance = rl.progress_count(prev_index, index, n)
             prev_index = index
-            lat = rl.lateral_error(raceline, state.position)
             abs_lat_sum += abs(lat)
             if output.mode == "teacher":
                 report.teacher_steps += 1

@@ -226,14 +226,13 @@ class MPCTracker:
     ``step`` returns the lap runner's :class:`ControllerOutput`, and
     ``last_info`` holds the solver health of the latest step.
 
-    ``dt_control`` is unused: it stays only because existing callers pass
-    it positionally. ``log_path`` optionally receives one CSV row per step
-    (reference head, applied control, solver, its iterations and
-    residuals) for debugging; the file appears at :meth:`close`.
+    ``log_path`` optionally receives one CSV row per step (reference head,
+    applied control, solver, its iterations and residuals) for debugging;
+    the file appears at :meth:`close`.
     """
 
     def __init__(self, raceline: rl.Raceline, config: MPCConfig = MPCConfig(),
-                 dt_control: float = 0.05, log_path=None):
+                 log_path=None):
         self.raceline = raceline
         self.config = config
         self._log = contextlib.ExitStack()

@@ -54,22 +54,25 @@ class DenseNet:
     def forward(self, x: np.ndarray):
         """Batch forward pass. Returns (output, cache) with cache holding
         each layer's input and post-activation."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         cache = []
-        h = x
-        for i in range(self.n_layers):
-            w, b = self.params[2 * i], self.params[2 * i + 1]
-            z = h @ w + b
-            if i < self.n_layers - 1:
-                out = np.tanh(z)
-            else:
-                out = z
-            cache.append((h, out))
-            h = out
-        return h, cache
+        return self._layers(x, cache), cache
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)[0]
+        """Batch forward pass for inference: :meth:`forward`'s output, with
+        no cache built."""
+        return self._layers(x, None)
+
+    def _layers(self, x, cache):
+        h = np.atleast_2d(np.asarray(x, dtype=float))
+        last = self.n_layers - 1
+        for i in range(self.n_layers):
+            out = h @ self.params[2 * i] + self.params[2 * i + 1]
+            if i < last:
+                np.tanh(out, out=out)
+            if cache is not None:
+                cache.append((h, out))
+            h = out
+        return h
 
     def backward(self, cache, grad_out: np.ndarray):
         """Exact gradients of a scalar loss w.r.t. every weight and bias.

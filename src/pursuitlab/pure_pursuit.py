@@ -111,7 +111,13 @@ def to_vehicle_frame(pose: VehicleState, point):
 
 
 def pp_steering(y_prime: float, lookahead: float, gain: float) -> float:
-    """Pure Pursuit steering: gain-scaled lookahead-circle curvature, clipped."""
+    """Pure Pursuit steering: gain-scaled lookahead-circle curvature, clipped.
+
+    Returns ``gain * 2 y' / lookahead**2`` clipped to +-``STEER_CLIP``, which
+    the caller sends as the steering angle ``Command.delta`` [rad]. This is
+    the F1TENTH convention: the small-angle law is delta = wheelbase x
+    curvature, and the gain stands in for the wheelbase.
+    """
     if lookahead <= 0.0:
         raise ValueError("lookahead must be > 0")
     return _clip(gain * 2.0 * y_prime / (lookahead * lookahead),

@@ -119,6 +119,18 @@ class Raceline:
                   self._seg_len2):
             a.setflags(write=False)
 
+        # Per-waypoint curvature previews, looked up by :func:`taps` and
+        # :func:`local_curvature`. The windows wrap across the seam.
+        abs_kappa = np.abs(kappa)
+        waypoints = np.arange(n)[:, None]
+        previews = abs_kappa[(waypoints + TAP_OFFSETS) % n]
+        dkappa = previews[:, 1] - previews[:, 0]
+        self._taps = tuple(
+            CurvatureTaps(*row) for row in
+            np.column_stack((previews, dkappa, previews.max(axis=1))).tolist())
+        self._local_curvature = tuple(
+            abs_kappa[(waypoints + LOCAL_CURVATURE_OFFSETS) % n].mean(axis=1).tolist())
+
 
 def load_raceline(source: str, half_width: float = 1.1) -> Raceline:
     """Parse delimited-text raceline content into a :class:`Raceline`.
@@ -297,17 +309,12 @@ def tangent_heading(raceline: Raceline, i: int) -> float:
 
 def taps(raceline: Raceline, i: int) -> CurvatureTaps:
     """Absolute curvature at the preview offsets ahead of waypoint ``i``."""
-    n = raceline.n
-    k0 = abs(float(raceline.kappa[(i + TAP_OFFSETS[0]) % n]))
-    k1 = abs(float(raceline.kappa[(i + TAP_OFFSETS[1]) % n]))
-    k2 = abs(float(raceline.kappa[(i + TAP_OFFSETS[2]) % n]))
-    return CurvatureTaps(k0, k1, k2, k1 - k0, max(k0, k1, k2))
+    return raceline._taps[i % raceline.n]
 
 
 def local_curvature(raceline: Raceline, i: int) -> float:
     """Mean absolute curvature over the 5 waypoints centred on ``i``."""
-    idx = (i + LOCAL_CURVATURE_OFFSETS) % raceline.n
-    return float(np.mean(np.abs(raceline.kappa[idx])))
+    return raceline._local_curvature[i % raceline.n]
 
 
 def lookahead_target(raceline: Raceline, i: int, lookahead: float):
@@ -348,19 +355,32 @@ def progress_count(prev_index: int, new_index: int, n: int) -> int:
     return 0 if d > n // 2 else d
 
 
-def lateral_error(raceline: Raceline, p) -> float:
-    """Signed perpendicular distance from ``p`` to the nearest raceline segment.
+def locate(raceline: Raceline, p) -> tuple[int, float]:
+    """Nearest waypoint index and signed lateral error of position ``p``.
 
-    Positive on the left of the local travel direction.
+    The index is the waypoint closest to ``p`` (ties take the smaller
+    index, as in :func:`nearest_index`). The lateral error is the signed
+    perpendicular distance from ``p`` to the nearest raceline segment,
+    positive on the left of the local travel direction. Both come from one
+    pass over the offsets of ``p`` from the waypoints.
     """
     rx = p[0] - raceline.x
     ry = p[1] - raceline.y
+    index = int(np.argmin(rx * rx + ry * ry))
     t = (rx * raceline._seg_dx + ry * raceline._seg_dy) / raceline._seg_len2
-    np.clip(t, 0.0, 1.0, out=t)
+    np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
     ex = rx - t * raceline._seg_dx
     ey = ry - t * raceline._seg_dy
     d2 = ex * ex + ey * ey
     k = int(np.argmin(d2))
     cross = raceline._seg_dx[k] * ry[k] - raceline._seg_dy[k] * rx[k]
     sign = 1.0 if cross >= 0.0 else -1.0
-    return sign * math.sqrt(float(d2[k]))
+    return index, sign * math.sqrt(float(d2[k]))
+
+
+def lateral_error(raceline: Raceline, p) -> float:
+    """Signed perpendicular distance from ``p`` to the nearest raceline segment.
+
+    Positive on the left of the local travel direction; see :func:`locate`.
+    """
+    return locate(raceline, p)[1]

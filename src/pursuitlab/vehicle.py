@@ -41,7 +41,14 @@ class VehicleState:
 
 @dataclass(frozen=True)
 class Command:
-    """Steering angle [rad] and commanded speed [m/s]."""
+    """Steering angle [rad] and commanded speed [m/s].
+
+    The MPC sets ``delta`` to a bicycle-model steering angle. Pure Pursuit
+    sets it to gain x lookahead-circle curvature [1/m], clipped at
+    ``pure_pursuit.STEER_CLIP``: the F1TENTH convention, in which the gain
+    absorbs the wheelbase of the small-angle law delta = wheelbase x
+    curvature. Either way the simulator clamps it to ``delta_max``.
+    """
 
     delta: float
     v_cmd: float

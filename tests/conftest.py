@@ -20,8 +20,9 @@ def rect_track():
 
 @pytest.fixture
 def track_queries(monkeypatch):
-    """Live counts of ``raceline.nearest_index``, ``lateral_error`` and ``taps`` calls."""
-    calls = {"nearest_index": 0, "lateral_error": 0, "taps": 0}
+    """Live counts of ``raceline.nearest_index``, ``locate``, ``lateral_error``
+    and ``taps`` calls."""
+    calls = {"nearest_index": 0, "locate": 0, "lateral_error": 0, "taps": 0}
     for name in calls:
         def counted(*args, _fn=getattr(rl, name), _name=name):
             calls[_name] += 1

@@ -250,7 +250,7 @@ def test_criterion_07_qp_solver():
     # closed-loop straight-line steady state
     track = rl.synthesize_track("oval", straight=30.0, radius=3.0,
                                 spacing=0.25, v_cap=2.0, a_lat_max=3.0)
-    tracker = MPCTracker(track, MPCConfig(), SIM.dt_control)
+    tracker = MPCTracker(track, MPCConfig())
     state = VehicleState(1.0, 0.12, 0.0, 2.0)
     prev_delta = 0.0
     steady_ok = True
@@ -487,7 +487,7 @@ def test_criterion_12_ordering_trend():
         float(s.v_max.min()), float(s.v_max.max()), 0.6)))
     res_ld = sweep(lambda s: RLPurePursuitController(ldonly, s))
     res_joint = sweep(lambda s: RLPurePursuitController(joint, s))
-    res_mpc = sweep(lambda s: MPCTracker(s, MPCConfig(), SIM.dt_control),
+    res_mpc = sweep(lambda s: MPCTracker(s, MPCConfig()),
                     g=[0.8, 0.9, 1.0])
 
     m_fixed = res_fixed.best_multiplier

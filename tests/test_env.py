@@ -350,10 +350,11 @@ def test_env_step_locates_the_new_pose_once(tmp_path, oval_track, track_queries)
     env = RacingEnv(oval_track, seed=2, trace_path=tmp_path / "trace.csv")
     obs = env.reset(seed=2)
     for _ in range(40):
-        track_queries.update(nearest_index=0, lateral_error=0, taps=0)
+        track_queries.update(nearest_index=0, locate=0, lateral_error=0, taps=0)
         obs, _, done, info = env.step(teacher_action(obs))
         # Fresh actions: the reward and the observation share one preview.
-        assert track_queries == {"nearest_index": 1, "lateral_error": 1, "taps": 1}
+        assert track_queries == {"nearest_index": 0, "locate": 1, "lateral_error": 0,
+                                 "taps": 1}
         if done:
             obs = env.reset()
     env.close()

@@ -118,13 +118,14 @@ def test_run_laps_locates_each_pose_once_per_layer(kind, track_queries):
     else:
         controller = build_controller({"type": kind}, track, SIM)
     report = run_laps(controller, track, SIM, laps=1, max_lap_time=20.0)
-    # One scan by the controller for its own step, one by the lap runner
-    # for the stepped pose, which also gives the only lateral error. The
-    # teacher schedule and the rl observation each read the taps once.
+    # One scan by the controller for its own step, and one by the lap
+    # runner for the stepped pose, which also gives the only lateral error.
+    # The teacher schedule and the rl observation each read the taps once.
     assert report.total_steps > 0
     taps_per_step = {"fixed": 0, "teacher": 1, "rl": 1}[kind]
-    assert track_queries == {"nearest_index": 2 * report.total_steps,
-                             "lateral_error": report.total_steps,
+    assert track_queries == {"nearest_index": report.total_steps,
+                             "locate": report.total_steps,
+                             "lateral_error": 0,
                              "taps": taps_per_step * report.total_steps}
 
 

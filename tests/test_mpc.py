@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pursuitlab import mpc, raceline as rl
 from pursuitlab.evaluation import run_laps
@@ -193,6 +193,8 @@ control_weights = st.tuples(*[st.floats(0.0, 50.0)] * NU)
 @given(horizon=st.integers(1, 10), state_w=weights, terminal_w=weights,
        control_w=control_weights, rate_w=control_weights,
        seed=st.integers(0, 2**32 - 1))
+@example(horizon=1, state_w=(5e-324, 0.0, 0.0, 0.0), terminal_w=(0.0,) * NX,
+         control_w=(0.0,) * NU, rate_w=(0.0,) * NU, seed=0)
 def test_assemble_qp_matches_the_mpc_cost_and_constraints(
         horizon, state_w, terminal_w, control_w, rate_w, seed):
     """Oracle: P, q and A against the MPC objective and rows written out
@@ -218,7 +220,8 @@ def test_assemble_qp_matches_the_mpc_cost_and_constraints(
     constant = np.sum(w * ref.states ** 2)
     quadratic = 0.5 * z @ qp.P @ z + qp.q @ z + constant
     scale = 0.5 * np.abs(z) @ np.abs(qp.P) @ np.abs(z) + np.abs(qp.q) @ np.abs(z) + constant
-    assert abs(quadratic - cost) <= 1e-9 * max(cost, scale)
+    # The floor keeps the bound above 0 when every weight is 0 or subnormal.
+    assert abs(quadratic - cost) <= 1e-9 * max(cost, scale) + 4 * np.finfo(float).tiny
 
     az = qp.A @ z
     np.testing.assert_allclose(az[:NX], xs[0], rtol=0, atol=1e-12)
@@ -291,7 +294,7 @@ def test_mpc_step_holds_previous_command_on_failure():
 def test_closed_loop_straight_line_steady_state():
     track = uniform_speed_oval(straight=30.0, v=2.0)
     sim = SimConfig()
-    tracker = MPCTracker(track, MPCConfig(), sim.dt_control)
+    tracker = MPCTracker(track, MPCConfig())
     state = VehicleState(1.0, 0.12, 0.0, 2.0)
     prev_delta = 0.0
     for k in range(80):  # 4 s at 20 Hz; the straight is long enough
@@ -303,7 +306,7 @@ def test_closed_loop_straight_line_steady_state():
 
 def test_tracker_reset_clears_state():
     track = uniform_speed_oval()
-    tracker = MPCTracker(track, MPCConfig(), 0.05)
+    tracker = MPCTracker(track, MPCConfig())
     state = VehicleState(2.0, 0.3, 0.0, 2.5)
     tracker.step(state, 0.0)
     tracker.reset()
@@ -313,7 +316,7 @@ def test_tracker_reset_clears_state():
 def test_tracker_info_carries_the_solution_once_converged():
     track = uniform_speed_oval()
     config = MPCConfig()
-    tracker = MPCTracker(track, config, 0.05)
+    tracker = MPCTracker(track, config)
     assert tracker.last_info.solution_x is None
     assert tracker.last_info.solution_y is None
     tracker.step(VehicleState(2.0, 0.3, 0.0, 2.5), 0.0)
@@ -329,7 +332,7 @@ def test_mpc_debug_log(tmp_path):
     import csv
     track = uniform_speed_oval()
     path = tmp_path / "mpc_log.csv"
-    tracker = MPCTracker(track, MPCConfig(), 0.05, log_path=path)
+    tracker = MPCTracker(track, MPCConfig(), log_path=path)
     state = VehicleState(2.0, 0.1, 0.0, 2.5)
     prev_delta = 0.0
     sim = SimConfig()
@@ -346,7 +349,7 @@ def test_mpc_debug_log(tmp_path):
 
 def test_mpc_log_appears_whole_at_close(tmp_path):
     path = tmp_path / "mpc_log.csv"
-    tracker = MPCTracker(uniform_speed_oval(), MPCConfig(), 0.05, log_path=path)
+    tracker = MPCTracker(uniform_speed_oval(), MPCConfig(), log_path=path)
     state = VehicleState(2.0, 0.1, 0.0, 2.5)
     for k in range(3):
         tracker.step(state, k * 0.05)
@@ -397,7 +400,7 @@ def test_active_set_matches_cold_admm_along_a_run(speed_gain):
     track = heldout_rect()
     sim = SimConfig()
     config = MPCConfig(speed_gain=speed_gain)
-    tracker = MPCTracker(track, config, sim.dt_control)
+    tracker = MPCTracker(track, config)
     n_states = NX * (config.horizon + 1)
     box = slice(n_states, n_states + NU * config.horizon)
     state = VehicleState(float(track.x[0]), float(track.y[0]),
@@ -447,7 +450,7 @@ def admm_calls(monkeypatch):
 
 def test_a_heldout_lap_takes_the_active_set_path(admm_calls):
     track = heldout_rect()
-    tracker = MPCTracker(track, MPCConfig(), SimConfig().dt_control)
+    tracker = MPCTracker(track, MPCConfig())
     infos = []
 
     class Recorder:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pursuitlab.nets import Adam, DenseNet, GaussianPolicy, clip_gradients
 
@@ -53,6 +54,14 @@ def test_hand_computed_two_layer():
     x = 0.4
     expected = -1.3 * math.tanh(0.7 * 0.4 + 0.1) + 0.25
     assert net(np.array([[x]]))[0, 0] == pytest.approx(expected, abs=1e-15)
+
+
+@given(rows=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_call_is_forward_without_the_cache(rows, seed):
+    rng = np.random.default_rng(seed)
+    net = DenseNet((5, 8, 8, 2), rng)
+    x = rng.standard_normal(5) if rows == 0 else rng.standard_normal((rows, 5))
+    assert net(x).tobytes() == net.forward(x)[0].tobytes()
 
 
 def test_batch_rows_are_independent():

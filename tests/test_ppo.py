@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pursuitlab import ppo
 from pursuitlab.nets import Adam, DenseNet, GaussianPolicy
@@ -335,6 +336,43 @@ def test_normalizer_chunked_matches_batch_statistics():
         norm.update(chunk)
     np.testing.assert_allclose(norm.mean, batch.mean(axis=0), atol=1e-6)
     np.testing.assert_allclose(norm.var, batch.var(axis=0), atol=1e-6)
+
+
+def moments_update(mean, var, count, batch):
+    """The parallel update with numpy's own ``mean``/``var`` batch moments."""
+    batch_mean, batch_var, batch_count = batch.mean(axis=0), batch.var(axis=0), len(batch)
+    if count == 0.0:
+        return batch_mean, batch_var, float(batch_count)
+    delta = batch_mean - mean
+    total = count + batch_count
+    m2 = var * count + batch_var * batch_count + delta * delta * count * batch_count / total
+    return mean + delta * batch_count / total, m2 / total, total
+
+
+@st.composite
+def split_batches(draw):
+    dim = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.floats(-1e6, 1e6), min_size=dim, max_size=dim),
+                         min_size=1, max_size=40))
+    cuts = sorted(draw(st.lists(st.integers(1, len(rows)), max_size=len(rows))))
+    return np.array(rows), cuts
+
+
+@given(split_batches(), st.lists(st.floats(-1e7, 1e7), min_size=5, max_size=5))
+def test_normalizer_update_is_bit_identical_to_mean_var_moments(split, probe):
+    batch, cuts = split
+    norm = RunningNormalizer(batch.shape[1])
+    mean, var, count = norm.mean, norm.var, norm.count
+    for chunk in np.split(batch, cuts):  # empty chunks skipped; cuts may repeat
+        if len(chunk):
+            norm.update(chunk)
+            mean, var, count = moments_update(mean, var, count, chunk)
+            assert norm.mean.tobytes() == mean.tobytes()
+            assert norm.var.tobytes() == var.tobytes()
+            assert norm.count == count
+    x = np.array(probe[:batch.shape[1]])
+    z = (x - norm.mean) / np.sqrt(norm.var + norm.eps)
+    assert norm.apply(x).tobytes() == np.clip(z, -norm.clip, norm.clip).tobytes()
 
 
 def test_normalizer_clips_extreme_zscore():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pursuitlab import raceline as rl
 
@@ -208,6 +209,29 @@ def test_taps_shift_consistency():
         assert rl.taps(track, i) == rl.taps(rolled, (i - shift) % 90)
 
 
+def taps_formula(track, i):
+    """Per-call taps: three wrapped kappa reads."""
+    k0, k1, k2 = (abs(float(track.kappa[(i + off) % track.n])) for off in rl.TAP_OFFSETS)
+    return rl.CurvatureTaps(k0, k1, k2, k1 - k0, max(k0, k1, k2))
+
+
+def local_curvature_formula(track, i):
+    """Per-call local curvature: the mean of a wrapped 5-waypoint window."""
+    return float(np.mean(np.abs(track.kappa[(i + rl.LOCAL_CURVATURE_OFFSETS) % track.n])))
+
+
+@given(n=st.integers(rl.MIN_WAYPOINTS, 120),
+       kappa=st.lists(st.floats(-1e3, 1e3), min_size=120, max_size=120))
+def test_curvature_tables_match_the_per_call_formulas(n, kappa):
+    circle = rl.load_raceline(make_circle_csv(n=n, radius=n * 0.25 / (2.0 * math.pi)))
+    track = rl.Raceline(circle.x, circle.y, kappa[:n], circle.v_base, 1.1)
+    for i in range(-n, 2 * n):  # every waypoint, and indices past either seam
+        assert rl.taps(track, i) == taps_formula(track, i)
+        table = rl.local_curvature(track, i)
+        assert table == local_curvature_formula(track, i)
+        assert math.copysign(1.0, table) == 1.0
+
+
 def test_local_curvature_is_zero_on_a_straight(oval_track):
     assert not oval_track.kappa[8:13].any()
     assert rl.local_curvature(oval_track, 10) == 0.0
@@ -396,6 +420,51 @@ def lateral_error_oracle(track, p):
             cross = dx * (p[1] - ay) - dy * (p[0] - ax)
             best = (d, 1.0 if cross >= 0 else -1.0)
     return best[1] * best[0]
+
+
+def lateral_error_formula(track, p):
+    """Vectorized point-to-segment scan, written out independently of locate."""
+    rx = p[0] - track.x
+    ry = p[1] - track.y
+    dx = np.roll(track.x, -1) - track.x
+    dy = np.roll(track.y, -1) - track.y
+    t = np.clip((rx * dx + ry * dy) / (track.seg_len * track.seg_len), 0.0, 1.0)
+    ex = rx - t * dx
+    ey = ry - t * dy
+    d2 = ex * ex + ey * ey
+    k = int(np.argmin(d2))
+    sign = 1.0 if dx[k] * ry[k] - dy[k] * rx[k] >= 0.0 else -1.0
+    return sign * math.sqrt(float(d2[k]))
+
+
+spacings = st.floats(0.1, 0.5)
+layouts = st.one_of(
+    st.builds(lambda straight, radius, spacing: rl.synthesize_track(
+                  "oval", straight=straight, radius=radius, spacing=spacing),
+              st.floats(1.0, 20.0), st.floats(1.0, 6.0), spacings),
+    st.builds(lambda lx, ly, radius, spacing: rl.synthesize_track(
+                  "rounded_rectangle", length_x=lx, length_y=ly, radius=radius,
+                  spacing=spacing),
+              st.floats(1.0, 15.0), st.floats(1.0, 15.0), st.floats(1.0, 5.0), spacings),
+    st.builds(lambda n, spacing: rl.load_raceline(make_circle_csv(
+                  n=n, radius=n * spacing / (2.0 * math.pi))),
+              st.integers(rl.MIN_WAYPOINTS, 200), spacings),
+)
+
+
+@given(track=layouts, waypoint=st.integers(0, 10**6), along=st.floats(0.0, 1.0),
+       offset=st.one_of(st.floats(-1.5, 1.5), st.floats(-30.0, 30.0)))
+def test_locate_is_nearest_index_and_lateral_error(track, waypoint, along, offset):
+    # A pose `offset` to the left of a point `along` the way down a segment:
+    # near the line, and far off it on either side.
+    i = waypoint % track.n
+    heading = rl.tangent_heading(track, i)
+    p = (track.x[i] + along * track.seg_len[i] * math.cos(heading) - offset * math.sin(heading),
+         track.y[i] + along * track.seg_len[i] * math.sin(heading) + offset * math.cos(heading))
+    index, lateral_error = rl.locate(track, p)
+    assert index == rl.nearest_index(track, p)
+    assert lateral_error == lateral_error_formula(track, p)
+    assert rl.lateral_error(track, p) == lateral_error
 
 
 def test_lateral_error_zero_on_line(oval_track):
