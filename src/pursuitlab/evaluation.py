@@ -189,15 +189,6 @@ def write_laps_csv(report: LapReport, path):
                              int(lap.completed)])
 
 
-def report_from_laps_csv(path) -> list[LapRecord]:
-    records = []
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            time = float(row["time"]) if row["time"] else math.nan
-            records.append(LapRecord(int(row["lap"]), time, bool(int(row["completed"]))))
-    return records
-
-
 @dataclass
 class SweepEntry:
     multiplier: float

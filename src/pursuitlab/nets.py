@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 LOG_STD_INIT = math.log(0.5)
+LOG_2PI = math.log(2.0 * math.pi)
 
 
 def orthogonal_init(rng: np.random.Generator, shape, gain: float) -> np.ndarray:
@@ -115,10 +116,21 @@ class GaussianPolicy:
         return np.exp(self.log_std)
 
     def sample(self, obs: np.ndarray, rng: np.random.Generator):
-        """Draw one action; returns (action, log_prob)."""
+        """Draw one action; returns (action, log_prob).
+
+        The log-probability is :meth:`log_prob_of`'s, summed on floats in
+        numpy's order (from 0.0, one term at a time).
+        """
         mean = self.mean_net(obs)[0]
-        action = mean + self.std() * rng.standard_normal(self.act_dim)
-        return action, float(self.log_prob_of(mean[None, :], action[None, :])[0])
+        std = np.exp(self.log_std)
+        action = mean + std * rng.standard_normal(self.act_dim)
+        square_sum = 0.0
+        for z in ((action - mean) / std).tolist():
+            square_sum += z * z
+        log_std_sum = 0.0
+        for log_std in self.log_std.tolist():
+            log_std_sum += log_std
+        return action, -0.5 * square_sum - log_std_sum - 0.5 * self.act_dim * LOG_2PI
 
     def mean_action(self, obs: np.ndarray) -> np.ndarray:
         return self.mean_net(obs)[0]
@@ -127,11 +139,11 @@ class GaussianPolicy:
         z = (actions - mean) / self.std()
         return (-0.5 * np.sum(z * z, axis=1)
                 - np.sum(self.log_std)
-                - 0.5 * self.act_dim * math.log(2.0 * math.pi))
+                - 0.5 * self.act_dim * LOG_2PI)
 
     def entropy(self) -> float:
         """Differential entropy (state-independent for a fixed diagonal std)."""
-        return float(np.sum(self.log_std) + 0.5 * self.act_dim * (1.0 + math.log(2.0 * math.pi)))
+        return float(np.sum(self.log_std) + 0.5 * self.act_dim * (1.0 + LOG_2PI))
 
 
 def clip_gradients(grads, max_norm: float) -> float:

@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import os
+import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -77,6 +78,8 @@ class RunningNormalizer:
     """Running mean/variance in the numerically-stable parallel-update form."""
 
     def __init__(self, shape, clip: float = 10.0, eps: float = 1e-8):
+        if not eps > 0.0:
+            raise ValueError("eps must be > 0")
         self.mean = np.zeros(shape)
         self.var = np.ones(shape)
         self.count = 0.0
@@ -85,6 +88,9 @@ class RunningNormalizer:
 
     def update(self, batch: np.ndarray):
         batch = np.atleast_2d(np.asarray(batch, dtype=float))
+        if batch.shape[0] == 1:
+            self._update_row(batch[0].tolist())
+            return
         batch_count = batch.shape[0]
         # The steps of ``batch.mean(axis=0)`` and ``batch.var(axis=0)``,
         # without their per-call overhead; the floats are the same.
@@ -103,6 +109,31 @@ class RunningNormalizer:
         m_b = batch_var * batch_count
         m2 = m_a + m_b + delta * delta * self.count * batch_count / total
         self.var = m2 / total
+        self.count = total
+
+    def _update_row(self, row: list):
+        """:meth:`update` with one row, on floats, giving the same floats.
+
+        numpy's reduction adds the row to 0.0, so the row's mean is
+        ``0.0 + x`` (a -0.0 becomes 0.0) and its variance ``(x - mean)**2``,
+        which is NaN for an infinite or NaN ``x``. A batch count of 1
+        multiplies exactly, so it is left out.
+        """
+        count = self.count
+        total = count + 1.0
+        mean, var = [], []
+        for x, m, v in zip(row, self.mean.tolist(), self.var.tolist()):
+            row_mean = 0.0 + x
+            d = x - row_mean
+            if count == 0.0:
+                mean.append(row_mean)
+                var.append(d * d)
+            else:
+                delta = row_mean - m
+                mean.append(m + delta / total)
+                var.append((v * count + d * d + delta * delta * count / total) / total)
+        self.mean = np.array(mean)
+        self.var = np.array(var)
         self.count = total
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -134,6 +165,14 @@ class ReturnNormalizer:
         """Fold rewards into the accumulator, update the variance, and
         return the normalized rewards."""
         rewards = np.asarray(rewards, dtype=float)
+        if rewards.shape == (1,):
+            # One environment, on floats with the array path's results.
+            reward = rewards.item()
+            accumulated = self.accumulator.item() * self.gamma + reward
+            self.stats._update_row([accumulated])
+            scaled = reward / math.sqrt(self.stats.var.item() + self.eps)
+            self.accumulator[0] = 0.0 if dones[0] else accumulated
+            return np.array([min(max(scaled, -self.clip), self.clip)])
         self.accumulator = self.accumulator * self.gamma + rewards
         self.stats.update(self.accumulator[:, None])
         normalized = self.apply(rewards)
@@ -232,6 +271,22 @@ class Diagnostics:
         for j, s in enumerate(out.pop("action_std")):
             out[f"action_std_{j}"] = s
         return out
+
+
+@dataclass
+class CycleTimes:
+    """Wall-clock seconds of one collect/update cycle.
+
+    Collection excludes the evaluations run during it, which ``eval_s``
+    counts; ``env_steps_per_s`` is the cycle's training env steps over the
+    sum of the three. Unlike :class:`Diagnostics`, these differ between
+    runs of one seed.
+    """
+
+    collect_s: float
+    update_s: float
+    eval_s: float
+    env_steps_per_s: float
 
 
 class TrainingDiverged(RuntimeError):
@@ -462,10 +517,12 @@ class PPOTrainer:
         self.best_eval_return = -math.inf
         self.last_eval_return = math.nan
         self.metrics: list[Diagnostics] = []
+        self.cycle_times: list[CycleTimes] = []  # one per entry of metrics
         self._episode_returns: list[float] = []
         self._running_returns = np.zeros(config.n_envs)
         self._eval_bucket = 0
         self._checkpoint_bucket = 0
+        self._eval_s = 0.0  # evaluation seconds in the current cycle
 
         self._obs = np.stack([env.reset() for env in self.envs])
         self._episode_start = np.ones(config.n_envs, dtype=bool)
@@ -546,7 +603,9 @@ class PPOTrainer:
         bucket = self.global_step // cfg.eval_every
         if bucket > self._eval_bucket:
             self._eval_bucket = bucket
+            start = time.perf_counter()
             self.last_eval_return = self.evaluate()
+            self._eval_s += time.perf_counter() - start
             if self.last_eval_return > self.best_eval_return:
                 self.best_eval_return = self.last_eval_return
                 if self.out_dir is not None:
@@ -577,10 +636,14 @@ class PPOTrainer:
         cfg = self.config
         target = total_steps if total_steps is not None else cfg.total_steps
         while self.global_step < target:
+            self._eval_s = 0.0
+            start = time.perf_counter()
             self.collect_rollout()
+            collected = time.perf_counter()
             lr = self.learning_rate()
             stats = ppo_update(self.policy, self.value_net, self.optimizer,
                                self.buffer, cfg, lr, self.rng)
+            updated = time.perf_counter()
             self._check_finite()
             mean_ep = float(np.mean(self._episode_returns)) \
                 if self._episode_returns else math.nan
@@ -596,6 +659,12 @@ class PPOTrainer:
                 learning_rate=lr,
                 aborted=stats["aborted"],
                 epochs_completed=stats["epochs_completed"],
+            ))
+            self.cycle_times.append(CycleTimes(
+                collect_s=collected - start - self._eval_s,
+                update_s=updated - collected,
+                eval_s=self._eval_s,
+                env_steps_per_s=cfg.n_steps * cfg.n_envs / (updated - start),
             ))
             if self.out_dir is not None:
                 # Every finished update is on disk, even if a later one dies.
@@ -613,7 +682,8 @@ class PPOTrainer:
     def write_metrics(self, path):
         if not self.metrics:
             return
-        rows = [d.row() for d in self.metrics]
+        rows = [{**d.row(), **asdict(t)}
+                for d, t in zip(self.metrics, self.cycle_times)]
         with atomic_open(path) as f:
             writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
             writer.writeheader()

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import raceline as rl
 from .vehicle import Command, ControllerOutput, VehicleState
 
@@ -54,13 +52,13 @@ class PPParams:
 def params_from_action(action, action_mode: str, fixed_gain: float) -> PPParams:
     """Policy action clipped to the parameter bounds.
 
-    ``action`` is (lookahead, gain) in ``joint`` mode and (lookahead,) in
-    ``ld_only`` mode, where ``fixed_gain`` is passed through unclipped.
+    ``action`` is a sequence (lookahead, gain) in ``joint`` mode and
+    (lookahead,) in ``ld_only`` mode, where ``fixed_gain`` is passed
+    through unclipped.
     """
-    action = np.asarray(action, dtype=float).ravel()
     dim = 2 if action_mode == "joint" else 1
-    if action.shape[0] != dim:
-        raise ValueError(f"expected {dim}-D action, got {action.shape[0]}")
+    if len(action) != dim:
+        raise ValueError(f"expected {dim}-D action, got {len(action)}")
     lookahead = _clip(float(action[0]), *LOOKAHEAD_BOUNDS)
     if action_mode == "joint":
         gain = _clip(float(action[1]), *GAIN_BOUNDS)

@@ -11,6 +11,7 @@ Racelines are immutable after construction and safe to query concurrently.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import math
@@ -118,6 +119,8 @@ class Raceline:
                   self.seg_len, self.cum_s, self._seg_dx, self._seg_dy,
                   self._seg_len2):
             a.setflags(write=False)
+        # Float copies for :func:`lookahead_target`'s per-step walk.
+        self._walk = (self.cum_s.tolist(), x.tolist(), y.tolist(), seg_len.tolist())
 
         # Per-waypoint curvature previews, looked up by :func:`taps` and
         # :func:`local_curvature`. The windows wrap across the seam.
@@ -322,19 +325,17 @@ def lookahead_target(raceline: Raceline, i: int, lookahead: float):
 
     Walks forward from waypoint ``i`` (the pose's nearest), wrapping across
     the loop seam, and interpolates linearly inside the segment where the
-    accumulated arc length crosses ``lookahead``. Returns an (x, y) array.
+    accumulated arc length crosses ``lookahead``. Returns an (x, y) tuple
+    of floats.
     """
     if lookahead <= 0.0:
         raise ValueError("lookahead must be > 0")
-    s = (raceline.cum_s[i] + lookahead) % raceline.total_length
-    j = int(np.searchsorted(raceline.cum_s, s, side="right")) - 1
-    j = min(j, raceline.n - 1)
-    frac = (s - raceline.cum_s[j]) / raceline.seg_len[j]
+    cum_s, x, y, seg_len = raceline._walk
+    s = (cum_s[i] + lookahead) % raceline.total_length
+    j = min(bisect.bisect_right(cum_s, s) - 1, raceline.n - 1)
+    frac = (s - cum_s[j]) / seg_len[j]
     jn = (j + 1) % raceline.n
-    return np.array([
-        raceline.x[j] + frac * (raceline.x[jn] - raceline.x[j]),
-        raceline.y[j] + frac * (raceline.y[jn] - raceline.y[j]),
-    ])
+    return (x[j] + frac * (x[jn] - x[j]), y[j] + frac * (y[jn] - y[j]))
 
 
 def scale_speeds(raceline: Raceline, multiplier: float) -> Raceline:

@@ -87,13 +87,33 @@ class SimConfig:
         return int(round(self.dt_control / self.dt_physics))
 
 
-def derivatives(theta: float, v: float, a: float, delta: float, wheelbase: float):
-    """Kinematic bicycle time-derivative (dx, dy, dtheta, dv).
+def _rk4(x: float, y: float, theta: float, v: float, a: float, delta: float,
+         dt: float, wheelbase: float):
+    """One RK4 advance of the kinematic bicycle on floats; returns (x, y, theta, v).
 
-    Position never enters it, so only heading and speed are arguments.
+    The stages are dx = v cos(theta), dy = v sin(theta),
+    dtheta = v / wheelbase * tan(delta) and dv = a. Position never enters
+    them, and both midpoint stages see the same speed, so the same yaw rate.
     """
-    return (v * math.cos(theta), v * math.sin(theta),
-            v / wheelbase * math.tan(delta), a)
+    half = 0.5 * dt
+    tan_delta = math.tan(delta)
+    v_mid = v + half * a
+    v_end = v + dt * a
+    yaw1 = v / wheelbase * tan_delta
+    theta2 = theta + half * yaw1
+    yaw2 = v_mid / wheelbase * tan_delta  # the third stage's too
+    theta3 = theta + half * yaw2
+    theta4 = theta + dt * yaw2
+    yaw4 = v_end / wheelbase * tan_delta
+    sixth = dt / 6.0
+    return (
+        x + sixth * (v * math.cos(theta) + 2.0 * (v_mid * math.cos(theta2))
+                     + 2.0 * (v_mid * math.cos(theta3)) + v_end * math.cos(theta4)),
+        y + sixth * (v * math.sin(theta) + 2.0 * (v_mid * math.sin(theta2))
+                     + 2.0 * (v_mid * math.sin(theta3)) + v_end * math.sin(theta4)),
+        wrap_angle(theta + sixth * (yaw1 + 2.0 * yaw2 + 2.0 * yaw2 + yaw4)),
+        v + sixth * (a + 2.0 * a + 2.0 * a + a),  # rounds unlike 6.0 * a
+    )
 
 
 def rk4_step(state: VehicleState, a: float, delta: float, dt: float,
@@ -101,22 +121,8 @@ def rk4_step(state: VehicleState, a: float, delta: float, dt: float,
     """Classic fourth-order Runge-Kutta advance with constant (a, delta)."""
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
-
-    k1 = derivatives(state.theta, state.v, a, delta, wheelbase)
-    k2 = derivatives(state.theta + 0.5 * dt * k1[2], state.v + 0.5 * dt * k1[3],
-                     a, delta, wheelbase)
-    k3 = derivatives(state.theta + 0.5 * dt * k2[2], state.v + 0.5 * dt * k2[3],
-                     a, delta, wheelbase)
-    k4 = derivatives(state.theta + dt * k3[2], state.v + dt * k3[3],
-                     a, delta, wheelbase)
-
-    sixth = dt / 6.0
-    return VehicleState(
-        state.x + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-        state.y + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-        wrap_angle(state.theta + sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])),
-        state.v + sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]),
-    )
+    return VehicleState(*_rk4(state.x, state.y, state.theta, state.v, a, delta,
+                              dt, wheelbase))
 
 
 def speed_controller(v: float, v_cmd: float, config: SimConfig) -> float:
@@ -135,14 +141,16 @@ def control_step(state: VehicleState, cmd: Command, prev_delta: float,
     the last applied steering angle.
     """
     target = max(-config.delta_max, min(config.delta_max, cmd.delta))
-    max_change = config.delta_rate_max * config.dt_physics
+    dt = config.dt_physics
+    max_change = config.delta_rate_max * dt
+    x, y, theta, v = state.x, state.y, state.theta, state.v
     delta = prev_delta
     for _ in range(config.substeps):
         step = max(-max_change, min(max_change, target - delta))
         delta = delta + step
-        a = speed_controller(state.v, cmd.v_cmd, config)
-        state = rk4_step(state, a, delta, config.dt_physics, config.wheelbase)
-    return state, delta
+        a = speed_controller(v, cmd.v_cmd, config)
+        x, y, theta, v = _rk4(x, y, theta, v, a, delta, dt, config.wheelbase)
+    return VehicleState(x, y, theta, v), delta
 
 
 def collision_check(raceline: Raceline, lateral_error: float) -> bool:

@@ -2,8 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pursuitlab import raceline as rl
+
+# A failing example is printed with a blob that ``@reproduce_failure``
+# replays; deadlines and example counts keep hypothesis's defaults.
+settings.register_profile("pursuitlab", print_blob=True)
+settings.load_profile("pursuitlab")
 
 
 @pytest.fixture(scope="session")

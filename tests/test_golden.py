@@ -1,0 +1,109 @@
+"""Golden outcomes: a short training run and one lap per PP controller.
+
+The pinned values were recorded before the per-step float kernels of the
+simulator, the normalizers, the policy sampler and the Pure Pursuit step
+replaced their numpy forms. Every float must stay exactly the same: the
+training metrics (including the eval returns), a digest of the final
+parameter and normalizer bytes, and the lap reports.
+"""
+
+import hashlib
+from pathlib import Path
+
+import numpy as np
+
+from pursuitlab import raceline as rl
+from pursuitlab.config import (build_env_factory, build_ppo_config,
+                               build_sim_config, build_track, load_config)
+from pursuitlab.controllers import RLPurePursuitController, build_controller
+from pursuitlab.evaluation import run_laps
+from pursuitlab.nets import DenseNet, GaussianPolicy
+from pursuitlab.ppo import PolicyBundle, PPOTrainer, RunningNormalizer
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+SMOKE_METRICS = [
+    {"step": 512, "approx_kl": 0.00044527919765950956, "clip_fraction": 0.00078125,
+     "value_loss": 4.52147810597869, "entropy": 1.4555005605748224,
+     "mean_episode_return": float("nan"), "eval_return": 67757.16701670778,
+     "learning_rate": 0.0002387712, "aborted": 0, "epochs_completed": 5,
+     "action_std_0": 0.5010571717590557, "action_std_1": 0.5009036875915042},
+    {"step": 1024, "approx_kl": 0.0003098064169727113, "clip_fraction": 0.0,
+     "value_loss": 1.651705053646591, "entropy": 1.4575905824345905,
+     "mean_episode_return": float("nan"), "eval_return": 67613.39694608316,
+     "learning_rate": 0.0002375424, "aborted": 0, "epochs_completed": 5,
+     "action_std_0": 0.5020343586015933, "action_std_1": 0.5009746561159784},
+]
+# sha256 of the policy, value-net and normalizer bytes after the run.
+SMOKE_STATE_SHA256 = "1a5aa4c4338d7d6c5e941d23b5dab22d279f546e92669ed5a3be73d400d1aefc"
+
+LAPS = {
+    "fixed": {"times": [4.849999999999991], "completed": 1, "total_steps": 97,
+              "teacher_steps": 0, "mean_abs_lateral_error": 0.049633955584473755,
+              "steering_rate_rms": 0.9084446137008513},
+    "adaptive": {"times": [4.749999999999991], "completed": 1, "total_steps": 95,
+                 "teacher_steps": 0, "mean_abs_lateral_error": 0.09707234319061075,
+                 "steering_rate_rms": 0.4577610643801065},
+    "teacher": {"times": [4.749999999999991], "completed": 1, "total_steps": 95,
+                "teacher_steps": 95, "mean_abs_lateral_error": 0.11719676129928713,
+                "steering_rate_rms": 0.6712483923371837},
+    "rl": {"times": [4.749999999999991], "completed": 1, "total_steps": 95,
+           "teacher_steps": 0, "mean_abs_lateral_error": 0.1135517174746519,
+           "steering_rate_rms": 0.6303757833926623},
+}
+
+
+def smoke_training() -> PPOTrainer:
+    """configs/smoke_train.yaml for two 512-step updates, evaluating after each."""
+    cfg = load_config(CONFIGS / "smoke_train.yaml")
+    cfg["train"].update(n_steps=512, eval_every=512)
+    track = rl.scale_speeds(build_track(cfg), cfg["train"]["multiplier"])
+    trainer = PPOTrainer(build_env_factory(cfg, track), build_ppo_config(cfg),
+                         seed=cfg["seed"])
+    trainer.train(total_steps=1024)
+    return trainer
+
+
+def state_digest(trainer: PPOTrainer) -> str:
+    arrays = (trainer.policy.params + trainer.value_net.params
+              + [trainer.obs_norm.mean, trainer.obs_norm.var,
+                 trainer.ret_norm.stats.mean, trainer.ret_norm.stats.var,
+                 trainer.ret_norm.accumulator])
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+def untrained_bundle() -> PolicyBundle:
+    rng = np.random.default_rng(3)
+    return PolicyBundle(GaussianPolicy(5, 2, rng, mean_bias=[2.175, 0.8]),
+                        DenseNet((5, 64, 64, 1), rng, final_gain=1.0),
+                        RunningNormalizer(5),
+                        {"action_mode": "joint", "fixed_gain": 0.6})
+
+
+def one_lap(kind: str) -> dict:
+    """One lap on the held-out rectangle; the report's floats and counts."""
+    cfg = load_config(CONFIGS / "heldout_rect.yaml")
+    track = build_track(cfg)
+    sim = build_sim_config(cfg)
+    if kind == "rl":
+        controller = RLPurePursuitController(untrained_bundle(), track)
+    else:
+        controller = build_controller({"type": kind}, track, sim)
+    report = run_laps(controller, track, sim, laps=1,
+                      max_lap_time=cfg["eval"]["max_lap_time"])
+    return {"times": [lap.time for lap in report.laps],
+            "completed": report.completed,
+            "total_steps": report.total_steps,
+            "teacher_steps": report.teacher_steps,
+            "mean_abs_lateral_error": report.mean_abs_lateral_error,
+            "steering_rate_rms": report.steering_rate_rms}
+
+
+def test_smoke_training_outcomes_are_pinned():
+    trainer = smoke_training()
+    np.testing.assert_equal([d.row() for d in trainer.metrics], SMOKE_METRICS)
+    assert state_digest(trainer) == SMOKE_STATE_SHA256
+
+
+def test_one_lap_outcomes_are_pinned():
+    np.testing.assert_equal({kind: one_lap(kind) for kind in LAPS}, LAPS)

@@ -13,8 +13,7 @@ from pursuitlab.controllers import (DEFAULT_FIXED_GAIN, ControllerOutput,
                                     build_controller)
 from pursuitlab.env import RewardWeights
 from pursuitlab.mpc import MPCTracker
-from pursuitlab.evaluation import (format_comparison,
-                                   report_from_laps_csv, run_laps,
+from pursuitlab.evaluation import (format_comparison, run_laps,
                                    sweep_multipliers, write_comparison_csv,
                                    write_laps_csv)
 from pursuitlab.nets import DenseNet, GaussianPolicy
@@ -58,8 +57,10 @@ def test_teacher_completes_laps_with_consistent_stats(tmp_path):
 
     laps_csv = tmp_path / "laps.csv"
     write_laps_csv(report, laps_csv)
-    records = report_from_laps_csv(laps_csv)
-    times = [r.time for r in records if r.completed]
+    with open(laps_csv, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [int(row["lap"]) for row in rows] == [1, 2, 3]
+    times = [float(row["time"]) for row in rows if int(row["completed"])]
     stats = report.stats()
     assert np.mean(times) == pytest.approx(stats["mean"], abs=1e-9)
     assert np.std(times) == pytest.approx(stats["std"], abs=1e-9)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pursuitlab import ppo
 from pursuitlab.nets import Adam, DenseNet, GaussianPolicy
@@ -349,15 +349,30 @@ def moments_update(mean, var, count, batch):
     return mean + delta * batch_count / total, m2 / total, total
 
 
+SPECIAL_FLOATS = st.sampled_from([-0.0, math.inf, -math.inf, math.nan])
+
+
+def maybe_special(draw, finite):
+    """``finite``, or in half the examples ``finite`` mixed with -0.0, +-inf and NaN."""
+    return finite | SPECIAL_FLOATS if draw(st.booleans()) else finite
+
+
 @st.composite
 def split_batches(draw):
     dim = draw(st.integers(1, 5))
-    rows = draw(st.lists(st.lists(st.floats(-1e6, 1e6), min_size=dim, max_size=dim),
+    elements = maybe_special(draw, st.floats(-1e6, 1e6))
+    rows = draw(st.lists(st.lists(elements, min_size=dim, max_size=dim),
                          min_size=1, max_size=40))
-    cuts = sorted(draw(st.lists(st.integers(1, len(rows)), max_size=len(rows))))
-    return np.array(rows), cuts
+    cuts = draw(st.lists(st.integers(1, len(rows)), max_size=len(rows)))
+    # The last rows may arrive one at a time, after the counts are > 0.
+    single = draw(st.integers(0, len(rows) - 1))
+    cuts += range(len(rows) - single, len(rows))
+    return np.array(rows), sorted(cuts)
 
 
+@example(split=(np.array([[-0.0, 1.0], [-0.0, -0.0], [math.inf, 2.0],
+                          [3.0, math.nan]]), [1, 2, 3]),
+         probe=[0.0] * 5)
 @given(split_batches(), st.lists(st.floats(-1e7, 1e7), min_size=5, max_size=5))
 def test_normalizer_update_is_bit_identical_to_mean_var_moments(split, probe):
     batch, cuts = split
@@ -365,14 +380,24 @@ def test_normalizer_update_is_bit_identical_to_mean_var_moments(split, probe):
     mean, var, count = norm.mean, norm.var, norm.count
     for chunk in np.split(batch, cuts):  # empty chunks skipped; cuts may repeat
         if len(chunk):
-            norm.update(chunk)
-            mean, var, count = moments_update(mean, var, count, chunk)
+            with np.errstate(invalid="ignore", over="ignore"):
+                norm.update(chunk)
+                mean, var, count = moments_update(mean, var, count, chunk)
             assert norm.mean.tobytes() == mean.tobytes()
             assert norm.var.tobytes() == var.tobytes()
             assert norm.count == count
     x = np.array(probe[:batch.shape[1]])
-    z = (x - norm.mean) / np.sqrt(norm.var + norm.eps)
-    assert norm.apply(x).tobytes() == np.clip(z, -norm.clip, norm.clip).tobytes()
+    with np.errstate(invalid="ignore"):
+        z = (x - norm.mean) / np.sqrt(norm.var + norm.eps)
+        assert norm.apply(x).tobytes() == np.clip(z, -norm.clip, norm.clip).tobytes()
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-8, math.nan])
+def test_normalizers_reject_a_nonpositive_eps(eps):
+    with pytest.raises(ValueError, match="eps"):
+        RunningNormalizer(3, eps=eps)
+    with pytest.raises(ValueError, match="eps"):
+        ReturnNormalizer(0.99, 1, eps=eps)
 
 
 def test_normalizer_clips_extreme_zscore():
@@ -394,6 +419,46 @@ def test_return_normalizer_divides_by_running_std():
         got = rn.update(np.array([r]), np.array([False]))
         expected = r / math.sqrt(np.var(accs) + 1e-8)
         assert got[0] == pytest.approx(min(10.0, max(-10.0, expected)), rel=1e-9)
+
+
+def reference_return_update(state, rewards, dones, gamma, clip=10.0, eps=1e-8):
+    """The array form of :meth:`ReturnNormalizer.update` over ``state``,
+    a dict of accumulator and return moments."""
+    state["accumulator"] = state["accumulator"] * gamma + rewards
+    state["mean"], state["var"], state["count"] = moments_update(
+        state["mean"], state["var"], state["count"], state["accumulator"][:, None])
+    normalized = np.clip(rewards / np.sqrt(state["var"] + eps), -clip, clip)
+    state["accumulator"][dones] = 0.0
+    return normalized
+
+
+@st.composite
+def reward_streams(draw):
+    n_envs = draw(st.integers(1, 3))
+    rewards = maybe_special(draw, st.floats(-1e3, 1e3))
+    step = st.tuples(st.lists(rewards, min_size=n_envs, max_size=n_envs),
+                     st.lists(st.booleans(), min_size=n_envs, max_size=n_envs))
+    return n_envs, draw(st.lists(step, min_size=1, max_size=30))
+
+
+@example(stream=(1, [([-0.0], [False]), ([1.5], [True]), ([-0.0], [False]),
+                     ([math.inf], [False]), ([2.0], [True])]), gamma=0.99)
+@given(reward_streams(), st.floats(0.5, 1.0))
+def test_return_normalizer_update_is_bit_identical_to_the_array_update(stream, gamma):
+    n_envs, steps = stream
+    rn = ReturnNormalizer(gamma=gamma, n_envs=n_envs)
+    state = {"accumulator": np.zeros(n_envs), "mean": np.zeros(1),
+             "var": np.ones(1), "count": 0.0}
+    for rewards, dones in steps:
+        rewards, dones = np.array(rewards), np.array(dones)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = rn.update(rewards, dones)
+            want = reference_return_update(state, rewards, dones, gamma)
+        assert got.tobytes() == want.tobytes()
+        assert rn.accumulator.tobytes() == state["accumulator"].tobytes()
+        assert rn.stats.mean.tobytes() == state["mean"].tobytes()
+        assert rn.stats.var.tobytes() == state["var"].tobytes()
+        assert rn.stats.count == state["count"]
 
 
 def test_return_normalizer_resets_accumulator_on_done():
@@ -567,6 +632,46 @@ def test_metrics_csv_columns(tmp_path):
         assert column in header
 
 
+def test_metrics_csv_records_phase_timings(tmp_path, monkeypatch):
+    # A fake clock: each env step takes 1 ms, an evaluation 2 s and an
+    # update 0.5 s, so the split of every cycle is known exactly.
+    clock = [0.0]
+    monkeypatch.setattr(ppo.time, "perf_counter", lambda: clock[0])
+
+    class TimedEnv(QuadraticEnv):
+        def step(self, action):
+            clock[0] += 0.001
+            return super().step(action)
+
+    real_update = ppo.ppo_update
+
+    def timed_update(*args):
+        clock[0] += 0.5
+        return real_update(*args)
+
+    monkeypatch.setattr(ppo, "ppo_update", timed_update)
+    trainer = PPOTrainer(TimedEnv, small_config(eval_every=512), seed=2,
+                         out_dir=str(tmp_path))
+
+    def timed_evaluate(max_steps=None):
+        clock[0] += 2.0
+        return 1.0
+
+    trainer.evaluate = timed_evaluate
+    trainer.train()
+
+    with open(tmp_path / "metrics.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == len(trainer.cycle_times) == 4
+    for row, times in zip(rows, trainer.cycle_times):
+        for column in ("collect_s", "update_s", "eval_s", "env_steps_per_s"):
+            assert float(row[column]) == getattr(times, column)
+        assert float(row["collect_s"]) == pytest.approx(0.512, abs=1e-9)
+        assert float(row["update_s"]) == pytest.approx(0.5, abs=1e-9)
+        assert float(row["eval_s"]) == pytest.approx(2.0, abs=1e-9)
+        assert float(row["env_steps_per_s"]) == pytest.approx(512 / 3.012, rel=1e-9)
+
+
 @pytest.mark.parametrize("failure", ["env_raises", "diverges"])
 def test_metrics_csv_holds_every_finished_update(tmp_path, monkeypatch, failure):
     if failure == "env_raises":
@@ -593,7 +698,8 @@ def test_metrics_csv_holds_every_finished_update(tmp_path, monkeypatch, failure)
     assert list(rows[0]) == ["step", "approx_kl", "clip_fraction", "value_loss",
                              "entropy", "mean_episode_return", "eval_return",
                              "learning_rate", "aborted", "epochs_completed",
-                             "action_std_0", "action_std_1"]
+                             "action_std_0", "action_std_1", "collect_s",
+                             "update_s", "eval_s", "env_steps_per_s"]
     first = trainer.metrics[0]
     assert len(rows) == 1 and rows[0]["step"] == "512"
     assert rows[0]["aborted"] == "0"

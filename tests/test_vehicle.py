@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pursuitlab import raceline as rl
 from pursuitlab.vehicle import (Command, SimConfig, VehicleState,
-                                collision_check, control_step, derivatives,
-                                rk4_step, speed_controller, wrap_angle)
+                                collision_check, control_step, rk4_step,
+                                speed_controller, wrap_angle)
 
 from conftest import make_square_raceline
 
@@ -14,8 +15,86 @@ CFG = SimConfig()
 
 
 # ----------------------------------------------------------------------
-# Derivatives
+# Derivatives: the reference model the float RK4 kernel must reproduce
 # ----------------------------------------------------------------------
+
+def derivatives(theta, v, a, delta, wheelbase):
+    """Kinematic bicycle time-derivative (dx, dy, dtheta, dv)."""
+    return (v * math.cos(theta), v * math.sin(theta),
+            v / wheelbase * math.tan(delta), a)
+
+
+def reference_rk4_step(state, a, delta, dt, wheelbase):
+    """Textbook RK4 over :func:`derivatives`, one stage tuple at a time."""
+    k1 = derivatives(state.theta, state.v, a, delta, wheelbase)
+    k2 = derivatives(state.theta + 0.5 * dt * k1[2], state.v + 0.5 * dt * k1[3],
+                     a, delta, wheelbase)
+    k3 = derivatives(state.theta + 0.5 * dt * k2[2], state.v + 0.5 * dt * k2[3],
+                     a, delta, wheelbase)
+    k4 = derivatives(state.theta + dt * k3[2], state.v + dt * k3[3],
+                     a, delta, wheelbase)
+    sixth = dt / 6.0
+    return VehicleState(
+        state.x + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+        state.y + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+        wrap_angle(state.theta + sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])),
+        state.v + sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]),
+    )
+
+
+def reference_control_step(state, cmd, prev_delta, config):
+    """One control period of rate-limited substeps over :func:`reference_rk4_step`."""
+    target = max(-config.delta_max, min(config.delta_max, cmd.delta))
+    max_change = config.delta_rate_max * config.dt_physics
+    delta = prev_delta
+    for _ in range(config.substeps):
+        delta = delta + max(-max_change, min(max_change, target - delta))
+        a = speed_controller(state.v, cmd.v_cmd, config)
+        state = reference_rk4_step(state, a, delta, config.dt_physics, config.wheelbase)
+    return state, delta
+
+
+def assert_same_floats(got, want):
+    """Equal field by field, with the sign of zero."""
+    for g, w in zip(got, want):
+        assert g == w and math.copysign(1.0, g) == math.copysign(1.0, w)
+
+
+def state_fields(state):
+    return (state.x, state.y, state.theta, state.v)
+
+
+finite = st.floats(-1e3, 1e3)
+states = st.builds(VehicleState, finite, finite, st.floats(-math.pi, math.pi),
+                   st.floats(-5.0, 30.0))
+
+
+@given(states, st.floats(-5.0, 5.0), st.floats(-1.2, 1.2),
+       st.sampled_from([0.001, 0.01, 0.02, 0.05]), st.floats(0.1, 1.0))
+def test_rk4_step_is_the_reference_rk4(state, a, delta, dt, wheelbase):
+    got = rk4_step(state, a, delta, dt, wheelbase)
+    assert_same_floats(state_fields(got),
+                       state_fields(reference_rk4_step(state, a, delta, dt, wheelbase)))
+
+
+@given(states, st.floats(-1.0, 1.0), st.floats(-5.0, 30.0), st.floats(-0.6, 0.6),
+       st.integers(1, 10), st.sampled_from([0.005, 0.01, 0.02]),
+       st.floats(0.05, 1.0), st.floats(0.1, 5.0), st.floats(0.1, 0.6))
+def test_control_step_is_the_reference_rk4(state, delta_cmd, v_cmd, prev_delta,
+                                           substeps, dt_physics, delta_rate_max,
+                                           speed_gain, delta_max):
+    # Commands beyond delta_max exercise the clamp; small rate limits and
+    # far targets exercise the rate limit.
+    config = SimConfig(dt_physics=dt_physics, dt_control=substeps * dt_physics,
+                       delta_rate_max=delta_rate_max, speed_gain=speed_gain,
+                       delta_max=delta_max)
+    assert config.substeps == substeps
+    cmd = Command(delta_cmd, v_cmd)
+    got, applied = control_step(state, cmd, prev_delta, config)
+    want, want_applied = reference_control_step(state, cmd, prev_delta, config)
+    assert_same_floats(state_fields(got) + (applied,),
+                       state_fields(want) + (want_applied,))
+
 
 def test_derivatives_straight_motion():
     d = derivatives(0.0, 1.0, 0.0, 0.0, CFG.wheelbase)
