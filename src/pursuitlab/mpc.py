@@ -13,6 +13,20 @@ The first optimized acceleration becomes a speed command that the
 simulator's P speed loop turns back into that acceleration; if no solver
 converges the previous command is held.
 
+What is built once, and what per step. The parts of the QP that no step
+changes form a read-only :class:`QPTemplate`, built once per frozen
+:class:`MPCConfig` (:func:`qp_template`): the cost matrix ``P``, the factor
+``-2 w`` of ``q`` on the reference states, the identity, box and rate rows
+of ``A`` with their bounds, and the scatter indices of the dynamics
+blocks. Once per raceline and wheelbase, a table holds each waypoint's
+(x, y, v_max) and feedforward steering ``arctan(L kappa)``; the raceline
+holds each waypoint's tangent heading. A step gathers its horizon from
+those tables (:func:`build_reference`), computes the A/B/c entries of every
+knot on floats in one call (:func:`linearize`), and writes them, the
+current state and the reference into copies of the template's ``A``,
+``l`` and ``u`` and a fresh ``q`` (:func:`assemble_qp`). The arrays are
+byte for byte those of building each knot's matrices with numpy.
+
 MPC state order is (x, y, v, psi) and control order is (a, delta).
 """
 
@@ -20,6 +34,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -67,100 +82,48 @@ class MPCConfig:
 
 @dataclass
 class HorizonReference:
-    """Reference (x, y, v, psi) tuples, one per horizon knot, psi unwrapped."""
+    """Reference (x, y, v, psi) tuples, one per horizon knot, psi unwrapped,
+    and the reference (a, delta) controls of every knot but the last."""
 
     states: np.ndarray  # (horizon+1, 4)
     indices: np.ndarray  # raceline waypoint index per knot
+    controls: np.ndarray  # (horizon, 2): zero acceleration, feedforward steering
 
     def __post_init__(self):
         self.states = np.asarray(self.states, dtype=float)
         self.indices = np.asarray(self.indices, dtype=int)
+        self.controls = np.asarray(self.controls, dtype=float)
 
 
-def build_reference(raceline: rl.Raceline, state: VehicleState,
-                    config: MPCConfig) -> HorizonReference:
-    """Sample the horizon by advancing waypoints proportional to speed."""
-    i0 = rl.nearest_index(raceline, state.position)
-    v_ref = max(state.v, config.v_floor)
-    advance = max(int(round(v_ref * config.dt / raceline.mean_spacing)), 1)
-    indices = (i0 + advance * np.arange(config.horizon + 1)) % raceline.n
+@dataclass(frozen=True)
+class QPTemplate:
+    """The step-invariant part of one config's QP; every array is read-only.
 
-    headings = np.array([rl.tangent_heading(raceline, int(i)) for i in indices])
-    psi = np.unwrap(headings)
-    states = np.column_stack([
-        raceline.x[indices],
-        raceline.y[indices],
-        raceline.v_max[indices],
-        psi,
-    ])
-    return HorizonReference(states, indices)
-
-
-def linearize(ref_state, ref_control, wheelbase: float, dt: float):
-    """Discrete affine model about a reference point (forward Euler).
-
-    Returns (A, B, c) with x_{t+1} = A x_t + B u_t + c exact at the
-    reference: A ref_x + B ref_u + c = ref_x + dt f(ref).
+    ``A``, ``l`` and ``u`` hold the identity, box and rate rows and their
+    bounds, with zero dynamics blocks and zero equality bounds. The
+    dynamics blocks go to ``A[dynamics_rows, a_cols]`` (-A_t) and
+    ``A[dynamics_rows, b_cols]`` (-B_t), index arrays that broadcast to
+    (horizon, 4, 4) and (horizon, 4, 2).
     """
-    _, _, v, psi = ref_state
-    a_ref, delta_ref = ref_control
-    if abs(delta_ref) >= math.pi / 2.0:
-        raise ValueError("reference steering must satisfy |delta| < pi/2")
 
-    cos_psi = math.cos(psi)
-    sin_psi = math.sin(psi)
-    tan_delta = math.tan(delta_ref)
-
-    jac_x = np.zeros((NX, NX))
-    jac_x[0, 2] = cos_psi
-    jac_x[0, 3] = -v * sin_psi
-    jac_x[1, 2] = sin_psi
-    jac_x[1, 3] = v * cos_psi
-    jac_x[3, 2] = tan_delta / wheelbase
-
-    jac_u = np.zeros((NX, NU))
-    jac_u[2, 0] = 1.0
-    jac_u[3, 1] = v / (wheelbase * math.cos(delta_ref) ** 2)
-
-    f_ref = np.array([
-        v * cos_psi,
-        v * sin_psi,
-        a_ref,
-        v / wheelbase * tan_delta,
-    ])
-
-    a_mat = np.eye(NX) + dt * jac_x
-    b_mat = dt * jac_u
-    c_vec = dt * (f_ref - jac_x @ np.asarray(ref_state, dtype=float)
-                  - jac_u @ np.asarray(ref_control, dtype=float))
-    return a_mat, b_mat, c_vec
+    P: np.ndarray
+    state_cost: np.ndarray  # -2 w_state: q's factor on the reference states
+    A: np.ndarray
+    l: np.ndarray
+    u: np.ndarray
+    dynamics_rows: np.ndarray
+    a_cols: np.ndarray
+    b_cols: np.ndarray
 
 
-def reference_controls(raceline: rl.Raceline, reference: HorizonReference,
-                       config: MPCConfig) -> np.ndarray:
-    """Zero acceleration plus curvature-feedforward steering per knot."""
-    kappa = raceline.kappa[reference.indices[:-1]]
-    delta_ff = np.arctan(config.wheelbase * kappa)
-    controls = np.zeros((config.horizon, NU))
-    controls[:, 1] = delta_ff
-    return controls
+@functools.lru_cache(maxsize=32)
+def qp_template(config: MPCConfig) -> QPTemplate:
+    """The QP data shared by every step under ``config``, built once per config.
 
-
-def assemble_qp(reference: HorizonReference, linearizations, state: VehicleState,
-                config: MPCConfig) -> QPProblem:
-    """Stack states and controls into one dense box-constrained QP.
-
-    Decision vector: [x_0 .. x_T, u_0 .. u_{T-1}]. Equality rows (l == u)
-    pin x_0 to the current state and encode the affine dynamics; inequality
-    rows bound each control and each consecutive steering difference (two
-    one-sided rows per pair).
+    Configs that compare equal share one template; they can differ only in
+    the sign of a zero weight.
     """
     horizon = config.horizon
-    if len(linearizations) != horizon:
-        raise ValueError("need one linearization per horizon step")
-    if reference.states.shape != (horizon + 1, NX):
-        raise ValueError("reference length must be horizon + 1")
-
     n_states = NX * (horizon + 1)
     n = n_states + NU * horizon
 
@@ -173,26 +136,13 @@ def assemble_qp(reference: HorizonReference, linearizations, state: VehicleState
     diff = np.eye(horizon - 1, horizon, 1) - np.eye(horizon - 1, horizon)
     p_mat[n_states:, n_states:] += np.kron(
         diff.T @ diff, np.diag(2.0 * np.asarray(config.control_rate_weights)))
-    q_vec = np.zeros(n)
-    q_vec[:n_states] = -2.0 * w_state * reference.states.ravel()
-
-    # Current-state psi expressed in the reference's unwrap branch.
-    psi0 = reference.states[0, 3] + wrap_angle(state.theta - reference.states[0, 3])
-    x_init = np.array([state.x, state.y, state.v, psi0])
 
     m_box = NU * horizon
     m = n_states + m_box + 2 * (horizon - 1)
     a_mat = np.zeros((m, n))
-    lower = np.empty(m)
-    upper = np.empty(m)
-
+    lower = np.zeros(m)
+    upper = np.zeros(m)
     a_mat[:n_states, :n_states] = np.eye(n_states)
-    lower[:NX] = upper[:NX] = x_init
-    for t, (a_t, b_t, c_t) in enumerate(linearizations):
-        rows = slice(NX * (t + 1), NX * (t + 2))
-        a_mat[rows, NX * t:NX * (t + 1)] = -a_t
-        a_mat[rows, n_states + NU * t:n_states + NU * (t + 1)] = -b_t
-        lower[rows] = upper[rows] = c_t
 
     box = slice(n_states, n_states + m_box)
     a_mat[box, n_states:] = np.eye(m_box)
@@ -204,7 +154,141 @@ def assemble_qp(reference: HorizonReference, linearizations, state: VehicleState
     a_mat[rate, n_states + 1::NU] = np.kron(diff, [[1.0], [-1.0]])
     lower[rate] = -np.inf
     upper[rate] = config.delta_rate_max * config.dt
-    return QPProblem(p_mat, q_vec, a_mat, lower, upper)
+
+    # Knot t's dynamics rows x_{t+1} - A_t x_t - B_t u_t = c_t.
+    knots = np.arange(horizon)[:, None, None]
+    template = QPTemplate(
+        p_mat, -2.0 * w_state, a_mat, lower, upper,
+        dynamics_rows=NX * (knots + 1) + np.arange(NX)[:, None],
+        a_cols=NX * knots + np.arange(NX),
+        b_cols=n_states + NU * knots + np.arange(NU))
+    for array in vars(template).values():
+        array.setflags(write=False)
+    return template
+
+
+@functools.lru_cache(maxsize=8)
+def _waypoint_table(raceline: rl.Raceline, wheelbase: float):
+    """Per-waypoint (x, y, v_max) rows and feedforward steering arctan(L kappa)."""
+    xyv = np.column_stack([raceline.x, raceline.y, raceline.v_max])
+    steering = np.arctan(wheelbase * raceline.kappa)
+    xyv.setflags(write=False)
+    steering.setflags(write=False)
+    return xyv, steering
+
+
+def _unwrap(angles: list) -> list:
+    """``np.unwrap(angles).tolist()``, operation for operation on floats."""
+    unwrapped = [angles[0]]
+    correction = 0.0  # running sum of the 2 pi jumps removed so far
+    for previous, angle in zip(angles, angles[1:]):
+        jump = angle - previous
+        if not abs(jump) < math.pi:
+            wrapped = (jump + math.pi) % math.tau - math.pi
+            if wrapped == -math.pi and jump > 0.0:
+                wrapped = math.pi
+            correction += wrapped - jump
+        unwrapped.append(angle + correction)
+    return unwrapped
+
+
+def build_reference(raceline: rl.Raceline, state: VehicleState,
+                    config: MPCConfig) -> HorizonReference:
+    """Sample the horizon by advancing waypoints proportional to speed."""
+    xyv, steering = _waypoint_table(raceline, config.wheelbase)
+    i0 = rl.nearest_index(raceline, state.position)
+    v_ref = max(state.v, config.v_floor)
+    advance = max(int(round(v_ref * config.dt / raceline.mean_spacing)), 1)
+    indices = (i0 + advance * np.arange(config.horizon + 1)) % raceline.n
+
+    states = np.empty((config.horizon + 1, NX))
+    states[:, :3] = xyv[indices]
+    states[:, 3] = _unwrap([rl.tangent_heading(raceline, i) for i in indices.tolist()])
+    controls = np.zeros((config.horizon, NU))
+    controls[:, 1] = steering[indices[:-1]]
+    return HorizonReference(states, indices, controls)
+
+
+def linearize(states, controls, wheelbase: float, dt: float):
+    """Discrete affine models about reference knots (forward Euler).
+
+    ``states`` holds (x, y, v, psi) and ``controls`` (a, delta) per knot;
+    the knots are the ``len(controls)`` first states. Returns stacked
+    (A, B, c) of shapes (knots, 4, 4), (knots, 4, 2) and (knots, 4), with
+    x_{t+1} = A_t x_t + B_t u_t + c_t exact at knot t:
+    A_t ref_x + B_t ref_u + c_t = ref_x + dt f(ref).
+
+    The entries are computed on floats in the order of the matrix form
+    A = I + dt J_x, B = dt J_u, c = dt (f - J_x ref_x - J_u ref_u). Each
+    ``+ 0.0`` is the contribution of an identity or a zero Jacobian entry,
+    which turns a -0.0 into 0.0 as numpy's sums do.
+    """
+    a_entries, b_entries, c_entries = [], [], []
+    for (_, _, v, psi), (accel, delta) in zip(np.asarray(states, dtype=float).tolist(),
+                                              np.asarray(controls, dtype=float).tolist()):
+        if abs(delta) >= math.pi / 2.0:
+            raise ValueError("reference steering must satisfy |delta| < pi/2")
+        cos_psi = math.cos(psi)
+        sin_psi = math.sin(psi)
+        tan_delta = math.tan(delta)
+        # The nonzero Jacobian entries besides d(v')/da = 1.
+        dx_dpsi = -v * sin_psi
+        dy_dpsi = v * cos_psi
+        dpsi_dv = tan_delta / wheelbase
+        dpsi_ddelta = v / (wheelbase * math.cos(delta) ** 2)
+
+        a_entries += (1.0, 0.0, dt * cos_psi + 0.0, dt * dx_dpsi + 0.0,
+                      0.0, 1.0, dt * sin_psi + 0.0, dt * dy_dpsi + 0.0,
+                      0.0, 0.0, 1.0, 0.0,
+                      0.0, 0.0, dt * dpsi_dv + 0.0, 1.0)
+        b_entries += (0.0, 0.0, 0.0, 0.0, dt, 0.0, 0.0, dt * dpsi_ddelta)
+        c_entries += (
+            dt * (v * cos_psi - (cos_psi * v + dx_dpsi * psi + 0.0)),
+            dt * (v * sin_psi - (sin_psi * v + dy_dpsi * psi + 0.0)),
+            dt * (accel - (accel + 0.0)),
+            dt * (v / wheelbase * tan_delta - (dpsi_dv * v + 0.0)
+                  - (dpsi_ddelta * delta + 0.0)),
+        )
+    return (np.array(a_entries).reshape(-1, NX, NX),
+            np.array(b_entries).reshape(-1, NX, NU),
+            np.array(c_entries).reshape(-1, NX))
+
+
+def assemble_qp(reference: HorizonReference, linearization, state: VehicleState,
+                config: MPCConfig) -> QPProblem:
+    """Stack states and controls into one dense box-constrained QP.
+
+    Decision vector: [x_0 .. x_T, u_0 .. u_{T-1}]. Equality rows (l == u)
+    pin x_0 to the current state and encode the affine dynamics
+    ``linearization`` = stacked (A, B, c) from :func:`linearize`; inequality
+    rows bound each control and each consecutive steering difference (two
+    one-sided rows per pair). ``P`` is the config's read-only template
+    array; ``q``, ``A``, ``l`` and ``u`` are the step's own.
+    """
+    horizon = config.horizon
+    a_blocks, b_blocks, offsets = linearization
+    if not (len(a_blocks) == len(b_blocks) == len(offsets) == horizon):
+        raise ValueError("need one linearization per horizon step")
+    if reference.states.shape != (horizon + 1, NX):
+        raise ValueError("reference length must be horizon + 1")
+    template = qp_template(config)
+    n_states = NX * (horizon + 1)
+
+    q_vec = np.zeros(template.A.shape[1])
+    q_vec[:n_states] = template.state_cost * reference.states.ravel()
+
+    # Current-state psi expressed in the reference's unwrap branch.
+    psi_ref = float(reference.states[0, 3])
+    psi0 = psi_ref + wrap_angle(state.theta - psi_ref)
+
+    a_mat = template.A.copy()
+    a_mat[template.dynamics_rows, template.a_cols] = -a_blocks
+    a_mat[template.dynamics_rows, template.b_cols] = -b_blocks
+    lower = template.l.copy()
+    upper = template.u.copy()
+    lower[:NX] = upper[:NX] = (state.x, state.y, state.v, psi0)
+    lower[NX:n_states] = upper[NX:n_states] = offsets.ravel()
+    return QPProblem(template.P, q_vec, a_mat, lower, upper)
 
 
 @dataclass
@@ -235,6 +319,9 @@ class MPCTracker:
                  log_path=None):
         self.raceline = raceline
         self.config = config
+        # Build the step-invariant tables now rather than in the first step.
+        qp_template(config)
+        _waypoint_table(raceline, config.wheelbase)
         self._log = contextlib.ExitStack()
         self._log_writer = None
         if log_path is not None:
@@ -309,12 +396,9 @@ def solve_qp(qp: QPProblem, config: MPCConfig, warm=(None, None)) -> MPCStepInfo
 def mpc_qp(raceline: rl.Raceline, state: VehicleState, config: MPCConfig):
     """The step's reference horizon and its QP."""
     reference = build_reference(raceline, state, config)
-    controls = reference_controls(raceline, reference, config)
-    linearizations = [
-        linearize(reference.states[t], controls[t], config.wheelbase, config.dt)
-        for t in range(config.horizon)
-    ]
-    return reference, assemble_qp(reference, linearizations, state, config)
+    linearization = linearize(reference.states, reference.controls,
+                              config.wheelbase, config.dt)
+    return reference, assemble_qp(reference, linearization, state, config)
 
 
 def mpc_step(raceline: rl.Raceline, state: VehicleState, prev_command: Command,

@@ -135,11 +135,16 @@ class GaussianPolicy:
     def mean_action(self, obs: np.ndarray) -> np.ndarray:
         return self.mean_net(obs)[0]
 
-    def log_prob_of(self, mean: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    def log_prob_of(self, mean: np.ndarray, actions: np.ndarray):
+        """Log-probabilities of a batch of ``actions`` given their means.
+
+        Returns ``(log_prob, z)``, where ``z = (actions - mean) / std`` are
+        the standardized deviations that the PPO gradient reuses.
+        """
         z = (actions - mean) / self.std()
         return (-0.5 * np.sum(z * z, axis=1)
                 - np.sum(self.log_std)
-                - 0.5 * self.act_dim * LOG_2PI)
+                - 0.5 * self.act_dim * LOG_2PI), z
 
     def entropy(self) -> float:
         """Differential entropy (state-independent for a fixed diagonal std)."""

@@ -315,10 +315,8 @@ def ppo_loss_and_grads(policy: GaussianPolicy, value_net: DenseNet,
     b = obs.shape[0]
 
     mean, cache_pi = policy.mean_net.forward(obs)
+    logp, z = policy.log_prob_of(mean, actions)
     std = policy.std()
-    z = (actions - mean) / std
-    logp = (-0.5 * np.sum(z * z, axis=1) - np.sum(policy.log_std)
-            - 0.5 * policy.act_dim * math.log(2.0 * math.pi))
     with np.errstate(over="ignore"):
         ratio = np.exp(logp - log_probs_old)
 

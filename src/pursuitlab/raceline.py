@@ -110,7 +110,7 @@ class Raceline:
         # Cumulative arc length at each waypoint, plus the total lap length.
         self.cum_s = np.concatenate(([0.0], np.cumsum(seg_len)))
         self.total_length = float(self.cum_s[-1])
-        # Segment vectors for the lateral-error scan and the tangent heading.
+        # Segment vectors for the lateral-error scan.
         self._seg_dx = dx
         self._seg_dy = dy
         self._seg_len2 = seg_len * seg_len
@@ -119,6 +119,9 @@ class Raceline:
                   self.seg_len, self.cum_s, self._seg_dx, self._seg_dy,
                   self._seg_len2):
             a.setflags(write=False)
+        # Direction of the segment leaving each waypoint, for :func:`tangent_heading`.
+        self._heading = tuple(math.atan2(sy, sx)
+                              for sx, sy in zip(dx.tolist(), dy.tolist()))
         # Float copies for :func:`lookahead_target`'s per-step walk.
         self._walk = (self.cum_s.tolist(), x.tolist(), y.tolist(), seg_len.tolist())
 
@@ -307,7 +310,7 @@ def nearest_index(raceline: Raceline, p) -> int:
 
 def tangent_heading(raceline: Raceline, i: int) -> float:
     """Direction [rad] of the segment leaving waypoint ``i``."""
-    return math.atan2(raceline._seg_dy[i], raceline._seg_dx[i])
+    return raceline._heading[i]
 
 
 def taps(raceline: Raceline, i: int) -> CurvatureTaps:

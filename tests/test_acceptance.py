@@ -184,7 +184,7 @@ def test_criterion_06_gradient_check():
     batch = 16
     obs = rng.standard_normal((batch, 5))
     actions = policy.mean_net(obs) + rng.standard_normal((batch, 2))
-    logp_old = policy.log_prob_of(policy.mean_net(obs), actions) \
+    logp_old = policy.log_prob_of(policy.mean_net(obs), actions)[0] \
         + 0.1 * rng.standard_normal(batch)
     advantages = rng.standard_normal(batch)
     returns = rng.standard_normal(batch)

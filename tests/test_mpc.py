@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -8,16 +9,22 @@ from pursuitlab import mpc, raceline as rl
 from pursuitlab.evaluation import run_laps
 from pursuitlab.mpc import (HorizonReference, MPCConfig, MPCTracker, NU, NX,
                             assemble_qp, build_reference, linearize, mpc_qp,
-                            mpc_step, reference_controls)
-from pursuitlab.qp import admm_solve
+                            mpc_step, qp_template)
+from pursuitlab.qp import QPProblem, admm_solve
 from pursuitlab.vehicle import (Command, SimConfig, VehicleState, control_step,
-                                speed_controller)
+                                speed_controller, wrap_angle)
 
 
 def uniform_speed_oval(straight=30.0, radius=3.0, v=2.5):
     # v_cap below the arc limit keeps the whole profile constant.
     return rl.synthesize_track("oval", straight=straight, radius=radius,
                                spacing=0.25, v_cap=v, a_lat_max=3.0)
+
+
+def heldout_rect():
+    """The held-out rounded rectangle of configs/heldout_rect.yaml, at x1.0."""
+    return rl.synthesize_track("rounded_rectangle", length_x=14.0, length_y=5.0,
+                               radius=2.0, spacing=0.25, v_cap=12.0, a_lat_max=3.0)
 
 
 # ----------------------------------------------------------------------
@@ -74,8 +81,14 @@ def kinematics(state, control, wheelbase):
                      v / wheelbase * math.tan(delta)])
 
 
+def one_knot(ref_state, ref_control, wheelbase, dt):
+    """(A, B, c) of a one-knot horizon."""
+    a_mat, b_mat, c_vec = linearize([ref_state], [ref_control], wheelbase, dt)
+    return a_mat[0], b_mat[0], c_vec[0]
+
+
 def test_linearize_at_rest():
-    a_mat, b_mat, c_vec = linearize((0.0, 0.0, 0.0, 0.0), (0.0, 0.0), 0.33, 0.1)
+    a_mat, b_mat, c_vec = one_knot((0.0, 0.0, 0.0, 0.0), (0.0, 0.0), 0.33, 0.1)
     # Acceleration feeds speed; steering cannot turn a stationary vehicle.
     assert b_mat[2, 0] == pytest.approx(0.1)
     assert b_mat[3, 1] == 0.0
@@ -89,7 +102,7 @@ def test_linearize_at_rest():
 
 
 def test_linearize_heading_coupling():
-    a_mat, _, _ = linearize((0.0, 0.0, 1.0, 0.0), (0.0, 0.0), 0.33, 0.1)
+    a_mat, _, _ = one_knot((0.0, 0.0, 1.0, 0.0), (0.0, 0.0), 0.33, 0.1)
     assert a_mat[1, 3] == pytest.approx(0.1 * 1.0)  # dy/dpsi = v cos(psi) dt
     assert a_mat[0, 3] == pytest.approx(0.0, abs=1e-15)
 
@@ -99,7 +112,7 @@ def test_linearize_affine_consistency():
     for _ in range(50):
         ref_x = rng.uniform(-5, 5, size=NX)
         ref_u = np.array([rng.uniform(-3, 3), rng.uniform(-0.4, 0.4)])
-        a_mat, b_mat, c_vec = linearize(ref_x, ref_u, 0.33, 0.1)
+        a_mat, b_mat, c_vec = one_knot(ref_x, ref_u, 0.33, 0.1)
         lhs = a_mat @ ref_x + b_mat @ ref_u + c_vec
         rhs = ref_x + 0.1 * kinematics(ref_x, ref_u, 0.33)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
@@ -111,7 +124,7 @@ def test_linearize_matches_finite_differences():
     for _ in range(20):
         ref_x = rng.uniform(-2, 2, size=NX)
         ref_u = np.array([rng.uniform(-2, 2), rng.uniform(-0.3, 0.3)])
-        a_mat, b_mat, _ = linearize(ref_x, ref_u, 0.33, 0.1)
+        a_mat, b_mat, _ = one_knot(ref_x, ref_u, 0.33, 0.1)
         for j in range(NX):
             dx = np.zeros(NX)
             dx[j] = h
@@ -129,7 +142,10 @@ def test_linearize_matches_finite_differences():
 
 def test_linearize_rejects_steep_reference_steering():
     with pytest.raises(ValueError):
-        linearize((0, 0, 1.0, 0.0), (0.0, math.pi / 2), 0.33, 0.1)
+        one_knot((0, 0, 1.0, 0.0), (0.0, math.pi / 2), 0.33, 0.1)
+    # Any knot of a horizon.
+    with pytest.raises(ValueError):
+        linearize(np.zeros((3, NX)), [(0.0, 0.1), (0.0, -math.pi / 2)], 0.33, 0.1)
 
 
 # ----------------------------------------------------------------------
@@ -138,10 +154,7 @@ def test_linearize_rejects_steep_reference_steering():
 
 def one_step_problem(track, state, config):
     ref = build_reference(track, state, config)
-    controls = reference_controls(track, ref, config)
-    lins = [linearize(ref.states[t], controls[t], config.wheelbase, config.dt)
-            for t in range(config.horizon)]
-    return ref, lins
+    return ref, linearize(ref.states, ref.controls, config.wheelbase, config.dt)
 
 
 def test_assemble_decision_dimension_horizon_one():
@@ -182,7 +195,7 @@ def test_assemble_rejects_wrong_linearization_count():
     state = VehicleState(float(track.x[0]), float(track.y[0]), 0.0, 2.5)
     ref, lins = one_step_problem(track, state, config)
     with pytest.raises(ValueError):
-        assemble_qp(ref, lins[:-1], state, config)
+        assemble_qp(ref, tuple(blocks[:-1] for blocks in lins), state, config)
 
 
 weights = st.tuples(*[st.floats(0.0, 50.0)] * NX)
@@ -204,11 +217,11 @@ def test_assemble_qp_matches_the_mpc_cost_and_constraints(
                        terminal_weights=terminal_w, control_weights=control_w,
                        control_rate_weights=rate_w)
     ref = HorizonReference(rng.uniform(-5.0, 5.0, (horizon + 1, NX)),
-                           np.arange(horizon + 1))
+                           np.arange(horizon + 1), np.zeros((horizon, NU)))
     lins = [(rng.standard_normal((NX, NX)), rng.standard_normal((NX, NU)),
              rng.standard_normal(NX)) for _ in range(horizon)]
     state = VehicleState(*rng.uniform(-5.0, 5.0, 4))
-    qp = assemble_qp(ref, lins, state, config)
+    qp = assemble_qp(ref, tuple(np.array(blocks) for blocks in zip(*lins)), state, config)
 
     z = rng.uniform(-5.0, 5.0, qp.n)
     xs = z[:NX * (horizon + 1)].reshape(horizon + 1, NX)
@@ -234,6 +247,186 @@ def test_assemble_qp_matches_the_mpc_cost_and_constraints(
     rate = np.diff(us[:, 1])
     np.testing.assert_array_equal(az[m_eq + NU * horizon:],
                                   np.column_stack([rate, -rate]).ravel())
+
+
+# ----------------------------------------------------------------------
+# Per-knot oracle: the QP built knot by knot with numpy, as the tracker
+# did before its step-invariant data moved into a template.
+# ----------------------------------------------------------------------
+
+def oracle_reference(raceline, state, config):
+    i0 = rl.nearest_index(raceline, state.position)
+    v_ref = max(state.v, config.v_floor)
+    advance = max(int(round(v_ref * config.dt / raceline.mean_spacing)), 1)
+    indices = (i0 + advance * np.arange(config.horizon + 1)) % raceline.n
+    headings = np.array([math.atan2(raceline._seg_dy[i], raceline._seg_dx[i])
+                         for i in indices])
+    states = np.column_stack([raceline.x[indices], raceline.y[indices],
+                              raceline.v_max[indices], np.unwrap(headings)])
+    controls = np.zeros((config.horizon, NU))
+    controls[:, 1] = np.arctan(config.wheelbase * raceline.kappa[indices[:-1]])
+    return states, controls
+
+
+def oracle_linearize(ref_state, ref_control, wheelbase, dt):
+    _, _, v, psi = ref_state
+    a_ref, delta_ref = ref_control
+    cos_psi = math.cos(psi)
+    sin_psi = math.sin(psi)
+    tan_delta = math.tan(delta_ref)
+    jac_x = np.zeros((NX, NX))
+    jac_x[0, 2] = cos_psi
+    jac_x[0, 3] = -v * sin_psi
+    jac_x[1, 2] = sin_psi
+    jac_x[1, 3] = v * cos_psi
+    jac_x[3, 2] = tan_delta / wheelbase
+    jac_u = np.zeros((NX, NU))
+    jac_u[2, 0] = 1.0
+    jac_u[3, 1] = v / (wheelbase * math.cos(delta_ref) ** 2)
+    f_ref = np.array([v * cos_psi, v * sin_psi, a_ref, v / wheelbase * tan_delta])
+    return (np.eye(NX) + dt * jac_x, dt * jac_u,
+            dt * (f_ref - jac_x @ np.asarray(ref_state, dtype=float)
+                  - jac_u @ np.asarray(ref_control, dtype=float)))
+
+
+def oracle_qp(raceline, state, config):
+    """(reference states, QPProblem) of one step, knot by knot."""
+    states, controls = oracle_reference(raceline, state, config)
+    horizon = config.horizon
+    n_states = NX * (horizon + 1)
+    n = n_states + NU * horizon
+    w_state = np.concatenate([np.tile(config.state_weights, horizon),
+                              config.terminal_weights])
+    p_mat = np.diag(2.0 * np.concatenate(
+        [w_state, np.tile(config.control_weights, horizon)]))
+    diff = np.eye(horizon - 1, horizon, 1) - np.eye(horizon - 1, horizon)
+    p_mat[n_states:, n_states:] += np.kron(
+        diff.T @ diff, np.diag(2.0 * np.asarray(config.control_rate_weights)))
+    q_vec = np.zeros(n)
+    q_vec[:n_states] = -2.0 * w_state * states.ravel()
+
+    psi0 = states[0, 3] + wrap_angle(state.theta - states[0, 3])
+    m_box = NU * horizon
+    m = n_states + m_box + 2 * (horizon - 1)
+    a_mat = np.zeros((m, n))
+    lower = np.empty(m)
+    upper = np.empty(m)
+    a_mat[:n_states, :n_states] = np.eye(n_states)
+    lower[:NX] = upper[:NX] = np.array([state.x, state.y, state.v, psi0])
+    for t in range(horizon):
+        a_t, b_t, c_t = oracle_linearize(states[t], controls[t], config.wheelbase,
+                                         config.dt)
+        rows = slice(NX * (t + 1), NX * (t + 2))
+        a_mat[rows, NX * t:NX * (t + 1)] = -a_t
+        a_mat[rows, n_states + NU * t:n_states + NU * (t + 1)] = -b_t
+        lower[rows] = upper[rows] = c_t
+    box = slice(n_states, n_states + m_box)
+    a_mat[box, n_states:] = np.eye(m_box)
+    upper[box] = np.tile((config.a_max, config.delta_max), horizon)
+    lower[box] = -upper[box]
+    rate = slice(n_states + m_box, m)
+    a_mat[rate, n_states + 1::NU] = np.kron(diff, [[1.0], [-1.0]])
+    lower[rate] = -np.inf
+    upper[rate] = config.delta_rate_max * config.dt
+    return states, QPProblem(p_mat, q_vec, a_mat, lower, upper)
+
+
+def qp_bytes(qp):
+    return {name: getattr(qp, name).tobytes() for name in ("P", "q", "A", "l", "u")}
+
+
+@functools.lru_cache(maxsize=None)
+def synthesized(kind, size, radius, v_cap):
+    if kind == "heldout":
+        return heldout_rect()
+    if kind == "rounded_rectangle":
+        return rl.synthesize_track(kind, length_x=size, length_y=0.5 * size,
+                                   radius=radius, v_cap=v_cap)
+    oval = rl.synthesize_track("oval", straight=size, radius=radius, v_cap=v_cap)
+    if kind == "oval":
+        return oval
+    # Mirrored: a clockwise loop whose straights have curvature -0.0.
+    return rl.Raceline(oval.x, -oval.y, -oval.kappa, oval.v_base, oval.half_width)
+
+
+@settings(max_examples=80, deadline=None)
+@given(horizon=st.integers(1, 10), state_w=weights, terminal_w=weights,
+       control_w=control_weights, rate_w=control_weights,
+       dt=st.sampled_from([0.05, 0.1, 0.2]),
+       kind=st.sampled_from(["heldout", "oval", "rounded_rectangle", "mirrored_oval"]),
+       size=st.floats(2.0, 20.0), radius=st.floats(1.0, 5.0),
+       v_cap=st.floats(1.0, 12.0), where=st.floats(0.0, 1.0),
+       offset=st.tuples(st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)),
+       heading_error=st.floats(-7.0, 7.0), speed=st.floats(0.0, 14.0))
+@example(horizon=8, state_w=(13.5, 13.5, 5.5, 13.0), terminal_w=(13.5, 13.5, 5.5, 13.0),
+         control_w=(0.01, 5.0), rate_w=(0.01, 5.0), dt=0.1, kind="heldout", size=2.0,
+         radius=1.0, v_cap=1.0, where=0.0, offset=(0.0, 0.0), heading_error=0.0,
+         speed=6.0)
+def test_qp_chain_matches_the_per_knot_oracle_bytes(
+        horizon, state_w, terminal_w, control_w, rate_w, dt, kind, size, radius,
+        v_cap, where, offset, heading_error, speed):
+    """build_reference -> linearize -> assemble_qp gives the oracle's arrays
+    byte for byte, signs of zero included."""
+    track = synthesized(kind, size, radius, v_cap)
+    config = MPCConfig(horizon=horizon, dt=dt, state_weights=state_w,
+                       terminal_weights=terminal_w, control_weights=control_w,
+                       control_rate_weights=rate_w)
+    i = int(where * track.n) % track.n
+    state = VehicleState(float(track.x[i]) + offset[0], float(track.y[i]) + offset[1],
+                         rl.tangent_heading(track, i) + heading_error, speed)
+    reference = build_reference(track, state, config)
+    qp = assemble_qp(reference, linearize(reference.states, reference.controls,
+                                          config.wheelbase, config.dt), state, config)
+    states, expected = oracle_qp(track, state, config)
+    assert reference.states.tobytes() == states.tobytes()
+    assert qp_bytes(qp) == qp_bytes(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(-20.0, 20.0),
+                          st.sampled_from([0.0, -0.0, math.pi, -math.pi, 2 * math.pi])),
+                min_size=1, max_size=12))
+def test_unwrap_matches_numpy_bytes(angles):
+    expected = np.unwrap(np.array(angles))
+    assert np.array(mpc._unwrap(angles)).tobytes() == expected.tobytes()
+
+
+def test_template_arrays_are_read_only_and_steps_own_the_rest():
+    track = heldout_rect()
+    config = MPCConfig()
+    state = VehicleState(float(track.x[40]) + 0.2, float(track.y[40]), 0.5, 4.0)
+    _, qp = mpc_qp(track, state, config)
+    before = qp_bytes(qp)
+    template = qp_template(config)
+    assert qp.P is template.P
+    for array in (template.P, template.state_cost, template.A, template.l, template.u):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    # q, A and the bounds are the step's own copies.
+    for array in (qp.q, qp.A, qp.l, qp.u):
+        array[...] = 7.0
+    _, again = mpc_qp(track, state, config)
+    assert qp_bytes(again) == before
+    assert qp_bytes(again) == qp_bytes(oracle_qp(track, state, config)[1])
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"state_weights": (13.5, 13.5, 5.5, 12.0)}, "P"),
+    ({"control_rate_weights": (0.01, 4.0)}, "P"),
+    ({"delta_rate_max": 2.0}, "u"),
+    ({"a_max": 2.5}, "l"),
+])
+def test_template_is_keyed_on_the_whole_config(change, field):
+    track = heldout_rect()
+    state = VehicleState(float(track.x[40]), float(track.y[40]), 0.0, 4.0)
+    base = MPCConfig()
+    other = MPCConfig(**change)
+    assert other.horizon == base.horizon
+    assert not np.array_equal(getattr(qp_template(base), field),
+                              getattr(qp_template(other), field))
+    for config in (base, other):
+        _, qp = mpc_qp(track, state, config)
+        assert qp_bytes(qp) == qp_bytes(oracle_qp(track, state, config)[1])
 
 
 def test_solution_respects_actuator_and_rate_limits():
@@ -364,12 +557,6 @@ def test_mpc_log_appears_whole_at_close(tmp_path):
 # ----------------------------------------------------------------------
 # Command law and solver choice
 # ----------------------------------------------------------------------
-
-def heldout_rect():
-    """The held-out rounded rectangle of configs/heldout_rect.yaml, at x1.0."""
-    return rl.synthesize_track("rounded_rectangle", length_x=14.0, length_y=5.0,
-                               radius=2.0, spacing=0.25, v_cap=12.0, a_lat_max=3.0)
-
 
 def test_speed_loop_applies_the_planned_acceleration():
     # Slower than the 2.5 m/s reference: the plan accelerates, within a_max.

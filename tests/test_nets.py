@@ -132,7 +132,7 @@ def test_log_prob_at_mode():
     policy.log_std[:] = [math.log(0.5), math.log(0.8)]
     obs = rng.standard_normal(5)
     mean = policy.mean_action(obs)
-    logp = policy.log_prob_of(mean[None, :], mean[None, :])[0]
+    logp = policy.log_prob_of(mean[None, :], mean[None, :])[0][0]
     expected = -(math.log(0.5) + math.log(0.8)) - math.log(2.0 * math.pi)
     assert logp == pytest.approx(expected, abs=1e-12)
 

@@ -200,7 +200,7 @@ def make_loss_setup(seed=0, obs_dim=5, act_dim=2, hidden=(8, 8), batch=16):
     value_net = DenseNet((obs_dim, *hidden, 1), rng, final_gain=1.0)
     obs = rng.standard_normal((batch, obs_dim))
     actions = policy.mean_net(obs) + rng.standard_normal((batch, act_dim))
-    logp_old = policy.log_prob_of(policy.mean_net(obs), actions) \
+    logp_old = policy.log_prob_of(policy.mean_net(obs), actions)[0] \
         + 0.1 * rng.standard_normal(batch)
     advantages = rng.standard_normal(batch)
     returns = rng.standard_normal(batch)
@@ -226,7 +226,7 @@ def test_full_ppo_loss_gradients_match_finite_differences():
 
 def test_unchanged_policy_has_zero_kl_and_clipfrac():
     policy, value_net, obs, actions, _, adv, ret, config = make_loss_setup(seed=4)
-    logp_now = policy.log_prob_of(policy.mean_net(obs), actions)
+    logp_now, _ = policy.log_prob_of(policy.mean_net(obs), actions)
     _, _, stats = ppo_loss_and_grads(policy, value_net, obs, actions,
                                      logp_now, adv, ret, config)
     assert stats["approx_kl"] == pytest.approx(0.0, abs=1e-12)
