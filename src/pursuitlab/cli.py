@@ -86,8 +86,6 @@ def _report_text(name: str, report) -> str:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     if args.checkpoint is not None:
         cfg["controller"]["type"] = "rl"
         cfg["controller"]["checkpoint"] = args.checkpoint
@@ -102,8 +100,6 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     out = _out_dir(args, "runs/sweep")
 
     sim_config = build_sim_config(cfg)
@@ -135,18 +131,20 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     entries = cfg.get("compare") or []
     if len(entries) < 2:
         print("compare requires at least 2 controller entries in the config",
               file=sys.stderr)
         return 2
+    # Each entry writes <name>_trace.csv and <name>_laps.csv.
+    names = [entry.get("name", f"controller_{i}") for i, entry in enumerate(entries)]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"compare entry names repeat: {', '.join(repeated)}")
     out = _out_dir(args, "runs/compare")
 
     rows = []
-    for i, entry in enumerate(entries):
-        name = entry.get("name", f"controller_{i}")
+    for name, entry in zip(names, entries):
         controller_cfg = {**cfg["controller"], **entry.get("controller", {})}
         report = _eval_once(cfg, controller_cfg, out, prefix=f"{name}_")
         rows.append((name, report))
@@ -167,11 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", default=None, help="YAML config file")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
 
     p_train = sub.add_parser("train", help="train a policy")
     common(p_train)
+    p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument("--lr-schedule", choices=["linear", "cosine"], default=None)
     p_train.add_argument("--mode", choices=["joint", "ld-only"], default=None)
     p_train.add_argument("--steps", type=int, default=None)

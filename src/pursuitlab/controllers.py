@@ -108,10 +108,12 @@ def build_controller(spec: dict, raceline: rl.Raceline, sim_config: SimConfig):
                                        timeout=float(spec.get("timeout", 0.2)))
     if kind == "mpc":
         fields = {k: spec[k] for k in
-                  ("horizon", "dt", "delta_max", "a_max", "delta_rate_max",
-                   "v_floor", "rho", "tol", "max_iter")
+                  ("horizon", "dt", "v_floor", "rho", "tol", "max_iter")
                   if k in spec}
+        # The MPC plans for the plant that the simulator runs.
         config = MPCConfig(wheelbase=sim_config.wheelbase,
-                           speed_gain=sim_config.speed_gain, **fields)
+                           speed_gain=sim_config.speed_gain,
+                           delta_max=sim_config.delta_max, a_max=sim_config.a_max,
+                           delta_rate_max=sim_config.delta_rate_max, **fields)
         return MPCTracker(raceline, config)
     raise ValueError(f"unknown controller type {kind!r}")

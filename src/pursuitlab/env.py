@@ -14,14 +14,13 @@ run several independent instances for parallel collection.
 from __future__ import annotations
 
 import contextlib
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import raceline as rl
-from .files import atomic_open
+from .files import trace_csv
 from .pure_pursuit import (ExternalSource, PurePursuitController, TEACHER_L_BASE,
                            TEACHER_L_SPEED, params_from_action, smoother_start,
                            teacher_gain, teacher_lookahead)
@@ -77,6 +76,12 @@ class RewardContext:
     slow: bool
     teacher_lookahead: float
     teacher_gain: float
+
+
+# The env's own trace columns: the raw action, the reward and the reward's
+# inputs by name (``v`` is already in the trace's core).
+ENV_TRACE_COLUMNS = ("raw_lookahead", "raw_gain", "reward",
+                     *(f.name for f in fields(RewardContext) if f.name != "v"))
 
 
 def preshorten_ceiling(v: float) -> float:
@@ -137,9 +142,9 @@ class EnvConfig:
 class RacingEnv:
     """Gym-style episodic wrapper around raceline + Pure Pursuit + simulator.
 
-    ``trace_path`` optionally receives one CSV row per step (observation,
-    raw and smoothed action, reward terms, flags) for reward debugging;
-    the file appears at :meth:`close`.
+    ``trace_path`` optionally receives one ``files.trace_csv`` row per
+    step, with :data:`ENV_TRACE_COLUMNS` as the env's own, for reward
+    debugging; the file appears at :meth:`close`.
     """
 
     def __init__(self, raceline: rl.Raceline, sim_config: SimConfig = SimConfig(),
@@ -153,16 +158,8 @@ class RacingEnv:
         self.rng = np.random.default_rng(seed)
         self.controller = PurePursuitController(raceline, ExternalSource())
         self._trace = contextlib.ExitStack()
-        self._trace_writer = None
-        if trace_path is not None:
-            self._trace_writer = csv.writer(
-                self._trace.enter_context(atomic_open(trace_path)))
-            self._trace_writer.writerow(
-                ["step", "v", "kappa0", "kappa1", "kappa2", "dkappa",
-                 "raw_lookahead", "raw_gain", "lookahead", "gain", "reward",
-                 "speed_term", "lookahead_teacher_gap", "lookahead_jerk",
-                 "curvature_term", "cross_term", "preshorten", "progress",
-                 "collision", "slow", "mode"])
+        self._trace_row = None if trace_path is None else \
+            self._trace.enter_context(trace_csv(trace_path, ENV_TRACE_COLUMNS))
         self._done = True
 
     def close(self):
@@ -244,20 +241,12 @@ class RacingEnv:
         )
         reward = compute_reward(ctx, self.weights)
         obs = observe(self.state, preview)
-        if self._trace_writer is not None:
-            bend = ctx.kappa_max > self.weights.kappa_bend \
-                and ctx.lookahead <= preshorten_ceiling(ctx.v)
-            self._trace_writer.writerow([
-                self.step_count, *(f"{x:.6f}" for x in obs),
-                f"{raw.lookahead:.6f}", f"{raw.gain:.6f}",
-                f"{result.params.lookahead:.6f}", f"{result.params.gain:.6f}",
-                f"{reward:.6f}",
-                f"{self.weights.speed * ctx.v:.6f}",
-                f"{abs(ctx.lookahead - ctx.teacher_lookahead):.6f}",
-                f"{abs(ctx.lookahead - ctx.prev_lookahead):.6f}",
-                f"{abs(ctx.kappa_local):.6f}",
-                f"{ctx.lookahead * ctx.kappa_max:.6f}",
-                int(bend), progress, int(collided), int(slow), result.mode])
+        if self._trace_row is not None:
+            self._trace_row(
+                self.step_count, self.step_count * self.sim_config.dt_control,
+                index, self.state, result.command, lateral_error, result.mode,
+                raw_lookahead=raw.lookahead, raw_gain=raw.gain, reward=reward,
+                **{name: value for name, value in vars(ctx).items() if name != "v"})
         self.prev_params = result.params
 
         laps_complete = self.total_progress >= self.config.laps * track.n

@@ -17,8 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import raceline as rl
-from .files import atomic_open
+from .files import atomic_open, trace_csv
 from .vehicle import SimConfig, VehicleState, collision_check, control_step
+
+# The MPC's solver health in the lap trace; blank on Pure Pursuit rows.
+SOLVER_COLUMNS = ("solver", "iterations", "primal_residual", "dual_residual",
+                  "converged")
+LAP_TRACE_COLUMNS = ("lap", "lookahead", "gain", "kappa_max", *SOLVER_COLUMNS)
 
 
 @dataclass
@@ -83,7 +88,8 @@ def run_laps(controller, raceline: rl.Raceline, sim_config: SimConfig,
     incomplete and restarts the run from the start line. Lap split times
     interpolate the crossing between the two straddling control steps.
 
-    ``trace_path`` optionally receives one CSV row per control step; the
+    ``trace_path`` optionally receives one ``files.trace_csv`` row per
+    control step, with :data:`LAP_TRACE_COLUMNS` as the runner's own; the
     file appears when the run returns and not at all if it raises.
     """
     if laps < 1:
@@ -108,13 +114,8 @@ def run_laps(controller, raceline: rl.Raceline, sim_config: SimConfig,
     lap_steps = 0
     clock = 0.0
 
-    with contextlib.ExitStack() as files:
-        writer = None
-        if trace_path is not None:
-            writer = csv.writer(files.enter_context(atomic_open(trace_path)))
-            writer.writerow(["step", "time", "lap", "index", "x", "y", "v",
-                             "lookahead", "gain", "kappa_max", "gamma",
-                             "lateral_error", "mode"])
+    with contextlib.nullcontext() if trace_path is None else \
+            trace_csv(trace_path, LAP_TRACE_COLUMNS) as trace:
         while lap_no <= laps:
             output = controller.step(state, clock)
             new_state, applied_delta = control_step(state, output.command,
@@ -134,16 +135,15 @@ def run_laps(controller, raceline: rl.Raceline, sim_config: SimConfig,
                 report.teacher_steps += 1
             report.total_steps += 1
 
-            if writer is not None:
-                params = output.params
-                preview = rl.taps(raceline, index)
-                writer.writerow([global_step, f"{clock:.6f}", lap_no, index,
-                                 f"{state.x:.6f}", f"{state.y:.6f}", f"{state.v:.6f}",
-                                 "" if params is None else f"{params.lookahead:.6f}",
-                                 "" if params is None else f"{params.gain:.6f}",
-                                 f"{preview.kappa_max:.6f}",
-                                 f"{output.command.delta:.6f}", f"{lat:.6f}",
-                                 output.mode])
+            if trace is not None:
+                params, health = output.params, output.solver
+                trace(global_step, clock, index, state, output.command, lat,
+                      output.mode, lap=lap_no,
+                      lookahead=None if params is None else params.lookahead,
+                      gain=None if params is None else params.gain,
+                      kappa_max=rl.taps(raceline, index).kappa_max,
+                      **({} if health is None else
+                         {name: getattr(health, name) for name in SOLVER_COLUMNS}))
 
             crashed = collision_check(raceline, lat)
             timed_out = lap_steps >= max_lap_steps

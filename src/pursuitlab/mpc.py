@@ -32,8 +32,6 @@ MPC state order is (x, y, v, psi) and control order is (a, delta).
 
 from __future__ import annotations
 
-import contextlib
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -41,7 +39,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import raceline as rl
-from .files import atomic_open
 from .qp import QPProblem, active_set_solve, admm_solve, condense, residuals
 from .vehicle import Command, ControllerOutput, SimConfig, VehicleState, wrap_angle
 
@@ -57,10 +54,10 @@ class MPCConfig:
     terminal_weights: tuple = (13.5, 13.5, 5.5, 13.0)
     control_weights: tuple = (0.01, 5.0)
     control_rate_weights: tuple = (0.01, 5.0)
-    delta_max: float = 0.4189
-    a_max: float = 3.0
-    delta_rate_max: float = math.pi  # 180 deg/s
-    wheelbase: float = 0.33
+    delta_max: float = SimConfig.delta_max
+    a_max: float = SimConfig.a_max
+    delta_rate_max: float = SimConfig.delta_rate_max
+    wheelbase: float = SimConfig.wheelbase
     speed_gain: float = SimConfig.speed_gain  # the simulator's P speed-loop gain [1/s]
     v_floor: float = 0.5
     rho: float = 0.1
@@ -297,7 +294,6 @@ class MPCStepInfo:
     primal_residual: float = float("nan")
     dual_residual: float = float("nan")
     converged: bool = False
-    reference_head: tuple = (float("nan"),) * NX
     solver: str = ""  # "active_set", or "admm" after a fallback
     # Full-QP primal/dual solution, the next step's warm start when converged.
     solution_x: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -307,29 +303,17 @@ class MPCStepInfo:
 class MPCTracker:
     """Stateful wrapper: warm starts between steps and holds on failure.
 
-    ``step`` returns the lap runner's :class:`ControllerOutput`, and
-    ``last_info`` holds the solver health of the latest step.
-
-    ``log_path`` optionally receives one CSV row per step (reference head,
-    applied control, solver, its iterations and residuals) for debugging;
-    the file appears at :meth:`close`.
+    ``step`` returns the lap runner's :class:`ControllerOutput`, whose
+    ``solver`` is the step's :class:`MPCStepInfo`; ``last_info`` holds the
+    same for the latest step.
     """
 
-    def __init__(self, raceline: rl.Raceline, config: MPCConfig = MPCConfig(),
-                 log_path=None):
+    def __init__(self, raceline: rl.Raceline, config: MPCConfig = MPCConfig()):
         self.raceline = raceline
         self.config = config
         # Build the step-invariant tables now rather than in the first step.
         qp_template(config)
         _waypoint_table(raceline, config.wheelbase)
-        self._log = contextlib.ExitStack()
-        self._log_writer = None
-        if log_path is not None:
-            self._log_writer = csv.writer(self._log.enter_context(atomic_open(log_path)))
-            self._log_writer.writerow(
-                ["time", "ref_x", "ref_y", "ref_v", "ref_psi", "accel",
-                 "delta", "solver", "iterations", "primal_residual",
-                 "dual_residual", "converged"])
         self.reset()
 
     def reset(self):
@@ -337,10 +321,6 @@ class MPCTracker:
         self._warm_x = None
         self._warm_y = None
         self.last_info = MPCStepInfo()
-
-    def close(self):
-        """Publish the log file, if any; a second call does nothing."""
-        self._log.close()
 
     def step(self, state: VehicleState, now: float = 0.0) -> ControllerOutput:
         cmd, info = mpc_step(self.raceline, state, self.prev_command, self.config,
@@ -350,14 +330,7 @@ class MPCTracker:
             self._warm_x = info.solution_x
             self._warm_y = info.solution_y
         self.prev_command = cmd
-        if self._log_writer is not None:
-            accel = (cmd.v_cmd - state.v) * self.config.speed_gain
-            self._log_writer.writerow(
-                [f"{now:.6f}", *(f"{r:.6f}" for r in info.reference_head),
-                 f"{accel:.6f}", f"{cmd.delta:.6f}", info.solver, info.iterations,
-                 f"{info.primal_residual:.3e}", f"{info.dual_residual:.3e}",
-                 int(info.converged)])
-        return ControllerOutput(cmd, None, "mpc")
+        return ControllerOutput(cmd, None, "mpc", info)
 
 
 def solve_qp(qp: QPProblem, config: MPCConfig, warm=(None, None)) -> MPCStepInfo:
@@ -410,9 +383,8 @@ def mpc_step(raceline: rl.Raceline, state: VehicleState, prev_command: Command,
     (``speed_gain * (v_cmd - v)``) applies a0 over the next control period.
     On non-convergence the previous command is returned unchanged.
     """
-    reference, qp = mpc_qp(raceline, state, config)
+    _, qp = mpc_qp(raceline, state, config)
     info = solve_qp(qp, config, warm)
-    info.reference_head = tuple(reference.states[0])
     if not info.converged:
         return prev_command, info
 

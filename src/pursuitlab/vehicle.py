@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING
 from .raceline import Raceline
 
 if TYPE_CHECKING:
+    from .mpc import MPCStepInfo
     from .pure_pursuit import PPParams
 
 
@@ -57,11 +58,13 @@ class Command:
 @dataclass(frozen=True)
 class ControllerOutput:
     """One control step's command, the Pure Pursuit parameters it applied
-    (None for the MPC), and the mode that produced it."""
+    (None for the MPC), the mode that produced it, and the MPC's solver
+    health (None for Pure Pursuit)."""
 
     command: Command
     params: PPParams | None
     mode: str  # rl | teacher | fixed | adaptive | mpc
+    solver: MPCStepInfo | None = None
 
 
 @dataclass(frozen=True)

@@ -365,8 +365,10 @@ def test_training_trace_csv(tmp_path, oval_track):
     path = tmp_path / "train_trace.csv"
     env = RacingEnv(oval_track, seed=0, trace_path=path)
     obs = env.reset(seed=0)
+    observed = []
     for _ in range(25):
         obs, _, done, _ = env.step(teacher_action(obs))
+        observed.append(obs)
         if done:
             obs = env.reset()
     env.close()
@@ -374,6 +376,16 @@ def test_training_trace_csv(tmp_path, oval_track):
     assert len(rows) == 25
     assert {"raw_lookahead", "lookahead", "reward", "collision", "mode"} \
         <= set(rows[0].keys())
+    # The observation and the reward follow from the row and the raceline.
+    kinds = {"progress": int, "collision": lambda s: bool(int(s)),
+             "slow": lambda s: bool(int(s))}
+    for row, obs in zip(rows, observed):
+        preview = rl.taps(oval_track, int(row["index"]))
+        assert observe(VehicleState(0.0, 0.0, 0.0, float(row["v"])), preview).tolist() \
+            == obs.tolist()
+        ctx = RewardContext(**{name: kinds.get(name, float)(row[name])
+                               for name in RewardContext.__dataclass_fields__})
+        assert compute_reward(ctx, env.weights) == float(row["reward"])
 
 
 def test_training_trace_appears_whole_at_close(tmp_path, oval_track):

@@ -11,15 +11,18 @@ from pursuitlab.config import (DEFAULTS, build_ppo_config, build_reward_weights,
 from pursuitlab.controllers import (DEFAULT_FIXED_GAIN, ControllerOutput,
                                     PurePursuitAdapter, RLPurePursuitController,
                                     build_controller)
-from pursuitlab.env import RewardWeights
+from pursuitlab.env import RacingEnv, RewardWeights
 from pursuitlab.mpc import MPCTracker
-from pursuitlab.evaluation import (format_comparison, run_laps,
+from pursuitlab.evaluation import (SOLVER_COLUMNS, format_comparison, run_laps,
                                    sweep_multipliers, write_comparison_csv,
                                    write_laps_csv)
+from pursuitlab.files import TRACE_CORE
 from pursuitlab.nets import DenseNet, GaussianPolicy
 from pursuitlab.ppo import PolicyBundle, PPOConfig, RunningNormalizer
 from pursuitlab.pure_pursuit import TeacherSource
 from pursuitlab.vehicle import Command, SimConfig
+
+from test_mpc import heldout_rect
 
 SIM = SimConfig()
 
@@ -27,6 +30,14 @@ SIM = SimConfig()
 def small_oval(v_cap=6.0):
     return rl.synthesize_track("oval", straight=8.0, radius=3.0, spacing=0.25,
                                v_cap=v_cap, a_lat_max=3.0)
+
+
+def untrained_bundle():
+    rng = np.random.default_rng(4)
+    return PolicyBundle(GaussianPolicy(5, 2, rng, mean_bias=[1.8, 0.7]),
+                        DenseNet((5, 8, 1), rng, final_gain=1.0),
+                        RunningNormalizer(5),
+                        {"action_mode": "joint", "fixed_gain": 0.6})
 
 
 class CrashController:
@@ -110,12 +121,7 @@ def test_lap_timing_is_interpolated_and_positive():
 def test_run_laps_locates_each_pose_once_per_layer(kind, track_queries):
     track = small_oval()
     if kind == "rl":
-        rng = np.random.default_rng(4)
-        bundle = PolicyBundle(GaussianPolicy(5, 2, rng, mean_bias=[1.8, 0.7]),
-                              DenseNet((5, 8, 1), rng, final_gain=1.0),
-                              RunningNormalizer(5),
-                              {"action_mode": "joint", "fixed_gain": 0.6})
-        controller = RLPurePursuitController(bundle, track)
+        controller = RLPurePursuitController(untrained_bundle(), track)
     else:
         controller = build_controller({"type": kind}, track, SIM)
     report = run_laps(controller, track, SIM, laps=1, max_lap_time=20.0)
@@ -152,6 +158,37 @@ def test_run_continues_after_collision_reset():
     report = run_laps(CrashOnceThenTeach(), track, SIM, laps=3)
     assert report.attempted == 3
     assert report.completed >= 1  # finishes remaining laps after the reset
+
+
+@pytest.mark.parametrize("owner", ["fixed", "adaptive", "teacher", "rl", "mpc", "env"])
+def test_every_trace_begins_with_the_shared_core(owner, tmp_path):
+    """The lap runner's trace for each controller and the training env's
+    trace share one format: the core columns, then the owner's own."""
+    track = heldout_rect()
+    path = tmp_path / "trace.csv"
+    if owner == "env":
+        env = RacingEnv(track, SIM, seed=0, trace_path=path)
+        env.reset(seed=0)
+        steps = 60
+        for _ in range(steps):
+            if env.step(np.array([1.5, 0.6]))[2]:
+                env.reset()
+        env.close()
+    else:
+        controller = RLPurePursuitController(untrained_bundle(), track) \
+            if owner == "rl" else build_controller({"type": owner}, track, SIM)
+        steps = run_laps(controller, track, SIM, laps=1, max_lap_time=3.0,
+                         trace_path=path).total_steps
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        header, rows = reader.fieldnames, list(reader)
+    assert tuple(header[:len(TRACE_CORE)]) == TRACE_CORE
+    assert len(set(header)) == len(header)
+    assert len(rows) == steps  # one row per control step or env step
+    if owner == "mpc":
+        assert {(row["solver"], row["converged"]) for row in rows} == {("active_set", "1")}
+    elif owner != "env":
+        assert {row[name] for row in rows for name in SOLVER_COLUMNS} == {""}
 
 
 # ----------------------------------------------------------------------
@@ -342,6 +379,29 @@ def test_cli_compare_requires_two_entries(tmp_path):
     code = cli.main(["compare", "--config", str(cfg),
                      "--out", str(tmp_path / "c")])
     assert code == 2
+
+
+def test_cli_compare_rejects_a_repeated_name_before_any_lap(tmp_path, capsys):
+    extra = ("compare:\n"
+             "  - name: pp\n"
+             "    controller: {type: teacher}\n"
+             "  - name: pp\n"
+             "    controller: {type: fixed}\n")
+    cfg = write_cli_config(tmp_path, extra)
+    out = tmp_path / "out"
+    code = cli.main(["compare", "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    assert "repeat: pp" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_seed_is_a_train_only_flag():
+    parser = cli.build_parser()
+    assert parser.parse_args(["train", "--seed", "1"]).seed == 1
+    for command in ("eval", "sweep", "compare"):
+        with pytest.raises(SystemExit) as usage_error:
+            parser.parse_args([command, "--seed", "1"])
+        assert usage_error.value.code == 2
 
 
 def test_cli_compare_runs(tmp_path):

@@ -55,3 +55,31 @@ def test_only_files_py_writes_files():
     writer = writes.pop("files.py", [])
     assert {name: found for name, found in writes.items() if found} == {}
     assert {what for _, what in writer} == {"os.replace", "open for writing"}
+
+
+def _csv_writer_scopes(tree):
+    """Yield the qualified name of the function around each ``csv.writer``
+    or ``csv.DictWriter`` call in ``tree``."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from walk(child, scope + (child.name,))
+                continue
+            func = getattr(child, "func", None)
+            if isinstance(child, ast.Call) and isinstance(func, ast.Attribute) \
+                    and func.attr in ("writer", "DictWriter") \
+                    and isinstance(func.value, ast.Name) and func.value.id == "csv":
+                yield ".".join(scope)
+            yield from walk(child, scope)
+    yield from walk(tree, ())
+
+
+def test_per_step_traces_have_one_writer():
+    """Outside files.py only the whole-file writers use the csv module's
+    writers; a per-step trace goes through files.trace_csv."""
+    package = Path(pursuitlab.__file__).resolve().parent
+    scopes = {f"{path.stem}.{scope}"
+              for path in sorted(package.rglob("*.py")) if path.name != "files.py"
+              for scope in _csv_writer_scopes(ast.parse(path.read_text(encoding="utf-8")))}
+    assert scopes == {"evaluation.write_laps_csv", "evaluation.write_comparison_csv",
+                      "ppo.PPOTrainer.write_metrics"}

@@ -1,3 +1,4 @@
+import csv
 import functools
 import math
 
@@ -521,37 +522,48 @@ def test_tracker_info_carries_the_solution_once_converged():
     assert tracker._warm_y is info.solution_y
 
 
-def test_mpc_debug_log(tmp_path):
-    import csv
+def test_mpc_lap_trace_carries_the_solver_health(tmp_path):
+    """The lap trace carries the solver and its health on every MPC row, and
+    the step's other inputs follow from a row, the previous row and the
+    raceline: the step's start time is the previous row's time, its
+    reference head the waypoint at the previous row's index (the start
+    waypoint after a start or a restart), and its planned acceleration
+    speed_gain * (v_cmd - v) of the previous row's speed (the start speed)."""
     track = uniform_speed_oval()
-    path = tmp_path / "mpc_log.csv"
-    tracker = MPCTracker(track, MPCConfig(), log_path=path)
-    state = VehicleState(2.0, 0.1, 0.0, 2.5)
-    prev_delta = 0.0
     sim = SimConfig()
-    for k in range(10):
-        cmd = tracker.step(state, k * 0.05).command
-        state, prev_delta = control_step(state, cmd, prev_delta, sim)
-    tracker.close()
+    tracker = MPCTracker(track, MPCConfig(speed_gain=sim.speed_gain))
+    path = tmp_path / "trace.csv"
+    logged = []  # (start time, reference head, planned acceleration) per step
+    tracker_step = tracker.step
+
+    def step(state, now):
+        assert not path.exists()  # the trace appears whole when the run returns
+        output = tracker_step(state, now)
+        head = tuple(build_reference(track, state, tracker.config).states[0])
+        logged.append((now, head, (output.command.v_cmd - state.v) * sim.speed_gain))
+        return output
+
+    tracker.step = step
+    # Two laps cut short at 5 steps each: a start, then a restart.
+    report = run_laps(tracker, track, sim, laps=2, max_lap_time=0.25, trace_path=path)
+    assert list(tmp_path.iterdir()) == [path]
     rows = list(csv.DictReader(open(path)))
-    assert len(rows) == 10
+    assert len(rows) == report.total_steps == 10
+    assert report.completed == 0
     assert int(rows[0]["converged"]) == 1
     assert {row["solver"] for row in rows} == {"active_set"}
     assert float(rows[0]["dual_residual"]) < 1e-5
 
-
-def test_mpc_log_appears_whole_at_close(tmp_path):
-    path = tmp_path / "mpc_log.csv"
-    tracker = MPCTracker(uniform_speed_oval(), MPCConfig(), log_path=path)
-    state = VehicleState(2.0, 0.1, 0.0, 2.5)
-    for k in range(3):
-        tracker.step(state, k * 0.05)
-    assert not path.exists()
-    tracker.close()
-    assert list(tmp_path.iterdir()) == [path]
-    assert len(path.read_text().splitlines()) == 1 + 3  # header, one row per step
-    tracker.close()
-    assert list(tmp_path.iterdir()) == [path]
+    start_v = 0.5 * float(track.v_max[0])
+    previous = None
+    for row, (now, head, accel) in zip(rows, logged):
+        restarted = previous is None or previous["lap"] != row["lap"]
+        i = 0 if restarted else int(previous["index"])
+        v = start_v if restarted else float(previous["v"])
+        assert now == (0.0 if previous is None else float(previous["time"]))
+        assert head == (track.x[i], track.y[i], track.v_max[i], rl.tangent_heading(track, i))
+        assert accel == sim.speed_gain * (float(row["v_cmd"]) - v)
+        previous = row
 
 
 # ----------------------------------------------------------------------
@@ -571,11 +583,17 @@ def test_speed_loop_applies_the_planned_acceleration():
     assert speed_controller(state.v, command.v_cmd, sim) == pytest.approx(a0, abs=1e-12)
 
 
-def test_build_controller_passes_the_speed_gain():
+def test_build_controller_takes_the_plant_from_sim():
     from pursuitlab.controllers import build_controller
-    tracker = build_controller({"type": "mpc"}, uniform_speed_oval(),
-                               SimConfig(speed_gain=3.5))
-    assert tracker.config.speed_gain == 3.5
+    sim = SimConfig(wheelbase=0.4, delta_max=0.35, delta_rate_max=2.5, a_max=2.0,
+                    speed_gain=3.5)
+    # Spec keys cannot give the MPC another plant than the simulator's.
+    tracker = build_controller({"type": "mpc", "delta_max": 0.5, "a_max": 9.0},
+                               uniform_speed_oval(), sim)
+    assert {name: getattr(tracker.config, name) for name in
+            ("wheelbase", "delta_max", "delta_rate_max", "a_max", "speed_gain")} \
+        == {"wheelbase": 0.4, "delta_max": 0.35, "delta_rate_max": 2.5, "a_max": 2.0,
+            "speed_gain": 3.5}
 
 
 @pytest.mark.parametrize("speed_gain", [20.0, 2.0], ids=["v_plus_a_dt", "v_plus_a_over_gain"])

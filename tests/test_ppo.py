@@ -561,6 +561,45 @@ def test_training_is_seed_reproducible():
         np.testing.assert_array_equal(a, b)
 
 
+class RecordingEnv(QuadraticEnv):
+    """Records the actions it receives and its ``done`` flags; the two
+    training envs of seed 3 end episodes after 5 and 8 steps."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.length = {1003: 5, 2003: 8}.get(seed, 64)
+        self.actions = []
+        self.dones = []
+
+    def step(self, action):
+        self.actions.append(np.array(action))
+        obs, reward, _, info = super().step(action)
+        done = self.steps >= self.length
+        self.dones.append(done)
+        return obs, reward, done, info
+
+
+def test_collection_with_two_envs_keeps_each_env_in_its_own_column(monkeypatch):
+    config = small_config(n_steps=32, minibatch_size=16, total_steps=128, n_envs=2)
+    trainer = PPOTrainer(RecordingEnv, config, seed=3)
+    steps = []
+    monkeypatch.setattr(trainer, "_maybe_eval_and_checkpoint",
+                        lambda: steps.append(trainer.global_step))
+    trainer.collect_rollout()
+    assert steps == list(range(2, 2 * 32 + 1, 2))
+    buffer = trainer.buffer
+    for i, env in enumerate(trainer.envs):
+        np.testing.assert_array_equal(buffer.actions[:, i], np.array(env.actions))
+        # An episode starts at the first step and after each of the env's own dones.
+        assert buffer.episode_starts[:, i].tolist() == [True] + env.dones[:-1]
+    assert trainer.envs[0].dones != trainer.envs[1].dones
+
+    def run():
+        return [d.row() for d in PPOTrainer(RecordingEnv, config, seed=3).train()]
+
+    assert run() == run()
+
+
 def test_value_loss_decreases_on_constant_reward():
     trainer = PPOTrainer(ConstantRewardEnv,
                          small_config(total_steps=8 * 512), seed=1)
