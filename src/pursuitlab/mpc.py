@@ -2,30 +2,28 @@
 
 Each control step: sample a speed-proportional reference horizon from the
 raceline, linearize the kinematic bicycle about it (forward Euler, with
-curvature-feedforward reference steering), stack the tracking/effort/rate
-objective into one dense QP with actuator and rate constraints, and solve
-it. The solve condenses the states out through the dynamics rows and runs
-the primal active-set solver on the 16 controls (for the default horizon),
-warm-started from the previous step's solution and active set; when that
-fails (singular KKT matrix, infeasible start, iteration cap, or residuals
-on the full QP above ``tol``) warm-started ADMM solves the full QP instead.
-The first optimized acceleration becomes a speed command that the
-simulator's P speed loop turns back into that acceleration; if no solver
-converges the previous command is held.
+curvature-feedforward reference steering), and pose the tracking/effort/rate
+objective as one dense QP over the controls alone, 16 of them for the
+default horizon: the states follow from the current state and the controls
+through the linearized dynamics. The QP's rows are the actuator and rate
+limits. The primal active-set solver solves it, warm-started from the
+previous step's controls and active set; when that fails (singular KKT
+matrix, infeasible start, iteration cap, or residuals above ``tol``)
+warm-started ADMM solves the same QP. The first optimized acceleration
+becomes a speed command that the simulator's P speed loop turns back into
+that acceleration; if no solver converges the previous command is held.
 
 What is built once, and what per step. The parts of the QP that no step
 changes form a read-only :class:`QPTemplate`, built once per frozen
-:class:`MPCConfig` (:func:`qp_template`): the cost matrix ``P``, the factor
-``-2 w`` of ``q`` on the reference states, the identity, box and rate rows
-of ``A`` with their bounds, and the scatter indices of the dynamics
-blocks. Once per raceline and wheelbase, a table holds each waypoint's
-(x, y, v_max) and feedforward steering ``arctan(L kappa)``; the raceline
-holds each waypoint's tangent heading. A step gathers its horizon from
-those tables (:func:`build_reference`), computes the A/B/c entries of every
-knot on floats in one call (:func:`linearize`), and writes them, the
-current state and the reference into copies of the template's ``A``,
-``l`` and ``u`` and a fresh ``q`` (:func:`assemble_qp`). The arrays are
-byte for byte those of building each knot's matrices with numpy.
+:class:`MPCConfig` (:func:`qp_template`): the effort and rate cost, the
+state weights, the box and rate rows with their bounds, and the rows'
+one-sided form for the active-set solver. Once per raceline and wheelbase,
+a table holds each waypoint's (x, y, v_max) and feedforward steering
+``arctan(L kappa)``; the raceline holds each waypoint's tangent heading. A
+step gathers its horizon from those tables (:func:`build_reference`),
+computes the A/B/c entries of every knot on floats in one call
+(:func:`linearize`), and condenses them into the QP's cost by a forward
+recursion over the knots (:func:`assemble_qp`).
 
 MPC state order is (x, y, v, psi) and control order is (a, delta).
 """
@@ -39,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import raceline as rl
-from .qp import QPProblem, active_set_solve, admm_solve, condense, residuals
+from .qp import QPProblem, active_set_solve, admm_solve, residuals
 from .vehicle import Command, ControllerOutput, SimConfig, VehicleState, wrap_angle
 
 NX = 4
@@ -67,13 +65,13 @@ class MPCConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError("dt must be > 0")
-        if self.speed_gain <= 0.0:
+        if not self.speed_gain > 0.0:
             raise ValueError("speed_gain must be > 0")
         for w in (*self.state_weights, *self.terminal_weights,
                   *self.control_weights, *self.control_rate_weights):
-            if w < 0.0:
+            if not w >= 0.0:
                 raise ValueError("weights must be >= 0")
 
 
@@ -96,21 +94,23 @@ class HorizonReference:
 class QPTemplate:
     """The step-invariant part of one config's QP; every array is read-only.
 
-    ``A``, ``l`` and ``u`` hold the identity, box and rate rows and their
-    bounds, with zero dynamics blocks and zero equality bounds. The
-    dynamics blocks go to ``A[dynamics_rows, a_cols]`` (-A_t) and
-    ``A[dynamics_rows, b_cols]`` (-B_t), index arrays that broadcast to
-    (horizon, 4, 4) and (horizon, 4, 2).
+    ``P`` is the control effort and rate cost, to which a step adds its
+    tracking cost, and ``state_weights`` the weight of each state of the
+    horizon, knot by knot. ``A``, ``l`` and ``u`` are the box and rate rows
+    on the controls and their bounds. ``C u <= h`` states them one-sided,
+    one row per finite bound, and ``fold`` links the two forms:
+    ``C = fold.T @ A``, and ``fold @ mu`` puts the multipliers ``mu`` of the
+    one-sided rows on the rows of ``A`` (upper minus lower).
     """
 
     P: np.ndarray
-    state_cost: np.ndarray  # -2 w_state: q's factor on the reference states
+    state_weights: np.ndarray
     A: np.ndarray
     l: np.ndarray
     u: np.ndarray
-    dynamics_rows: np.ndarray
-    a_cols: np.ndarray
-    b_cols: np.ndarray
+    C: np.ndarray
+    h: np.ndarray
+    fold: np.ndarray
 
 
 @functools.lru_cache(maxsize=32)
@@ -121,44 +121,25 @@ def qp_template(config: MPCConfig) -> QPTemplate:
     the sign of a zero weight.
     """
     horizon = config.horizon
-    n_states = NX * (horizon + 1)
-    n = n_states + NU * horizon
-
-    # Cost: 0.5 z' P z + q' z  matching the sum of squared weighted errors.
-    w_state = np.concatenate([np.tile(config.state_weights, horizon),
-                              config.terminal_weights])
-    p_mat = np.diag(2.0 * np.concatenate(
-        [w_state, np.tile(config.control_weights, horizon)]))
+    n = NU * horizon
     # Knot differences u_{t+1} - u_t, penalized by the rate weights.
     diff = np.eye(horizon - 1, horizon, 1) - np.eye(horizon - 1, horizon)
-    p_mat[n_states:, n_states:] += np.kron(
+    p_mat = np.diag(2.0 * np.tile(config.control_weights, horizon)) + np.kron(
         diff.T @ diff, np.diag(2.0 * np.asarray(config.control_rate_weights)))
 
-    m_box = NU * horizon
-    m = n_states + m_box + 2 * (horizon - 1)
-    a_mat = np.zeros((m, n))
-    lower = np.zeros(m)
-    upper = np.zeros(m)
-    a_mat[:n_states, :n_states] = np.eye(n_states)
-
-    box = slice(n_states, n_states + m_box)
-    a_mat[box, n_states:] = np.eye(m_box)
-    upper[box] = np.tile((config.a_max, config.delta_max), horizon)
-    lower[box] = -upper[box]
-
-    # Two one-sided rows per consecutive steering pair: +-(d_{t+1} - d_t).
-    rate = slice(n_states + m_box, m)
-    a_mat[rate, n_states + 1::NU] = np.kron(diff, [[1.0], [-1.0]])
-    lower[rate] = -np.inf
-    upper[rate] = config.delta_rate_max * config.dt
-
-    # Knot t's dynamics rows x_{t+1} - A_t x_t - B_t u_t = c_t.
-    knots = np.arange(horizon)[:, None, None]
-    template = QPTemplate(
-        p_mat, -2.0 * w_state, a_mat, lower, upper,
-        dynamics_rows=NX * (knots + 1) + np.arange(NX)[:, None],
-        a_cols=NX * knots + np.arange(NX),
-        b_cols=n_states + NU * knots + np.arange(NU))
+    # Box rows on every control, then two one-sided rows per consecutive
+    # steering pair: +-(d_{t+1} - d_t).
+    a_mat = np.vstack([np.eye(n), np.zeros((2 * (horizon - 1), n))])
+    a_mat[n:, 1::NU] = np.kron(diff, [[1.0], [-1.0]])
+    upper = np.concatenate([np.tile((config.a_max, config.delta_max), horizon),
+                            np.full(2 * (horizon - 1), config.delta_rate_max * config.dt)])
+    lower = np.concatenate([-upper[:n], np.full(2 * (horizon - 1), -np.inf)])
+    # Every upper bound is finite, and only the box rows have a lower one.
+    fold = np.hstack([np.eye(len(upper)), -np.eye(len(upper), n)])
+    state_weights = np.array([*config.state_weights] * horizon + [*config.terminal_weights],
+                             dtype=float)
+    template = QPTemplate(p_mat, state_weights, a_mat, lower, upper, fold.T @ a_mat,
+                          np.concatenate([upper, -lower[:n]]), fold)
     for array in vars(template).values():
         array.setflags(write=False)
     return template
@@ -253,14 +234,16 @@ def linearize(states, controls, wheelbase: float, dt: float):
 
 def assemble_qp(reference: HorizonReference, linearization, state: VehicleState,
                 config: MPCConfig) -> QPProblem:
-    """Stack states and controls into one dense box-constrained QP.
+    """The step's QP over the controls u = [u_0 .. u_{T-1}].
 
-    Decision vector: [x_0 .. x_T, u_0 .. u_{T-1}]. Equality rows (l == u)
-    pin x_0 to the current state and encode the affine dynamics
-    ``linearization`` = stacked (A, B, c) from :func:`linearize`; inequality
-    rows bound each control and each consecutive steering difference (two
-    one-sided rows per pair). ``P`` is the config's read-only template
-    array; ``q``, ``A``, ``l`` and ``u`` are the step's own.
+    The states follow from the current state and ``linearization`` =
+    stacked (A, B, c) from :func:`linearize` by the forward recursion
+    x_k = S_k u + o_k, with S_0 = 0, o_0 the current state,
+    S_{k+1} = A_k S_k + B_k E_k (E_k picks u_k out of u) and
+    o_{k+1} = A_k o_k + c_k. The tracking cost sum_k (x_k - r_k)' W_k (x_k - r_k)
+    then adds H = 2 sum_k S_k' W_k S_k to the template's effort and rate
+    cost, and g = 2 sum_k S_k' W_k (o_k - r_k). The rows and bounds are the
+    template's read-only arrays; ``P`` and ``q`` are the step's own.
     """
     horizon = config.horizon
     a_blocks, b_blocks, offsets = linearization
@@ -269,23 +252,22 @@ def assemble_qp(reference: HorizonReference, linearization, state: VehicleState,
     if reference.states.shape != (horizon + 1, NX):
         raise ValueError("reference length must be horizon + 1")
     template = qp_template(config)
-    n_states = NX * (horizon + 1)
 
-    q_vec = np.zeros(template.A.shape[1])
-    q_vec[:n_states] = template.state_cost * reference.states.ravel()
-
+    lift = np.zeros((horizon + 1, NX, NU * horizon))
+    offset = np.empty((horizon + 1, NX))
     # Current-state psi expressed in the reference's unwrap branch.
     psi_ref = float(reference.states[0, 3])
-    psi0 = psi_ref + wrap_angle(state.theta - psi_ref)
-
-    a_mat = template.A.copy()
-    a_mat[template.dynamics_rows, template.a_cols] = -a_blocks
-    a_mat[template.dynamics_rows, template.b_cols] = -b_blocks
-    lower = template.l.copy()
-    upper = template.u.copy()
-    lower[:NX] = upper[:NX] = (state.x, state.y, state.v, psi0)
-    lower[NX:n_states] = upper[NX:n_states] = offsets.ravel()
-    return QPProblem(template.P, q_vec, a_mat, lower, upper)
+    offset[0] = (state.x, state.y, state.v, psi_ref + wrap_angle(state.theta - psi_ref))
+    for k in range(horizon):
+        lift[k + 1] = a_blocks[k] @ lift[k]
+        lift[k + 1, :, NU * k:NU * (k + 1)] = b_blocks[k]
+        offset[k + 1] = a_blocks[k] @ offset[k] + offsets[k]
+    lift = lift.reshape(-1, NU * horizon)
+    weighted = template.state_weights[:, None] * lift
+    tracking = lift.T @ weighted
+    return QPProblem(tracking + tracking.T + template.P,
+                     2.0 * (weighted.T @ (offset.ravel() - reference.states.ravel())),
+                     template.A, template.l, template.u)
 
 
 @dataclass
@@ -295,7 +277,8 @@ class MPCStepInfo:
     dual_residual: float = float("nan")
     converged: bool = False
     solver: str = ""  # "active_set", or "admm" after a fallback
-    # Full-QP primal/dual solution, the next step's warm start when converged.
+    # The QP's controls and row multipliers, the next step's warm start
+    # when converged.
     solution_x: np.ndarray | None = field(default=None, repr=False, compare=False)
     solution_y: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -336,31 +319,34 @@ class MPCTracker:
 def solve_qp(qp: QPProblem, config: MPCConfig, warm=(None, None)) -> MPCStepInfo:
     """Solve the MPC QP from ``assemble_qp``; returns the solver health.
 
-    The states are condensed out and the active-set solver runs on the
-    controls, warm-started from ``warm`` (the previous full solution): its
-    controls are the start point, and its carried, still-tight inequality
-    rows the working set. The result stands if its residuals on the full
-    QP are below ``config.tol``; otherwise warm-started ADMM solves the
-    full QP.
+    The active-set solver runs on the template's one-sided rows, warm-started
+    from ``warm`` (the previous step's controls and row multipliers): the
+    controls are the start point, and the one-sided rows that carry a
+    multiplier and are still tight the working set. The result stands if its
+    residuals on ``qp`` are below ``config.tol``; otherwise warm-started ADMM
+    solves ``qp``.
     """
-    n_states = NX * (config.horizon + 1)
+    template = qp_template(config)
+    x0, y0 = warm
+    u0, working = np.zeros(qp.n), []
+    if x0 is not None:
+        carried = template.fold.T @ y0 > 0.0
+        tight = template.h - template.C @ x0 <= config.tol
+        u0, working = x0, np.flatnonzero(carried & tight).tolist()
     try:
-        condensed = condense(qp, n_states)
-        u0, working = condensed.warm_start(*warm, tol=config.tol)
-        result = active_set_solve(condensed.H, condensed.g, condensed.C, condensed.h,
-                                  u0, working, max_iter=config.max_iter, tol=config.tol)
+        result = active_set_solve(qp.P, qp.q, template.C, template.h, u0, working,
+                                  max_iter=config.max_iter, tol=config.tol)
     except np.linalg.LinAlgError:
         result = None
     if result is not None and result.converged:
-        x, y = condensed.expand(result.x, result.multipliers)
-        primal, dual = residuals(qp, x, y)
+        y = template.fold @ result.multipliers
+        primal, dual = residuals(qp, result.x, y)
         if primal < config.tol and dual < config.tol:
             return MPCStepInfo(result.iterations, primal, dual, True,
-                               solver="active_set", solution_x=x, solution_y=y)
+                               solver="active_set", solution_x=result.x, solution_y=y)
 
     fallback = admm_solve(qp, tol_primal=config.tol, tol_dual=config.tol,
-                          max_iter=config.max_iter, rho=config.rho,
-                          x0=warm[0], y0=warm[1])
+                          max_iter=config.max_iter, rho=config.rho, x0=x0, y0=y0)
     return MPCStepInfo(fallback.iterations, fallback.primal_residual,
                        fallback.dual_residual, fallback.converged, solver="admm",
                        solution_x=fallback.x, solution_y=fallback.y)
@@ -388,6 +374,5 @@ def mpc_step(raceline: rl.Raceline, state: VehicleState, prev_command: Command,
     if not info.converged:
         return prev_command, info
 
-    u0 = info.solution_x[NX * (config.horizon + 1): NX * (config.horizon + 1) + NU]
-    a0, delta0 = float(u0[0]), float(u0[1])
+    a0, delta0 = info.solution_x[:NU].tolist()
     return Command(delta0, state.v + a0 / config.speed_gain), info

@@ -1,4 +1,4 @@
-"""Two solvers for small dense convex QPs, and the condensing that links them.
+"""Two solvers for small dense convex QPs.
 
 ``admm_solve`` is an operator-splitting ADMM solver for
 
@@ -8,8 +8,8 @@
 that alternates a regularized KKT solve with projection onto [l, u],
 using over-relaxation and an adaptive penalty. Equality rows are simply
 rows with l == u. Bounds may be +-inf. The problems are small (the MPC's
-has 52 variables), so the data is dense and the KKT matrix is inverted
-once per penalty value.
+has 16 variables and 30 rows), so the data is dense and the KKT matrix is
+inverted once per penalty value.
 
 ``active_set_solve`` is a primal active-set solver for strictly convex
 QPs with inequality rows only,
@@ -21,10 +21,6 @@ started from a feasible point and an initial working set. Each iteration
 solves one KKT system over the working set and adds or drops one row, so
 a warm start from a nearby problem's active set needs few iterations
 (the idea of qpOASES, Ferreau et al., Math. Prog. Comp. 2014).
-
-``condense`` turns a ``QPProblem`` whose leading rows are equalities over
-its leading variables into that inequality-only form over the remaining
-variables, and maps warm starts and solutions between the two.
 """
 
 from __future__ import annotations
@@ -244,87 +240,3 @@ def active_set_solve(H: np.ndarray, g: np.ndarray, C: np.ndarray, h: np.ndarray,
             return ActiveSetResult(x, multipliers, iteration, True)
         work.pop(int(np.argmin(lam)))
     return ActiveSetResult(x, multipliers, cap, False)
-
-
-@dataclass
-class CondensedQP:
-    """A ``QPProblem`` over its trailing variables only.
-
-    The leading ``n_eq`` variables of the full problem are eliminated
-    through its leading ``n_eq`` equality rows, so the full decision vector
-    is ``lift @ u + offset``. Each finite bound of a remaining (inequality)
-    row becomes one row of ``C u <= h``: ``source`` names the full row and
-    ``sign`` is +1 for its upper bound, -1 for its lower one.
-    """
-
-    qp: QPProblem
-    n_eq: int
-    H: np.ndarray
-    g: np.ndarray
-    C: np.ndarray
-    h: np.ndarray
-    lift: np.ndarray
-    offset: np.ndarray
-    source: np.ndarray
-    sign: np.ndarray
-
-    def warm_start(self, x, y, tol: float) -> tuple[np.ndarray, list[int]]:
-        """Start point and working set from a full-problem primal/dual pair.
-
-        The start is the trailing part of ``x``; the working set is the rows
-        whose bound carries a multiplier in ``y`` and is still within ``tol``
-        of tight. Without a pair (``x`` None) the start is zero, with no rows.
-        """
-        if x is None:
-            return np.zeros(self.g.shape[0]), []
-        u0 = np.asarray(x, dtype=float)[self.n_eq:]
-        carried = self.sign * np.asarray(y, dtype=float)[self.source] > 0.0
-        tight = self.h - self.C @ u0 <= tol
-        return u0, np.flatnonzero(carried & tight).tolist()
-
-    def expand(self, u: np.ndarray, multipliers: np.ndarray):
-        """Full ``(x, y)`` from a condensed solution and its multipliers.
-
-        Inequality multipliers fold back onto their rows (upper minus
-        lower); the equality multipliers come from the stationarity of the
-        eliminated variables' rows of ``P x + q + A' y = 0``.
-        """
-        qp, n_eq = self.qp, self.n_eq
-        x = self.lift @ u + self.offset
-        y = np.zeros(qp.m)
-        np.add.at(y, self.source, self.sign * multipliers)
-        rest = qp.P[:n_eq] @ x + qp.q[:n_eq] + qp.A[n_eq:, :n_eq].T @ y[n_eq:]
-        y[:n_eq] = np.linalg.solve(qp.A[:n_eq, :n_eq].T, -rest)
-        return x, y
-
-
-def condense(qp: QPProblem, n_eq: int) -> CondensedQP:
-    """Eliminate the first ``n_eq`` variables through the first ``n_eq`` rows.
-
-    Those rows must be equalities (``l == u``) whose block on the first
-    ``n_eq`` variables is invertible; all other rows become one-sided rows
-    on the trailing variables.
-    """
-    if not np.array_equal(qp.l[:n_eq], qp.u[:n_eq]):
-        raise ValueError("the leading n_eq rows must be equalities")
-    n_free = qp.n - n_eq
-    eliminated = np.linalg.solve(qp.A[:n_eq, :n_eq],
-                                 np.column_stack([qp.u[:n_eq], qp.A[:n_eq, n_eq:]]))
-    lift = np.vstack([-eliminated[:, 1:], np.eye(n_free)])
-    offset = np.concatenate([eliminated[:, 0], np.zeros(n_free)])
-
-    p_lift = qp.P @ lift
-    H = lift.T @ p_lift
-    g = lift.T @ (qp.P @ offset + qp.q)
-    rows = qp.A[n_eq:] @ lift
-    at_offset = qp.A[n_eq:] @ offset
-    upper = np.flatnonzero(np.isfinite(qp.u[n_eq:]))
-    lower = np.flatnonzero(np.isfinite(qp.l[n_eq:]))
-    return CondensedQP(
-        qp, n_eq, 0.5 * (H + H.T), g,
-        np.vstack([rows[upper], -rows[lower]]),
-        np.concatenate([qp.u[n_eq:][upper] - at_offset[upper],
-                        at_offset[lower] - qp.l[n_eq:][lower]]),
-        lift, offset,
-        n_eq + np.concatenate([upper, lower]),
-        np.concatenate([np.ones(upper.size), -np.ones(lower.size)]))

@@ -70,9 +70,9 @@ class Raceline:
                 raise ValueError(f"non-finite value in column {name}")
         if np.any(v_base <= 0.0):
             raise ValueError("every v_max must be > 0")
-        if half_width <= 0.0:
+        if not half_width > 0.0:
             raise ValueError("half_width must be > 0")
-        if speed_scale <= 0.0:
+        if not speed_scale > 0.0:
             raise ValueError("speed_scale must be > 0")
 
         # Segment i joins waypoint i to (i+1) mod N; the last entry closes
@@ -197,17 +197,17 @@ def load_raceline_file(path, half_width: float = 1.1) -> Raceline:
 
 def _segment_plan(kind, straight, radius, length_x, length_y):
     """Return [(type, length, signed curvature), ...] for a closed layout."""
-    if radius <= 0.0:
+    if not radius > 0.0:
         raise ValueError("radius must be > 0")
     k = 1.0 / radius
     if kind == "oval":
-        if straight <= 0.0:
+        if not straight > 0.0:
             raise ValueError("straight length must be > 0")
         half_turn = math.pi * radius
         return [("line", straight, 0.0), ("arc", half_turn, k),
                 ("line", straight, 0.0), ("arc", half_turn, k)]
     if kind == "rounded_rectangle":
-        if length_x <= 0.0 or length_y <= 0.0:
+        if not (length_x > 0.0 and length_y > 0.0):
             raise ValueError("side lengths must be > 0")
         quarter_turn = 0.5 * math.pi * radius
         plan = []
@@ -234,9 +234,9 @@ def synthesize_track(kind: str, *, straight: float = 10.0, radius: float = 3.0,
     The requested ``spacing`` is adjusted slightly so the perimeter divides
     into a whole number of uniform steps and the loop closes exactly.
     """
-    if spacing <= 0.0:
+    if not spacing > 0.0:
         raise ValueError("spacing must be > 0")
-    if v_cap <= 0.0 or a_lat_max <= 0.0:
+    if not (v_cap > 0.0 and a_lat_max > 0.0):
         raise ValueError("v_cap and a_lat_max must be > 0")
 
     plan = _segment_plan(kind, straight, radius, length_x, length_y)
@@ -331,7 +331,7 @@ def lookahead_target(raceline: Raceline, i: int, lookahead: float):
     accumulated arc length crosses ``lookahead``. Returns an (x, y) tuple
     of floats.
     """
-    if lookahead <= 0.0:
+    if not lookahead > 0.0:
         raise ValueError("lookahead must be > 0")
     cum_s, x, y, seg_len = raceline._walk
     s = (cum_s[i] + lookahead) % raceline.total_length
@@ -343,7 +343,7 @@ def lookahead_target(raceline: Raceline, i: int, lookahead: float):
 
 def scale_speeds(raceline: Raceline, multiplier: float) -> Raceline:
     """New raceline with every reference speed multiplied; geometry is shared."""
-    if multiplier <= 0.0:
+    if not multiplier > 0.0:
         raise ValueError("multiplier must be > 0")
     return Raceline(raceline.x, raceline.y, raceline.kappa, raceline.v_base,
                     raceline.half_width, raceline.speed_scale * multiplier)

@@ -80,7 +80,7 @@ class SimConfig:
     def __post_init__(self):
         for name in ("wheelbase", "dt_physics", "dt_control", "delta_max",
                      "delta_rate_max", "a_max", "speed_gain"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
         if abs(self.substeps * self.dt_physics - self.dt_control) > 1e-9:
             raise ValueError("dt_control must be an integer multiple of dt_physics")
@@ -122,7 +122,7 @@ def _rk4(x: float, y: float, theta: float, v: float, a: float, delta: float,
 def rk4_step(state: VehicleState, a: float, delta: float, dt: float,
              wheelbase: float) -> VehicleState:
     """Classic fourth-order Runge-Kutta advance with constant (a, delta)."""
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError("dt must be > 0")
     return VehicleState(*_rk4(state.x, state.y, state.theta, state.v, a, delta,
                               dt, wheelbase))

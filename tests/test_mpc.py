@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pursuitlab import mpc, raceline as rl
+from pursuitlab import mpc, qp as qp_module, raceline as rl
 from pursuitlab.evaluation import run_laps
 from pursuitlab.mpc import (HorizonReference, MPCConfig, MPCTracker, NU, NX,
                             assemble_qp, build_reference, linearize, mpc_qp,
                             mpc_step, qp_template)
-from pursuitlab.qp import QPProblem, admm_solve
+from pursuitlab.qp import QPProblem, admm_solve, residuals
 from pursuitlab.vehicle import (Command, SimConfig, VehicleState, control_step,
                                 speed_controller, wrap_angle)
 
@@ -164,7 +164,7 @@ def test_assemble_decision_dimension_horizon_one():
     state = VehicleState(float(track.x[0]), float(track.y[0]), 0.0, 2.5)
     ref, lins = one_step_problem(track, state, config)
     qp = assemble_qp(ref, lins, state, config)
-    assert qp.n == 4 * 2 + 2 * 1  # 10
+    assert qp.n == NU * 1  # the controls alone
 
 
 def test_assemble_rate_row_count():
@@ -173,9 +173,8 @@ def test_assemble_rate_row_count():
     state = VehicleState(float(track.x[0]), float(track.y[0]), 0.0, 2.5)
     ref, lins = one_step_problem(track, state, config)
     qp = assemble_qp(ref, lins, state, config)
-    m_eq = NX * (config.horizon + 1)
     m_box = NU * config.horizon
-    assert qp.m - m_eq - m_box == 2 * (config.horizon - 1)
+    assert qp.m - m_box == 2 * (config.horizon - 1)
 
 
 def test_assemble_zero_state_weights_give_zero_controls():
@@ -186,8 +185,7 @@ def test_assemble_zero_state_weights_give_zero_controls():
     qp = assemble_qp(ref, lins, state, config)
     result = admm_solve(qp)
     assert result.converged
-    controls = result.x[NX * (config.horizon + 1):]
-    np.testing.assert_allclose(controls, 0.0, atol=1e-5)
+    np.testing.assert_allclose(result.x, 0.0, atol=1e-5)
 
 
 def test_assemble_rejects_wrong_linearization_count():
@@ -203,6 +201,19 @@ weights = st.tuples(*[st.floats(0.0, 50.0)] * NX)
 control_weights = st.tuples(*[st.floats(0.0, 50.0)] * NU)
 
 
+def rollout_cost(controls, start, lins, ref_states, config):
+    """The MPC objective written out from its definition: the states rolled
+    forward from ``start`` through the knots' (A, B, c)."""
+    us = controls.reshape(-1, NU)
+    xs = [start]
+    for (a_t, b_t, c_t), u_t in zip(lins, us):
+        xs.append(a_t @ xs[-1] + b_t @ u_t + c_t)
+    w = np.array([config.state_weights] * len(us) + [config.terminal_weights])
+    return (np.sum(w * (np.array(xs) - ref_states) ** 2)
+            + np.sum(np.array(config.control_weights) * us ** 2)
+            + np.sum(np.array(config.control_rate_weights) * np.diff(us, axis=0) ** 2))
+
+
 @settings(max_examples=60, deadline=None)
 @given(horizon=st.integers(1, 10), state_w=weights, terminal_w=weights,
        control_w=control_weights, rate_w=control_weights,
@@ -211,8 +222,9 @@ control_weights = st.tuples(*[st.floats(0.0, 50.0)] * NU)
          control_w=(0.0,) * NU, rate_w=(0.0,) * NU, seed=0)
 def test_assemble_qp_matches_the_mpc_cost_and_constraints(
         horizon, state_w, terminal_w, control_w, rate_w, seed):
-    """Oracle: P, q and A against the MPC objective and rows written out
-    from their definitions, at a random decision vector z."""
+    """Oracle: the MPC objective of random controls u, rolled out from the
+    current state, less that of zero controls, is 0.5 u'Hu + g'u; the rows
+    are the controls' boxes and steering differences, written out."""
     rng = np.random.default_rng(seed)
     config = MPCConfig(horizon=horizon, state_weights=state_w,
                        terminal_weights=terminal_w, control_weights=control_w,
@@ -224,35 +236,27 @@ def test_assemble_qp_matches_the_mpc_cost_and_constraints(
     state = VehicleState(*rng.uniform(-5.0, 5.0, 4))
     qp = assemble_qp(ref, tuple(np.array(blocks) for blocks in zip(*lins)), state, config)
 
-    z = rng.uniform(-5.0, 5.0, qp.n)
-    xs = z[:NX * (horizon + 1)].reshape(horizon + 1, NX)
-    us = z[NX * (horizon + 1):].reshape(horizon, NU)
-    err = xs - ref.states
-    w = np.array([terminal_w if t == horizon else state_w for t in range(horizon + 1)])
-    cost = (np.sum(w * err ** 2) + np.sum(np.array(control_w) * us ** 2)
-            + np.sum(np.array(rate_w) * np.diff(us, axis=0) ** 2))
-    constant = np.sum(w * ref.states ** 2)
-    quadratic = 0.5 * z @ qp.P @ z + qp.q @ z + constant
-    scale = 0.5 * np.abs(z) @ np.abs(qp.P) @ np.abs(z) + np.abs(qp.q) @ np.abs(z) + constant
+    u = rng.uniform(-5.0, 5.0, qp.n)
+    psi0 = ref.states[0, 3] + wrap_angle(state.theta - ref.states[0, 3])
+    start = np.array([state.x, state.y, state.v, psi0])
+    with_u = rollout_cost(u, start, lins, ref.states, config)
+    without = rollout_cost(np.zeros(qp.n), start, lins, ref.states, config)
+    quadratic = 0.5 * u @ qp.P @ u + qp.q @ u
+    scale = 0.5 * np.abs(u) @ np.abs(qp.P) @ np.abs(u) + np.abs(qp.q) @ np.abs(u)
     # The floor keeps the bound above 0 when every weight is 0 or subnormal.
-    assert abs(quadratic - cost) <= 1e-9 * max(cost, scale) + 4 * np.finfo(float).tiny
+    assert (abs(quadratic - (with_u - without))
+            <= 1e-9 * max(with_u, without, scale) + 4 * np.finfo(float).tiny)
 
-    az = qp.A @ z
-    np.testing.assert_allclose(az[:NX], xs[0], rtol=0, atol=1e-12)
-    for t, (a_t, b_t, _) in enumerate(lins):
-        rows = az[NX * (t + 1):NX * (t + 2)]
-        np.testing.assert_allclose(rows, xs[t + 1] - a_t @ xs[t] - b_t @ us[t],
-                                   rtol=1e-12, atol=1e-12)
-    m_eq = NX * (horizon + 1)
-    np.testing.assert_array_equal(az[m_eq:m_eq + NU * horizon], us.ravel())
+    us = u.reshape(horizon, NU)
+    au = qp.A @ u
+    np.testing.assert_array_equal(au[:NU * horizon], u)
     rate = np.diff(us[:, 1])
-    np.testing.assert_array_equal(az[m_eq + NU * horizon:],
-                                  np.column_stack([rate, -rate]).ravel())
+    np.testing.assert_array_equal(au[NU * horizon:], np.column_stack([rate, -rate]).ravel())
 
 
 # ----------------------------------------------------------------------
-# Per-knot oracle: the QP built knot by knot with numpy, as the tracker
-# did before its step-invariant data moved into a template.
+# Per-knot oracle: the QP over states and controls, built knot by knot
+# with numpy, whose states the tracker's QP over the controls eliminates.
 # ----------------------------------------------------------------------
 
 def oracle_reference(raceline, state, config):
@@ -336,6 +340,42 @@ def qp_bytes(qp):
     return {name: getattr(qp, name).tobytes() for name in ("P", "q", "A", "l", "u")}
 
 
+def oracle_rollout(full, controls, pinned):
+    """The oracle's decision vector at ``controls``: the states rolled forward
+    through its dynamics rows, with ``pinned`` in place of their bounds
+    (``full.u`` for the pinned current state and the knots' offsets)."""
+    n_states = full.n - len(controls)
+    z = np.concatenate([np.zeros(n_states), controls])
+    for t in range(n_states // NX):
+        # Rows of knot t read x_t - A_{t-1} x_{t-1} - B_{t-1} u_{t-1} (x_0 alone
+        # for t = 0), and x_t is still zero in z.
+        rows = slice(NX * t, NX * (t + 1))
+        z[rows] = pinned[rows] - full.A[rows] @ z
+    return z
+
+
+def assert_eliminates_the_oracle_states(qp, full, rng):
+    """``qp`` is ``full`` with its states eliminated: for random controls u,
+    the oracle's objective less that at zero controls is 0.5 u'Hu + g'u to
+    1e-10 relative, and the control rows are the oracle's, byte for byte."""
+    n_states = full.n - qp.n
+    assert not full.A[n_states:, :n_states].any()
+    for name in ("l", "u"):
+        assert getattr(qp, name).tobytes() == getattr(full, name)[n_states:].tobytes()
+    assert qp.A.tobytes() == full.A[n_states:, n_states:].tobytes()
+    slope = full.P @ oracle_rollout(full, np.zeros(qp.n), full.u) + full.q
+    for _ in range(3):
+        u = rng.uniform(-1.0, 1.0, qp.n)
+        # The rollout at u less that at zero controls, and the objective's
+        # change along it written without cancelling terms.
+        step = oracle_rollout(full, u, np.zeros(full.m))
+        change = 0.5 * step @ full.P @ step + slope @ step
+        size = np.abs(step)
+        scale = 0.5 * size @ np.abs(full.P) @ size + np.abs(slope) @ size
+        assert (abs(0.5 * u @ qp.P @ u + qp.q @ u - change)
+                <= 1e-10 * scale + 4 * np.finfo(float).tiny)
+
+
 @functools.lru_cache(maxsize=None)
 def synthesized(kind, size, radius, v_cap):
     if kind == "heldout":
@@ -366,8 +406,9 @@ def synthesized(kind, size, radius, v_cap):
 def test_qp_chain_matches_the_per_knot_oracle_bytes(
         horizon, state_w, terminal_w, control_w, rate_w, dt, kind, size, radius,
         v_cap, where, offset, heading_error, speed):
-    """build_reference -> linearize -> assemble_qp gives the oracle's arrays
-    byte for byte, signs of zero included."""
+    """build_reference -> linearize -> assemble_qp gives the oracle's
+    reference byte for byte, signs of zero included, and the oracle's QP with
+    its states eliminated."""
     track = synthesized(kind, size, radius, v_cap)
     config = MPCConfig(horizon=horizon, dt=dt, state_weights=state_w,
                        terminal_weights=terminal_w, control_weights=control_w,
@@ -380,7 +421,7 @@ def test_qp_chain_matches_the_per_knot_oracle_bytes(
                                           config.wheelbase, config.dt), state, config)
     states, expected = oracle_qp(track, state, config)
     assert reference.states.tobytes() == states.tobytes()
-    assert qp_bytes(qp) == qp_bytes(expected)
+    assert_eliminates_the_oracle_states(qp, expected, np.random.default_rng(0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -399,23 +440,30 @@ def test_template_arrays_are_read_only_and_steps_own_the_rest():
     _, qp = mpc_qp(track, state, config)
     before = qp_bytes(qp)
     template = qp_template(config)
-    assert qp.P is template.P
-    for array in (template.P, template.state_cost, template.A, template.l, template.u):
+    for name in ("A", "l", "u"):  # the template's rows and bounds, shared
+        assert np.shares_memory(getattr(qp, name), getattr(template, name))
+    for array in vars(template).values():
         with pytest.raises(ValueError):
             array[0] = 1.0
-    # q, A and the bounds are the step's own copies.
-    for array in (qp.q, qp.A, qp.l, qp.u):
+    # The one-sided rows and the fold are the template's rows restated.
+    np.testing.assert_array_equal(template.C, template.fold.T @ template.A)
+    np.testing.assert_array_equal(template.h, np.concatenate(
+        [template.u, -template.l[np.isfinite(template.l)]]))
+    # P and q are the step's own copies.
+    for array in (qp.P, qp.q):
         array[...] = 7.0
     _, again = mpc_qp(track, state, config)
     assert qp_bytes(again) == before
-    assert qp_bytes(again) == qp_bytes(oracle_qp(track, state, config)[1])
+    assert_eliminates_the_oracle_states(again, oracle_qp(track, state, config)[1],
+                                        np.random.default_rng(1))
 
 
 @pytest.mark.parametrize("change, field", [
-    ({"state_weights": (13.5, 13.5, 5.5, 12.0)}, "P"),
+    ({"control_weights": (0.01, 4.0)}, "P"),
     ({"control_rate_weights": (0.01, 4.0)}, "P"),
     ({"delta_rate_max": 2.0}, "u"),
     ({"a_max": 2.5}, "l"),
+    ({"state_weights": (13.5, 13.5, 5.5, 12.0)}, "state_weights"),
 ])
 def test_template_is_keyed_on_the_whole_config(change, field):
     track = heldout_rect()
@@ -427,7 +475,8 @@ def test_template_is_keyed_on_the_whole_config(change, field):
                               getattr(qp_template(other), field))
     for config in (base, other):
         _, qp = mpc_qp(track, state, config)
-        assert qp_bytes(qp) == qp_bytes(oracle_qp(track, state, config)[1])
+        assert_eliminates_the_oracle_states(qp, oracle_qp(track, state, config)[1],
+                                            np.random.default_rng(2))
 
 
 def test_solution_respects_actuator_and_rate_limits():
@@ -439,7 +488,7 @@ def test_solution_respects_actuator_and_rate_limits():
     qp = assemble_qp(ref, lins, state, config)
     result = admm_solve(qp)
     assert result.converged
-    controls = result.x[NX * (config.horizon + 1):].reshape(config.horizon, NU)
+    controls = result.x.reshape(config.horizon, NU)
     assert np.all(np.abs(controls[:, 0]) <= config.a_max + 1e-6)
     assert np.all(np.abs(controls[:, 1]) <= config.delta_max + 1e-6)
     rate = np.abs(np.diff(controls[:, 1]))
@@ -516,8 +565,9 @@ def test_tracker_info_carries_the_solution_once_converged():
     tracker.step(VehicleState(2.0, 0.3, 0.0, 2.5), 0.0)
     info = tracker.last_info
     assert info.converged
-    assert info.solution_x.shape == (NX * (config.horizon + 1) + NU * config.horizon,)
-    assert info.solution_y is not None and np.all(np.isfinite(info.solution_y))
+    assert info.solution_x.shape == (NU * config.horizon,)
+    assert info.solution_y.shape == (NU * config.horizon + 2 * (config.horizon - 1),)
+    assert np.all(np.isfinite(info.solution_y))
     assert tracker._warm_x is info.solution_x
     assert tracker._warm_y is info.solution_y
 
@@ -578,7 +628,7 @@ def test_speed_loop_applies_the_planned_acceleration():
     state = VehicleState(2.0, 0.1, 0.0, 2.3)
     command, info = mpc_step(track, state, Command(0.0, 2.3), config)
     assert info.converged
-    a0 = info.solution_x[NX * (config.horizon + 1)]
+    a0 = info.solution_x[0]
     assert 0.1 < a0 < sim.a_max - 0.1
     assert speed_controller(state.v, command.v_cmd, sim) == pytest.approx(a0, abs=1e-12)
 
@@ -606,8 +656,7 @@ def test_active_set_matches_cold_admm_along_a_run(speed_gain):
     sim = SimConfig()
     config = MPCConfig(speed_gain=speed_gain)
     tracker = MPCTracker(track, config)
-    n_states = NX * (config.horizon + 1)
-    box = slice(n_states, n_states + NU * config.horizon)
+    box = slice(0, NU * config.horizon)
     state = VehicleState(float(track.x[0]), float(track.y[0]),
                          rl.tangent_heading(track, 0), 0.5 * float(track.v_max[0]))
     prev_delta = 0.0
@@ -619,8 +668,7 @@ def test_active_set_matches_cold_admm_along_a_run(speed_gain):
         assert info.converged and info.solver == "active_set"
         reference = admm_solve(qp, tol_primal=1e-9, tol_dual=1e-9, max_iter=20000)
         assert reference.converged
-        np.testing.assert_allclose(info.solution_x[n_states:], reference.x[n_states:],
-                                   rtol=0, atol=1e-5)
+        np.testing.assert_allclose(info.solution_x, reference.x, rtol=0, atol=1e-5)
         y_box = info.solution_y[box]
         accel_bound |= bool(np.any(y_box[0::NU] != 0.0))
         steer_bound |= bool(np.any(y_box[1::NU] != 0.0)
@@ -653,9 +701,10 @@ def admm_calls(monkeypatch):
     return calls
 
 
-def test_a_heldout_lap_takes_the_active_set_path(admm_calls):
+def heldout_lap(config=MPCConfig()):
+    """One lap of a tracker on the held-out rectangle; (report, step infos)."""
     track = heldout_rect()
-    tracker = MPCTracker(track, MPCConfig())
+    tracker = MPCTracker(track, config)
     infos = []
 
     class Recorder:
@@ -667,8 +716,81 @@ def test_a_heldout_lap_takes_the_active_set_path(admm_calls):
             infos.append(tracker.last_info)
             return output
 
-    report = run_laps(Recorder(), track, SimConfig(), laps=1, max_lap_time=60.0)
+    return run_laps(Recorder(), track, SimConfig(), laps=1, max_lap_time=60.0), infos
+
+
+def test_a_heldout_lap_takes_the_active_set_path(admm_calls):
+    report, infos = heldout_lap()
     assert report.completed == 1
     assert len(infos) > 100
     assert admm_calls["admm_solve"] == 0
     assert all(info.converged and info.solver == "active_set" for info in infos)
+
+
+def test_a_heldout_lap_completes_on_admm_alone(monkeypatch, admm_calls):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular KKT matrix")
+    monkeypatch.setattr(mpc, "active_set_solve", singular)
+    report, infos = heldout_lap()
+    assert report.completed == 1
+    assert admm_calls["admm_solve"] == len(infos) > 100
+    assert all(info.converged and info.solver == "admm" for info in infos)
+
+
+def test_every_qp_of_a_heldout_lap_is_over_the_controls(monkeypatch):
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(QPProblem(*args, **kwargs))
+        return built[-1]
+    monkeypatch.setattr(mpc, "QPProblem", spy)
+    config = MPCConfig()
+    report, infos = heldout_lap(config)
+    assert report.completed == 1
+    assert len(built) == len(infos) > 100
+    assert {qp.n for qp in built} == {NU * config.horizon}
+    assert not hasattr(qp_module, "condense")
+    assert not hasattr(qp_module, "CondensedQP")
+
+
+@pytest.mark.parametrize("violation", ["row", "stationarity"])
+def test_a_converged_active_set_result_off_the_kkt_conditions_falls_back(
+        monkeypatch, violation):
+    """The residual gate: an active-set result reported converged whose
+    controls violate a row, or only stationarity, on the step's QP is not
+    accepted; ADMM solves that same QP."""
+    track = uniform_speed_oval()
+    config = MPCConfig()
+    state = VehicleState(2.0, 0.3, 0.0, 2.5)
+    _, qp = mpc_qp(track, state, config)
+    honest = mpc.solve_qp(qp, config)
+    assert honest.solver == "active_set"
+    solve = mpc.active_set_solve
+    gate = []
+
+    def perturbed(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        if violation == "row":
+            result.x[0] = config.a_max + 1e-3
+        else:  # towards zero controls, which satisfy every row
+            result.x *= 1.0 - 1e-4
+        gate.append(residuals(qp, result.x, qp_template(config).fold @ result.multipliers))
+        return result
+    monkeypatch.setattr(mpc, "active_set_solve", perturbed)
+    command, info = mpc_step(track, state, Command(0.0, 2.5), config)
+    (primal, dual), = gate
+    assert (primal > config.tol) == (violation == "row")
+    assert dual > config.tol
+    assert info.solver == "admm" and info.converged
+    np.testing.assert_allclose(info.solution_x, honest.solution_x, rtol=0, atol=1e-4)
+    assert command.delta == info.solution_x[1]
+
+
+@pytest.mark.parametrize("field", ["dt", "speed_gain", "state_weights", "terminal_weights",
+                                   "control_weights", "control_rate_weights"])
+def test_config_rejects_nan(field):
+    """A NaN passes ``x <= 0`` and ``w < 0`` checks."""
+    default = getattr(MPCConfig(), field)
+    value = (math.nan,) * len(default) if isinstance(default, tuple) else math.nan
+    with pytest.raises(ValueError):
+        MPCConfig(**{field: value})

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pursuitlab.qp import (ADMMResult, QPProblem, active_set_solve, admm_solve,
-                           condense, residuals)
+from pursuitlab.qp import ADMMResult, QPProblem, active_set_solve, admm_solve, residuals
 
 
 def random_box_qp(rng, n, m, spread=1.0):
@@ -185,7 +184,7 @@ def test_warm_start_speeds_up_resolve():
 
 
 # ----------------------------------------------------------------------
-# Active set and condensing
+# Active set
 # ----------------------------------------------------------------------
 
 def random_inequality_qp(rng, n, m, n_tight):
@@ -262,39 +261,9 @@ def test_active_set_raises_on_a_singular_kkt_matrix():
                          np.zeros(2))
 
 
-@settings(max_examples=40, deadline=None)
-@given(n_eq=st.integers(1, 6), n_free=st.integers(1, 5), m_in=st.integers(0, 6),
-       seed=st.integers(0, 2**32 - 1))
-def test_condensed_solution_solves_the_full_qp(n_eq, n_free, m_in, seed):
-    """Equality rows over the leading variables are eliminated; the
-    condensed optimum, expanded, has zero residuals on the full QP."""
-    rng = np.random.default_rng(seed)
-    n = n_eq + n_free
-    factor = rng.standard_normal((n, n))
-    p_mat = factor.T @ factor + 0.5 * np.eye(n)
-    a_eq = np.hstack([np.eye(n_eq) + np.tril(rng.standard_normal((n_eq, n_eq)), -1),
-                      rng.standard_normal((n_eq, n_free))])
-    a_in = rng.standard_normal((m_in, n))
-    point = rng.standard_normal(n_free)
-    x_point = np.concatenate([np.zeros(n_eq), point])
-    b_eq = rng.standard_normal(n_eq)
-    x_point[:n_eq] = np.linalg.solve(a_eq[:, :n_eq], b_eq - a_eq[:, n_eq:] @ point)
-    centre = a_in @ x_point
-    lower = centre - rng.uniform(0.1, 1.0, m_in)
-    lower[rng.uniform(size=m_in) < 0.3] = -np.inf
-    qp = QPProblem(p_mat, rng.standard_normal(n), np.vstack([a_eq, a_in]),
-                   np.concatenate([b_eq, lower]),
-                   np.concatenate([b_eq, centre + rng.uniform(0.1, 1.0, m_in)]))
-
-    condensed = condense(qp, n_eq)
-    assert condensed.C.shape == (m_in + int(np.isfinite(lower).sum()), n_free)
-    result = active_set_solve(condensed.H, condensed.g, condensed.C, condensed.h, point)
-    assert result.converged
-    x, y = condensed.expand(result.x, result.multipliers)
-    primal, dual = residuals(qp, x, y)
-    assert primal < 1e-9 and dual < 1e-8
-
-    # The expanded pair warm-starts the same working set.
-    u0, working = condensed.warm_start(x, y, tol=1e-9)
-    np.testing.assert_array_equal(u0, result.x)
-    assert working == np.flatnonzero(result.multipliers > 0.0).tolist()
+def test_residuals_measure_bound_violation_and_stationarity():
+    # minimize 0.5 x^2 - x on [-0.5, 0.5]: x = 0.5 with multiplier 0.5.
+    qp = QPProblem(np.eye(1), np.array([-1.0]), np.eye(1), np.array([-0.5]), np.array([0.5]))
+    assert residuals(qp, np.array([0.5]), np.array([0.5])) == (0.0, 0.0)
+    assert residuals(qp, np.array([0.75]), np.array([0.5])) == (0.25, 0.25)
+    assert residuals(qp, np.array([-0.75]), np.array([0.0])) == (0.25, 1.75)

@@ -321,6 +321,31 @@ def test_lookahead_rejects_nonpositive():
         rl.lookahead_target(track, 0, 0.0)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda t: rl.Raceline(t.x, t.y, t.kappa, t.v_base, half_width=NAN),
+    lambda t: rl.Raceline(t.x, t.y, t.kappa, t.v_base, t.half_width, speed_scale=NAN),
+    lambda t: rl.scale_speeds(t, NAN),
+    lambda t: rl.lookahead_target(t, 0, NAN),
+    lambda t: rl.synthesize_track("oval", half_width=NAN),
+    lambda t: rl.synthesize_track("oval", spacing=NAN),
+    lambda t: rl.synthesize_track("oval", v_cap=NAN),
+    lambda t: rl.synthesize_track("oval", a_lat_max=NAN),
+    lambda t: rl.synthesize_track("oval", radius=NAN),
+    lambda t: rl.synthesize_track("oval", straight=NAN),
+    lambda t: rl.synthesize_track("rounded_rectangle", length_x=NAN),
+    lambda t: rl.synthesize_track("rounded_rectangle", length_y=NAN),
+], ids=["half_width", "speed_scale", "scale_speeds", "lookahead", "synth_half_width",
+        "spacing", "v_cap", "a_lat_max", "radius", "straight", "length_x", "length_y"])
+def test_positive_settings_reject_nan(oval_track, build):
+    """A NaN passes ``x <= 0`` checks; a NaN half-width would make every
+    collision check false, so no lap could fail."""
+    with pytest.raises(ValueError):
+        build(oval_track)
+
+
 # ----------------------------------------------------------------------
 # Speed scaling
 # ----------------------------------------------------------------------

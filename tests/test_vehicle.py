@@ -258,6 +258,16 @@ def test_sim_config_validates_substep_ratio():
         SimConfig(dt_control=0.025, dt_physics=0.01)
 
 
+@pytest.mark.parametrize("name", ["wheelbase", "dt_physics", "dt_control", "delta_max",
+                                  "delta_rate_max", "a_max", "speed_gain", "rk4_dt"])
+def test_positive_settings_reject_nan(name):
+    with pytest.raises(ValueError, match="must be > 0"):
+        if name == "rk4_dt":
+            rk4_step(VehicleState(0, 0, 0, 1.0), 0.0, 0.0, float("nan"), 0.33)
+        else:
+            SimConfig(**{name: float("nan")})
+
+
 def test_control_step_determinism():
     state = VehicleState(0.3, -0.2, 0.1, 2.5)
     a = control_step(state, Command(0.1, 3.0), 0.05, CFG)
