@@ -80,6 +80,7 @@ def _report_text(name: str, report) -> str:
         f"teacher mode: {report.teacher_summary()}",
         f"mean |lateral error|: {report.mean_abs_lateral_error:.4f} m",
         f"steering-rate RMS: {report.steering_rate_rms:.4f} rad/s",
+        f"solver (held, ADMM, KKT solves p50/p95/max): {report.solver_summary()}".rstrip(),
     ]
     return "\n".join(lines) + "\n"
 

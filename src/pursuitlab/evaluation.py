@@ -4,7 +4,8 @@ The protocol mirrors how the controllers are judged end to end: run a
 fixed number of consecutive laps, count a lap as complete only if every
 step stayed inside the corridor, time laps by interpolating the
 start-line crossing between control steps, and report lap statistics,
-teacher-activation counts, tracking error, and steering smoothness.
+teacher-activation counts, tracking error, steering smoothness, and the
+MPC's solver health.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from .vehicle import SimConfig, VehicleState, collision_check, control_step
 SOLVER_COLUMNS = ("solver", "iterations", "primal_residual", "dual_residual",
                   "converged")
 LAP_TRACE_COLUMNS = ("lap", "lookahead", "gain", "kappa_max", *SOLVER_COLUMNS)
+# The MPC's solver health over a run, from LapReport.solver_health.
+SOLVER_HEALTH = ("held_steps", "admm_fallbacks", "kkt_solves_p50", "kkt_solves_p95",
+                 "kkt_solves_max")
 
 
 @dataclass
@@ -42,6 +46,10 @@ class LapReport:
     total_steps: int = 0
     mean_abs_lateral_error: float = math.nan
     steering_rate_rms: float = math.nan
+    # The MPC's solver health; Pure Pursuit steps report no solver.
+    held_steps: int = 0  # not converged: the previous command was held
+    admm_fallbacks: int = 0
+    kkt_solves: list[int] = field(default_factory=list)  # per active-set step
 
     @property
     def completed(self) -> int:
@@ -70,6 +78,41 @@ class LapReport:
     def teacher_summary(self) -> str:
         return (f"{self.teacher_steps}/{self.total_steps} steps "
                 f"({100.0 * self.teacher_fraction:.3f}%)")
+
+    @property
+    def solver_steps(self) -> int:
+        return self.admm_fallbacks + len(self.kkt_solves)
+
+    def record_solver(self, health):
+        """Count one step's solver health (an ``mpc.MPCStepInfo``)."""
+        if not health.converged:
+            self.held_steps += 1
+        if health.solver == "admm":
+            self.admm_fallbacks += 1
+        else:
+            self.kkt_solves.append(health.iterations)
+
+    def solver_health(self) -> dict | None:
+        """:data:`SOLVER_HEALTH`: held-command steps, ADMM fallbacks, and the
+        KKT solves of the steps the active-set solver answered at the p50,
+        p95 and max (NaN if it answered none); None if no step reported a
+        solver."""
+        if not self.solver_steps:
+            return None
+        solves = np.asarray(self.kkt_solves, dtype=float)
+        quantiles = np.percentile(solves, [50, 95, 100]).tolist() if solves.size \
+            else [math.nan] * 3
+        return dict(zip(SOLVER_HEALTH, [self.held_steps, self.admm_fallbacks, *quantiles]))
+
+    def solver_summary(self) -> str:
+        """One line of :meth:`solver_health`; empty if no step reported a solver."""
+        health = self.solver_health()
+        if health is None:
+            return ""
+        return (f"held {health['held_steps']}/{self.solver_steps} steps, "
+                f"ADMM {health['admm_fallbacks']}, KKT solves "
+                f"{health['kkt_solves_p50']:g}/{health['kkt_solves_p95']:g}/"
+                f"{health['kkt_solves_max']:g}")
 
 
 def _start_state(raceline: rl.Raceline, start_index: int = 0) -> VehicleState:
@@ -134,9 +177,12 @@ def run_laps(controller, raceline: rl.Raceline, sim_config: SimConfig,
             if output.mode == "teacher":
                 report.teacher_steps += 1
             report.total_steps += 1
+            health = output.solver
+            if health is not None:
+                report.record_solver(health)
 
             if trace is not None:
-                params, health = output.params, output.solver
+                params = output.params
                 trace(global_step, clock, index, state, output.command, lat,
                       output.mode, lap=lap_no,
                       lookahead=None if params is None else params.lookahead,
@@ -254,17 +300,19 @@ def sweep_multipliers(build_controller_fn, base_raceline: rl.Raceline,
 
 
 def format_comparison(rows: list[tuple[str, LapReport]]) -> str:
-    """Plain-text table of lap-time statistics per controller."""
-    header = f"{'Controller':<32}{'Mean':>8}{'Std':>8}{'Min':>8}{'Max':>8}{'Laps':>8}"
+    """Plain-text table of lap-time statistics per controller, and the MPC's
+    solver health (blank for Pure Pursuit)."""
+    header = (f"{'Controller':<32}{'Mean':>8}{'Std':>8}{'Min':>8}{'Max':>8}{'Laps':>8}"
+              f"  Solver (held, ADMM, KKT solves p50/p95/max)")
     lines = [header, "-" * len(header)]
     for name, report in rows:
         stats = report.stats()
-        lines.append(
+        lines.append((
             f"{name:<32}"
             f"{stats['mean']:>8.2f}{stats['std']:>8.2f}"
             f"{stats['min']:>8.2f}{stats['max']:>8.2f}"
             f"{report.completed:>5d}/{report.attempted:<2d}"
-        )
+            f"  {report.solver_summary()}").rstrip())
     return "\n".join(lines)
 
 
@@ -274,11 +322,13 @@ def write_comparison_csv(rows: list[tuple[str, LapReport]], path):
         writer.writerow(["controller", "mean", "std", "min", "max",
                          "completed", "attempted", "teacher_steps",
                          "total_steps", "mean_abs_lateral_error",
-                         "steering_rate_rms"])
+                         "steering_rate_rms", *SOLVER_HEALTH])
         for name, report in rows:
             stats = report.stats()
+            health = report.solver_health() or dict.fromkeys(SOLVER_HEALTH, "")
             writer.writerow([name, stats["mean"], stats["std"], stats["min"],
                              stats["max"], report.completed, report.attempted,
                              report.teacher_steps, report.total_steps,
                              report.mean_abs_lateral_error,
-                             report.steering_rate_rms])
+                             report.steering_rate_rms,
+                             *(health[key] for key in SOLVER_HEALTH)])

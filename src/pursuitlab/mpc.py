@@ -69,6 +69,12 @@ class MPCConfig:
             raise ValueError("dt must be > 0")
         if not self.speed_gain > 0.0:
             raise ValueError("speed_gain must be > 0")
+        if not self.tol > 0.0:
+            raise ValueError("tol must be > 0")
+        if not self.rho > 0.0:
+            raise ValueError("rho must be > 0")
+        if not self.max_iter >= 1:
+            raise ValueError("max_iter must be >= 1")
         for w in (*self.state_weights, *self.terminal_weights,
                   *self.control_weights, *self.control_rate_weights):
             if not w >= 0.0:

@@ -17,10 +17,14 @@ QPs with inequality rows only,
     minimize    0.5 u' H u + g' u
     subject to  C u <= h,
 
-started from a feasible point and an initial working set. Each iteration
-solves one KKT system over the working set and adds or drops one row, so
-a warm start from a nearby problem's active set needs few iterations
-(the idea of qpOASES, Ferreau et al., Math. Prog. Comp. 2014).
+started from a feasible point and an initial working set (Nocedal &
+Wright, Numerical Optimization, 2006, Alg. 16.3). Each iteration solves
+one KKT system over the working set. It then either stops short of that
+system's optimum at a new row, which joins the working set, or reaches the
+optimum and, with the multipliers of the same solve, stops or drops one
+row; no working set is solved twice in a row. A warm start from a nearby
+problem's active set needs few iterations (the idea of qpOASES, Ferreau
+et al., Math. Prog. Comp. 2014).
 """
 
 from __future__ import annotations
@@ -192,10 +196,13 @@ def active_set_solve(H: np.ndarray, g: np.ndarray, C: np.ndarray, h: np.ndarray,
     ``H`` must be positive definite on the null space of every working set.
     ``x0`` must satisfy ``C x0 <= h + tol``; the rows listed in ``working``
     must be linearly independent and tight at ``x0``. An iteration solves
-    the KKT system of the working set; it then moves towards that optimum
-    (adding the first row it meets), or, already there, stops or releases
-    the row with the most negative multiplier. The loop stops after
-    ``min(max_iter, ACTIVE_SET_ITER_PER_ROW * (len(h) + 1))`` iterations.
+    the KKT system of the working set once and moves towards its optimum.
+    If a row outside the set blocks the step, x stops there and the row
+    joins the set. Otherwise x takes the optimum, and the multipliers of
+    that solve end the loop when none is negative, or else release the
+    row with the most negative one. So ``iterations`` counts KKT solves,
+    and the loop stops after
+    ``min(max_iter, ACTIVE_SET_ITER_PER_ROW * (len(h) + 1))`` of them.
     An infeasible start or the iteration cap returns
     ``converged=False``; a singular KKT matrix raises
     ``numpy.linalg.LinAlgError``.
@@ -209,13 +216,14 @@ def active_set_solve(H: np.ndarray, g: np.ndarray, C: np.ndarray, h: np.ndarray,
     cap = min(max_iter, ACTIVE_SET_ITER_PER_ROW * (m + 1))
     for iteration in range(1, cap + 1):
         k = len(work)
+        rows = C[work]
         kkt = np.zeros((n + k, n + k))
         kkt[:n, :n] = H
-        kkt[:n, n:] = C[work].T
-        kkt[n:, :n] = C[work]
+        kkt[:n, n:] = rows.T
+        kkt[n:, :n] = rows
         sol = np.linalg.solve(kkt, np.concatenate([-g, h[work]]))
         step = sol[:n] - x
-        if np.max(np.abs(step)) > STEP_TOL:
+        if np.abs(step).max() > STEP_TOL:
             # Move towards the optimum on the working set, stopping at the
             # nearest row outside it that the step would cross (at once for
             # a row the start violates within tol).
@@ -224,19 +232,18 @@ def active_set_solve(H: np.ndarray, g: np.ndarray, C: np.ndarray, h: np.ndarray,
             candidates = np.flatnonzero(towards > STEP_TOL)
             if candidates.size:
                 ratios = (h[candidates] - C[candidates] @ x) / towards[candidates]
-                nearest = int(np.argmin(ratios))
+                nearest = ratios.argmin()
                 if ratios[nearest] < 1.0:
                     x = x + max(ratios[nearest], 0.0) * step
                     work.append(int(candidates[nearest]))
                     continue
-            x = sol[:n]
-            continue
-        # x is optimal on the working set: done if no multiplier is negative,
-        # else release the row with the most negative one.
+        # x reaches the optimum on the working set, whose multipliers this
+        # solve already holds: done if none is negative, else release the
+        # row with the most negative one.
         x = sol[:n]
         lam = sol[n:]
         if k == 0 or lam.min() >= 0.0:
             multipliers[work] = lam
             return ActiveSetResult(x, multipliers, iteration, True)
-        work.pop(int(np.argmin(lam)))
+        work.pop(int(lam.argmin()))
     return ActiveSetResult(x, multipliers, cap, False)

@@ -12,10 +12,10 @@ from pursuitlab.controllers import (DEFAULT_FIXED_GAIN, ControllerOutput,
                                     PurePursuitAdapter, RLPurePursuitController,
                                     build_controller)
 from pursuitlab.env import RacingEnv, RewardWeights
-from pursuitlab.mpc import MPCTracker
-from pursuitlab.evaluation import (SOLVER_COLUMNS, format_comparison, run_laps,
-                                   sweep_multipliers, write_comparison_csv,
-                                   write_laps_csv)
+from pursuitlab.mpc import MPCStepInfo, MPCTracker
+from pursuitlab.evaluation import (SOLVER_COLUMNS, SOLVER_HEALTH, LapReport,
+                                   format_comparison, run_laps, sweep_multipliers,
+                                   write_comparison_csv, write_laps_csv)
 from pursuitlab.files import TRACE_CORE
 from pursuitlab.nets import DenseNet, GaussianPolicy
 from pursuitlab.ppo import PolicyBundle, PPOConfig, RunningNormalizer
@@ -287,6 +287,65 @@ def test_comparison_outputs(tmp_path):
     assert got[0]["mean"] == got[1]["mean"]
 
 
+def test_solver_health_counts_held_steps_fallbacks_and_kkt_solves(tmp_path):
+    mpc_report = LapReport()
+    for solver, iterations, converged in [("active_set", 3, True), ("admm", 40, True),
+                                          ("active_set", 1, True), ("admm", 4000, False),
+                                          ("active_set", 7, True)]:
+        mpc_report.record_solver(MPCStepInfo(iterations, converged=converged, solver=solver))
+    health = mpc_report.solver_health()
+    assert health == {"held_steps": 1, "admm_fallbacks": 2, "kkt_solves_p50": 3.0,
+                      "kkt_solves_p95": pytest.approx(6.6), "kkt_solves_max": 7.0}
+    pp_report = LapReport()
+    assert pp_report.solver_health() is None and pp_report.solver_summary() == ""
+
+    rows = [("teacher", pp_report), ("mpc", mpc_report)]
+    path = tmp_path / "compare.csv"
+    write_comparison_csv(rows, path)
+    pp_row, mpc_row = csv.DictReader(open(path))
+    assert all(pp_row[key] == "" for key in SOLVER_HEALTH)
+    assert {key: float(mpc_row[key]) for key in SOLVER_HEALTH} == health
+    pp_line, mpc_line = format_comparison(rows).splitlines()[2:]
+    assert pp_line.split() == ["teacher", "nan", "nan", "nan", "nan", "0/0"]
+    assert mpc_line.endswith("held 1/5 steps, ADMM 2, KKT solves 3/6.6/7")
+
+
+def test_cli_reports_read_back_the_mpc_solver_health(tmp_path):
+    """report.txt of eval and compare and compare.csv carry the solver health
+    that the MPC's lap trace records step by step; blank for Pure Pursuit."""
+    extra = ("controller:\n  type: mpc\n"
+             "compare:\n"
+             "  - name: teacher\n"
+             "    controller: {type: teacher}\n"
+             "  - name: mpc\n"
+             "    controller: {type: mpc}\n")
+    cfg = write_cli_config(tmp_path, extra)
+    assert cli.main(["compare", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+    assert cli.main(["eval", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 0
+
+    trace = list(csv.DictReader(open(tmp_path / "c" / "mpc_trace.csv")))
+    solves = [int(row["iterations"]) for row in trace if row["solver"] == "active_set"]
+    assert solves
+    expected = {"held_steps": sum(row["converged"] == "0" for row in trace),
+                "admm_fallbacks": sum(row["solver"] == "admm" for row in trace),
+                "kkt_solves_p50": float(np.percentile(solves, 50)),
+                "kkt_solves_p95": float(np.percentile(solves, 95)),
+                "kkt_solves_max": float(max(solves))}
+    summary = (f"held {expected['held_steps']}/{len(trace)} steps, "
+               f"ADMM {expected['admm_fallbacks']}, KKT solves "
+               f"{expected['kkt_solves_p50']:g}/{expected['kkt_solves_p95']:g}/"
+               f"{expected['kkt_solves_max']:g}")
+
+    pp_row, mpc_row = csv.DictReader(open(tmp_path / "c" / "compare.csv"))
+    assert all(pp_row[key] == "" for key in SOLVER_HEALTH)
+    assert {key: float(mpc_row[key]) for key in SOLVER_HEALTH} == expected
+    table = (tmp_path / "c" / "report.txt").read_text().splitlines()
+    assert table[2].startswith("teacher") and "held" not in table[2]
+    assert table[3].startswith("mpc") and table[3].endswith(summary)
+    assert (tmp_path / "e" / "report.txt").read_text().splitlines()[-1] \
+        == f"solver (held, ADMM, KKT solves p50/p95/max): {summary}"
+
+
 # ----------------------------------------------------------------------
 # Controller factory and config
 # ----------------------------------------------------------------------
@@ -355,7 +414,9 @@ def test_cli_eval_writes_outputs(tmp_path):
     assert code == 0
     for name in ("report.txt", "laps.csv", "trace.csv"):
         assert (out / name).exists()
-    assert "teacher mode" in (out / "report.txt").read_text()
+    report = (out / "report.txt").read_text()
+    assert "teacher mode" in report
+    assert report.splitlines()[-1] == "solver (held, ADMM, KKT solves p50/p95/max):"
 
 
 def test_cli_eval_missing_checkpoint_fails(tmp_path):

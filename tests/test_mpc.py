@@ -14,6 +14,7 @@ from pursuitlab.mpc import (HorizonReference, MPCConfig, MPCTracker, NU, NX,
 from pursuitlab.qp import QPProblem, admm_solve, residuals
 from pursuitlab.vehicle import (Command, SimConfig, VehicleState, control_step,
                                 speed_controller, wrap_angle)
+from test_qp import assert_matches_the_reference, reference_active_set_solve
 
 
 def uniform_speed_oval(straight=30.0, radius=3.0, v=2.5):
@@ -524,11 +525,18 @@ def test_mpc_step_steers_back_toward_path():
     assert command.delta < 0.0  # steer right
 
 
-def test_mpc_step_holds_previous_command_on_failure():
+def test_mpc_step_holds_previous_command_on_failure(monkeypatch):
+    # 1 m off the straight the first KKT solve crosses a bound, so the
+    # active set needs a second solve and max_iter=1 stops both solvers.
     track = uniform_speed_oval()
     config = MPCConfig(max_iter=1)
     prev = Command(0.123, 4.5)
-    state = VehicleState(2.0, 0.3, 0.0, 2.5)
+    state = VehicleState(2.0, 1.0, 0.0, 2.5)
+    assert mpc_step(track, state, prev, MPCConfig())[1].iterations > 1
+    with monkeypatch.context() as patch:  # so does the loop that solved a full step twice
+        patch.setattr(mpc, "active_set_solve", reference_active_set_solve)
+        command, info = mpc_step(track, state, prev, config)
+        assert not info.converged and command == prev
     command, info = mpc_step(track, state, prev, config)
     assert not info.converged
     assert command == prev
@@ -753,6 +761,52 @@ def test_every_qp_of_a_heldout_lap_is_over_the_controls(monkeypatch):
     assert not hasattr(qp_module, "CondensedQP")
 
 
+def test_a_heldout_lap_solves_each_working_set_once(monkeypatch):
+    """Along a held-out lap the KKT solves number the reported iterations,
+    and no call solves the same working set twice in a row."""
+    calls = []  # per active_set_solve call: the working set of each KKT solve
+    solve, kkt_solve = mpc.active_set_solve, np.linalg.solve
+
+    def counted(H, g, *args, **kwargs):
+        calls.append((g.shape[0], []))
+        return solve(H, g, *args, **kwargs)
+
+    def spy(kkt, rhs):
+        n, working_sets = calls[-1]
+        working_sets.append(frozenset(row.tobytes() for row in kkt[n:, :n]))
+        return kkt_solve(kkt, rhs)
+    monkeypatch.setattr(mpc, "active_set_solve", counted)
+    monkeypatch.setattr(qp_module.np.linalg, "solve", spy)
+    report, infos = heldout_lap()
+    assert report.completed == 1
+    assert all(info.solver == "active_set" for info in infos)
+    assert len(calls) == len(infos)
+    assert sum(len(sets) for _, sets in calls) == sum(info.iterations for info in infos)
+    for _, sets in calls:
+        assert all(a != b for a, b in zip(sets, sets[1:]))
+
+
+def test_a_heldout_lap_matches_the_reference_loop_bit_for_bit(monkeypatch):
+    """Every step's controls and multipliers are the bytes of the loop that
+    solved a full step's working set twice, in fewer KKT solves overall."""
+    solve = mpc.active_set_solve
+    references = []
+
+    def checked(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        references.append(reference_active_set_solve(*args, **kwargs))
+        assert_matches_the_reference(result, references[-1])
+        return result
+    monkeypatch.setattr(mpc, "active_set_solve", checked)
+    report, infos = heldout_lap()
+    assert report.completed == 1
+    assert len(references) == len(infos) > 100
+    for info, reference in zip(infos, references):
+        assert info.solver == "active_set"
+        assert np.array_equal(info.solution_x, reference.x)
+    assert sum(info.iterations for info in infos) < sum(r.iterations for r in references)
+
+
 @pytest.mark.parametrize("violation", ["row", "stationarity"])
 def test_a_converged_active_set_result_off_the_kkt_conditions_falls_back(
         monkeypatch, violation):
@@ -793,4 +847,15 @@ def test_config_rejects_nan(field):
     default = getattr(MPCConfig(), field)
     value = (math.nan,) * len(default) if isinstance(default, tuple) else math.nan
     with pytest.raises(ValueError):
+        MPCConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tol", 0.0), ("tol", -1e-6), ("tol", math.nan),
+    ("rho", 0.0), ("rho", -1.0), ("rho", math.nan),
+    ("max_iter", 0), ("max_iter", -3)])
+def test_config_rejects_broken_solver_settings(field, value):
+    """ADMM divides by rho, a tol of 0 or NaN is never met, and max_iter 0
+    runs no solver: each would hold the previous command on every step."""
+    with pytest.raises(ValueError, match=field):
         MPCConfig(**{field: value})

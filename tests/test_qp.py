@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pursuitlab.qp import ADMMResult, QPProblem, active_set_solve, admm_solve, residuals
+from pursuitlab.qp import (ACTIVE_SET_ITER_PER_ROW, STEP_TOL, ActiveSetResult, ADMMResult,
+                           QPProblem, active_set_solve, admm_solve, residuals)
 
 
 def random_box_qp(rng, n, m, spread=1.0):
@@ -201,6 +202,58 @@ def random_inequality_qp(rng, n, m, n_tight):
     return h_mat, g, c_mat, c_mat @ start + slack, start
 
 
+def reference_active_set_solve(H, g, C, h, x0, working=(), max_iter=4000, tol=1e-9):
+    """The active-set loop as it was before a full step went straight on to
+    the multiplier check: after an unblocked step to the working set's
+    optimum, the next iteration solves the same KKT system again, takes a
+    zero step and only then reads the multipliers. The oracle for the
+    solver's bytes and iteration counts."""
+    n, m = g.shape[0], h.shape[0]
+    x = np.asarray(x0, dtype=float).copy()
+    multipliers = np.zeros(m)
+    if m and np.max(C @ x - h) > tol:
+        return ActiveSetResult(x, multipliers, 0, False)
+    work = list(working)
+    cap = min(max_iter, ACTIVE_SET_ITER_PER_ROW * (m + 1))
+    for iteration in range(1, cap + 1):
+        k = len(work)
+        kkt = np.zeros((n + k, n + k))
+        kkt[:n, :n] = H
+        kkt[:n, n:] = C[work].T
+        kkt[n:, :n] = C[work]
+        sol = np.linalg.solve(kkt, np.concatenate([-g, h[work]]))
+        step = sol[:n] - x
+        if np.max(np.abs(step)) > STEP_TOL:
+            towards = C @ step
+            towards[work] = 0.0
+            candidates = np.flatnonzero(towards > STEP_TOL)
+            if candidates.size:
+                ratios = (h[candidates] - C[candidates] @ x) / towards[candidates]
+                nearest = int(np.argmin(ratios))
+                if ratios[nearest] < 1.0:
+                    x = x + max(ratios[nearest], 0.0) * step
+                    work.append(int(candidates[nearest]))
+                    continue
+            x = sol[:n]
+            continue
+        x = sol[:n]
+        lam = sol[n:]
+        if k == 0 or lam.min() >= 0.0:
+            multipliers[work] = lam
+            return ActiveSetResult(x, multipliers, iteration, True)
+        work.pop(int(np.argmin(lam)))
+    return ActiveSetResult(x, multipliers, cap, False)
+
+
+def assert_matches_the_reference(result, reference):
+    """Bit-identical ``x`` and multipliers in no more KKT solves."""
+    assert result.converged == reference.converged
+    if reference.converged:
+        assert np.array_equal(result.x, reference.x)
+        assert np.array_equal(result.multipliers, reference.multipliers)
+        assert result.iterations <= reference.iterations
+
+
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(1, 8), m=st.integers(0, 12), tight=st.integers(0, 8),
        seed=st.integers(0, 2**32 - 1))
@@ -259,6 +312,36 @@ def test_active_set_raises_on_a_singular_kkt_matrix():
     with pytest.raises(np.linalg.LinAlgError):
         active_set_solve(np.zeros((2, 2)), np.ones(2), np.eye(2), np.ones(2),
                          np.zeros(2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 8), m=st.integers(0, 12), tight=st.integers(0, 8),
+       seed=st.integers(0, 2**32 - 1), shift=st.floats(1e-3, 0.3))
+def test_active_set_matches_the_reference_loop_bit_for_bit(n, m, tight, seed, shift):
+    """Cold starts, and warm starts from a nearby problem's solution and
+    active rows, give the reference loop's bytes in no more KKT solves."""
+    rng = np.random.default_rng(seed)
+    n_tight = min(tight, m, n)
+    h_mat, g, c_mat, h, start = random_inequality_qp(rng, n, m, n_tight)
+    cold = (h_mat, g, c_mat, h, start, range(n_tight))
+    assert_matches_the_reference(active_set_solve(*cold), reference_active_set_solve(*cold))
+
+    nearby = active_set_solve(h_mat, g + shift * rng.standard_normal(n), c_mat, h, start,
+                              range(n_tight))
+    assume(nearby.converged)
+    warm = (h_mat, g, c_mat, h, nearby.x, np.flatnonzero(nearby.multipliers > 0.0))
+    assert_matches_the_reference(active_set_solve(*warm), reference_active_set_solve(*warm))
+
+
+def test_an_interior_optimum_takes_one_kkt_solve():
+    # minimize 0.5 |x|^2 - 0.5 (x1 + x2) on x <= 1 from 0: the unconstrained
+    # optimum (0.5, 0.5) is interior, so the first solve ends the loop.
+    args = (np.eye(2), np.array([-0.5, -0.5]), np.eye(2), np.ones(2), np.zeros(2))
+    result = active_set_solve(*args)
+    assert result.converged and result.iterations == 1
+    assert np.array_equal(result.x, [0.5, 0.5])
+    assert np.array_equal(result.multipliers, [0.0, 0.0])
+    assert reference_active_set_solve(*args).iterations == 2
 
 
 def test_residuals_measure_bound_violation_and_stationarity():
