@@ -13,9 +13,9 @@ import dataclasses
 import yaml
 
 from . import raceline as rl
-from .controllers import DEFAULT_FIXED_GAIN
 from .env import EnvConfig, RacingEnv, RewardWeights
 from .ppo import PPOConfig
+from .pure_pursuit import DEFAULT_FIXED_GAIN, STALENESS_TIMEOUT
 from .vehicle import SimConfig
 
 # train.<key> -> PPOConfig field. PPOConfig.hidden is not exposed.
@@ -50,7 +50,7 @@ DEFAULTS = {
         "lookahead": 1.5,
         "gain": DEFAULT_FIXED_GAIN,
         "checkpoint": None,
-        "timeout": 0.2,
+        "timeout": STALENESS_TIMEOUT,
     },
     "eval": {
         "laps": 10,
@@ -64,8 +64,7 @@ DEFAULTS = {
         "multiplier": 1.0,
         "laps": _ENV.laps,
         "max_steps": _ENV.max_steps,
-        # The validated fixed-baseline gain, not EnvConfig's 0.9.
-        "fixed_gain": DEFAULT_FIXED_GAIN,
+        "fixed_gain": _ENV.fixed_gain,
         **{key: getattr(_PPO, name) for key, name in PPO_KEYS.items()},
         # CLI runs default to 200k steps; PPOConfig's 1.2M is the full schedule.
         "steps": 200_000,

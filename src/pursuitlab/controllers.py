@@ -14,17 +14,11 @@ from . import raceline as rl
 from .env import observe
 from .mpc import MPCConfig, MPCTracker
 from .ppo import PolicyBundle, load_checkpoint
-from .pure_pursuit import (AdaptiveLinearSource, ExternalSource, FixedSource,
-                           PurePursuitController, TeacherSource,
-                           params_from_action, smoother_start)
+from .pure_pursuit import (DEFAULT_FIXED_GAIN, STALENESS_TIMEOUT, AdaptiveLinearSource,
+                           ExternalSource, FixedSource, PurePursuitController,
+                           TeacherSource, params_from_action, smoother_start)
 from .vehicle import ControllerOutput, SimConfig, VehicleState
 
-# Fixed steering gain used where a constant gain is required (the
-# lookahead-only policy and the fixed/adaptive baselines). Chosen by a
-# validation sweep of the velocity-linear schedule with constant gain over
-# {0.6, 0.7, 0.8, 0.9, 1.0} on the training oval under the full-completion
-# criterion: 0.6 sustains the highest speed multiplier (2.6 vs 1.7 for 1.0).
-DEFAULT_FIXED_GAIN = 0.6
 DEFAULT_FIXED_LOOKAHEAD = 1.5
 
 
@@ -53,7 +47,7 @@ class RLPurePursuitController:
     """
 
     def __init__(self, bundle: PolicyBundle, raceline: rl.Raceline,
-                 timeout: float = 0.2):
+                 timeout: float = STALENESS_TIMEOUT):
         self.bundle = bundle
         self.raceline = raceline
         self.source = ExternalSource(timeout=timeout)
@@ -105,15 +99,11 @@ def build_controller(spec: dict, raceline: rl.Raceline, sim_config: SimConfig):
             raise ValueError("rl controller requires a 'checkpoint' path")
         bundle = load_checkpoint(path)
         return RLPurePursuitController(bundle, raceline,
-                                       timeout=float(spec.get("timeout", 0.2)))
+                                       timeout=float(spec.get("timeout", STALENESS_TIMEOUT)))
     if kind == "mpc":
         fields = {k: spec[k] for k in
                   ("horizon", "dt", "v_floor", "rho", "tol", "max_iter")
                   if k in spec}
         # The MPC plans for the plant that the simulator runs.
-        config = MPCConfig(wheelbase=sim_config.wheelbase,
-                           speed_gain=sim_config.speed_gain,
-                           delta_max=sim_config.delta_max, a_max=sim_config.a_max,
-                           delta_rate_max=sim_config.delta_rate_max, **fields)
-        return MPCTracker(raceline, config)
+        return MPCTracker(raceline, MPCConfig(plant=sim_config, **fields))
     raise ValueError(f"unknown controller type {kind!r}")

@@ -21,9 +21,9 @@ import numpy as np
 
 from . import raceline as rl
 from .files import trace_csv
-from .pure_pursuit import (ExternalSource, PurePursuitController, TEACHER_L_BASE,
-                           TEACHER_L_SPEED, params_from_action, smoother_start,
-                           teacher_gain, teacher_lookahead)
+from .pure_pursuit import (DEFAULT_FIXED_GAIN, ExternalSource, PurePursuitController,
+                           TEACHER_L_BASE, TEACHER_L_SPEED, params_from_action,
+                           smoother_start, teacher_gain, teacher_lookahead)
 from .vehicle import SimConfig, VehicleState, collision_check, control_step, wrap_angle
 
 OBS_DIM = 5
@@ -126,7 +126,7 @@ class EnvConfig:
     spawn_heading_jitter: float = 0.05
     spawn_speed_fraction: float = 0.5
     action_mode: str = "joint"  # joint | ld_only
-    fixed_gain: float = 0.9     # gain pinned in ld_only mode
+    fixed_gain: float = DEFAULT_FIXED_GAIN  # gain pinned in ld_only mode
 
     def __post_init__(self):
         if self.action_mode not in ("joint", "ld_only"):

@@ -23,7 +23,7 @@ from .vehicle import SimConfig, VehicleState, collision_check, control_step
 
 # The MPC's solver health in the lap trace; blank on Pure Pursuit rows.
 SOLVER_COLUMNS = ("solver", "iterations", "primal_residual", "dual_residual",
-                  "converged")
+                  "converged", "kkt_solves")
 LAP_TRACE_COLUMNS = ("lap", "lookahead", "gain", "kappa_max", *SOLVER_COLUMNS)
 # The MPC's solver health over a run, from LapReport.solver_health.
 SOLVER_HEALTH = ("held_steps", "admm_fallbacks", "kkt_solves_p50", "kkt_solves_p95",
@@ -49,7 +49,7 @@ class LapReport:
     # The MPC's solver health; Pure Pursuit steps report no solver.
     held_steps: int = 0  # not converged: the previous command was held
     admm_fallbacks: int = 0
-    kkt_solves: list[int] = field(default_factory=list)  # per active-set step
+    kkt_solves: list[int] = field(default_factory=list)  # per MPC step
 
     @property
     def completed(self) -> int:
@@ -81,7 +81,7 @@ class LapReport:
 
     @property
     def solver_steps(self) -> int:
-        return self.admm_fallbacks + len(self.kkt_solves)
+        return len(self.kkt_solves)
 
     def record_solver(self, health):
         """Count one step's solver health (an ``mpc.MPCStepInfo``)."""
@@ -89,19 +89,17 @@ class LapReport:
             self.held_steps += 1
         if health.solver == "admm":
             self.admm_fallbacks += 1
-        else:
-            self.kkt_solves.append(health.iterations)
+        self.kkt_solves.append(health.kkt_solves)
 
     def solver_health(self) -> dict | None:
         """:data:`SOLVER_HEALTH`: held-command steps, ADMM fallbacks, and the
-        KKT solves of the steps the active-set solver answered at the p50,
-        p95 and max (NaN if it answered none); None if no step reported a
-        solver."""
+        active-set solver's KKT solves per step at the p50, p95 and max,
+        those of the steps that fell back to ADMM included; None if no step
+        reported a solver."""
         if not self.solver_steps:
             return None
-        solves = np.asarray(self.kkt_solves, dtype=float)
-        quantiles = np.percentile(solves, [50, 95, 100]).tolist() if solves.size \
-            else [math.nan] * 3
+        quantiles = np.percentile(np.asarray(self.kkt_solves, dtype=float),
+                                  [50, 95, 100]).tolist()
         return dict(zip(SOLVER_HEALTH, [self.held_steps, self.admm_fallbacks, *quantiles]))
 
     def solver_summary(self) -> str:

@@ -13,17 +13,22 @@ warm-started ADMM solves the same QP. The first optimized acceleration
 becomes a speed command that the simulator's P speed loop turns back into
 that acceleration; if no solver converges the previous command is held.
 
+The MPC plans for the plant that the simulator runs: ``MPCConfig.plant``
+is a :class:`SimConfig`, whose wheelbase, actuator and rate limits and P
+speed-loop gain the QP and the command law read.
+
 What is built once, and what per step. The parts of the QP that no step
 changes form a read-only :class:`QPTemplate`, built once per frozen
 :class:`MPCConfig` (:func:`qp_template`): the effort and rate cost, the
-state weights, the box and rate rows with their bounds, and the rows'
-one-sided form for the active-set solver. Once per raceline and wheelbase,
-a table holds each waypoint's (x, y, v_max) and feedforward steering
-``arctan(L kappa)``; the raceline holds each waypoint's tangent heading. A
-step gathers its horizon from those tables (:func:`build_reference`),
-computes the A/B/c entries of every knot on floats in one call
-(:func:`linearize`), and condenses them into the QP's cost by a forward
-recursion over the knots (:func:`assemble_qp`).
+state weights, and the box and rate rows as one-sided rows ``C u <= h``.
+Both solvers read those rows: the QP poses them to ADMM with ``l = -inf``,
+so the active-set multipliers are ADMM's ``y``. Once per raceline and
+wheelbase, a table holds each waypoint's (x, y, v_max) and feedforward
+steering ``arctan(L kappa)``; the raceline holds each waypoint's tangent
+heading. A step gathers its horizon from those tables
+(:func:`build_reference`), computes the A/B/c entries of every knot on
+floats in one call (:func:`linearize`), and condenses them into the QP's
+cost by a forward recursion over the knots (:func:`assemble_qp`).
 
 MPC state order is (x, y, v, psi) and control order is (a, delta).
 """
@@ -52,23 +57,17 @@ class MPCConfig:
     terminal_weights: tuple = (13.5, 13.5, 5.5, 13.0)
     control_weights: tuple = (0.01, 5.0)
     control_rate_weights: tuple = (0.01, 5.0)
-    delta_max: float = SimConfig.delta_max
-    a_max: float = SimConfig.a_max
-    delta_rate_max: float = SimConfig.delta_rate_max
-    wheelbase: float = SimConfig.wheelbase
-    speed_gain: float = SimConfig.speed_gain  # the simulator's P speed-loop gain [1/s]
     v_floor: float = 0.5
     rho: float = 0.1
     tol: float = 1e-6
     max_iter: int = 4000
+    plant: SimConfig = SimConfig()  # validated by SimConfig itself
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if not self.dt > 0.0:
             raise ValueError("dt must be > 0")
-        if not self.speed_gain > 0.0:
-            raise ValueError("speed_gain must be > 0")
         if not self.tol > 0.0:
             raise ValueError("tol must be > 0")
         if not self.rho > 0.0:
@@ -102,21 +101,15 @@ class QPTemplate:
 
     ``P`` is the control effort and rate cost, to which a step adds its
     tracking cost, and ``state_weights`` the weight of each state of the
-    horizon, knot by knot. ``A``, ``l`` and ``u`` are the box and rate rows
-    on the controls and their bounds. ``C u <= h`` states them one-sided,
-    one row per finite bound, and ``fold`` links the two forms:
-    ``C = fold.T @ A``, and ``fold @ mu`` puts the multipliers ``mu`` of the
-    one-sided rows on the rows of ``A`` (upper minus lower).
+    horizon, knot by knot. ``C u <= h`` are the box and rate rows on the
+    controls, one row per finite bound: the upper box rows, two rows per
+    consecutive steering pair, then the lower box rows.
     """
 
     P: np.ndarray
     state_weights: np.ndarray
-    A: np.ndarray
-    l: np.ndarray
-    u: np.ndarray
     C: np.ndarray
     h: np.ndarray
-    fold: np.ndarray
 
 
 @functools.lru_cache(maxsize=32)
@@ -127,25 +120,24 @@ def qp_template(config: MPCConfig) -> QPTemplate:
     the sign of a zero weight.
     """
     horizon = config.horizon
+    plant = config.plant
     n = NU * horizon
     # Knot differences u_{t+1} - u_t, penalized by the rate weights.
     diff = np.eye(horizon - 1, horizon, 1) - np.eye(horizon - 1, horizon)
     p_mat = np.diag(2.0 * np.tile(config.control_weights, horizon)) + np.kron(
         diff.T @ diff, np.diag(2.0 * np.asarray(config.control_rate_weights)))
 
-    # Box rows on every control, then two one-sided rows per consecutive
-    # steering pair: +-(d_{t+1} - d_t).
-    a_mat = np.vstack([np.eye(n), np.zeros((2 * (horizon - 1), n))])
-    a_mat[n:, 1::NU] = np.kron(diff, [[1.0], [-1.0]])
-    upper = np.concatenate([np.tile((config.a_max, config.delta_max), horizon),
-                            np.full(2 * (horizon - 1), config.delta_rate_max * config.dt)])
-    lower = np.concatenate([-upper[:n], np.full(2 * (horizon - 1), -np.inf)])
-    # Every upper bound is finite, and only the box rows have a lower one.
-    fold = np.hstack([np.eye(len(upper)), -np.eye(len(upper), n)])
+    # Upper box rows on every control, +-(d_{t+1} - d_t) for each
+    # consecutive steering pair, then the lower box rows; + 0.0 turns the
+    # -0.0 entries that negation leaves in the rate and lower rows into 0.0.
+    rows = np.vstack([np.eye(n), np.zeros((2 * (horizon - 1), n))])
+    rows[n:, 1::NU] = np.kron(diff, [[1.0], [-1.0]])
+    bound = np.concatenate([np.tile((plant.a_max, plant.delta_max), horizon),
+                            np.full(2 * (horizon - 1), plant.delta_rate_max * config.dt)])
     state_weights = np.array([*config.state_weights] * horizon + [*config.terminal_weights],
                              dtype=float)
-    template = QPTemplate(p_mat, state_weights, a_mat, lower, upper, fold.T @ a_mat,
-                          np.concatenate([upper, -lower[:n]]), fold)
+    template = QPTemplate(p_mat, state_weights, np.vstack([rows, -rows[:n]]) + 0.0,
+                          np.concatenate([bound, bound[:n]]))
     for array in vars(template).values():
         array.setflags(write=False)
     return template
@@ -179,7 +171,7 @@ def _unwrap(angles: list) -> list:
 def build_reference(raceline: rl.Raceline, state: VehicleState,
                     config: MPCConfig) -> HorizonReference:
     """Sample the horizon by advancing waypoints proportional to speed."""
-    xyv, steering = _waypoint_table(raceline, config.wheelbase)
+    xyv, steering = _waypoint_table(raceline, config.plant.wheelbase)
     i0 = rl.nearest_index(raceline, state.position)
     v_ref = max(state.v, config.v_floor)
     advance = max(int(round(v_ref * config.dt / raceline.mean_spacing)), 1)
@@ -248,8 +240,9 @@ def assemble_qp(reference: HorizonReference, linearization, state: VehicleState,
     S_{k+1} = A_k S_k + B_k E_k (E_k picks u_k out of u) and
     o_{k+1} = A_k o_k + c_k. The tracking cost sum_k (x_k - r_k)' W_k (x_k - r_k)
     then adds H = 2 sum_k S_k' W_k S_k to the template's effort and rate
-    cost, and g = 2 sum_k S_k' W_k (o_k - r_k). The rows and bounds are the
-    template's read-only arrays; ``P`` and ``q`` are the step's own.
+    cost, and g = 2 sum_k S_k' W_k (o_k - r_k). The rows ``A = C`` and the
+    bounds ``u = h`` are the template's read-only arrays, with ``l = -inf``;
+    ``P``, ``q`` and ``l`` are the step's own.
     """
     horizon = config.horizon
     a_blocks, b_blocks, offsets = linearization
@@ -273,7 +266,7 @@ def assemble_qp(reference: HorizonReference, linearization, state: VehicleState,
     tracking = lift.T @ weighted
     return QPProblem(tracking + tracking.T + template.P,
                      2.0 * (weighted.T @ (offset.ravel() - reference.states.ravel())),
-                     template.A, template.l, template.u)
+                     template.C, np.full_like(template.h, -np.inf), template.h)
 
 
 @dataclass
@@ -283,6 +276,8 @@ class MPCStepInfo:
     dual_residual: float = float("nan")
     converged: bool = False
     solver: str = ""  # "active_set", or "admm" after a fallback
+    # Of the active-set solver, which runs first on every step; 0 if it raised.
+    kkt_solves: int = 0
     # The QP's controls and row multipliers, the next step's warm start
     # when converged.
     solution_x: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -302,7 +297,7 @@ class MPCTracker:
         self.config = config
         # Build the step-invariant tables now rather than in the first step.
         qp_template(config)
-        _waypoint_table(raceline, config.wheelbase)
+        _waypoint_table(raceline, config.plant.wheelbase)
         self.reset()
 
     def reset(self):
@@ -325,44 +320,44 @@ class MPCTracker:
 def solve_qp(qp: QPProblem, config: MPCConfig, warm=(None, None)) -> MPCStepInfo:
     """Solve the MPC QP from ``assemble_qp``; returns the solver health.
 
-    The active-set solver runs on the template's one-sided rows, warm-started
-    from ``warm`` (the previous step's controls and row multipliers): the
-    controls are the start point, and the one-sided rows that carry a
-    multiplier and are still tight the working set. The result stands if its
-    residuals on ``qp`` are below ``config.tol``; otherwise warm-started ADMM
-    solves ``qp``.
+    The QP's rows are one-sided (``l = -inf``), so both solvers take them as
+    they are and share their multipliers. The active-set solver runs on
+    ``A x <= u``, warm-started from ``warm`` (the previous step's controls
+    and row multipliers): the controls are the start point, and the rows
+    that carry a multiplier and are still tight the working set. The result
+    stands if its residuals on ``qp`` are below ``config.tol``; otherwise
+    warm-started ADMM solves ``qp``.
     """
-    template = qp_template(config)
     x0, y0 = warm
     u0, working = np.zeros(qp.n), []
     if x0 is not None:
-        carried = template.fold.T @ y0 > 0.0
-        tight = template.h - template.C @ x0 <= config.tol
-        u0, working = x0, np.flatnonzero(carried & tight).tolist()
+        tight = qp.u - qp.A @ x0 <= config.tol
+        u0, working = x0, np.flatnonzero((y0 > 0.0) & tight).tolist()
     try:
-        result = active_set_solve(qp.P, qp.q, template.C, template.h, u0, working,
+        result = active_set_solve(qp.P, qp.q, qp.A, qp.u, u0, working,
                                   max_iter=config.max_iter, tol=config.tol)
     except np.linalg.LinAlgError:
         result = None
+    kkt_solves = 0 if result is None else result.iterations
     if result is not None and result.converged:
-        y = template.fold @ result.multipliers
-        primal, dual = residuals(qp, result.x, y)
+        primal, dual = residuals(qp, result.x, result.multipliers)
         if primal < config.tol and dual < config.tol:
-            return MPCStepInfo(result.iterations, primal, dual, True,
-                               solver="active_set", solution_x=result.x, solution_y=y)
+            return MPCStepInfo(result.iterations, primal, dual, True, solver="active_set",
+                               kkt_solves=kkt_solves, solution_x=result.x,
+                               solution_y=result.multipliers)
 
     fallback = admm_solve(qp, tol_primal=config.tol, tol_dual=config.tol,
                           max_iter=config.max_iter, rho=config.rho, x0=x0, y0=y0)
     return MPCStepInfo(fallback.iterations, fallback.primal_residual,
                        fallback.dual_residual, fallback.converged, solver="admm",
-                       solution_x=fallback.x, solution_y=fallback.y)
+                       kkt_solves=kkt_solves, solution_x=fallback.x, solution_y=fallback.y)
 
 
 def mpc_qp(raceline: rl.Raceline, state: VehicleState, config: MPCConfig):
     """The step's reference horizon and its QP."""
     reference = build_reference(raceline, state, config)
     linearization = linearize(reference.states, reference.controls,
-                              config.wheelbase, config.dt)
+                              config.plant.wheelbase, config.dt)
     return reference, assemble_qp(reference, linearization, state, config)
 
 
@@ -371,8 +366,9 @@ def mpc_step(raceline: rl.Raceline, state: VehicleState, prev_command: Command,
     """One MPC solve; returns (Command, MPCStepInfo).
 
     The first optimized control (a0, delta0) becomes a Command with
-    ``v_cmd = v + a0 / config.speed_gain``, so the simulator's P speed loop
-    (``speed_gain * (v_cmd - v)``) applies a0 over the next control period.
+    ``v_cmd = v + a0 / speed_gain`` (of ``config.plant``), so the simulator's
+    P speed loop (``speed_gain * (v_cmd - v)``) applies a0 over the next
+    control period.
     On non-convergence the previous command is returned unchanged.
     """
     _, qp = mpc_qp(raceline, state, config)
@@ -381,4 +377,4 @@ def mpc_step(raceline: rl.Raceline, state: VehicleState, prev_command: Command,
         return prev_command, info
 
     a0, delta0 = info.solution_x[:NU].tolist()
-    return Command(delta0, state.v + a0 / config.speed_gain), info
+    return Command(delta0, state.v + a0 / config.plant.speed_gain), info

@@ -32,6 +32,15 @@ TEACHER_G_INTERCEPT = 0.9 - TEACHER_G_SLOPE * 3.0
 
 SMOOTHER_INIT = (1.0, 0.9)
 
+# Fixed steering gain used where a constant gain is required (the
+# lookahead-only policy and the fixed/adaptive baselines). Chosen by a
+# validation sweep of the velocity-linear schedule with constant gain over
+# {0.6, 0.7, 0.8, 0.9, 1.0} on the training oval under the full-completion
+# criterion: 0.6 sustains the highest speed multiplier (2.6 vs 1.7 for 1.0).
+DEFAULT_FIXED_GAIN = 0.6
+# Age [s] past which an external source's latest action is stale.
+STALENESS_TIMEOUT = 0.2
+
 
 def _clip(value, lo, hi):
     return max(lo, min(hi, value))
@@ -178,7 +187,7 @@ class ExternalSource:
     fresh actions resume.
     """
 
-    timeout: float = 0.2
+    timeout: float = STALENESS_TIMEOUT
     last_params: PPParams | None = field(default=None, repr=False)
     last_receipt: float = field(default=-math.inf, repr=False)
 

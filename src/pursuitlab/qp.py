@@ -7,9 +7,11 @@
 
 that alternates a regularized KKT solve with projection onto [l, u],
 using over-relaxation and an adaptive penalty. Equality rows are simply
-rows with l == u. Bounds may be +-inf. The problems are small (the MPC's
-has 16 variables and 30 rows), so the data is dense and the KKT matrix is
-inverted once per penalty value.
+rows with l == u. Bounds may be +-inf; the MPC poses its one-sided rows
+``C u <= h`` with ``l = -inf``, as OSQP does (Stellato et al., 2020), so
+its ``y`` are the active-set solver's multipliers. The problems are small
+(the MPC's has 16 variables and 46 rows), so the data is dense and the KKT
+matrix is inverted once per penalty value.
 
 ``active_set_solve`` is a primal active-set solver for strictly convex
 QPs with inequality rows only,

@@ -289,10 +289,12 @@ def test_comparison_outputs(tmp_path):
 
 def test_solver_health_counts_held_steps_fallbacks_and_kkt_solves(tmp_path):
     mpc_report = LapReport()
-    for solver, iterations, converged in [("active_set", 3, True), ("admm", 40, True),
-                                          ("active_set", 1, True), ("admm", 4000, False),
-                                          ("active_set", 7, True)]:
-        mpc_report.record_solver(MPCStepInfo(iterations, converged=converged, solver=solver))
+    # KKT solves count on every step: 5 before a fallback, 0 where it raised.
+    for solver, iterations, kkt_solves, converged in [
+            ("active_set", 3, 3, True), ("admm", 40, 5, True), ("active_set", 1, 1, True),
+            ("admm", 4000, 0, False), ("active_set", 7, 7, True)]:
+        mpc_report.record_solver(MPCStepInfo(iterations, converged=converged, solver=solver,
+                                             kkt_solves=kkt_solves))
     health = mpc_report.solver_health()
     assert health == {"held_steps": 1, "admm_fallbacks": 2, "kkt_solves_p50": 3.0,
                       "kkt_solves_p95": pytest.approx(6.6), "kkt_solves_max": 7.0}
@@ -324,7 +326,7 @@ def test_cli_reports_read_back_the_mpc_solver_health(tmp_path):
     assert cli.main(["eval", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 0
 
     trace = list(csv.DictReader(open(tmp_path / "c" / "mpc_trace.csv")))
-    solves = [int(row["iterations"]) for row in trace if row["solver"] == "active_set"]
+    solves = [int(row["kkt_solves"]) for row in trace]
     assert solves
     expected = {"held_steps": sum(row["converged"] == "0" for row in trace),
                 "admm_fallbacks": sum(row["solver"] == "admm" for row in trace),

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import math
 
@@ -156,7 +157,7 @@ def test_linearize_rejects_steep_reference_steering():
 
 def one_step_problem(track, state, config):
     ref = build_reference(track, state, config)
-    return ref, linearize(ref.states, ref.controls, config.wheelbase, config.dt)
+    return ref, linearize(ref.states, ref.controls, config.plant.wheelbase, config.dt)
 
 
 def test_assemble_decision_dimension_horizon_one():
@@ -174,7 +175,7 @@ def test_assemble_rate_row_count():
     state = VehicleState(float(track.x[0]), float(track.y[0]), 0.0, 2.5)
     ref, lins = one_step_problem(track, state, config)
     qp = assemble_qp(ref, lins, state, config)
-    m_box = NU * config.horizon
+    m_box = 2 * NU * config.horizon  # an upper and a lower row per control
     assert qp.m - m_box == 2 * (config.horizon - 1)
 
 
@@ -225,7 +226,8 @@ def test_assemble_qp_matches_the_mpc_cost_and_constraints(
         horizon, state_w, terminal_w, control_w, rate_w, seed):
     """Oracle: the MPC objective of random controls u, rolled out from the
     current state, less that of zero controls, is 0.5 u'Hu + g'u; the rows
-    are the controls' boxes and steering differences, written out."""
+    are the controls' upper boxes, steering differences and lower boxes,
+    written out."""
     rng = np.random.default_rng(seed)
     config = MPCConfig(horizon=horizon, state_weights=state_w,
                        terminal_weights=terminal_w, control_weights=control_w,
@@ -248,11 +250,13 @@ def test_assemble_qp_matches_the_mpc_cost_and_constraints(
     assert (abs(quadratic - (with_u - without))
             <= 1e-9 * max(with_u, without, scale) + 4 * np.finfo(float).tiny)
 
-    us = u.reshape(horizon, NU)
+    n = NU * horizon
     au = qp.A @ u
-    np.testing.assert_array_equal(au[:NU * horizon], u)
-    rate = np.diff(us[:, 1])
-    np.testing.assert_array_equal(au[NU * horizon:], np.column_stack([rate, -rate]).ravel())
+    np.testing.assert_array_equal(au[:n], u)
+    rate = np.diff(u.reshape(horizon, NU)[:, 1])
+    np.testing.assert_array_equal(au[n:-n], np.column_stack([rate, -rate]).ravel())
+    np.testing.assert_array_equal(au[-n:], -u)
+    assert np.all(qp.l == -np.inf)
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +274,7 @@ def oracle_reference(raceline, state, config):
     states = np.column_stack([raceline.x[indices], raceline.y[indices],
                               raceline.v_max[indices], np.unwrap(headings)])
     controls = np.zeros((config.horizon, NU))
-    controls[:, 1] = np.arctan(config.wheelbase * raceline.kappa[indices[:-1]])
+    controls[:, 1] = np.arctan(config.plant.wheelbase * raceline.kappa[indices[:-1]])
     return states, controls
 
 
@@ -320,7 +324,7 @@ def oracle_qp(raceline, state, config):
     a_mat[:n_states, :n_states] = np.eye(n_states)
     lower[:NX] = upper[:NX] = np.array([state.x, state.y, state.v, psi0])
     for t in range(horizon):
-        a_t, b_t, c_t = oracle_linearize(states[t], controls[t], config.wheelbase,
+        a_t, b_t, c_t = oracle_linearize(states[t], controls[t], config.plant.wheelbase,
                                          config.dt)
         rows = slice(NX * (t + 1), NX * (t + 2))
         a_mat[rows, NX * t:NX * (t + 1)] = -a_t
@@ -328,12 +332,12 @@ def oracle_qp(raceline, state, config):
         lower[rows] = upper[rows] = c_t
     box = slice(n_states, n_states + m_box)
     a_mat[box, n_states:] = np.eye(m_box)
-    upper[box] = np.tile((config.a_max, config.delta_max), horizon)
+    upper[box] = np.tile((config.plant.a_max, config.plant.delta_max), horizon)
     lower[box] = -upper[box]
     rate = slice(n_states + m_box, m)
     a_mat[rate, n_states + 1::NU] = np.kron(diff, [[1.0], [-1.0]])
     lower[rate] = -np.inf
-    upper[rate] = config.delta_rate_max * config.dt
+    upper[rate] = config.plant.delta_rate_max * config.dt
     return states, QPProblem(p_mat, q_vec, a_mat, lower, upper)
 
 
@@ -355,15 +359,27 @@ def oracle_rollout(full, controls, pinned):
     return z
 
 
+def oracle_control_rows(full, n):
+    """The oracle's rows on its ``n`` controls, ``l <= A u <= u``, restated
+    one-sided as ``C u <= h``: +row for each finite upper bound, then -row
+    for each finite lower bound, with 0.0 for -0.0 in ``C``."""
+    n_states = full.n - n
+    assert not full.A[n_states:, :n_states].any()
+    rows, lower, upper = full.A[n_states:, n_states:], full.l[n_states:], full.u[n_states:]
+    finite_upper, finite_lower = np.isfinite(upper), np.isfinite(lower)
+    return (np.vstack([rows[finite_upper], -rows[finite_lower]]) + 0.0,
+            np.concatenate([upper[finite_upper], -lower[finite_lower]]))
+
+
 def assert_eliminates_the_oracle_states(qp, full, rng):
     """``qp`` is ``full`` with its states eliminated: for random controls u,
     the oracle's objective less that at zero controls is 0.5 u'Hu + g'u to
-    1e-10 relative, and the control rows are the oracle's, byte for byte."""
-    n_states = full.n - qp.n
-    assert not full.A[n_states:, :n_states].any()
-    for name in ("l", "u"):
-        assert getattr(qp, name).tobytes() == getattr(full, name)[n_states:].tobytes()
-    assert qp.A.tobytes() == full.A[n_states:, n_states:].tobytes()
+    1e-10 relative, and the rows are the oracle's control rows restated
+    one-sided, byte for byte, with no lower bounds."""
+    c_mat, h = oracle_control_rows(full, qp.n)
+    assert qp.A.tobytes() == c_mat.tobytes()
+    assert qp.u.tobytes() == h.tobytes()
+    assert np.all(qp.l == -np.inf)
     slope = full.P @ oracle_rollout(full, np.zeros(qp.n), full.u) + full.q
     for _ in range(3):
         u = rng.uniform(-1.0, 1.0, qp.n)
@@ -419,7 +435,7 @@ def test_qp_chain_matches_the_per_knot_oracle_bytes(
                          rl.tangent_heading(track, i) + heading_error, speed)
     reference = build_reference(track, state, config)
     qp = assemble_qp(reference, linearize(reference.states, reference.controls,
-                                          config.wheelbase, config.dt), state, config)
+                                          config.plant.wheelbase, config.dt), state, config)
     states, expected = oracle_qp(track, state, config)
     assert reference.states.tobytes() == states.tobytes()
     assert_eliminates_the_oracle_states(qp, expected, np.random.default_rng(0))
@@ -441,17 +457,19 @@ def test_template_arrays_are_read_only_and_steps_own_the_rest():
     _, qp = mpc_qp(track, state, config)
     before = qp_bytes(qp)
     template = qp_template(config)
-    for name in ("A", "l", "u"):  # the template's rows and bounds, shared
-        assert np.shares_memory(getattr(qp, name), getattr(template, name))
+    for name, shared in (("A", "C"), ("u", "h")):  # the template's rows and bounds
+        assert np.shares_memory(getattr(qp, name), getattr(template, shared))
     for array in vars(template).values():
         with pytest.raises(ValueError):
             array[0] = 1.0
-    # The one-sided rows and the fold are the template's rows restated.
-    np.testing.assert_array_equal(template.C, template.fold.T @ template.A)
-    np.testing.assert_array_equal(template.h, np.concatenate(
-        [template.u, -template.l[np.isfinite(template.l)]]))
-    # P and q are the step's own copies.
-    for array in (qp.P, qp.q):
+    # The template's rows are the per-knot oracle's control rows restated.
+    for horizon in (1, 2, 8):
+        short = MPCConfig(horizon=horizon)
+        c_mat, h = oracle_control_rows(oracle_qp(track, state, short)[1], NU * horizon)
+        assert qp_template(short).C.tobytes() == c_mat.tobytes()
+        assert qp_template(short).h.tobytes() == h.tobytes()
+    # P, q and l are the step's own copies.
+    for array in (qp.P, qp.q, qp.l):
         array[...] = 7.0
     _, again = mpc_qp(track, state, config)
     assert qp_bytes(again) == before
@@ -462,8 +480,8 @@ def test_template_arrays_are_read_only_and_steps_own_the_rest():
 @pytest.mark.parametrize("change, field", [
     ({"control_weights": (0.01, 4.0)}, "P"),
     ({"control_rate_weights": (0.01, 4.0)}, "P"),
-    ({"delta_rate_max": 2.0}, "u"),
-    ({"a_max": 2.5}, "l"),
+    ({"plant": SimConfig(delta_rate_max=2.0)}, "h"),
+    ({"plant": SimConfig(a_max=2.5)}, "h"),
     ({"state_weights": (13.5, 13.5, 5.5, 12.0)}, "state_weights"),
 ])
 def test_template_is_keyed_on_the_whole_config(change, field):
@@ -490,10 +508,10 @@ def test_solution_respects_actuator_and_rate_limits():
     result = admm_solve(qp)
     assert result.converged
     controls = result.x.reshape(config.horizon, NU)
-    assert np.all(np.abs(controls[:, 0]) <= config.a_max + 1e-6)
-    assert np.all(np.abs(controls[:, 1]) <= config.delta_max + 1e-6)
+    assert np.all(np.abs(controls[:, 0]) <= config.plant.a_max + 1e-6)
+    assert np.all(np.abs(controls[:, 1]) <= config.plant.delta_max + 1e-6)
     rate = np.abs(np.diff(controls[:, 1]))
-    assert np.all(rate <= config.delta_rate_max * config.dt + 1e-6)
+    assert np.all(rate <= config.plant.delta_rate_max * config.dt + 1e-6)
 
 
 # ----------------------------------------------------------------------
@@ -574,8 +592,10 @@ def test_tracker_info_carries_the_solution_once_converged():
     info = tracker.last_info
     assert info.converged
     assert info.solution_x.shape == (NU * config.horizon,)
-    assert info.solution_y.shape == (NU * config.horizon + 2 * (config.horizon - 1),)
+    # One multiplier per one-sided row: upper boxes, rates, lower boxes.
+    assert info.solution_y.shape == (2 * NU * config.horizon + 2 * (config.horizon - 1),)
     assert np.all(np.isfinite(info.solution_y))
+    assert np.all(info.solution_y >= 0.0)
     assert tracker._warm_x is info.solution_x
     assert tracker._warm_y is info.solution_y
 
@@ -589,7 +609,7 @@ def test_mpc_lap_trace_carries_the_solver_health(tmp_path):
     speed_gain * (v_cmd - v) of the previous row's speed (the start speed)."""
     track = uniform_speed_oval()
     sim = SimConfig()
-    tracker = MPCTracker(track, MPCConfig(speed_gain=sim.speed_gain))
+    tracker = MPCTracker(track, MPCConfig(plant=sim))
     path = tmp_path / "trace.csv"
     logged = []  # (start time, reference head, planned acceleration) per step
     tracker_step = tracker.step
@@ -610,6 +630,7 @@ def test_mpc_lap_trace_carries_the_solver_health(tmp_path):
     assert report.completed == 0
     assert int(rows[0]["converged"]) == 1
     assert {row["solver"] for row in rows} == {"active_set"}
+    assert all(row["kkt_solves"] == row["iterations"] for row in rows)
     assert float(rows[0]["dual_residual"]) < 1e-5
 
     start_v = 0.5 * float(track.v_max[0])
@@ -632,7 +653,7 @@ def test_speed_loop_applies_the_planned_acceleration():
     # Slower than the 2.5 m/s reference: the plan accelerates, within a_max.
     track = uniform_speed_oval()
     sim = SimConfig()
-    config = MPCConfig(speed_gain=sim.speed_gain)
+    config = MPCConfig(plant=sim)
     state = VehicleState(2.0, 0.1, 0.0, 2.3)
     command, info = mpc_step(track, state, Command(0.0, 2.3), config)
     assert info.converged
@@ -648,10 +669,14 @@ def test_build_controller_takes_the_plant_from_sim():
     # Spec keys cannot give the MPC another plant than the simulator's.
     tracker = build_controller({"type": "mpc", "delta_max": 0.5, "a_max": 9.0},
                                uniform_speed_oval(), sim)
-    assert {name: getattr(tracker.config, name) for name in
-            ("wheelbase", "delta_max", "delta_rate_max", "a_max", "speed_gain")} \
-        == {"wheelbase": 0.4, "delta_max": 0.35, "delta_rate_max": 2.5, "a_max": 2.0,
-            "speed_gain": 3.5}
+    assert tracker.config.plant is sim
+
+
+def test_the_mpc_states_its_plant_once():
+    """MPCConfig holds the plant as a SimConfig and repeats none of its fields."""
+    assert not ({f.name for f in dataclasses.fields(MPCConfig)}
+                & {f.name for f in dataclasses.fields(SimConfig)})
+    assert MPCConfig().plant == SimConfig()
 
 
 @pytest.mark.parametrize("speed_gain", [20.0, 2.0], ids=["v_plus_a_dt", "v_plus_a_over_gain"])
@@ -662,9 +687,9 @@ def test_active_set_matches_cold_admm_along_a_run(speed_gain):
     bind; under the P-loop law steering bounds bind as well."""
     track = heldout_rect()
     sim = SimConfig()
-    config = MPCConfig(speed_gain=speed_gain)
+    config = MPCConfig(plant=SimConfig(speed_gain=speed_gain))
     tracker = MPCTracker(track, config)
-    box = slice(0, NU * config.horizon)
+    n = NU * config.horizon
     state = VehicleState(float(track.x[0]), float(track.y[0]),
                          rl.tangent_heading(track, 0), 0.5 * float(track.v_max[0]))
     prev_delta = 0.0
@@ -677,10 +702,11 @@ def test_active_set_matches_cold_admm_along_a_run(speed_gain):
         reference = admm_solve(qp, tol_primal=1e-9, tol_dual=1e-9, max_iter=20000)
         assert reference.converged
         np.testing.assert_allclose(info.solution_x, reference.x, rtol=0, atol=1e-5)
-        y_box = info.solution_y[box]
+        # The one-sided rows: n upper box rows, the rate rows, n lower box rows.
+        y = info.solution_y
+        y_box = np.concatenate([y[:n], y[-n:]])
         accel_bound |= bool(np.any(y_box[0::NU] != 0.0))
-        steer_bound |= bool(np.any(y_box[1::NU] != 0.0)
-                            or np.any(info.solution_y[box.stop:] != 0.0))
+        steer_bound |= bool(np.any(y_box[1::NU] != 0.0) or np.any(y[n:-n] != 0.0))
         state, prev_delta = control_step(state, command, prev_delta, sim)
     assert accel_bound
     assert steer_bound == (speed_gain == 2.0)
@@ -695,6 +721,7 @@ def test_singular_condensed_hessian_falls_back_to_admm():
     assert info.solver == "admm"
     assert info.converged
     assert info.iterations >= 1
+    assert info.kkt_solves == 0  # the active-set solver raised
 
 
 @pytest.fixture
@@ -742,7 +769,8 @@ def test_a_heldout_lap_completes_on_admm_alone(monkeypatch, admm_calls):
     report, infos = heldout_lap()
     assert report.completed == 1
     assert admm_calls["admm_solve"] == len(infos) > 100
-    assert all(info.converged and info.solver == "admm" for info in infos)
+    assert all(info.converged and info.solver == "admm" and info.kkt_solves == 0
+               for info in infos)
 
 
 def test_every_qp_of_a_heldout_lap_is_over_the_controls(monkeypatch):
@@ -812,23 +840,24 @@ def test_a_converged_active_set_result_off_the_kkt_conditions_falls_back(
         monkeypatch, violation):
     """The residual gate: an active-set result reported converged whose
     controls violate a row, or only stationarity, on the step's QP is not
-    accepted; ADMM solves that same QP."""
+    accepted; ADMM solves that same QP, and the step keeps the active-set
+    solver's KKT solves."""
     track = uniform_speed_oval()
     config = MPCConfig()
     state = VehicleState(2.0, 0.3, 0.0, 2.5)
     _, qp = mpc_qp(track, state, config)
     honest = mpc.solve_qp(qp, config)
-    assert honest.solver == "active_set"
+    assert honest.solver == "active_set" and honest.kkt_solves == honest.iterations
     solve = mpc.active_set_solve
     gate = []
 
     def perturbed(*args, **kwargs):
         result = solve(*args, **kwargs)
         if violation == "row":
-            result.x[0] = config.a_max + 1e-3
+            result.x[0] = config.plant.a_max + 1e-3
         else:  # towards zero controls, which satisfy every row
             result.x *= 1.0 - 1e-4
-        gate.append(residuals(qp, result.x, qp_template(config).fold @ result.multipliers))
+        gate.append(residuals(qp, result.x, result.multipliers))
         return result
     monkeypatch.setattr(mpc, "active_set_solve", perturbed)
     command, info = mpc_step(track, state, Command(0.0, 2.5), config)
@@ -836,6 +865,7 @@ def test_a_converged_active_set_result_off_the_kkt_conditions_falls_back(
     assert (primal > config.tol) == (violation == "row")
     assert dual > config.tol
     assert info.solver == "admm" and info.converged
+    assert info.kkt_solves == honest.iterations >= 1
     np.testing.assert_allclose(info.solution_x, honest.solution_x, rtol=0, atol=1e-4)
     assert command.delta == info.solution_x[1]
 
@@ -843,11 +873,15 @@ def test_a_converged_active_set_result_off_the_kkt_conditions_falls_back(
 @pytest.mark.parametrize("field", ["dt", "speed_gain", "state_weights", "terminal_weights",
                                    "control_weights", "control_rate_weights"])
 def test_config_rejects_nan(field):
-    """A NaN passes ``x <= 0`` and ``w < 0`` checks."""
-    default = getattr(MPCConfig(), field)
-    value = (math.nan,) * len(default) if isinstance(default, tuple) else math.nan
+    """A NaN passes ``x <= 0`` and ``w < 0`` checks. The MPC's speed_gain is
+    its plant's, so a NaN there is rejected when the plant is built."""
     with pytest.raises(ValueError):
-        MPCConfig(**{field: value})
+        if field == "speed_gain":
+            MPCConfig(plant=SimConfig(speed_gain=math.nan))
+        else:
+            default = getattr(MPCConfig(), field)
+            value = (math.nan,) * len(default) if isinstance(default, tuple) else math.nan
+            MPCConfig(**{field: value})
 
 
 @pytest.mark.parametrize("field, value", [
