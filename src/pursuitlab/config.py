@@ -15,7 +15,7 @@ import yaml
 from . import raceline as rl
 from .env import EnvConfig, RacingEnv, RewardWeights
 from .ppo import PPOConfig
-from .pure_pursuit import DEFAULT_FIXED_GAIN, STALENESS_TIMEOUT
+from .pure_pursuit import DEFAULT_FIXED_GAIN, DEFAULT_FIXED_LOOKAHEAD, STALENESS_TIMEOUT
 from .vehicle import SimConfig
 
 # train.<key> -> PPOConfig field. PPOConfig.hidden is not exposed.
@@ -47,7 +47,7 @@ DEFAULTS = {
     "controller": {
         "type": "teacher",  # fixed | adaptive | teacher | rl | mpc
         "multiplier": 1.0,
-        "lookahead": 1.5,
+        "lookahead": DEFAULT_FIXED_LOOKAHEAD,
         "gain": DEFAULT_FIXED_GAIN,
         "checkpoint": None,
         "timeout": STALENESS_TIMEOUT,

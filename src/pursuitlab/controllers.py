@@ -14,12 +14,11 @@ from . import raceline as rl
 from .env import observe
 from .mpc import MPCConfig, MPCTracker
 from .ppo import PolicyBundle, load_checkpoint
-from .pure_pursuit import (DEFAULT_FIXED_GAIN, STALENESS_TIMEOUT, AdaptiveLinearSource,
-                           ExternalSource, FixedSource, PurePursuitController,
-                           TeacherSource, params_from_action, smoother_start)
+from .pure_pursuit import (DEFAULT_FIXED_GAIN, DEFAULT_FIXED_LOOKAHEAD, STALENESS_TIMEOUT,
+                           AdaptiveLinearSource, ExternalSource, FixedSource,
+                           PurePursuitController, TeacherSource, params_from_action,
+                           smoother_start)
 from .vehicle import ControllerOutput, SimConfig, VehicleState
-
-DEFAULT_FIXED_LOOKAHEAD = 1.5
 
 
 class PurePursuitAdapter:
@@ -27,13 +26,16 @@ class PurePursuitAdapter:
 
     def __init__(self, raceline: rl.Raceline, source):
         self.controller = PurePursuitController(raceline, source)
+        self.index = None  # the last step's waypoint, the next query's hint
 
     def reset(self):
         self.controller.reset()
+        self.index = None
 
     def step(self, state: VehicleState, now: float) -> ControllerOutput:
-        index = rl.nearest_index(self.controller.raceline, state.position)
-        return self.controller.step(state, index, now)
+        self.index = rl.nearest_index(self.controller.raceline, state.position,
+                                      near=self.index)
+        return self.controller.step(state, self.index, now)
 
 
 class RLPurePursuitController:
@@ -58,19 +60,21 @@ class RLPurePursuitController:
         self.action_mode = mode
         self.fixed_gain = float(bundle.meta.get("fixed_gain", DEFAULT_FIXED_GAIN))
         self.publish_enabled = True
+        self.index = None  # the last step's waypoint, the next query's hint
 
     def reset(self):
         self.controller.reset(smoother_start(self.action_mode, self.fixed_gain))
         self.source.last_params = None
         self.source.last_receipt = -np.inf
+        self.index = None
 
     def step(self, state: VehicleState, now: float) -> ControllerOutput:
-        index = rl.nearest_index(self.raceline, state.position)
+        self.index = rl.nearest_index(self.raceline, state.position, near=self.index)
         if self.publish_enabled:
-            action = self.bundle.act(observe(state, rl.taps(self.raceline, index)))
+            action = self.bundle.act(observe(state, rl.taps(self.raceline, self.index)))
             self.source.publish(
                 params_from_action(action, self.action_mode, self.fixed_gain), now)
-        return self.controller.step(state, index, now)
+        return self.controller.step(state, self.index, now)
 
 
 def build_controller(spec: dict, raceline: rl.Raceline, sim_config: SimConfig):

@@ -195,7 +195,7 @@ class RacingEnv:
         self.step_count = 0
         self.total_progress = 0
         # Waypoint nearest the current state, handed to the controller each step.
-        self.prev_index = rl.nearest_index(track, self.state.position)
+        self.prev_index = rl.nearest_index(track, self.state.position, near=spawn_index)
         self.controller.reset(smoother_start(self.config.action_mode,
                                              self.config.fixed_gain))
         self.prev_params = self.controller.smoother.state()
@@ -217,7 +217,8 @@ class RacingEnv:
             self.state, result.command, self.prev_delta, self.sim_config)
         self.step_count += 1
 
-        index, lateral_error = rl.locate(track, self.state.position)
+        index, lateral_error = rl.locate(track, self.state.position,
+                                         near=self.prev_index)
         progress = rl.progress_count(self.prev_index, index, track.n)
         self.prev_index = index
         self.total_progress += progress

@@ -168,7 +168,7 @@ def run_laps(controller, raceline: rl.Raceline, sim_config: SimConfig,
             lap_steps += 1
             global_step += 1
 
-            index, lat = rl.locate(raceline, state.position)
+            index, lat = rl.locate(raceline, state.position, near=prev_index)
             advance = rl.progress_count(prev_index, index, n)
             prev_index = index
             abs_lat_sum += abs(lat)

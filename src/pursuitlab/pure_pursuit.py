@@ -38,6 +38,8 @@ SMOOTHER_INIT = (1.0, 0.9)
 # {0.6, 0.7, 0.8, 0.9, 1.0} on the training oval under the full-completion
 # criterion: 0.6 sustains the highest speed multiplier (2.6 vs 1.7 for 1.0).
 DEFAULT_FIXED_GAIN = 0.6
+# Lookahead [m] of the fixed baseline.
+DEFAULT_FIXED_LOOKAHEAD = 1.5
 # Age [s] past which an external source's latest action is stale.
 STALENESS_TIMEOUT = 0.2
 

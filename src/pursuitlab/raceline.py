@@ -6,12 +6,21 @@ controller in this package: Pure Pursuit walks it for lookahead targets,
 the curvature taps feed the learned policy's observation, and the MPC
 tracker samples it for its horizon reference.
 
+The two track queries, :func:`nearest_index` and :func:`locate`, take an
+optional hint ``near``: the waypoint index that the previous query of the
+same moving pose returned. With a hint, a query searches the waypoints
+and segments around it and keeps that answer only where the track's
+clearance proves it global; otherwise it scans the whole loop. The hint
+changes only the cost: every query returns the same index and lateral
+error, to the bit, with any hint or none.
+
 Racelines are immutable after construction and safe to query concurrently.
 """
 
 from __future__ import annotations
 
 import bisect
+import copy
 import csv
 import io
 import math
@@ -29,6 +38,12 @@ LOCAL_CURVATURE_OFFSETS = np.arange(-2, 3)
 MIN_WAYPOINTS = 20
 SPACING_RANGE = (0.05, 1.0)
 CLOSURE_FACTOR = 3.0
+
+# A hinted track query walks at most NEAR_WINDOW waypoints each way downhill
+# in distance from its hint to an anchor waypoint c, then scans the
+# waypoints and segments c - NEAR_WINDOW .. c + NEAR_WINDOW. NEAR_WINDOW is
+# below MIN_WAYPOINTS // 2, so every loop has segments outside the window.
+NEAR_WINDOW = 8
 
 
 @dataclass(frozen=True)
@@ -124,6 +139,14 @@ class Raceline:
                               for sx, sy in zip(dx.tolist(), dy.tolist()))
         # Float copies for :func:`lookahead_target`'s per-step walk.
         self._walk = (self.cum_s.tolist(), x.tolist(), y.tolist(), seg_len.tolist())
+        # Float copies for the hinted queries' window scan, padded by
+        # NEAR_WINDOW entries on both sides so that no window wraps: entry e
+        # is waypoint (or segment) ring[e] = (e - NEAR_WINDOW) mod n, and the
+        # window around c is entries c .. c + 2 NEAR_WINDOW.
+        ring = np.arange(-NEAR_WINDOW, n + NEAR_WINDOW) % n
+        self._ring = (ring.tolist(), *(a[ring].tolist() for a in
+                                       (x, y, dx, dy, self._seg_len2)))
+        self._anchor_limit = _anchor_limits(x, y, dx, dy, self._seg_len2)
 
         # Per-waypoint curvature previews, looked up by :func:`taps` and
         # :func:`local_curvature`. The windows wrap across the seam.
@@ -136,6 +159,36 @@ class Raceline:
             np.column_stack((previews, dkappa, previews.max(axis=1))).tolist())
         self._local_curvature = tuple(
             abs_kappa[(waypoints + LOCAL_CURVATURE_OFFSETS) % n].mean(axis=1).tolist())
+
+
+def _anchor_limits(x, y, dx, dy, seg_len2) -> list:
+    """Per waypoint c, the squared distance from c below which a position's
+    track queries have their answers inside the window around c.
+
+    The clearance of c is its distance to the nearest segment more than
+    NEAR_WINDOW indices away. A position p at distance r from waypoint c is
+    within r of c and of segments c - 1 and c, and at least clearance - r
+    from every waypoint and segment outside the window (each waypoint starts
+    its segment). So if 2 r < clearance, nothing outside the window beats or
+    ties the window's nearest waypoint or segment. The slack, 1e-9 of the
+    coordinates' scale, covers the rounding of the distances.
+    """
+    n = len(x)
+    index = np.arange(n)
+    clearance = np.empty(n)
+    block = max(1, (1 << 20) // n)  # rows per pass, bounding the temporaries
+    for start in range(0, n, block):
+        rows = index[start:start + block]
+        rx = x[rows, None] - x
+        ry = y[rows, None] - y
+        t = np.clip((rx * dx + ry * dy) / seg_len2, 0.0, 1.0)
+        gap = np.hypot(rx - t * dx, ry - t * dy)
+        apart = (rows[:, None] - index) % n
+        gap[np.minimum(apart, n - apart) <= NEAR_WINDOW] = np.inf
+        clearance[rows] = gap.min(axis=1)
+    slack = 1e-9 * (1.0 + max(np.max(np.abs(x)), np.max(np.abs(y))))
+    reach = np.maximum(clearance - slack, 0.0) / 2.0
+    return (reach * reach).tolist()
 
 
 def load_raceline(source: str, half_width: float = 1.1) -> Raceline:
@@ -301,8 +354,49 @@ def synthesize_track(kind: str, *, straight: float = 10.0, radius: float = 3.0,
     return Raceline(xs, ys, ks, v, half_width)
 
 
-def nearest_index(raceline: Raceline, p) -> int:
-    """Index of the waypoint closest to position ``p``; ties take the smaller index."""
+def _anchor(raceline: Raceline, px: float, py: float, near: int) -> int | None:
+    """Walk downhill in squared distance from waypoint ``near`` to a waypoint
+    c; return c if the window around c holds the answers of the track
+    queries of (px, py) (see :func:`_anchor_limits`), else None. A NaN or
+    infinite position returns None."""
+    _, x, y, _ = raceline._walk
+    n = raceline.n
+    c = near % n
+    rx = px - x[c]
+    ry = py - y[c]
+    d2 = rx * rx + ry * ry
+    for step in (1, n - 1):
+        for _ in range(NEAR_WINDOW):
+            j = (c + step) % n
+            rx = px - x[j]
+            ry = py - y[j]
+            dj = rx * rx + ry * ry
+            if not dj < d2:
+                break
+            c, d2 = j, dj
+    return c if d2 < raceline._anchor_limit[c] else None
+
+
+def nearest_index(raceline: Raceline, p, near: int | None = None) -> int:
+    """Index of the waypoint closest to position ``p``; ties take the smaller index.
+
+    ``near`` is an optional hint, the index that the previous query of this
+    pose returned; see :func:`locate`. The result does not depend on it.
+    """
+    if near is not None:
+        px, py = float(p[0]), float(p[1])
+        c = _anchor(raceline, px, py, near)
+        if c is not None:
+            ring, x, y = raceline._ring[:3]
+            end = c + 2 * NEAR_WINDOW + 1
+            best, index = math.inf, raceline.n
+            for i, wx, wy in zip(ring[c:end], x[c:end], y[c:end]):
+                rx = px - wx
+                ry = py - wy
+                d2 = rx * rx + ry * ry
+                if d2 < best or d2 == best and i < index:
+                    best, index = d2, i
+            return index
     dx = raceline.x - p[0]
     dy = raceline.y - p[1]
     return int(np.argmin(dx * dx + dy * dy))
@@ -342,11 +436,21 @@ def lookahead_target(raceline: Raceline, i: int, lookahead: float):
 
 
 def scale_speeds(raceline: Raceline, multiplier: float) -> Raceline:
-    """New raceline with every reference speed multiplied; geometry is shared."""
+    """New raceline with every reference speed multiplied; geometry is shared.
+
+    The new raceline shares the source's arrays and tables, which no speed
+    enters, instead of building them again; only ``v_max`` is its own.
+    """
     if not multiplier > 0.0:
         raise ValueError("multiplier must be > 0")
-    return Raceline(raceline.x, raceline.y, raceline.kappa, raceline.v_base,
-                    raceline.half_width, raceline.speed_scale * multiplier)
+    speed_scale = float(raceline.speed_scale * multiplier)
+    if not speed_scale > 0.0:
+        raise ValueError("speed_scale must be > 0")
+    scaled = copy.copy(raceline)
+    scaled.speed_scale = speed_scale
+    scaled.v_max = raceline.v_base * speed_scale
+    scaled.v_max.setflags(write=False)
+    return scaled
 
 
 def progress_count(prev_index: int, new_index: int, n: int) -> int:
@@ -359,15 +463,52 @@ def progress_count(prev_index: int, new_index: int, n: int) -> int:
     return 0 if d > n // 2 else d
 
 
-def locate(raceline: Raceline, p) -> tuple[int, float]:
+def locate(raceline: Raceline, p, near: int | None = None) -> tuple[int, float]:
     """Nearest waypoint index and signed lateral error of position ``p``.
 
     The index is the waypoint closest to ``p`` (ties take the smaller
     index, as in :func:`nearest_index`). The lateral error is the signed
-    perpendicular distance from ``p`` to the nearest raceline segment,
-    positive on the left of the local travel direction. Both come from one
-    pass over the offsets of ``p`` from the waypoints.
+    perpendicular distance from ``p`` to the nearest raceline segment
+    (ties take the smaller segment index), positive on the left of the
+    local travel direction. Both come from one pass over the offsets of
+    ``p`` from the waypoints.
+
+    ``near`` is an optional hint: the index that the previous query of this
+    pose returned. With it the query walks downhill from ``near`` to an
+    anchor waypoint, as Pure Pursuit's search near the previous closest
+    point does (Coulter 1992), and scans only the window around the anchor
+    with the same float operations as the full scan. It keeps the window's
+    answer where the anchor is closer than half the track's clearance
+    there, which proves that answer global (see :func:`_anchor_limits`),
+    and scans the whole loop otherwise. So the result never depends on
+    ``near``; only the cost does.
     """
+    if near is not None:
+        px, py = float(p[0]), float(p[1])
+        c = _anchor(raceline, px, py, near)
+        if c is not None:
+            ring, x, y, dx, dy, len2 = raceline._ring
+            end = c + 2 * NEAR_WINDOW + 1
+            best, index = math.inf, raceline.n
+            best_seg, k = math.inf, raceline.n
+            for i, wx, wy, sx, sy, s2 in zip(ring[c:end], x[c:end], y[c:end],
+                                             dx[c:end], dy[c:end], len2[c:end]):
+                rx = px - wx
+                ry = py - wy
+                d2 = rx * rx + ry * ry
+                if d2 < best or d2 == best and i < index:
+                    best, index = d2, i
+                t = (rx * sx + ry * sy) / s2
+                if t < 0.0:
+                    t = 0.0
+                elif t > 1.0:
+                    t = 1.0
+                ex = rx - t * sx
+                ey = ry - t * sy
+                d2 = ex * ex + ey * ey
+                if d2 < best_seg or d2 == best_seg and i < k:
+                    best_seg, k, cross = d2, i, sx * ry - sy * rx
+            return index, (1.0 if cross >= 0.0 else -1.0) * math.sqrt(best_seg)
     rx = p[0] - raceline.x
     ry = p[1] - raceline.y
     index = int(np.argmin(rx * rx + ry * ry))

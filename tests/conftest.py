@@ -30,9 +30,9 @@ def track_queries(monkeypatch):
     and ``taps`` calls."""
     calls = {"nearest_index": 0, "locate": 0, "lateral_error": 0, "taps": 0}
     for name in calls:
-        def counted(*args, _fn=getattr(rl, name), _name=name):
+        def counted(*args, _fn=getattr(rl, name), _name=name, **kwargs):
             calls[_name] += 1
-            return _fn(*args)
+            return _fn(*args, **kwargs)
         monkeypatch.setattr(rl, name, counted)
     return calls
 

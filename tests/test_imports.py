@@ -83,3 +83,25 @@ def test_per_step_traces_have_one_writer():
               for scope in _csv_writer_scopes(ast.parse(path.read_text(encoding="utf-8")))}
     assert scopes == {"evaluation.write_laps_csv", "evaluation.write_comparison_csv",
                       "ppo.PPOTrainer.write_metrics"}
+
+
+def _unhinted_track_queries(tree):
+    """Yield the line of every ``rl.locate`` or ``rl.nearest_index`` call in
+    ``tree`` that passes no ``near`` hint, by keyword or third argument."""
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if isinstance(node, ast.Call) and isinstance(func, ast.Attribute) \
+                and func.attr in ("locate", "nearest_index") \
+                and isinstance(func.value, ast.Name) and func.value.id == "rl" \
+                and len(node.args) < 3 and "near" not in {k.arg for k in node.keywords}:
+            yield node.lineno
+
+
+def test_every_track_query_passes_its_hint():
+    """Each per-step caller hands the query its previous waypoint, so the
+    query searches near it instead of scanning the whole loop."""
+    package = Path(pursuitlab.__file__).resolve().parent
+    unhinted = {path.name: found for path in sorted(package.rglob("*.py"))
+                if (found := list(_unhinted_track_queries(
+                    ast.parse(path.read_text(encoding="utf-8")))))}
+    assert unhinted == {}

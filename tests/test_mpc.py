@@ -588,9 +588,12 @@ def test_tracker_info_carries_the_solution_once_converged():
     tracker = MPCTracker(track, config)
     assert tracker.last_info.solution_x is None
     assert tracker.last_info.solution_y is None
+    assert tracker.last_info.start_index is None
     tracker.step(VehicleState(2.0, 0.3, 0.0, 2.5), 0.0)
     info = tracker.last_info
     assert info.converged
+    # The reference's first waypoint, the next step's track-query hint.
+    assert info.start_index == rl.nearest_index(track, (2.0, 0.3))
     assert info.solution_x.shape == (NU * config.horizon,)
     # One multiplier per one-sided row: upper boxes, rates, lower boxes.
     assert info.solution_y.shape == (2 * NU * config.horizon + 2 * (config.horizon - 1),)
@@ -598,6 +601,8 @@ def test_tracker_info_carries_the_solution_once_converged():
     assert np.all(info.solution_y >= 0.0)
     assert tracker._warm_x is info.solution_x
     assert tracker._warm_y is info.solution_y
+    tracker.reset()
+    assert tracker.last_info.start_index is None
 
 
 def test_mpc_lap_trace_carries_the_solver_health(tmp_path):

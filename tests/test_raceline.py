@@ -151,6 +151,13 @@ def test_nearest_index_tie_takes_smaller():
     # exactly between them, with exactly representable coordinates.
     assert track.x[4] == 1.0 and track.x[5] == 1.25
     assert rl.nearest_index(track, (1.125, -0.5)) == 4
+    # Across the seam: waypoints n - 1 and 0 sit at (0, 0.25) and (0, 0).
+    assert rl.nearest_index(track, (-0.5, 0.125)) == 0
+    # A hint on either side, or across the seam, breaks each tie the same way.
+    for near in (5, 4, 6, 0, track.n - 1):
+        for p, index in (((1.125, -0.5), 4), ((-0.5, 0.125), 0)):
+            assert rl.nearest_index(track, p, near=near) == index
+            assert rl.locate(track, p, near=near)[0] == index
 
 
 def test_nearest_index_matches_exhaustive_scan(oval_track):
@@ -356,6 +363,14 @@ def test_scale_identity(oval_track):
     assert np.array_equal(scaled.x, oval_track.x)
 
 
+def test_scale_shares_the_geometry_tables(oval_track):
+    scaled = rl.scale_speeds(oval_track, 1.3)
+    shared = {name for name, value in vars(oval_track).items()
+              if vars(scaled)[name] is value}
+    assert set(vars(scaled)) == set(vars(oval_track))
+    assert set(vars(oval_track)) - shared == {"speed_scale", "v_max"}
+
+
 def test_scale_thirty_percent_hits_reference_maximum():
     track = rl.synthesize_track("oval", straight=10.0, radius=3.0, spacing=0.25,
                                 v_cap=12.0, a_lat_max=3.0)
@@ -462,6 +477,23 @@ def lateral_error_formula(track, p):
     return sign * math.sqrt(float(d2[k]))
 
 
+def make_hairpin_csv(gap=0.1, spacing=0.25):
+    """CSV content for a 6 x 4 m loop with a 3.5 m deep slot cut into its
+    top side: the slot's two walls are ``gap`` apart, so positions in it lie
+    near both walls, which are far apart along the loop."""
+    corners = [(0.0, 0.0), (6.0, 0.0), (6.0, 4.0), (3.0 + gap / 2.0, 4.0),
+               (3.0 + gap / 2.0, 0.5), (3.0 - gap / 2.0, 0.5),
+               (3.0 - gap / 2.0, 4.0), (0.0, 4.0)]
+    ends = np.array(corners + corners[:1])
+    sides = np.hypot(*np.diff(ends, axis=0).T)
+    along = np.concatenate(([0.0], np.cumsum(sides)))
+    s = np.linspace(0.0, along[-1], int(round(along[-1] / spacing)), endpoint=False)
+    xs = np.interp(s, along, ends[:, 0])
+    ys = np.interp(s, along, ends[:, 1])
+    return "x,y,kappa,v_max\n" + "".join(f"{x!r},{y!r},0.0,5.0\n"
+                                          for x, y in zip(xs.tolist(), ys.tolist()))
+
+
 spacings = st.floats(0.1, 0.5)
 layouts = st.one_of(
     st.builds(lambda straight, radius, spacing: rl.synthesize_track(
@@ -474,12 +506,15 @@ layouts = st.one_of(
     st.builds(lambda n, spacing: rl.load_raceline(make_circle_csv(
                   n=n, radius=n * spacing / (2.0 * math.pi))),
               st.integers(rl.MIN_WAYPOINTS, 200), spacings),
+    st.builds(lambda gap, spacing: rl.load_raceline(make_hairpin_csv(gap, spacing)),
+              st.floats(0.05, 0.3), st.floats(0.1, 0.3)),
 )
 
 
 @given(track=layouts, waypoint=st.integers(0, 10**6), along=st.floats(0.0, 1.0),
-       offset=st.one_of(st.floats(-1.5, 1.5), st.floats(-30.0, 30.0)))
-def test_locate_is_nearest_index_and_lateral_error(track, waypoint, along, offset):
+       offset=st.one_of(st.floats(-1.5, 1.5), st.floats(-30.0, 30.0)),
+       hint=st.one_of(st.integers(-12, 12), st.integers(0, 10**6)))
+def test_locate_is_nearest_index_and_lateral_error(track, waypoint, along, offset, hint):
     # A pose `offset` to the left of a point `along` the way down a segment:
     # near the line, and far off it on either side.
     i = waypoint % track.n
@@ -490,6 +525,64 @@ def test_locate_is_nearest_index_and_lateral_error(track, waypoint, along, offse
     assert index == rl.nearest_index(track, p)
     assert lateral_error == lateral_error_formula(track, p)
     assert rl.lateral_error(track, p) == lateral_error
+    # A hint near the pose or anywhere on the loop changes no bit of either.
+    near = i + hint if -12 <= hint <= 12 else hint
+    assert rl.nearest_index(track, p, near=near) == index
+    hinted_index, hinted_error = rl.locate(track, p, near=near)
+    assert (hinted_index, hinted_error.hex()) == (index, lateral_error.hex())
+
+
+@pytest.fixture
+def full_scans(monkeypatch):
+    """Lengths of the arrays that ``np.argmin`` scans, as the track queries' full scans."""
+    scans = []
+    argmin = np.argmin
+    monkeypatch.setattr(np, "argmin", lambda a: scans.append(len(a)) or argmin(a))
+    return scans
+
+
+def test_hinted_queries_near_the_line_scan_only_their_window(oval_track, full_scans):
+    expected = {}
+    for i in range(0, oval_track.n, 7):
+        heading = rl.tangent_heading(oval_track, i)
+        p = (oval_track.x[i] - 0.3 * math.sin(heading), oval_track.y[i] + 0.3 * math.cos(heading))
+        expected[p, i] = (rl.nearest_index(oval_track, p), rl.locate(oval_track, p))
+    full_scans.clear()
+    for (p, i), (index, located) in expected.items():
+        assert rl.nearest_index(oval_track, p, near=i - 2) == index
+        assert rl.locate(oval_track, p, near=i - 2) == located
+    assert full_scans == []
+
+
+def test_hinted_queries_between_close_corridors_match_the_full_scan(full_scans):
+    track = rl.load_raceline(make_hairpin_csv(gap=0.1))
+    # Positions in and around the slot, each hinted from waypoints up to
+    # 2 NEAR_WINDOW away along the loop, on its own wall or across the slot.
+    expected = {}
+    for px in np.linspace(2.85, 3.15, 16).tolist():
+        for py in np.linspace(0.3, 4.2, 40).tolist():
+            expected[px, py] = (rl.nearest_index(track, (px, py)), rl.locate(track, (px, py)))
+    full_scans.clear()
+    served = []  # per hinted query: answered without a full scan
+    for p, (index, located) in expected.items():
+        for near in range(index - 2 * rl.NEAR_WINDOW, index + 2 * rl.NEAR_WINDOW + 1, 3):
+            for query, answer in ((rl.nearest_index, index), (rl.locate, located)):
+                scans = len(full_scans)
+                assert query(track, p, near=near) == answer
+                served.append(len(full_scans) == scans)
+    # Near the slot's walls only the full scan can answer; elsewhere the window does.
+    assert any(served) and not all(served)
+
+
+def test_hinted_queries_of_a_nan_position_match_the_full_scan(oval_track):
+    for p in ((math.nan, 0.0), (0.0, math.nan), (math.inf, 1.0)):
+        with np.errstate(invalid="ignore"):  # the full scan's inf * 0
+            index, lateral_error = rl.locate(oval_track, p)
+            for near in (0, 17, oval_track.n - 1):
+                assert rl.nearest_index(oval_track, p, near=near) == \
+                    rl.nearest_index(oval_track, p)
+                hinted_index, hinted_error = rl.locate(oval_track, p, near=near)
+                assert (hinted_index, hinted_error.hex()) == (index, lateral_error.hex())
 
 
 def test_lateral_error_zero_on_line(oval_track):
