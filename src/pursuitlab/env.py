@@ -198,7 +198,7 @@ class RacingEnv:
         self.prev_index = rl.nearest_index(track, self.state.position, near=spawn_index)
         self.controller.reset(smoother_start(self.config.action_mode,
                                              self.config.fixed_gain))
-        self.prev_params = self.controller.smoother.state()
+        self.prev_params = self.controller.smoothed
         self._done = False
         return observe(self.state, rl.taps(track, self.prev_index))
 

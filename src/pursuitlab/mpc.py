@@ -168,18 +168,16 @@ def _unwrap(angles: list) -> list:
     return unwrapped
 
 
-def build_reference(raceline: rl.Raceline, state: VehicleState,
-                    config: MPCConfig, near: int | None = None) -> HorizonReference:
+def build_reference(raceline: rl.Raceline, state: VehicleState, index: int,
+                    config: MPCConfig) -> HorizonReference:
     """Sample the horizon by advancing waypoints proportional to speed.
 
-    The horizon starts at the waypoint nearest the state; ``near`` is the
-    track query's hint (see :func:`raceline.locate`).
+    The horizon starts at ``index``, the waypoint nearest the state.
     """
     xyv, steering = _waypoint_table(raceline, config.plant.wheelbase)
-    i0 = rl.nearest_index(raceline, state.position, near=near)
     v_ref = max(state.v, config.v_floor)
     advance = max(int(round(v_ref * config.dt / raceline.mean_spacing)), 1)
-    indices = (i0 + advance * np.arange(config.horizon + 1)) % raceline.n
+    indices = (index + advance * np.arange(config.horizon + 1)) % raceline.n
 
     states = np.empty((config.horizon + 1, NX))
     states[:, :3] = xyv[indices]
@@ -282,9 +280,6 @@ class MPCStepInfo:
     solver: str = ""  # "active_set", or "admm" after a fallback
     # Of the active-set solver, which runs first on every step; 0 if it raised.
     kkt_solves: int = 0
-    # The waypoint where the reference horizon starts, nearest the state;
-    # the next step's track-query hint.
-    start_index: int | None = None
     # The QP's controls and row multipliers, the next step's warm start
     # when converged.
     solution_x: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -308,15 +303,16 @@ class MPCTracker:
         self.reset()
 
     def reset(self):
+        self.index = None  # the last step's waypoint, the next query's hint
         self.prev_command = Command(0.0, 0.0)
         self._warm_x = None
         self._warm_y = None
         self.last_info = MPCStepInfo()
 
     def step(self, state: VehicleState, now: float = 0.0) -> ControllerOutput:
-        cmd, info = mpc_step(self.raceline, state, self.prev_command, self.config,
-                             warm=(self._warm_x, self._warm_y),
-                             near=self.last_info.start_index)
+        self.index = rl.nearest_index(self.raceline, state.position, near=self.index)
+        cmd, info = mpc_step(self.raceline, state, self.index, self.prev_command,
+                             self.config, warm=(self._warm_x, self._warm_y))
         self.last_info = info
         if info.converged:
             self._warm_x = info.solution_x
@@ -361,30 +357,27 @@ def solve_qp(qp: QPProblem, config: MPCConfig, warm=(None, None)) -> MPCStepInfo
                        kkt_solves=kkt_solves, solution_x=fallback.x, solution_y=fallback.y)
 
 
-def mpc_qp(raceline: rl.Raceline, state: VehicleState, config: MPCConfig,
-           near: int | None = None):
-    """The step's reference horizon and its QP; ``near`` as in :func:`build_reference`."""
-    reference = build_reference(raceline, state, config, near)
+def mpc_qp(raceline: rl.Raceline, state: VehicleState, index: int,
+           config: MPCConfig) -> QPProblem:
+    """The step's QP; ``index`` as in :func:`build_reference`."""
+    reference = build_reference(raceline, state, index, config)
     linearization = linearize(reference.states, reference.controls,
                               config.plant.wheelbase, config.dt)
-    return reference, assemble_qp(reference, linearization, state, config)
+    return assemble_qp(reference, linearization, state, config)
 
 
-def mpc_step(raceline: rl.Raceline, state: VehicleState, prev_command: Command,
-             config: MPCConfig, warm=(None, None), near: int | None = None):
-    """One MPC solve; returns (Command, MPCStepInfo).
+def mpc_step(raceline: rl.Raceline, state: VehicleState, index: int,
+             prev_command: Command, config: MPCConfig, warm=(None, None)):
+    """One MPC solve from ``state``, whose nearest waypoint is ``index``;
+    returns (Command, MPCStepInfo).
 
     The first optimized control (a0, delta0) becomes a Command with
     ``v_cmd = v + a0 / speed_gain`` (of ``config.plant``), so the simulator's
     P speed loop (``speed_gain * (v_cmd - v)``) applies a0 over the next
     control period.
     On non-convergence the previous command is returned unchanged.
-    ``near`` is the track query's hint, the previous step's
-    ``MPCStepInfo.start_index``; the result does not depend on it.
     """
-    reference, qp = mpc_qp(raceline, state, config, near)
-    info = solve_qp(qp, config, warm)
-    info.start_index = int(reference.indices[0])
+    info = solve_qp(mpc_qp(raceline, state, index, config), config, warm)
     if not info.converged:
         return prev_command, info
 

@@ -529,18 +529,14 @@ class PPOTrainer:
     # Collection
     # ------------------------------------------------------------------
 
-    def _normalized(self, raw_obs: np.ndarray, update: bool) -> np.ndarray:
-        if update:
-            self.obs_norm.update(raw_obs)
-        return self.obs_norm.apply(raw_obs)
-
     def collect_rollout(self):
         self.buffer.reset()
         self._episode_returns = []
         cfg = self.config
         dones = np.zeros(cfg.n_envs, dtype=bool)
         for _ in range(cfg.n_steps):
-            norm_obs = self._normalized(self._obs, update=True)
+            self.obs_norm.update(self._obs)
+            norm_obs = self.obs_norm.apply(self._obs)
             values = self.value_net(norm_obs)[:, 0]
             actions = np.empty((cfg.n_envs, self.policy.act_dim))
             log_probs = np.empty(cfg.n_envs)

@@ -85,29 +85,12 @@ def smoother_start(action_mode: str, fixed_gain: float) -> PPParams:
     return PPParams(*SMOOTHER_INIT)
 
 
-class ParamSmoother:
-    """Per-component first-order exponential smoother for (lookahead, gain)."""
-
-    def __init__(self, beta_lookahead: float = SMOOTHING_BETA,
-                 beta_gain: float = SMOOTHING_BETA):
-        self.beta_lookahead = beta_lookahead
-        self.beta_gain = beta_gain
-        self.reset()
-
-    def reset(self, lookahead: float = SMOOTHER_INIT[0],
-              gain: float = SMOOTHER_INIT[1]):
-        self.lookahead = lookahead
-        self.gain = gain
-
-    def smooth(self, raw: PPParams) -> PPParams:
-        self.lookahead = self.beta_lookahead * raw.lookahead \
-            + (1.0 - self.beta_lookahead) * self.lookahead
-        self.gain = self.beta_gain * raw.gain \
-            + (1.0 - self.beta_gain) * self.gain
-        return PPParams(self.lookahead, self.gain)
-
-    def state(self) -> PPParams:
-        return PPParams(self.lookahead, self.gain)
+def smooth(previous: PPParams, raw: PPParams) -> PPParams:
+    """One per-component first-order exponential smoothing step from
+    ``previous`` toward ``raw``."""
+    beta = SMOOTHING_BETA
+    return PPParams(beta * raw.lookahead + (1.0 - beta) * previous.lookahead,
+                    beta * raw.gain + (1.0 - beta) * previous.gain)
 
 
 def to_vehicle_frame(pose: VehicleState, point):
@@ -208,18 +191,19 @@ class ExternalSource:
 class PurePursuitController:
     """Tracks a raceline with Pure Pursuit under one parameter source.
 
-    Owns the smoother (applied in external and teacher modes only) so the
-    same path runs during training and deployment. The returned mode flag
-    feeds the teacher-activation-rate accounting.
+    Holds the smoothed parameters ``smoothed`` (advanced in external and
+    teacher modes only) so the same path runs during training and
+    deployment. The returned mode flag feeds the teacher-activation-rate
+    accounting.
     """
 
     def __init__(self, raceline: rl.Raceline, source):
         self.raceline = raceline
         self.source = source
-        self.smoother = ParamSmoother()
+        self.reset()
 
     def reset(self, smoother_init: PPParams = PPParams(*SMOOTHER_INIT)):
-        self.smoother.reset(smoother_init.lookahead, smoother_init.gain)
+        self.smoothed = smoother_init
 
     def _select_params(self, state: VehicleState, index: int, now: float):
         source = self.source
@@ -238,9 +222,9 @@ class PurePursuitController:
 
     def step(self, state: VehicleState, index: int, now: float = 0.0) -> ControllerOutput:
         """One control step from ``state``, whose nearest waypoint is ``index``."""
-        params, mode, smoothed = self._select_params(state, index, now)
-        if smoothed:
-            params = self.smoother.smooth(params)
+        params, mode, smoothing = self._select_params(state, index, now)
+        if smoothing:
+            params = self.smoothed = smooth(self.smoothed, params)
         target = rl.lookahead_target(self.raceline, index, params.lookahead)
         _, y_prime = to_vehicle_frame(state, target)
         gamma = pp_steering(y_prime, params.lookahead, params.gain)

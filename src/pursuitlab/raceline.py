@@ -271,6 +271,20 @@ def _segment_plan(kind, straight, radius, length_x, length_y):
     raise ValueError(f"unknown track kind {kind!r}")
 
 
+def _segment_pose(start, kind, kappa, local):
+    """Pose (x, y, heading) ``local`` metres into a line or arc segment of
+    signed curvature ``kappa`` that starts at pose ``start``."""
+    x, y, heading = start
+    if kind == "line":
+        return x + local * math.cos(heading), y + local * math.sin(heading), heading
+    r = 1.0 / kappa
+    cx = x - r * math.sin(heading)
+    cy = y + r * math.cos(heading)
+    sweep = local * kappa
+    a = (heading - math.pi / 2.0) + sweep
+    return cx + r * math.cos(a), cy + r * math.sin(a), heading + sweep
+
+
 def synthesize_track(kind: str, *, straight: float = 10.0, radius: float = 3.0,
                      length_x: float = 12.0, length_y: float = 6.0,
                      spacing: float = 0.25, half_width: float = 1.1,
@@ -309,22 +323,11 @@ def synthesize_track(kind: str, *, straight: float = 10.0, radius: float = 3.0,
 
     # March the plan once to record each segment's start pose and arc offset.
     segments = []
-    px, py, heading = 0.0, 0.0, 0.0
+    pose = (0.0, 0.0, 0.0)
     s_acc = 0.0
     for seg_kind, seg_length, seg_kappa in plan:
-        segments.append((s_acc, px, py, heading, seg_kind, seg_kappa))
-        if seg_kind == "line":
-            px += seg_length * math.cos(heading)
-            py += seg_length * math.sin(heading)
-        else:
-            r = 1.0 / seg_kappa
-            cx = px - r * math.sin(heading)
-            cy = py + r * math.cos(heading)
-            sweep = seg_length * seg_kappa
-            a = (heading - math.pi / 2.0) + sweep
-            px = cx + r * math.cos(a)
-            py = cy + r * math.sin(a)
-            heading += sweep
+        segments.append((s_acc, pose, seg_kind, seg_kappa))
+        pose = _segment_pose(pose, seg_kind, seg_kappa, seg_length)
         s_acc += seg_length
 
     ptr = 0
@@ -333,20 +336,9 @@ def synthesize_track(kind: str, *, straight: float = 10.0, radius: float = 3.0,
         s = i * ds
         while ptr + 1 < len(segments) and s >= boundaries[ptr + 1] - 1e-12:
             ptr += 1
-        s0, sx, sy, sh, seg_kind, seg_kappa = segments[ptr]
-        local = s - s0
-        if seg_kind == "line":
-            xs[i] = sx + local * math.cos(sh)
-            ys[i] = sy + local * math.sin(sh)
-            ks[i] = 0.0
-        else:
-            r = 1.0 / seg_kappa
-            cx = sx - r * math.sin(sh)
-            cy = sy + r * math.cos(sh)
-            a = (sh - math.pi / 2.0) + local * seg_kappa
-            xs[i] = cx + r * math.cos(a)
-            ys[i] = cy + r * math.sin(a)
-            ks[i] = seg_kappa
+        s0, start, seg_kind, seg_kappa = segments[ptr]
+        xs[i], ys[i], _ = _segment_pose(start, seg_kind, seg_kappa, s - s0)
+        ks[i] = seg_kappa
 
     with np.errstate(divide="ignore"):
         v = np.where(ks == 0.0, v_cap, np.minimum(v_cap, np.sqrt(a_lat_max / np.abs(ks))))

@@ -157,5 +157,6 @@ def control_step(state: VehicleState, cmd: Command, prev_delta: float,
 
 
 def collision_check(raceline: Raceline, lateral_error: float) -> bool:
-    """True iff a pose with this ``raceline.lateral_error`` left the corridor (strict)."""
-    return abs(lateral_error) > raceline.half_width
+    """True iff a pose with this ``raceline.lateral_error`` left the corridor
+    (strict), or the error is NaN."""
+    return not abs(lateral_error) <= raceline.half_width

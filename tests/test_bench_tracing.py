@@ -60,7 +60,8 @@ def test_instrumentation_wraps_every_target_and_restores_the_originals():
         # The MPC step reaches its layers through the module globals.
         track = rl.synthesize_track("oval", straight=10.0, radius=3.0, v_cap=2.5)
         state = VehicleState(2.0, 0.3, 0.0, 2.5)
-        mpc.mpc_step(track, state, Command(0.0, 2.5), mpc.MPCConfig())
+        mpc.mpc_step(track, state, rl.nearest_index(track, state.position),
+                     Command(0.0, 2.5), mpc.MPCConfig())
         assert {"mpc.step", "mpc.build_reference", "mpc.linearize",
                 "mpc.assemble_qp", "qp.problem"} <= set(tracer.names)
 

@@ -57,9 +57,9 @@ def test_only_files_py_writes_files():
     assert {what for _, what in writer} == {"os.replace", "open for writing"}
 
 
-def _csv_writer_scopes(tree):
-    """Yield the qualified name of the function around each ``csv.writer``
-    or ``csv.DictWriter`` call in ``tree``."""
+def _call_scopes(tree, module, *names):
+    """Yield the qualified name of the function around each ``module.name``
+    call in ``tree``, for each of ``names``."""
     def walk(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -67,20 +67,27 @@ def _csv_writer_scopes(tree):
                 continue
             func = getattr(child, "func", None)
             if isinstance(child, ast.Call) and isinstance(func, ast.Attribute) \
-                    and func.attr in ("writer", "DictWriter") \
-                    and isinstance(func.value, ast.Name) and func.value.id == "csv":
+                    and func.attr in names \
+                    and isinstance(func.value, ast.Name) and func.value.id == module:
                 yield ".".join(scope)
             yield from walk(child, scope)
     yield from walk(tree, ())
 
 
+def _package_call_scopes(module, *names, skip=()):
+    """``_call_scopes`` over every module of the package but ``skip``, each
+    scope prefixed with its module's name."""
+    package = Path(pursuitlab.__file__).resolve().parent
+    return {f"{path.stem}.{scope}"
+            for path in sorted(package.rglob("*.py")) if path.name not in skip
+            for scope in _call_scopes(ast.parse(path.read_text(encoding="utf-8")),
+                                      module, *names)}
+
+
 def test_per_step_traces_have_one_writer():
     """Outside files.py only the whole-file writers use the csv module's
     writers; a per-step trace goes through files.trace_csv."""
-    package = Path(pursuitlab.__file__).resolve().parent
-    scopes = {f"{path.stem}.{scope}"
-              for path in sorted(package.rglob("*.py")) if path.name != "files.py"
-              for scope in _csv_writer_scopes(ast.parse(path.read_text(encoding="utf-8")))}
+    scopes = _package_call_scopes("csv", "writer", "DictWriter", skip=("files.py",))
     assert scopes == {"evaluation.write_laps_csv", "evaluation.write_comparison_csv",
                       "ppo.PPOTrainer.write_metrics"}
 
@@ -105,3 +112,13 @@ def test_every_track_query_passes_its_hint():
                 if (found := list(_unhinted_track_queries(
                     ast.parse(path.read_text(encoding="utf-8")))))}
     assert unhinted == {}
+
+
+def test_only_pose_owners_query_the_track():
+    """A controller core takes the located waypoint as an argument; only the
+    code that carries a pose from one step to the next asks the track where
+    it is."""
+    assert _package_call_scopes("rl", "locate", "nearest_index") == {
+        "evaluation.run_laps", "env.RacingEnv.reset", "env.RacingEnv.step",
+        "controllers.PurePursuitAdapter.step", "controllers.RLPurePursuitController.step",
+        "mpc.MPCTracker.step"}

@@ -38,7 +38,7 @@ def test_reference_advances_with_speed_floor():
     track = uniform_speed_oval()
     config = MPCConfig()
     state = VehicleState(float(track.x[0]), float(track.y[0]), 0.0, 0.0)
-    ref = build_reference(track, state, config)
+    ref = build_reference(track, state, rl.nearest_index(track, state.position), config)
     assert ref.states.shape == (config.horizon + 1, NX)
     advances = np.diff(ref.indices) % track.n
     assert np.all(advances >= 1)
@@ -48,7 +48,7 @@ def test_reference_advance_is_speed_proportional():
     track = uniform_speed_oval()
     config = MPCConfig()
     state = VehicleState(float(track.x[0]), float(track.y[0]), 0.0, 5.0)
-    ref = build_reference(track, state, config)
+    ref = build_reference(track, state, rl.nearest_index(track, state.position), config)
     expected = int(round(5.0 * config.dt / track.mean_spacing))  # 2
     assert expected == 2
     advances = np.diff(ref.indices) % track.n
@@ -59,7 +59,7 @@ def test_reference_heading_constant_on_straight():
     track = uniform_speed_oval(straight=40.0)
     config = MPCConfig()
     state = VehicleState(1.0, 0.0, 0.0, 2.5)
-    ref = build_reference(track, state, config)
+    ref = build_reference(track, state, rl.nearest_index(track, state.position), config)
     np.testing.assert_allclose(ref.states[:, 3], ref.states[0, 3], atol=1e-12)
 
 
@@ -68,7 +68,7 @@ def test_reference_heading_is_unwrapped_through_turns():
     config = MPCConfig(horizon=40)
     i = int(np.argmax(track.kappa != 0.0))  # just inside the first arc
     state = VehicleState(float(track.x[i]), float(track.y[i]), 0.0, 8.0)
-    ref = build_reference(track, state, config)
+    ref = build_reference(track, state, rl.nearest_index(track, state.position), config)
     psi = ref.states[:, 3]
     assert np.all(np.abs(np.diff(psi)) < math.pi / 2)
 
@@ -156,7 +156,7 @@ def test_linearize_rejects_steep_reference_steering():
 # ----------------------------------------------------------------------
 
 def one_step_problem(track, state, config):
-    ref = build_reference(track, state, config)
+    ref = build_reference(track, state, rl.nearest_index(track, state.position), config)
     return ref, linearize(ref.states, ref.controls, config.plant.wheelbase, config.dt)
 
 
@@ -433,7 +433,7 @@ def test_qp_chain_matches_the_per_knot_oracle_bytes(
     i = int(where * track.n) % track.n
     state = VehicleState(float(track.x[i]) + offset[0], float(track.y[i]) + offset[1],
                          rl.tangent_heading(track, i) + heading_error, speed)
-    reference = build_reference(track, state, config)
+    reference = build_reference(track, state, rl.nearest_index(track, state.position), config)
     qp = assemble_qp(reference, linearize(reference.states, reference.controls,
                                           config.plant.wheelbase, config.dt), state, config)
     states, expected = oracle_qp(track, state, config)
@@ -454,7 +454,7 @@ def test_template_arrays_are_read_only_and_steps_own_the_rest():
     track = heldout_rect()
     config = MPCConfig()
     state = VehicleState(float(track.x[40]) + 0.2, float(track.y[40]), 0.5, 4.0)
-    _, qp = mpc_qp(track, state, config)
+    qp = mpc_qp(track, state, rl.nearest_index(track, state.position), config)
     before = qp_bytes(qp)
     template = qp_template(config)
     for name, shared in (("A", "C"), ("u", "h")):  # the template's rows and bounds
@@ -471,7 +471,7 @@ def test_template_arrays_are_read_only_and_steps_own_the_rest():
     # P, q and l are the step's own copies.
     for array in (qp.P, qp.q, qp.l):
         array[...] = 7.0
-    _, again = mpc_qp(track, state, config)
+    again = mpc_qp(track, state, rl.nearest_index(track, state.position), config)
     assert qp_bytes(again) == before
     assert_eliminates_the_oracle_states(again, oracle_qp(track, state, config)[1],
                                         np.random.default_rng(1))
@@ -493,7 +493,7 @@ def test_template_is_keyed_on_the_whole_config(change, field):
     assert not np.array_equal(getattr(qp_template(base), field),
                               getattr(qp_template(other), field))
     for config in (base, other):
-        _, qp = mpc_qp(track, state, config)
+        qp = mpc_qp(track, state, rl.nearest_index(track, state.position), config)
         assert_eliminates_the_oracle_states(qp, oracle_qp(track, state, config)[1],
                                             np.random.default_rng(2))
 
@@ -527,7 +527,8 @@ def test_mpc_step_on_reference_is_quiet():
     config = MPCConfig()
     i = 8
     state = VehicleState(float(track.x[i]), float(track.y[i]), 0.0, 2.5)
-    command, info = mpc_step(track, state, Command(0.0, 2.5), config)
+    command, info = mpc_step(track, state, rl.nearest_index(track, state.position),
+                             Command(0.0, 2.5), config)
     assert info.converged
     assert abs(command.delta) < 1e-3
     a0 = (command.v_cmd - state.v) / 0.05
@@ -538,7 +539,8 @@ def test_mpc_step_steers_back_toward_path():
     track = uniform_speed_oval()
     config = MPCConfig()
     state = VehicleState(2.0, 0.3, 0.0, 2.5)  # offset left of the straight
-    command, info = mpc_step(track, state, Command(0.0, 2.5), config)
+    command, info = mpc_step(track, state, rl.nearest_index(track, state.position),
+                             Command(0.0, 2.5), config)
     assert info.converged
     assert command.delta < 0.0  # steer right
 
@@ -550,12 +552,13 @@ def test_mpc_step_holds_previous_command_on_failure(monkeypatch):
     config = MPCConfig(max_iter=1)
     prev = Command(0.123, 4.5)
     state = VehicleState(2.0, 1.0, 0.0, 2.5)
-    assert mpc_step(track, state, prev, MPCConfig())[1].iterations > 1
+    index = rl.nearest_index(track, state.position)
+    assert mpc_step(track, state, index, prev, MPCConfig())[1].iterations > 1
     with monkeypatch.context() as patch:  # so does the loop that solved a full step twice
         patch.setattr(mpc, "active_set_solve", reference_active_set_solve)
-        command, info = mpc_step(track, state, prev, config)
+        command, info = mpc_step(track, state, index, prev, config)
         assert not info.converged and command == prev
-    command, info = mpc_step(track, state, prev, config)
+    command, info = mpc_step(track, state, index, prev, config)
     assert not info.converged
     assert command == prev
 
@@ -588,12 +591,12 @@ def test_tracker_info_carries_the_solution_once_converged():
     tracker = MPCTracker(track, config)
     assert tracker.last_info.solution_x is None
     assert tracker.last_info.solution_y is None
-    assert tracker.last_info.start_index is None
+    assert tracker.index is None
     tracker.step(VehicleState(2.0, 0.3, 0.0, 2.5), 0.0)
     info = tracker.last_info
     assert info.converged
     # The reference's first waypoint, the next step's track-query hint.
-    assert info.start_index == rl.nearest_index(track, (2.0, 0.3))
+    assert tracker.index == rl.nearest_index(track, (2.0, 0.3))
     assert info.solution_x.shape == (NU * config.horizon,)
     # One multiplier per one-sided row: upper boxes, rates, lower boxes.
     assert info.solution_y.shape == (2 * NU * config.horizon + 2 * (config.horizon - 1),)
@@ -602,7 +605,7 @@ def test_tracker_info_carries_the_solution_once_converged():
     assert tracker._warm_x is info.solution_x
     assert tracker._warm_y is info.solution_y
     tracker.reset()
-    assert tracker.last_info.start_index is None
+    assert tracker.index is None
 
 
 def test_mpc_lap_trace_carries_the_solver_health(tmp_path):
@@ -622,7 +625,8 @@ def test_mpc_lap_trace_carries_the_solver_health(tmp_path):
     def step(state, now):
         assert not path.exists()  # the trace appears whole when the run returns
         output = tracker_step(state, now)
-        head = tuple(build_reference(track, state, tracker.config).states[0])
+        head = tuple(build_reference(track, state, rl.nearest_index(track, state.position),
+                                     tracker.config).states[0])
         logged.append((now, head, (output.command.v_cmd - state.v) * sim.speed_gain))
         return output
 
@@ -660,7 +664,8 @@ def test_speed_loop_applies_the_planned_acceleration():
     sim = SimConfig()
     config = MPCConfig(plant=sim)
     state = VehicleState(2.0, 0.1, 0.0, 2.3)
-    command, info = mpc_step(track, state, Command(0.0, 2.3), config)
+    command, info = mpc_step(track, state, rl.nearest_index(track, state.position),
+                             Command(0.0, 2.3), config)
     assert info.converged
     a0 = info.solution_x[0]
     assert 0.1 < a0 < sim.a_max - 0.1
@@ -700,7 +705,7 @@ def test_active_set_matches_cold_admm_along_a_run(speed_gain):
     prev_delta = 0.0
     accel_bound = steer_bound = False
     for k in range(80):
-        _, qp = mpc_qp(track, state, config)
+        qp = mpc_qp(track, state, rl.nearest_index(track, state.position), config)
         command = tracker.step(state, k * sim.dt_control).command
         info = tracker.last_info
         assert info.converged and info.solver == "active_set"
@@ -721,7 +726,9 @@ def test_singular_condensed_hessian_falls_back_to_admm():
     # With every weight 0 the condensed Hessian is 0: no KKT system solves.
     config = MPCConfig(state_weights=(0.0,) * NX, terminal_weights=(0.0,) * NX,
                        control_weights=(0.0,) * NU, control_rate_weights=(0.0,) * NU)
-    command, info = mpc_step(uniform_speed_oval(), VehicleState(2.0, 0.3, 0.0, 2.5),
+    track = uniform_speed_oval()
+    state = VehicleState(2.0, 0.3, 0.0, 2.5)
+    command, info = mpc_step(track, state, rl.nearest_index(track, state.position),
                              Command(0.0, 2.5), config)
     assert info.solver == "admm"
     assert info.converged
@@ -850,7 +857,7 @@ def test_a_converged_active_set_result_off_the_kkt_conditions_falls_back(
     track = uniform_speed_oval()
     config = MPCConfig()
     state = VehicleState(2.0, 0.3, 0.0, 2.5)
-    _, qp = mpc_qp(track, state, config)
+    qp = mpc_qp(track, state, rl.nearest_index(track, state.position), config)
     honest = mpc.solve_qp(qp, config)
     assert honest.solver == "active_set" and honest.kkt_solves == honest.iterations
     solve = mpc.active_set_solve
@@ -865,7 +872,8 @@ def test_a_converged_active_set_result_off_the_kkt_conditions_falls_back(
         gate.append(residuals(qp, result.x, result.multipliers))
         return result
     monkeypatch.setattr(mpc, "active_set_solve", perturbed)
-    command, info = mpc_step(track, state, Command(0.0, 2.5), config)
+    command, info = mpc_step(track, state, rl.nearest_index(track, state.position),
+                             Command(0.0, 2.5), config)
     (primal, dual), = gate
     assert (primal > config.tol) == (violation == "row")
     assert dual > config.tol

@@ -149,39 +149,33 @@ def test_adaptive_lookahead_endpoints_and_midpoint():
 # ----------------------------------------------------------------------
 
 def test_smoother_single_step():
-    smoother = pp.ParamSmoother()
-    smoother.reset(1.0, 0.9)
-    out = smoother.smooth(pp.PPParams(2.0, 0.9))
+    out = pp.smooth(pp.PPParams(1.0, 0.9), pp.PPParams(2.0, 0.9))
     assert out.lookahead == pytest.approx(1.2, abs=1e-15)  # 0.2*2 + 0.8*1
     assert out.gain == pytest.approx(0.9, abs=1e-15)
 
 
 def test_smoother_fixed_point():
-    smoother = pp.ParamSmoother()
-    smoother.reset(1.7, 0.8)
-    out = smoother.smooth(pp.PPParams(1.7, 0.8))
+    out = pp.smooth(pp.PPParams(1.7, 0.8), pp.PPParams(1.7, 0.8))
     assert out.lookahead == pytest.approx(1.7, abs=1e-15)
     assert out.gain == pytest.approx(0.8, abs=1e-15)
 
 
 def test_smoother_geometric_convergence():
-    smoother = pp.ParamSmoother()
-    smoother.reset(1.0, 0.9)
+    out = pp.PPParams(1.0, 0.9)
     target = pp.PPParams(3.0, 0.6)
     for t in range(1, 25):
-        out = smoother.smooth(target)
+        out = pp.smooth(out, target)
         expected = 0.8 ** t * (1.0 - 3.0)
         assert out.lookahead - 3.0 == pytest.approx(expected, rel=1e-12)
 
 
 def test_smoothed_params_stay_in_bounds():
     rng = np.random.default_rng(4)
-    smoother = pp.ParamSmoother()
-    smoother.reset(1.0, 0.9)
+    out = pp.PPParams(1.0, 0.9)
     for _ in range(5000):
         raw = pp.PPParams(float(rng.uniform(*pp.LOOKAHEAD_BOUNDS)),
                           float(rng.uniform(*pp.GAIN_BOUNDS)))
-        out = smoother.smooth(raw)
+        out = pp.smooth(out, raw)
         assert pp.LOOKAHEAD_BOUNDS[0] <= out.lookahead <= pp.LOOKAHEAD_BOUNDS[1]
         assert pp.GAIN_BOUNDS[0] <= out.gain <= pp.GAIN_BOUNDS[1]
 

@@ -294,3 +294,17 @@ def test_collision_boundary_is_strict():
     # Exactly half_width off the bottom straight: 1.1 is exact in both places.
     assert rl.lateral_error(track, (0.7, -1.1)) == -1.1
     assert not collision_check(track, rl.lateral_error(track, (0.7, -1.1)))
+
+
+@pytest.mark.parametrize("position", [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0)])
+def test_collision_non_finite_pose_is_off_track(position):
+    """A pose with a NaN or infinite coordinate is nowhere on the track."""
+    track = make_square_raceline()
+    with np.errstate(invalid="ignore"):  # the scan meets inf * 0
+        error = rl.lateral_error(track, position)
+    assert collision_check(track, error)
+
+
+@pytest.mark.parametrize("error", [math.nan, math.inf, -math.inf])
+def test_collision_non_finite_error_is_off_track(error):
+    assert collision_check(make_square_raceline(), error)
