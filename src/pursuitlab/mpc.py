@@ -89,11 +89,6 @@ class HorizonReference:
     indices: np.ndarray  # raceline waypoint index per knot
     controls: np.ndarray  # (horizon, 2): zero acceleration, feedforward steering
 
-    def __post_init__(self):
-        self.states = np.asarray(self.states, dtype=float)
-        self.indices = np.asarray(self.indices, dtype=int)
-        self.controls = np.asarray(self.controls, dtype=float)
-
 
 @dataclass(frozen=True)
 class QPTemplate:

@@ -75,13 +75,20 @@ def lr_schedule(kind: str, base: float, remaining: float) -> float:
 
 
 class RunningNormalizer:
-    """Running mean/variance in the numerically-stable parallel-update form."""
+    """Running mean/variance in the numerically-stable parallel-update form.
+
+    ``scale`` is ``sqrt(var + eps)``, kept with the statistics: every
+    assignment of ``var`` assigns it too, so :meth:`apply`, which runs on
+    every collected and evaluated step while the statistics change at most
+    once per step, only subtracts, divides and clips.
+    """
 
     def __init__(self, shape, clip: float = 10.0, eps: float = 1e-8):
         if not eps > 0.0:
             raise ValueError("eps must be > 0")
         self.mean = np.zeros(shape)
         self.var = np.ones(shape)
+        self.scale = np.sqrt(self.var + eps)
         self.count = 0.0
         self.clip = clip
         self.eps = eps
@@ -100,6 +107,7 @@ class RunningNormalizer:
         if self.count == 0.0:
             self.mean = batch_mean
             self.var = batch_var
+            self.scale = np.sqrt(batch_var + self.eps)
             self.count = float(batch_count)
             return
         delta = batch_mean - self.mean
@@ -109,6 +117,7 @@ class RunningNormalizer:
         m_b = batch_var * batch_count
         m2 = m_a + m_b + delta * delta * self.count * batch_count / total
         self.var = m2 / total
+        self.scale = np.sqrt(self.var + self.eps)
         self.count = total
 
     def _update_row(self, row: list):
@@ -117,27 +126,32 @@ class RunningNormalizer:
         numpy's reduction adds the row to 0.0, so the row's mean is
         ``0.0 + x`` (a -0.0 becomes 0.0) and its variance ``(x - mean)**2``,
         which is NaN for an infinite or NaN ``x``. A batch count of 1
-        multiplies exactly, so it is left out.
+        multiplies exactly, so it is left out. ``math.sqrt`` rounds as
+        ``np.sqrt`` does, and a variance is never below 0.
         """
         count = self.count
         total = count + 1.0
-        mean, var = [], []
+        eps = self.eps
+        mean, var, scale = [], [], []
         for x, m, v in zip(row, self.mean.tolist(), self.var.tolist()):
             row_mean = 0.0 + x
             d = x - row_mean
             if count == 0.0:
                 mean.append(row_mean)
-                var.append(d * d)
+                v = d * d
             else:
                 delta = row_mean - m
                 mean.append(m + delta / total)
-                var.append((v * count + d * d + delta * delta * count / total) / total)
+                v = (v * count + d * d + delta * delta * count / total) / total
+            var.append(v)
+            scale.append(math.sqrt(v + eps))
         self.mean = np.array(mean)
         self.var = np.array(var)
+        self.scale = np.array(scale)
         self.count = total
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        z = (np.asarray(x, dtype=float) - self.mean) / np.sqrt(self.var + self.eps)
+        z = (np.asarray(x, dtype=float) - self.mean) / self.scale
         return np.minimum(np.maximum(z, -self.clip), self.clip)
 
     def state(self) -> dict:
@@ -147,6 +161,7 @@ class RunningNormalizer:
     def load_state(self, state: dict):
         self.mean = np.array(state["mean"], dtype=float)
         self.var = np.array(state["var"], dtype=float)
+        self.scale = np.sqrt(self.var + self.eps)
         self.count = float(state["count"])
 
 
@@ -159,7 +174,6 @@ class ReturnNormalizer:
         self.accumulator = np.zeros(n_envs)
         self.stats = RunningNormalizer(1, clip=clip, eps=eps)
         self.clip = clip
-        self.eps = eps
 
     def update(self, rewards: np.ndarray, dones: np.ndarray) -> np.ndarray:
         """Fold rewards into the accumulator, update the variance, and
@@ -170,7 +184,7 @@ class ReturnNormalizer:
             reward = rewards.item()
             accumulated = self.accumulator.item() * self.gamma + reward
             self.stats._update_row([accumulated])
-            scaled = reward / math.sqrt(self.stats.var.item() + self.eps)
+            scaled = reward / self.stats.scale.item()
             self.accumulator[0] = 0.0 if dones[0] else accumulated
             return np.array([min(max(scaled, -self.clip), self.clip)])
         self.accumulator = self.accumulator * self.gamma + rewards
@@ -180,7 +194,7 @@ class ReturnNormalizer:
         return normalized
 
     def apply(self, rewards: np.ndarray) -> np.ndarray:
-        scaled = np.asarray(rewards, dtype=float) / np.sqrt(self.stats.var + self.eps)
+        scaled = np.asarray(rewards, dtype=float) / self.stats.scale
         return np.minimum(np.maximum(scaled, -self.clip), self.clip)
 
     def state(self) -> dict:
@@ -204,15 +218,16 @@ class RolloutBuffer:
         self.returns = np.zeros((n_steps, n_envs))
         self.pos = 0
 
-    def add(self, obs, action, log_prob, reward, value, episode_start):
+    def add(self, obs, episode_start) -> int:
+        """Open the next row with its normalized observations and
+        episode-start flags; return its index. The caller writes the row's
+        actions, log-probabilities and rewards into their row views, and
+        the values once the buffer is full."""
         t = self.pos
         self.obs[t] = obs
-        self.actions[t] = action
-        self.log_probs[t] = log_prob
-        self.rewards[t] = reward
-        self.values[t] = value
         self.episode_starts[t] = episode_start
         self.pos += 1
+        return t
 
     @property
     def full(self) -> bool:
@@ -231,20 +246,32 @@ def compute_gae(buffer: RolloutBuffer, last_values: np.ndarray,
 
     ``last_values`` bootstrap the step after the buffer; ``last_dones``
     flag environments whose final transition ended an episode.
+
+    The recursion runs per env column on floats, in the operation order
+    of its array form over all envs at once
+    (``delta = r + gamma * v' * (1 - done') - v``,
+    ``gae = delta + gamma * lam * (1 - done') * gae``), so the floats are
+    the same without numpy's per-call cost on every step.
     """
     if not buffer.full:
         raise ValueError("buffer must be full before computing advantages")
-    last_values = np.asarray(last_values, dtype=float)
-    next_non_terminal = 1.0 - np.asarray(last_dones, dtype=float)
-    next_values = last_values
-    gae = np.zeros(buffer.n_envs)
-    for t in reversed(range(buffer.n_steps)):
-        delta = buffer.rewards[t] + gamma * next_values * next_non_terminal \
-            - buffer.values[t]
-        gae = delta + gamma * lam * next_non_terminal * gae
-        buffer.advantages[t] = gae
-        next_non_terminal = 1.0 - buffer.episode_starts[t].astype(float)
-        next_values = buffer.values[t]
+    gamma_lam = gamma * lam
+    columns = zip(buffer.rewards.T.tolist(), buffer.values.T.tolist(),
+                  buffer.episode_starts.T.tolist(),
+                  np.asarray(last_values, dtype=float).tolist(),
+                  np.asarray(last_dones, dtype=float).tolist())
+    for env, (rewards, values, starts, next_value, last_done) in enumerate(columns):
+        next_non_terminal = 1.0 - last_done
+        gae = 0.0
+        advantages = [0.0] * buffer.n_steps
+        for t in reversed(range(buffer.n_steps)):
+            value = values[t]
+            delta = rewards[t] + gamma * next_value * next_non_terminal - value
+            gae = delta + gamma_lam * next_non_terminal * gae
+            advantages[t] = gae
+            next_non_terminal = 1.0 - starts[t]
+            next_value = value
+        buffer.advantages[:, env] = advantages
     buffer.returns[:] = buffer.advantages + buffer.values
     return buffer.advantages, buffer.returns
 
@@ -530,22 +557,33 @@ class PPOTrainer:
     # ------------------------------------------------------------------
 
     def collect_rollout(self):
-        self.buffer.reset()
+        """Fill the buffer with ``n_steps`` steps of every training env, then
+        its values, advantages and returns.
+
+        Each step does only what the next env step needs: it updates the
+        observation statistics, writes the normalized observations into
+        the buffer's next row, samples each env's action and
+        log-probability into that row, steps the envs and stores the
+        normalized rewards. The value net cannot change before the update,
+        so the values come after the loop, from one forward pass over the
+        ``(n_steps, n_envs, obs_dim)`` observations. numpy's matmul runs
+        each ``(n_envs, obs_dim)`` slice of that stack with the same BLAS
+        call as a forward of that slice alone, so the values are the
+        floats a per-step pass would give (tests/test_nets.py checks it).
+        """
+        buffer = self.buffer
+        buffer.reset()
         self._episode_returns = []
         cfg = self.config
-        dones = np.zeros(cfg.n_envs, dtype=bool)
+        dones = self._episode_start  # a step's dones start the next step's episodes
         for _ in range(cfg.n_steps):
             self.obs_norm.update(self._obs)
-            norm_obs = self.obs_norm.apply(self._obs)
-            values = self.value_net(norm_obs)[:, 0]
-            actions = np.empty((cfg.n_envs, self.policy.act_dim))
-            log_probs = np.empty(cfg.n_envs)
+            t = buffer.add(self.obs_norm.apply(self._obs), dones)
+            norm_obs, actions = buffer.obs[t], buffer.actions[t]
+            log_probs, rewards = buffer.log_probs[t], buffer.rewards[t]
             for i in range(cfg.n_envs):
                 actions[i], log_probs[i] = self.policy.sample(norm_obs[i], self.rng)
 
-            rewards = np.empty(cfg.n_envs)
-            dones = np.zeros(cfg.n_envs, dtype=bool)
-            next_obs = np.empty_like(self._obs)
             for i, env in enumerate(self.envs):
                 obs_i, reward_i, done_i, _ = env.step(actions[i])
                 rewards[i] = reward_i
@@ -555,19 +593,15 @@ class PPOTrainer:
                     self._episode_returns.append(self._running_returns[i])
                     self._running_returns[i] = 0.0
                     obs_i = env.reset()
-                next_obs[i] = obs_i
+                self._obs[i] = obs_i
 
-            norm_rewards = self.ret_norm.update(rewards, dones)
-            self.buffer.add(norm_obs, actions, log_probs, norm_rewards, values,
-                            self._episode_start)
-            self._episode_start = dones.copy()
-            self._obs = next_obs
+            rewards[:] = self.ret_norm.update(rewards, dones)
             self.global_step += cfg.n_envs
             self._maybe_eval_and_checkpoint()
 
-        last_norm_obs = self.obs_norm.apply(self._obs)
-        last_values = self.value_net(last_norm_obs)[:, 0]
-        compute_gae(self.buffer, last_values, dones, cfg.gamma, cfg.gae_lambda)
+        buffer.values[:] = self.value_net(buffer.obs)[..., 0]
+        last_values = self.value_net(self.obs_norm.apply(self._obs))[:, 0]
+        compute_gae(buffer, last_values, dones, cfg.gamma, cfg.gae_lambda)
 
     # ------------------------------------------------------------------
     # Evaluation / checkpoints

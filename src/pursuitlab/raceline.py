@@ -474,10 +474,13 @@ def locate(raceline: Raceline, p, near: int | None = None) -> tuple[int, float]:
     there, which proves that answer global (see :func:`_anchor_limits`),
     and scans the whole loop otherwise. So the result never depends on
     ``near``; only the cost does.
+
+    A position with a NaN or infinite coordinate is nowhere on the track:
+    it gets index 0 (the full scan's answer) and a NaN lateral error.
     """
+    px, py = float(p[0]), float(p[1])
     if near is not None:
-        px, py = float(p[0]), float(p[1])
-        c = _anchor(raceline, px, py, near)
+        c = _anchor(raceline, px, py, near)  # None for a non-finite position
         if c is not None:
             ring, x, y, dx, dy, len2 = raceline._ring
             end = c + 2 * NEAR_WINDOW + 1
@@ -501,8 +504,10 @@ def locate(raceline: Raceline, p, near: int | None = None) -> tuple[int, float]:
                 if d2 < best_seg or d2 == best_seg and i < k:
                     best_seg, k, cross = d2, i, sx * ry - sy * rx
             return index, (1.0 if cross >= 0.0 else -1.0) * math.sqrt(best_seg)
-    rx = p[0] - raceline.x
-    ry = p[1] - raceline.y
+    if not (math.isfinite(px) and math.isfinite(py)):
+        return 0, math.nan
+    rx = px - raceline.x
+    ry = py - raceline.y
     index = int(np.argmin(rx * rx + ry * ry))
     t = (rx * raceline._seg_dx + ry * raceline._seg_dy) / raceline._seg_len2
     np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)

@@ -143,8 +143,9 @@ def test_criterion_05_gae_oracle():
         last_done = bool(rng.random() < 0.5)
         buf = RolloutBuffer(n, 1, 1, 1)
         for r, v, s in zip(rewards, values, starts):
-            buf.add(np.zeros((1, 1)), np.zeros((1, 1)), 0.0, np.array([r]),
-                    np.array([v]), np.array([s]))
+            t = buf.add(np.zeros((1, 1)), np.array([s]))
+            buf.rewards[t] = r
+            buf.values[t] = v
         adv, _ = compute_gae(buf, np.array([last_value]),
                              np.array([last_done]), 0.99, 0.98)
         oracle, _ = gae_oracle(rewards, values, starts, last_value, last_done,
@@ -153,8 +154,9 @@ def test_criterion_05_gae_oracle():
         # lambda limits
         buf2 = RolloutBuffer(n, 1, 1, 1)
         for r, v, s in zip(rewards, values, starts):
-            buf2.add(np.zeros((1, 1)), np.zeros((1, 1)), 0.0, np.array([r]),
-                     np.array([v]), np.array([s]))
+            t = buf2.add(np.zeros((1, 1)), np.array([s]))
+            buf2.rewards[t] = r
+            buf2.values[t] = v
         adv0, _ = compute_gae(buf2, np.array([last_value]),
                               np.array([last_done]), 0.99, 0.0)
         o0, _ = gae_oracle(rewards, values, starts, last_value, last_done,

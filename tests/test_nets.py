@@ -73,6 +73,26 @@ def test_batch_rows_are_independent():
         np.testing.assert_allclose(net(batch[i]), full[i][None, :], atol=1e-15)
 
 
+@pytest.mark.parametrize("n_envs", [1, 2])
+@pytest.mark.parametrize("kind", ["policy", "value"])
+def test_a_stack_of_batches_is_the_forward_of_each_batch(kind, n_envs):
+    """PPO collection takes a rollout's values from one pass over its
+    (n_steps, n_envs, obs_dim) observations. That keeps the per-step floats
+    only while numpy's matmul runs each (n_envs, obs_dim) slice of a stack
+    as its own product; one product over the merged rows rounds
+    differently."""
+    rng = np.random.default_rng(n_envs)
+    if kind == "policy":
+        net = GaussianPolicy(5, 2, rng, mean_bias=[2.175, 0.8]).mean_net
+    else:
+        net = DenseNet((5, 64, 64, 1), rng, final_gain=1.0)
+    stack = rng.standard_normal((512, n_envs, 5))
+    stacked = net(stack)
+    assert stacked.shape == (512, n_envs, net.sizes[-1])
+    for t in range(len(stack)):
+        assert stacked[t].tobytes() == net(stack[t]).tobytes()
+
+
 # ----------------------------------------------------------------------
 # Backward pass
 # ----------------------------------------------------------------------

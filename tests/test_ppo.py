@@ -42,12 +42,21 @@ def test_schedule_rejects_bad_progress():
 # GAE
 # ----------------------------------------------------------------------
 
+SPECIAL_FLOATS = st.sampled_from([-0.0, math.inf, -math.inf, math.nan])
+
+
+def maybe_special(draw, finite):
+    """``finite``, or in half the examples ``finite`` mixed with -0.0, +-inf and NaN."""
+    return finite | SPECIAL_FLOATS if draw(st.booleans()) else finite
+
+
 def fill_buffer(rewards, values, episode_starts, obs_dim=1, act_dim=1):
     n = len(rewards)
     buf = RolloutBuffer(n, 1, obs_dim, act_dim)
     for r, v, s in zip(rewards, values, episode_starts):
-        buf.add(np.zeros((1, obs_dim)), np.zeros((1, act_dim)), 0.0,
-                np.array([r]), np.array([v]), np.array([s]))
+        t = buf.add(np.zeros((1, obs_dim)), np.array([s]))
+        buf.rewards[t] = r
+        buf.values[t] = v
     return buf
 
 
@@ -157,10 +166,68 @@ def test_gae_lambda_one_is_discounted_return_minus_value():
         assert adv[t, 0] == pytest.approx(acc - values[t], abs=1e-10)
 
 
+def reference_gae(rewards, values, episode_starts, last_values, last_dones,
+                  gamma, lam):
+    """The array form of :func:`compute_gae`: one step of every env per
+    numpy call."""
+    advantages = np.zeros(rewards.shape)
+    next_non_terminal = 1.0 - np.asarray(last_dones, dtype=float)
+    next_values = np.asarray(last_values, dtype=float)
+    gae = np.zeros(rewards.shape[1])
+    for t in reversed(range(rewards.shape[0])):
+        delta = rewards[t] + gamma * next_values * next_non_terminal - values[t]
+        gae = delta + gamma * lam * next_non_terminal * gae
+        advantages[t] = gae
+        next_non_terminal = 1.0 - episode_starts[t].astype(float)
+        next_values = values[t]
+    return advantages, advantages + values
+
+
+@st.composite
+def gae_rollouts(draw):
+    n_envs = draw(st.integers(1, 3))
+    n_steps = draw(st.integers(1, 40))
+    floats = maybe_special(draw, st.floats(-1e3, 1e3))
+
+    def rows(elements):
+        row = st.lists(elements, min_size=n_envs, max_size=n_envs)
+        return np.array(draw(st.lists(row, min_size=n_steps, max_size=n_steps)))
+
+    last = st.lists(floats, min_size=n_envs, max_size=n_envs)
+    last_dones = st.lists(st.booleans(), min_size=n_envs, max_size=n_envs)
+    return (rows(floats), rows(floats), rows(st.booleans()).astype(bool),
+            np.array(draw(last)), np.array(draw(last_dones)))
+
+
+@example(rollout=(np.array([[1.0, -0.0], [math.inf, 2.0], [0.5, math.nan]]),
+                  np.array([[0.5, 1.0], [-0.0, -1.0], [2.0, 0.0]]),
+                  np.array([[True, True], [False, True], [True, False]]),
+                  np.array([0.25, -0.0]), np.array([False, True])),
+         gamma=0.99, lam=0.98)
+@given(gae_rollouts(), st.floats(0.5, 1.0), st.floats(0.0, 1.0))
+def test_gae_is_bit_identical_to_the_array_recursion(rollout, gamma, lam):
+    rewards, values, starts, last_values, last_dones = rollout
+    n_steps, n_envs = rewards.shape
+    buf = RolloutBuffer(n_steps, n_envs, 1, 1)
+    for start in starts:
+        buf.add(np.zeros((n_envs, 1)), start)
+    buf.rewards[:] = rewards
+    buf.values[:] = values
+    with np.errstate(invalid="ignore", over="ignore"):
+        adv, ret = compute_gae(buf, last_values, last_dones, gamma, lam)
+        want_adv, want_ret = reference_gae(rewards, values, starts, last_values,
+                                           last_dones, gamma, lam)
+    for got, want in ((adv, want_adv), (ret, want_ret)):
+        # Bit-equal, except that any NaN equals any NaN: numpy's loops may
+        # take an operation's two NaN operands in either order.
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
 def test_gae_requires_full_buffer():
     buf = RolloutBuffer(4, 1, 1, 1)
-    buf.add(np.zeros((1, 1)), np.zeros((1, 1)), 0.0, np.array([1.0]),
-            np.array([0.5]), np.array([True]))
+    buf.add(np.zeros((1, 1)), np.array([True]))
     with pytest.raises(ValueError):
         compute_gae(buf, np.array([0.0]), np.array([False]), 0.99, 0.98)
 
@@ -240,12 +307,14 @@ def test_unchanged_policy_has_zero_kl_and_clipfrac():
 def random_buffer(rng, n_steps=256, obs_dim=5, act_dim=2):
     buf = RolloutBuffer(n_steps, 1, obs_dim, act_dim)
     for _ in range(n_steps):
-        buf.add(rng.standard_normal((1, obs_dim)),
-                rng.standard_normal((1, act_dim)),
-                float(rng.standard_normal()),
-                np.array([rng.standard_normal()]),
-                np.array([rng.standard_normal()]),
-                np.array([rng.random() < 0.05]))
+        obs = rng.standard_normal((1, obs_dim))
+        actions = rng.standard_normal((1, act_dim))
+        log_prob, reward, value = rng.standard_normal(3)
+        t = buf.add(obs, np.array([rng.random() < 0.05]))
+        buf.actions[t] = actions
+        buf.log_probs[t] = log_prob
+        buf.rewards[t] = reward
+        buf.values[t] = value
     compute_gae(buf, np.array([0.0]), np.array([False]), 0.99, 0.98)
     return buf
 
@@ -349,14 +418,6 @@ def moments_update(mean, var, count, batch):
     return mean + delta * batch_count / total, m2 / total, total
 
 
-SPECIAL_FLOATS = st.sampled_from([-0.0, math.inf, -math.inf, math.nan])
-
-
-def maybe_special(draw, finite):
-    """``finite``, or in half the examples ``finite`` mixed with -0.0, +-inf and NaN."""
-    return finite | SPECIAL_FLOATS if draw(st.booleans()) else finite
-
-
 @st.composite
 def split_batches(draw):
     dim = draw(st.integers(1, 5))
@@ -372,8 +433,9 @@ def split_batches(draw):
 
 @example(split=(np.array([[-0.0, 1.0], [-0.0, -0.0], [math.inf, 2.0],
                           [3.0, math.nan]]), [1, 2, 3]),
-         probe=[0.0] * 5)
-@given(split_batches(), st.lists(st.floats(-1e7, 1e7), min_size=5, max_size=5))
+         probe=[0.0, math.nan, math.inf, -math.inf, -0.0])
+@given(split_batches(),
+       st.lists(st.floats(-1e7, 1e7) | SPECIAL_FLOATS, min_size=5, max_size=5))
 def test_normalizer_update_is_bit_identical_to_mean_var_moments(split, probe):
     batch, cuts = split
     norm = RunningNormalizer(batch.shape[1])
@@ -386,10 +448,15 @@ def test_normalizer_update_is_bit_identical_to_mean_var_moments(split, probe):
             assert norm.mean.tobytes() == mean.tobytes()
             assert norm.var.tobytes() == var.tobytes()
             assert norm.count == count
+            assert norm.scale.tobytes() == np.sqrt(var + norm.eps).tobytes()
     x = np.array(probe[:batch.shape[1]])
     with np.errstate(invalid="ignore"):
         z = (x - norm.mean) / np.sqrt(norm.var + norm.eps)
         assert norm.apply(x).tobytes() == np.clip(z, -norm.clip, norm.clip).tobytes()
+    restored = RunningNormalizer(batch.shape[1])
+    assert restored.scale.tobytes() == np.sqrt(restored.var + restored.eps).tobytes()
+    restored.load_state(norm.state())
+    assert restored.scale.tobytes() == norm.scale.tobytes()
 
 
 @pytest.mark.parametrize("eps", [0.0, -1e-8, math.nan])
@@ -598,6 +665,17 @@ def test_collection_with_two_envs_keeps_each_env_in_its_own_column(monkeypatch):
         return [d.row() for d in PPOTrainer(RecordingEnv, config, seed=3).train()]
 
     assert run() == run()
+
+
+@pytest.mark.parametrize("n_envs", [1, 2])
+def test_collected_values_are_the_value_net_of_each_step(n_envs):
+    config = small_config(n_steps=64, minibatch_size=16, total_steps=128, n_envs=n_envs)
+    trainer = PPOTrainer(RecordingEnv, config, seed=3)
+    trainer.collect_rollout()
+    buffer = trainer.buffer
+    for t in range(config.n_steps):
+        values = trainer.value_net(buffer.obs[t])[:, 0]
+        assert buffer.values[t].tobytes() == values.tobytes()
 
 
 def test_value_loss_decreases_on_constant_reward():

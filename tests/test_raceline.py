@@ -574,15 +574,16 @@ def test_hinted_queries_between_close_corridors_match_the_full_scan(full_scans):
     assert any(served) and not all(served)
 
 
+@pytest.mark.filterwarnings("error")
 def test_hinted_queries_of_a_nan_position_match_the_full_scan(oval_track):
-    for p in ((math.nan, 0.0), (0.0, math.nan), (math.inf, 1.0)):
-        with np.errstate(invalid="ignore"):  # the full scan's inf * 0
-            index, lateral_error = rl.locate(oval_track, p)
-            for near in (0, 17, oval_track.n - 1):
-                assert rl.nearest_index(oval_track, p, near=near) == \
-                    rl.nearest_index(oval_track, p)
-                hinted_index, hinted_error = rl.locate(oval_track, p, near=near)
-                assert (hinted_index, hinted_error.hex()) == (index, lateral_error.hex())
+    for p in ((math.nan, 0.0), (0.0, math.nan), (math.inf, 1.0), (0.0, -math.inf)):
+        index, lateral_error = rl.locate(oval_track, p)
+        assert index == rl.nearest_index(oval_track, p) == 0
+        assert math.isnan(lateral_error)
+        for near in (0, 17, oval_track.n - 1):
+            assert rl.nearest_index(oval_track, p, near=near) == index
+            hinted_index, hinted_error = rl.locate(oval_track, p, near=near)
+            assert (hinted_index, hinted_error.hex()) == (index, lateral_error.hex())
 
 
 def test_lateral_error_zero_on_line(oval_track):

@@ -296,12 +296,14 @@ def test_collision_boundary_is_strict():
     assert not collision_check(track, rl.lateral_error(track, (0.7, -1.1)))
 
 
-@pytest.mark.parametrize("position", [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0)])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("position", [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
+                                      (0.0, -math.inf)])
 def test_collision_non_finite_pose_is_off_track(position):
     """A pose with a NaN or infinite coordinate is nowhere on the track."""
     track = make_square_raceline()
-    with np.errstate(invalid="ignore"):  # the scan meets inf * 0
-        error = rl.lateral_error(track, position)
+    error = rl.lateral_error(track, position)
+    assert math.isnan(error)
     assert collision_check(track, error)
 
 
