@@ -88,7 +88,10 @@ def load_config(path=None) -> dict:
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
         with open(path, "r", encoding="utf-8") as f:
-            overlay = yaml.safe_load(f) or {}
+            try:
+                overlay = yaml.safe_load(f) or {}
+            except yaml.YAMLError as exc:
+                raise ValueError(f"config file {path} is not valid YAML: {exc}") from None
         if not isinstance(overlay, dict):
             raise ValueError("config file must contain a mapping")
         cfg = _deep_merge(cfg, overlay)
@@ -118,16 +121,28 @@ def build_track(cfg: dict) -> rl.Raceline:
     raise ValueError(f"unknown track.kind {kind!r}")
 
 
+def _from_section(cls, cfg: dict, section: str):
+    """``cls`` built from ``cfg[section]``, whose keys must be its fields."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    if unknown := sorted(set(cfg[section]) - set(names)):
+        raise ValueError(f"unknown {section} key(s) {', '.join(unknown)}; "
+                         f"valid: {', '.join(names)}")
+    return cls(**cfg[section])
+
+
 def build_sim_config(cfg: dict) -> SimConfig:
-    return SimConfig(**cfg["sim"])
+    return _from_section(SimConfig, cfg, "sim")
 
 
 def build_reward_weights(cfg: dict) -> RewardWeights:
-    return RewardWeights(**cfg["reward"])
+    return _from_section(RewardWeights, cfg, "reward")
 
 
 def action_mode_from_cli(mode: str) -> str:
-    return {"joint": "joint", "ld-only": "ld_only", "ld_only": "ld_only"}[mode]
+    modes = {"joint": "joint", "ld-only": "ld_only", "ld_only": "ld_only"}
+    if mode not in modes:
+        raise ValueError(f"unknown train.mode {mode!r}; valid: joint, ld-only")
+    return modes[mode]
 
 
 def build_env_factory(cfg: dict, track: rl.Raceline):

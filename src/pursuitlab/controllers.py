@@ -16,8 +16,7 @@ from .mpc import MPCConfig, MPCTracker
 from .ppo import PolicyBundle, load_checkpoint
 from .pure_pursuit import (DEFAULT_FIXED_GAIN, DEFAULT_FIXED_LOOKAHEAD, STALENESS_TIMEOUT,
                            AdaptiveLinearSource, ExternalSource, FixedSource,
-                           PurePursuitController, TeacherSource, params_from_action,
-                           smoother_start)
+                           PurePursuitController, TeacherSource)
 from .vehicle import ControllerOutput, SimConfig, VehicleState
 
 
@@ -43,7 +42,7 @@ class RLPurePursuitController:
 
     Each control step builds the raw observation, applies the frozen
     normalization from the checkpoint, takes the deterministic (mean)
-    action, clips it to the action bounds, and publishes it fresh. The
+    action, and publishes it fresh to the slot, which clips it. The
     staleness fallback stays live underneath: withhold publications and
     the teacher takes over.
     """
@@ -52,28 +51,22 @@ class RLPurePursuitController:
                  timeout: float = STALENESS_TIMEOUT):
         self.bundle = bundle
         self.raceline = raceline
-        self.source = ExternalSource(timeout=timeout)
+        self.source = ExternalSource(bundle.meta.get("action_mode", "joint"),
+                                     bundle.meta.get("fixed_gain", DEFAULT_FIXED_GAIN),
+                                     timeout)
         self.controller = PurePursuitController(raceline, self.source)
-        mode = bundle.meta.get("action_mode", "joint")
-        if mode not in ("joint", "ld_only"):
-            raise ValueError(f"checkpoint has unknown action_mode {mode!r}")
-        self.action_mode = mode
-        self.fixed_gain = float(bundle.meta.get("fixed_gain", DEFAULT_FIXED_GAIN))
         self.publish_enabled = True
         self.index = None  # the last step's waypoint, the next query's hint
 
     def reset(self):
-        self.controller.reset(smoother_start(self.action_mode, self.fixed_gain))
-        self.source.last_params = None
-        self.source.last_receipt = -np.inf
+        self.controller.reset(self.source.start())
         self.index = None
 
     def step(self, state: VehicleState, now: float) -> ControllerOutput:
         self.index = rl.nearest_index(self.raceline, state.position, near=self.index)
         if self.publish_enabled:
             action = self.bundle.act(observe(state, rl.taps(self.raceline, self.index)))
-            self.source.publish(
-                params_from_action(action, self.action_mode, self.fixed_gain), now)
+            self.source.publish(action, now)
         return self.controller.step(state, self.index, now)
 
 

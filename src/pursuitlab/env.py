@@ -1,7 +1,7 @@
 """Episodic environment: (lookahead, gain) actions drive Pure Pursuit.
 
-Each step clips the raw 2-D action to its bounds, publishes it to the
-controller's external slot (always fresh during training), lets the
+Each step publishes the action to the controller's external slot, which
+clips it to its bounds (always fresh during training), lets the
 controller smooth it and compute steering, advances the simulator one
 control period, and scores the transition with the shaped reward.
 Episodes end on collision, on completing the configured lap count, or at
@@ -22,8 +22,7 @@ import numpy as np
 from . import raceline as rl
 from .files import trace_csv
 from .pure_pursuit import (DEFAULT_FIXED_GAIN, ExternalSource, PurePursuitController,
-                           TEACHER_L_BASE, TEACHER_L_SPEED, params_from_action,
-                           smoother_start, teacher_gain, teacher_lookahead)
+                           TEACHER_L_BASE, TEACHER_L_SPEED, teacher_gain, teacher_lookahead)
 from .vehicle import SimConfig, VehicleState, collision_check, control_step, wrap_angle
 
 OBS_DIM = 5
@@ -78,8 +77,8 @@ class RewardContext:
     teacher_gain: float
 
 
-# The env's own trace columns: the raw action, the reward and the reward's
-# inputs by name (``v`` is already in the trace's core).
+# The env's own trace columns: the published (clipped) action, the reward
+# and the reward's inputs by name (``v`` is already in the trace's core).
 ENV_TRACE_COLUMNS = ("raw_lookahead", "raw_gain", "reward",
                      *(f.name for f in fields(RewardContext) if f.name != "v"))
 
@@ -125,18 +124,12 @@ class EnvConfig:
     spawn_lateral_jitter: float = 0.1
     spawn_heading_jitter: float = 0.05
     spawn_speed_fraction: float = 0.5
-    action_mode: str = "joint"  # joint | ld_only
+    action_mode: str = "joint"  # joint | ld_only; see ExternalSource
     fixed_gain: float = DEFAULT_FIXED_GAIN  # gain pinned in ld_only mode
 
     def __post_init__(self):
-        if self.action_mode not in ("joint", "ld_only"):
-            raise ValueError("action_mode must be 'joint' or 'ld_only'")
         if self.laps < 1 or self.max_steps < 1:
             raise ValueError("laps and max_steps must be >= 1")
-
-    @property
-    def action_dim(self) -> int:
-        return 2 if self.action_mode == "joint" else 1
 
 
 class RacingEnv:
@@ -156,7 +149,8 @@ class RacingEnv:
         self.weights = weights
         self.config = env_config
         self.rng = np.random.default_rng(seed)
-        self.controller = PurePursuitController(raceline, ExternalSource())
+        self.source = ExternalSource(env_config.action_mode, env_config.fixed_gain)
+        self.controller = PurePursuitController(raceline, self.source)
         self._trace = contextlib.ExitStack()
         self._trace_row = None if trace_path is None else \
             self._trace.enter_context(trace_csv(trace_path, ENV_TRACE_COLUMNS))
@@ -172,7 +166,7 @@ class RacingEnv:
 
     @property
     def action_dim(self) -> int:
-        return self.config.action_dim
+        return self.source.action_dim
 
     def reset(self, seed: int | None = None, spawn_index: int | None = None) -> np.ndarray:
         if seed is not None:
@@ -196,8 +190,7 @@ class RacingEnv:
         self.total_progress = 0
         # Waypoint nearest the current state, handed to the controller each step.
         self.prev_index = rl.nearest_index(track, self.state.position, near=spawn_index)
-        self.controller.reset(smoother_start(self.config.action_mode,
-                                             self.config.fixed_gain))
+        self.controller.reset(self.source.start())
         self.prev_params = self.controller.smoothed
         self._done = False
         return observe(self.state, rl.taps(track, self.prev_index))
@@ -209,9 +202,7 @@ class RacingEnv:
         track = self.raceline
         now = self.step_count * self.sim_config.dt_control
 
-        raw = params_from_action(action, self.config.action_mode,
-                                 self.config.fixed_gain)
-        self.controller.source.publish(raw, now)
+        raw = self.source.publish(action, now)
         result = self.controller.step(self.state, self.prev_index, now)
         self.state, self.prev_delta = control_step(
             self.state, result.command, self.prev_delta, self.sim_config)

@@ -86,7 +86,6 @@ class HorizonReference:
     and the reference (a, delta) controls of every knot but the last."""
 
     states: np.ndarray  # (horizon+1, 4)
-    indices: np.ndarray  # raceline waypoint index per knot
     controls: np.ndarray  # (horizon, 2): zero acceleration, feedforward steering
 
 
@@ -179,7 +178,7 @@ def build_reference(raceline: rl.Raceline, state: VehicleState, index: int,
     states[:, 3] = _unwrap([rl.tangent_heading(raceline, i) for i in indices.tolist()])
     controls = np.zeros((config.horizon, NU))
     controls[:, 1] = steering[indices[:-1]]
-    return HorizonReference(states, indices, controls)
+    return HorizonReference(states, controls)
 
 
 def linearize(states, controls, wheelbase: float, dt: float):

@@ -96,8 +96,8 @@ class DenseNet:
 class GaussianPolicy:
     """Diagonal Gaussian over actions, mean from a DenseNet.
 
-    Sampling is unsquashed; the environment clips actions to their bounds
-    and the stored log-probability always refers to the pre-clip sample.
+    Sampling is unsquashed; ``pure_pursuit.ExternalSource.publish`` clips
+    actions to their bounds; the log-probability is of the unclipped sample.
     """
 
     def __init__(self, obs_dim: int, act_dim: int, rng: np.random.Generator,

@@ -55,34 +55,11 @@ class PPParams:
     lookahead: float
     gain: float
 
-    def clipped(self) -> "PPParams":
-        return PPParams(_clip(self.lookahead, *LOOKAHEAD_BOUNDS),
-                        _clip(self.gain, *GAIN_BOUNDS))
 
-
-def params_from_action(action, action_mode: str, fixed_gain: float) -> PPParams:
-    """Policy action clipped to the parameter bounds.
-
-    ``action`` is a sequence (lookahead, gain) in ``joint`` mode and
-    (lookahead,) in ``ld_only`` mode, where ``fixed_gain`` is passed
-    through unclipped.
-    """
-    dim = 2 if action_mode == "joint" else 1
-    if len(action) != dim:
-        raise ValueError(f"expected {dim}-D action, got {len(action)}")
-    lookahead = _clip(float(action[0]), *LOOKAHEAD_BOUNDS)
-    if action_mode == "joint":
-        gain = _clip(float(action[1]), *GAIN_BOUNDS)
-    else:
-        gain = fixed_gain
-    return PPParams(lookahead, gain)
-
-
-def smoother_start(action_mode: str, fixed_gain: float) -> PPParams:
-    """Smoother start for a policy in ``action_mode``: ``ld_only`` keeps ``fixed_gain``."""
-    if action_mode == "ld_only":
-        return PPParams(SMOOTHER_INIT[0], fixed_gain)
-    return PPParams(*SMOOTHER_INIT)
+def clip_params(lookahead, gain) -> PPParams:
+    """(lookahead, gain) clipped to the action bounds."""
+    return PPParams(_clip(float(lookahead), *LOOKAHEAD_BOUNDS),
+                    _clip(float(gain), *GAIN_BOUNDS))
 
 
 def smooth(previous: PPParams, raw: PPParams) -> PPParams:
@@ -166,23 +143,46 @@ class TeacherSource:
 class ExternalSource:
     """Learned-parameter slot with a staleness fallback to the teacher.
 
-    A single writer publishes the latest action with a receipt timestamp;
+    The one place a policy action becomes parameters: a single writer
+    publishes (lookahead, gain) in ``joint`` mode or (lookahead,) in
+    ``ld_only`` mode, whose gain is ``fixed_gain``; the slot clips it and
     the controller reads it back (last value wins). If the newest receipt
     is older than ``timeout`` at query time, the teacher takes over until
     fresh actions resume.
     """
 
+    action_mode: str = "joint"  # joint | ld_only
+    fixed_gain: float = DEFAULT_FIXED_GAIN  # gain pinned in ld_only mode
     timeout: float = STALENESS_TIMEOUT
     last_params: PPParams | None = field(default=None, repr=False)
     last_receipt: float = field(default=-math.inf, repr=False)
 
     def __post_init__(self):
+        if self.action_mode not in ("joint", "ld_only"):
+            raise ValueError(f"unknown action_mode {self.action_mode!r}")
         if self.timeout <= 0.0:
             raise ValueError("timeout must be > 0")
 
-    def publish(self, params: PPParams, now: float):
-        self.last_params = params
+    @property
+    def action_dim(self) -> int:
+        return 2 if self.action_mode == "joint" else 1
+
+    def start(self) -> PPParams:
+        """Empty the slot; the smoother start keeps the fixed gain, clipped."""
+        self.last_params = None
+        self.last_receipt = -math.inf
+        if self.action_mode == "ld_only":
+            return clip_params(SMOOTHER_INIT[0], self.fixed_gain)
+        return PPParams(*SMOOTHER_INIT)
+
+    def publish(self, action, now: float) -> PPParams:
+        """Store ``action``, received at ``now``, as clipped parameters."""
+        if len(action) != self.action_dim:
+            raise ValueError(f"expected {self.action_dim}-D action, got {len(action)}")
+        gain = action[1] if self.action_mode == "joint" else self.fixed_gain
+        self.last_params = clip_params(action[0], gain)
         self.last_receipt = now
+        return self.last_params
 
     def fresh(self, now: float) -> bool:
         return self.last_params is not None and (now - self.last_receipt) <= self.timeout
@@ -208,12 +208,12 @@ class PurePursuitController:
     def _select_params(self, state: VehicleState, index: int, now: float):
         source = self.source
         if isinstance(source, FixedSource):
-            return PPParams(source.lookahead, source.gain).clipped(), "fixed", False
+            return clip_params(source.lookahead, source.gain), "fixed", False
         if isinstance(source, AdaptiveLinearSource):
             lookahead = adaptive_lookahead(state.v, source.v_lo, source.v_hi)
-            return PPParams(lookahead, source.gain).clipped(), "adaptive", False
+            return clip_params(lookahead, source.gain), "adaptive", False
         if isinstance(source, ExternalSource) and source.fresh(now):
-            return source.last_params.clipped(), "rl", True
+            return source.last_params, "rl", True
         if isinstance(source, (TeacherSource, ExternalSource)):
             preview = rl.taps(self.raceline, index)
             return PPParams(teacher_lookahead(state.v, preview.kappa_max),

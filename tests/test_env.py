@@ -1,10 +1,15 @@
+import struct
+
 import numpy as np
 import pytest
 
 from pursuitlab import raceline as rl
+from pursuitlab.controllers import RLPurePursuitController
 from pursuitlab.env import (EnvConfig, RacingEnv, RewardContext, RewardWeights,
                             compute_reward, observe, preshorten_ceiling)
-from pursuitlab.pure_pursuit import teacher_gain, teacher_lookahead
+from pursuitlab.nets import DenseNet, GaussianPolicy
+from pursuitlab.ppo import PolicyBundle, RunningNormalizer
+from pursuitlab.pure_pursuit import GAIN_BOUNDS, teacher_gain, teacher_lookahead
 from pursuitlab.vehicle import VehicleState
 
 
@@ -323,6 +328,53 @@ def test_ld_only_mode_pins_gain(oval_track):
             obs = env.reset()
     # The smoother starts at g0 in this mode, so the gain never moves.
     assert max(abs(g - 0.85) for g in gains) < 1e-12
+
+
+@pytest.mark.parametrize("fixed_gain", [0.3, 2.0])
+def test_ld_only_out_of_range_fixed_gain_applies_in_bounds(oval_track, fixed_gain):
+    # The smoother starts from the clipped fixed gain, so no step applies a
+    # gain between the unclipped start and the bound.
+    env = RacingEnv(oval_track, env_config=EnvConfig(
+        action_mode="ld_only", fixed_gain=fixed_gain, max_steps=60), seed=0)
+    env.reset(seed=0)
+    done = False
+    while not done:
+        _, _, done, info = env.step([1.5])
+        assert GAIN_BOUNDS[0] <= info["params"].gain <= GAIN_BOUNDS[1]
+
+
+def _as_bytes(params):
+    return struct.pack("<dd", params.lookahead, params.gain)
+
+
+@pytest.mark.parametrize("mode, fixed_gain", [("joint", 0.6), ("ld_only", 0.6),
+                                              ("ld_only", 2.0)])
+def test_env_and_rl_controller_share_the_slot(oval_track, mode, fixed_gain):
+    """Training and deployment reset to the same smoother start and, for the
+    same actions, publish and apply the same parameters, byte for byte."""
+    rng = np.random.default_rng(5)
+    act_dim = 2 if mode == "joint" else 1
+    # A wide spread so that some actions fall outside the bounds.
+    bundle = PolicyBundle(GaussianPolicy(5, act_dim, rng, mean_bias=[-0.9, 0.7][:act_dim]),
+                          DenseNet((5, 8, 1), rng, final_gain=1.0),
+                          RunningNormalizer(5), {"action_mode": mode, "fixed_gain": fixed_gain})
+    bundle.policy.mean_net.params[-2] *= 300.0
+    env = RacingEnv(oval_track, env_config=EnvConfig(
+        action_mode=mode, fixed_gain=fixed_gain, max_steps=80), seed=2)
+    controller = RLPurePursuitController(bundle, oval_track)
+    obs = env.reset(seed=2)
+    controller.reset()
+    assert _as_bytes(env.controller.smoothed) == _as_bytes(controller.controller.smoothed)
+    done, clipped = False, 0
+    while not done:
+        state, now = env.state, env.step_count * env.sim_config.dt_control
+        output = controller.step(state, now)
+        action = bundle.act(obs)
+        obs, _, done, info = env.step(action)
+        assert _as_bytes(info["raw_params"]) == _as_bytes(controller.source.last_params)
+        assert _as_bytes(info["params"]) == _as_bytes(output.params)
+        clipped += info["raw_params"].lookahead != action[0]
+    assert 0 < clipped < env.step_count, clipped
 
 
 def test_controller_index_is_the_nearest_waypoint_of_the_state(oval_track):

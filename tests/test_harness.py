@@ -191,6 +191,28 @@ def test_every_trace_begins_with_the_shared_core(owner, tmp_path):
         assert {row[name] for row in rows for name in SOLVER_COLUMNS} == {""}
 
 
+@pytest.mark.parametrize("kind", ["fixed", "adaptive", "teacher", "rl", "mpc"])
+def test_mirrored_track_gives_the_same_laps(kind):
+    """Oracle: mirroring the track across the x axis mirrors every pose and
+    command, and the controllers read curvature only as magnitudes, so the
+    lap results cannot change."""
+    track = heldout_rect()
+    mirrored = rl.Raceline(track.x, -track.y, -track.kappa, track.v_base, track.half_width)
+
+    def laps(raceline):
+        controller = RLPurePursuitController(untrained_bundle(), raceline) \
+            if kind == "rl" else build_controller({"type": kind}, raceline, SIM)
+        return run_laps(controller, raceline, SIM, laps=2, max_lap_time=60.0)
+
+    report, mirror = laps(track), laps(mirrored)
+    assert report.completed >= 1
+    assert [lap.completed for lap in mirror.laps] == [lap.completed for lap in report.laps]
+    assert [lap.time for lap in mirror.laps] == pytest.approx(
+        [lap.time for lap in report.laps], rel=0.0, abs=1e-9)
+    for name in ("mean_abs_lateral_error", "steering_rate_rms"):
+        assert getattr(mirror, name) == pytest.approx(getattr(report, name), rel=0.0, abs=1e-9)
+
+
 # ----------------------------------------------------------------------
 # Sweep
 # ----------------------------------------------------------------------
@@ -456,6 +478,20 @@ def test_cli_compare_rejects_a_repeated_name_before_any_lap(tmp_path, capsys):
     assert code == 1
     assert "repeat: pp" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra, named", [
+    ("train", "train:\n  mode: ld_onyl\n", "train.mode 'ld_onyl'; valid: joint, ld-only"),
+    ("eval", "sim:\n  dt_contrl: 0.05\n", "unknown sim key(s) dt_contrl"),
+    ("train", "reward:\n  speeed: 1.0\n", "unknown reward key(s) speeed"),
+    ("eval", "eval: [laps\n", "is not valid YAML"),
+], ids=["train_mode", "sim_key", "reward_key", "yaml"])
+def test_cli_config_mistake_is_an_error_line(tmp_path, capsys, command, extra, named):
+    cfg = write_cli_config(tmp_path, extra)
+    code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
 
 
 def test_seed_is_a_train_only_flag():

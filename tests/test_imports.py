@@ -57,31 +57,37 @@ def test_only_files_py_writes_files():
     assert {what for _, what in writer} == {"os.replace", "open for writing"}
 
 
-def _call_scopes(tree, module, *names):
-    """Yield the qualified name of the function around each ``module.name``
-    call in ``tree``, for each of ``names``."""
+def _scopes(tree, matches):
+    """Yield the qualified name of the function around each node of ``tree``
+    for which ``matches(node)`` holds."""
     def walk(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 yield from walk(child, scope + (child.name,))
                 continue
-            func = getattr(child, "func", None)
-            if isinstance(child, ast.Call) and isinstance(func, ast.Attribute) \
-                    and func.attr in names \
-                    and isinstance(func.value, ast.Name) and func.value.id == module:
+            if matches(child):
                 yield ".".join(scope)
             yield from walk(child, scope)
     yield from walk(tree, ())
 
 
-def _package_call_scopes(module, *names, skip=()):
-    """``_call_scopes`` over every module of the package but ``skip``, each
-    scope prefixed with its module's name."""
+def _package_scopes(matches, skip=()):
+    """``_scopes`` over every module of the package but ``skip``, each scope
+    prefixed with its module's name."""
     package = Path(pursuitlab.__file__).resolve().parent
     return {f"{path.stem}.{scope}"
             for path in sorted(package.rglob("*.py")) if path.name not in skip
-            for scope in _call_scopes(ast.parse(path.read_text(encoding="utf-8")),
-                                      module, *names)}
+            for scope in _scopes(ast.parse(path.read_text(encoding="utf-8")), matches)}
+
+
+def _package_call_scopes(module, *names, skip=()):
+    """The scopes of every ``module.name`` call, for each of ``names``."""
+    def matches(node):
+        func = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and isinstance(func, ast.Attribute) \
+            and func.attr in names \
+            and isinstance(func.value, ast.Name) and func.value.id == module
+    return _package_scopes(matches, skip)
 
 
 def test_per_step_traces_have_one_writer():
@@ -122,3 +128,21 @@ def test_only_pose_owners_query_the_track():
         "evaluation.run_laps", "env.RacingEnv.reset", "env.RacingEnv.step",
         "controllers.PurePursuitAdapter.step", "controllers.RLPurePursuitController.step",
         "mpc.MPCTracker.step"}
+
+
+def _clips_to_action_bounds(node):
+    """Whether ``node`` is a clip, min or max call that reads an action bound."""
+    func = getattr(node, "func", None)
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+    return isinstance(node, ast.Call) \
+        and name in ("_clip", "clip", "min", "max", "minimum", "maximum") \
+        and any(isinstance(arg, ast.Name) and arg.id in ("LOOKAHEAD_BOUNDS", "GAIN_BOUNDS")
+                for arg in ast.walk(node))
+
+
+def test_one_clipper_to_the_action_bounds():
+    """A policy action and every source's pair reach the law through
+    pure_pursuit.clip_params; only the teacher schedules clip on their own."""
+    assert _package_scopes(_clips_to_action_bounds) == {
+        "pure_pursuit.clip_params", "pure_pursuit.teacher_lookahead",
+        "pure_pursuit.teacher_gain"}

@@ -34,25 +34,33 @@ def heldout_rect():
 # Reference construction
 # ----------------------------------------------------------------------
 
+def assert_knots_at_waypoints(ref, track, index, advance):
+    """Knot k of ``ref`` sits on waypoint (index + k advance) mod n."""
+    waypoints = (index + advance * np.arange(len(ref.states))) % track.n
+    np.testing.assert_array_equal(ref.states[:, :2],
+                                  np.column_stack([track.x[waypoints], track.y[waypoints]]))
+
+
 def test_reference_advances_with_speed_floor():
     track = uniform_speed_oval()
     config = MPCConfig()
     state = VehicleState(float(track.x[0]), float(track.y[0]), 0.0, 0.0)
-    ref = build_reference(track, state, rl.nearest_index(track, state.position), config)
+    index = rl.nearest_index(track, state.position)
+    ref = build_reference(track, state, index, config)
     assert ref.states.shape == (config.horizon + 1, NX)
-    advances = np.diff(ref.indices) % track.n
-    assert np.all(advances >= 1)
+    # Standing still, the horizon still advances one waypoint per knot.
+    assert_knots_at_waypoints(ref, track, index, 1)
 
 
 def test_reference_advance_is_speed_proportional():
     track = uniform_speed_oval()
     config = MPCConfig()
     state = VehicleState(float(track.x[0]), float(track.y[0]), 0.0, 5.0)
-    ref = build_reference(track, state, rl.nearest_index(track, state.position), config)
+    index = rl.nearest_index(track, state.position)
+    ref = build_reference(track, state, index, config)
     expected = int(round(5.0 * config.dt / track.mean_spacing))  # 2
     assert expected == 2
-    advances = np.diff(ref.indices) % track.n
-    assert np.all(advances == expected)
+    assert_knots_at_waypoints(ref, track, index, expected)
 
 
 def test_reference_heading_constant_on_straight():
@@ -233,7 +241,7 @@ def test_assemble_qp_matches_the_mpc_cost_and_constraints(
                        terminal_weights=terminal_w, control_weights=control_w,
                        control_rate_weights=rate_w)
     ref = HorizonReference(rng.uniform(-5.0, 5.0, (horizon + 1, NX)),
-                           np.arange(horizon + 1), np.zeros((horizon, NU)))
+                           np.zeros((horizon, NU)))
     lins = [(rng.standard_normal((NX, NX)), rng.standard_normal((NX, NU)),
              rng.standard_normal(NX)) for _ in range(horizon)]
     state = VehicleState(*rng.uniform(-5.0, 5.0, 4))

@@ -190,31 +190,51 @@ reals = st.floats(allow_nan=False)
 @example(math.nan, 0.8)
 @given(st.floats(), st.floats())
 def test_joint_action_is_clipped_into_the_bounds(lookahead, gain):
-    params = pp.params_from_action([lookahead, gain], "joint", 0.6)
+    source = pp.ExternalSource("joint")
+    params = source.publish([lookahead, gain], now=0.0)
     assert pp.LOOKAHEAD_BOUNDS[0] <= params.lookahead <= pp.LOOKAHEAD_BOUNDS[1]
     assert pp.GAIN_BOUNDS[0] <= params.gain <= pp.GAIN_BOUNDS[1]
-    assert params == pp.PPParams(lookahead, gain).clipped()
+    assert params == pp.clip_params(lookahead, gain)
     # What the env records (raw_params) is what the controller applies.
-    assert params.clipped() == params
+    assert source.last_params is params
+    assert pp.clip_params(params.lookahead, params.gain) == params
 
 
 @given(reals, reals)
 def test_ld_only_action_passes_the_fixed_gain_through(lookahead, fixed_gain):
-    params = pp.params_from_action(np.array([lookahead]), "ld_only", fixed_gain)
-    assert params.gain == fixed_gain
-    assert params.lookahead == pp.PPParams(lookahead, 0.6).clipped().lookahead
+    params = pp.ExternalSource("ld_only", fixed_gain).publish(np.array([lookahead]), 0.0)
+    # An in-range fixed gain passes as it is; an out-of-range one comes back
+    # clipped, like a joint action's gain.
+    assert params == pp.clip_params(lookahead, fixed_gain)
 
 
 def test_smoother_start_per_action_mode():
-    assert pp.smoother_start("joint", 0.6) == pp.PPParams(*pp.SMOOTHER_INIT)
-    assert pp.smoother_start("ld_only", 0.6) == pp.PPParams(pp.SMOOTHER_INIT[0], 0.6)
+    assert pp.ExternalSource("joint", 0.6).start() == pp.PPParams(*pp.SMOOTHER_INIT)
+    assert pp.ExternalSource("ld_only", 0.6).start() == pp.PPParams(pp.SMOOTHER_INIT[0], 0.6)
+    # The start keeps the fixed gain inside the bounds the published gain obeys.
+    assert pp.ExternalSource("ld_only", 0.3).start().gain == pp.GAIN_BOUNDS[0]
+    assert pp.ExternalSource("ld_only", 2.0).start().gain == pp.GAIN_BOUNDS[1]
+
+
+def test_start_empties_the_slot():
+    source = pp.ExternalSource()
+    source.publish([1.5, 0.9], now=1.0)
+    assert source.fresh(1.0)
+    source.start()
+    assert source.last_params is None and not source.fresh(1.0)
 
 
 @given(st.sampled_from(["joint", "ld_only"]), st.integers(0, 4))
 def test_wrong_length_action_is_rejected(mode, length):
-    assume(length != (2 if mode == "joint" else 1))
+    source = pp.ExternalSource(mode)
+    assume(length != source.action_dim)
     with pytest.raises(ValueError, match="-D action"):
-        pp.params_from_action(np.ones(length), mode, 0.6)
+        source.publish(np.ones(length), 0.0)
+
+
+def test_external_source_rejects_unknown_action_mode():
+    with pytest.raises(ValueError, match="action_mode"):
+        pp.ExternalSource("ld-only")
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +244,7 @@ def test_wrong_length_action_is_rejected(mode, length):
 def test_external_source_freshness():
     source = pp.ExternalSource(timeout=0.2)
     assert not source.fresh(0.0)  # nothing received yet
-    source.publish(pp.PPParams(1.5, 0.9), now=1.0)
+    source.publish([1.5, 0.9], now=1.0)
     assert source.fresh(1.1)
     assert source.fresh(1.2)      # exactly at the timeout still fresh
     assert not source.fresh(1.21)
@@ -240,7 +260,7 @@ def test_controller_external_fresh_is_rl_mode():
     source = pp.ExternalSource(timeout=0.2)
     controller = pp.PurePursuitController(track, source)
     controller.reset()
-    source.publish(pp.PPParams(1.5, 0.9), now=0.0)
+    source.publish([1.5, 0.9], now=0.0)
     state = VehicleState(0.1, 0.0, 0.0, 2.0)
     result = controller.step(state, rl.nearest_index(track, state.position), now=0.0)
     assert result.mode == "rl"
@@ -251,7 +271,7 @@ def test_controller_staleness_falls_back_to_teacher():
     source = pp.ExternalSource(timeout=0.2)
     controller = pp.PurePursuitController(track, source)
     controller.reset()
-    source.publish(pp.PPParams(4.0, 1.15), now=0.0)
+    source.publish([4.0, 1.15], now=0.0)
     state = VehicleState(0.1, 0.0, 0.0, 2.0)
     # 0.5 s since receipt > 0.2 s
     result = controller.step(state, rl.nearest_index(track, state.position), now=0.5)
@@ -295,7 +315,7 @@ def test_fresh_actions_every_step_never_trigger_teacher(oval_track):
     total = 400
     for k in range(total):
         now = 0.05 * k
-        source.publish(pp.PPParams(1.5, 0.9), now)
+        source.publish([1.5, 0.9], now)
         result = controller.step(state, 0, now)
         if result.mode == "teacher":
             teacher_steps += 1
