@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 
 import yaml
 
 from . import raceline as rl
+from .controllers import OPTIONAL_SPEC_KEYS
 from .env import EnvConfig, RacingEnv, RewardWeights
 from .ppo import PPOConfig
 from .pure_pursuit import DEFAULT_FIXED_GAIN, DEFAULT_FIXED_LOOKAHEAD, STALENESS_TIMEOUT
@@ -83,8 +85,17 @@ def _deep_merge(base: dict, overlay: dict) -> dict:
     return out
 
 
+# Keys a section accepts besides those of its defaults.
+_OPTIONAL_KEYS = {"controller": OPTIONAL_SPEC_KEYS}
+
+
 def load_config(path=None) -> dict:
-    """Defaults overlaid with the YAML file at ``path`` (if given)."""
+    """Defaults overlaid with the YAML file at ``path`` (if given).
+
+    Every section that has a mapping of defaults must stay a mapping and
+    may hold only those keys (the controller's also ``OPTIONAL_SPEC_KEYS``),
+    so a misspelt key is an error rather than a silent default.
+    """
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
         with open(path, "r", encoding="utf-8") as f:
@@ -95,6 +106,16 @@ def load_config(path=None) -> dict:
         if not isinstance(overlay, dict):
             raise ValueError("config file must contain a mapping")
         cfg = _deep_merge(cfg, overlay)
+    for section, defaults in DEFAULTS.items():
+        if not isinstance(defaults, dict):
+            continue
+        if not isinstance(cfg[section], dict):
+            raise ValueError(f"config section {section} must be a mapping, "
+                             f"not {cfg[section]!r}")
+        names = [*defaults, *_OPTIONAL_KEYS.get(section, ())]
+        if unknown := sorted(set(cfg[section]) - set(names)):
+            raise ValueError(f"unknown {section} key(s) {', '.join(unknown)}; "
+                             f"valid: {', '.join(names)}")
     return cfg
 
 
@@ -121,34 +142,28 @@ def build_track(cfg: dict) -> rl.Raceline:
     raise ValueError(f"unknown track.kind {kind!r}")
 
 
-def _from_section(cls, cfg: dict, section: str):
-    """``cls`` built from ``cfg[section]``, whose keys must be its fields."""
-    names = [f.name for f in dataclasses.fields(cls)]
-    if unknown := sorted(set(cfg[section]) - set(names)):
-        raise ValueError(f"unknown {section} key(s) {', '.join(unknown)}; "
-                         f"valid: {', '.join(names)}")
-    return cls(**cfg[section])
-
-
 def build_sim_config(cfg: dict) -> SimConfig:
-    return _from_section(SimConfig, cfg, "sim")
+    return SimConfig(**cfg["sim"])
 
 
 def build_reward_weights(cfg: dict) -> RewardWeights:
-    return _from_section(RewardWeights, cfg, "reward")
+    return RewardWeights(**cfg["reward"])
 
 
 def action_mode_from_cli(mode: str) -> str:
     modes = {"joint": "joint", "ld-only": "ld_only", "ld_only": "ld_only"}
-    if mode not in modes:
+    if not isinstance(mode, str) or mode not in modes:
         raise ValueError(f"unknown train.mode {mode!r}; valid: joint, ld-only")
     return modes[mode]
 
 
-def build_env_factory(cfg: dict, track: rl.Raceline):
-    """Returns ``factory(seed) -> RacingEnv`` for training."""
-    sim_config = build_sim_config(cfg)
-    weights = build_reward_weights(cfg)
+def build_env_factory(cfg: dict, track: rl.Raceline) -> functools.partial:
+    """Returns ``factory(seed) -> RacingEnv`` for training.
+
+    The factory is a ``functools.partial`` of :class:`RacingEnv`, so it
+    pickles: :class:`~pursuitlab.ppo.PPOTrainer` sends it to its
+    evaluation worker.
+    """
     train = cfg["train"]
     env_config = EnvConfig(
         laps=train["laps"],
@@ -156,11 +171,8 @@ def build_env_factory(cfg: dict, track: rl.Raceline):
         action_mode=action_mode_from_cli(train["mode"]),
         fixed_gain=train["fixed_gain"],
     )
-
-    def factory(seed: int) -> RacingEnv:
-        return RacingEnv(track, sim_config, weights, env_config, seed=seed)
-
-    return factory
+    return functools.partial(RacingEnv, track, build_sim_config(cfg),
+                             build_reward_weights(cfg), env_config)
 
 
 def build_ppo_config(cfg: dict) -> PPOConfig:

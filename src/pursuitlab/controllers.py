@@ -70,6 +70,12 @@ class RLPurePursuitController:
         return self.controller.step(state, self.index, now)
 
 
+# Spec keys that build_controller reads when present, beyond the config's
+# controller defaults: the adaptive source's speed band and MPCConfig fields.
+MPC_SPEC_KEYS = ("horizon", "dt", "v_floor", "rho", "tol", "max_iter")
+OPTIONAL_SPEC_KEYS = ("v_lo", "v_hi", *MPC_SPEC_KEYS)
+
+
 def build_controller(spec: dict, raceline: rl.Raceline, sim_config: SimConfig):
     """Construct a controller from a config mapping.
 
@@ -98,9 +104,7 @@ def build_controller(spec: dict, raceline: rl.Raceline, sim_config: SimConfig):
         return RLPurePursuitController(bundle, raceline,
                                        timeout=float(spec.get("timeout", STALENESS_TIMEOUT)))
     if kind == "mpc":
-        fields = {k: spec[k] for k in
-                  ("horizon", "dt", "v_floor", "rho", "tol", "max_iter")
-                  if k in spec}
+        fields = {k: spec[k] for k in MPC_SPEC_KEYS if k in spec}
         # The MPC plans for the plant that the simulator runs.
         return MPCTracker(raceline, MPCConfig(plant=sim_config, **fields))
     raise ValueError(f"unknown controller type {kind!r}")

@@ -4,21 +4,30 @@ From-scratch implementation: rollout buffer with GAE, clipped-surrogate
 updates with entropy and value terms, running observation/return
 normalization, linear or cosine learning-rate schedules, KL-triggered
 epoch skipping, periodic deterministic evaluation against a frozen copy
-of the normalization statistics, and versioned checkpoints that fully
-restore deterministic evaluation.
+of the policy and normalization statistics, and versioned checkpoints that
+fully restore deterministic evaluation.
 
 Rollouts may fan out over several sequentially-stepped environments; the
-update itself is a single-threaded critical section. Every random stream
-derives from the master seed by fixed offsets, so runs are reproducible.
+update itself is a single-threaded critical section. Scheduled
+evaluations run in a worker process while collection goes on, so the
+trainer's ``env_factory`` must pickle. Every random stream derives from the
+master seed by fixed offsets, so runs are reproducible.
 """
 
 from __future__ import annotations
 
+import collections
+import copy
 import csv
 import json
 import math
 import os
+import pickle
+import signal
+import subprocess
+import sys
 import time
+import traceback
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -304,10 +313,12 @@ class Diagnostics:
 class CycleTimes:
     """Wall-clock seconds of one collect/update cycle.
 
-    Collection excludes the evaluations run during it, which ``eval_s``
-    counts; ``env_steps_per_s`` is the cycle's training env steps over the
-    sum of the three. Unlike :class:`Diagnostics`, these differ between
-    runs of one seed.
+    ``eval_s`` is the episode seconds that the evaluation worker reported
+    for the evaluations read in this cycle; they overlap collection and
+    the update rather than adding to them. ``env_steps_per_s`` is the
+    cycle's training env steps over its wall clock, which includes any
+    wait for those evaluations. Unlike :class:`Diagnostics`, these differ
+    between runs of one seed.
     """
 
     collect_s: float
@@ -501,13 +512,130 @@ def load_checkpoint(path) -> PolicyBundle:
         return PolicyBundle(policy, value_net, obs_norm, meta)
 
 
+def evaluate_episode(env, policy: GaussianPolicy, obs_norm: RunningNormalizer,
+                     seed: int, max_steps: int | None = None) -> float:
+    """Return of one deterministic episode of ``env`` reset with ``seed``.
+
+    Acts with the policy's mean on ``obs_norm``-normalized observations;
+    the statistics are applied but never updated.
+    """
+    obs = env.reset(seed=seed)
+    total = 0.0
+    steps = 0
+    done = False
+    while not done:
+        action = policy.mean_action(obs_norm.apply(obs))
+        obs, reward, done, _ = env.step(action)
+        total += reward
+        steps += 1
+        if max_steps is not None and steps >= max_steps:
+            break
+    return total
+
+
+# The worker's command: the parent's import path, then the request loop.
+_WORKER_CODE = ("import json, sys; sys.path[:] = json.loads(sys.argv[1]); "
+                f"from {__name__} import serve_evaluations; serve_evaluations()")
+
+
+def serve_evaluations():
+    """Evaluation worker loop, the body of :class:`EvalWorker`'s process.
+
+    Reads pickles from stdin: first ``(env_factory, seed)``, then one
+    ``(policy, obs_norm)`` per evaluation. Answers each on stdout, in
+    order, with ``(return, seconds)`` or the exception that the episode
+    raised. The env is built once, on the first request. Ends at EOF.
+    """
+    replies = os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)  # stray prints go to stderr, not into the replies
+    # An interrupt reaches the whole process group; the trainer's handling
+    # of it stops this process.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    requests = sys.stdin.buffer
+    env_factory, seed = pickle.load(requests)
+    env = None
+    with replies:
+        while True:
+            try:
+                policy, obs_norm = pickle.load(requests)
+            except EOFError:
+                return
+            start = time.perf_counter()
+            try:
+                if env is None:
+                    env = env_factory(seed)
+                reply = (evaluate_episode(env, policy, obs_norm, seed),
+                         time.perf_counter() - start)
+            except Exception as exc:  # reported to the trainer, which raises it
+                traceback.print_exc()
+                try:
+                    data = pickle.dumps(exc)
+                    pickle.loads(data)
+                except Exception:
+                    data = pickle.dumps(RuntimeError(f"evaluation failed: {exc!r}"))
+            else:
+                data = pickle.dumps(reply)
+            replies.write(data)
+            replies.flush()
+
+
+class EvalWorker:
+    """A fresh interpreter that runs :func:`evaluate_episode` on request.
+
+    It is started with the parent's ``sys.path`` and builds its env once,
+    from ``env_factory(seed)``; the factory is pickled here, so an
+    unpicklable one fails before any request. :meth:`submit` sends a
+    policy and its statistics by value and returns at once;
+    :meth:`result` waits for the oldest unread answer. :meth:`close`
+    stops the process and reaps it.
+    """
+
+    def __init__(self, env_factory, seed: int):
+        self._setup = pickle.dumps((env_factory, seed))
+        self._proc = subprocess.Popen(
+            [sys.executable, "-c", _WORKER_CODE, json.dumps(sys.path)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+
+    def submit(self, policy: GaussianPolicy, obs_norm: RunningNormalizer):
+        # The set-up message goes with the first request, by when the
+        # worker has started and reads it without stalling the trainer.
+        data = self._setup + pickle.dumps((policy, obs_norm))
+        self._setup = b""
+        self._proc.stdin.write(data)
+        self._proc.stdin.flush()
+
+    def result(self) -> tuple[float, float]:
+        """``(return, episode seconds)`` of the oldest unread request."""
+        try:
+            reply = pickle.load(self._proc.stdout)
+        except EOFError:
+            raise RuntimeError(f"evaluation worker exited with code "
+                               f"{self._proc.wait()}") from None
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply
+
+    def close(self):
+        """Stop the worker, dropping unread requests, and reap it."""
+        self._proc.kill()
+        self._proc.wait()
+        try:
+            self._proc.stdin.close()
+        except BrokenPipeError:  # a request the worker never read
+            pass
+        self._proc.stdout.close()
+
+
 class PPOTrainer:
     """Owns environments, networks, normalizers, and the training loop.
 
     ``env_factory(seed)`` must return a fresh environment exposing
     ``reset(seed)``, ``step(action)``, ``observation_dim`` and
     ``action_dim``. Training environments get ``seed + 1000 * (i + 1)``;
-    the evaluation environment gets a fixed large offset.
+    the evaluation environment gets a fixed large offset. Scheduled
+    evaluations run in an :class:`EvalWorker` that builds its own
+    evaluation env, so ``env_factory`` must pickle: a module-level class
+    or function, or a ``functools.partial`` of one.
     """
 
     def __init__(self, env_factory, config: PPOConfig, seed: int = 0,
@@ -516,6 +644,7 @@ class PPOTrainer:
         self.seed = seed
         self.out_dir = out_dir
         self.extra_meta = dict(extra_meta or {})
+        self.env_factory = env_factory
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
 
@@ -547,7 +676,9 @@ class PPOTrainer:
         self._running_returns = np.zeros(config.n_envs)
         self._eval_bucket = 0
         self._checkpoint_bucket = 0
-        self._eval_s = 0.0  # evaluation seconds in the current cycle
+        self._evaluator: EvalWorker | None = None  # only while train() runs
+        # save_checkpoint arguments of each submitted, unread evaluation
+        self._pending: collections.deque[tuple] = collections.deque()
 
         self._obs = np.stack([env.reset() for env in self.envs])
         self._episode_start = np.ones(config.n_envs, dtype=bool)
@@ -570,6 +701,9 @@ class PPOTrainer:
         each ``(n_envs, obs_dim)`` slice of that stack with the same BLAS
         call as a forward of that slice alone, so the values are the
         floats a per-step pass would give (tests/test_nets.py checks it).
+
+        An evaluation that falls due is handed to :meth:`train`'s worker,
+        so a call outside :meth:`train` must not cross ``eval_every``.
         """
         buffer = self.buffer
         buffer.reset()
@@ -608,36 +742,24 @@ class PPOTrainer:
     # ------------------------------------------------------------------
 
     def evaluate(self, max_steps: int | None = None) -> float:
-        """One deterministic episode on the eval environment.
-
-        Shares the trainer's normalization statistics read-only: the
-        statistics are applied but never updated here.
-        """
-        obs = self.eval_env.reset(seed=self.seed + EVAL_ENV_SEED_OFFSET)
-        total = 0.0
-        steps = 0
-        done = False
-        while not done:
-            action = self.policy.mean_action(self.obs_norm.apply(obs))
-            obs, reward, done, _ = self.eval_env.step(action)
-            total += reward
-            steps += 1
-            if max_steps is not None and steps >= max_steps:
-                break
-        return total
+        """One deterministic episode on the eval environment, in this
+        process: :func:`evaluate_episode` with the trainer's current policy
+        and normalization statistics, which it reads but never updates."""
+        return evaluate_episode(self.eval_env, self.policy, self.obs_norm,
+                                self.seed + EVAL_ENV_SEED_OFFSET, max_steps)
 
     def _maybe_eval_and_checkpoint(self):
         cfg = self.config
         bucket = self.global_step // cfg.eval_every
         if bucket > self._eval_bucket:
+            if self._evaluator is None:
+                raise RuntimeError("an evaluation fell due outside train(), "
+                                   "whose worker runs them")
             self._eval_bucket = bucket
-            start = time.perf_counter()
-            self.last_eval_return = self.evaluate()
-            self._eval_s += time.perf_counter() - start
-            if self.last_eval_return > self.best_eval_return:
-                self.best_eval_return = self.last_eval_return
-                if self.out_dir is not None:
-                    self.save(os.path.join(self.out_dir, "best_model.npz"))
+            snapshot = copy.deepcopy(self._checkpoint_args())
+            policy, _, obs_norm, _, _ = snapshot
+            self._evaluator.submit(policy, obs_norm)
+            self._pending.append(snapshot)
         bucket = self.global_step // cfg.checkpoint_every
         if bucket > self._checkpoint_bucket:
             self._checkpoint_bucket = bucket
@@ -645,11 +767,29 @@ class PPOTrainer:
                 self.save(os.path.join(self.out_dir,
                                        f"checkpoint_{self.global_step:09d}.npz"))
 
+    def _read_evaluations(self) -> float:
+        """Wait for every submitted evaluation, in order, and save the best
+        snapshot; returns the episode seconds the worker reported."""
+        seconds = 0.0
+        while self._pending:
+            value, episode_s = self._evaluator.result()
+            snapshot = self._pending.popleft()
+            seconds += episode_s
+            self.last_eval_return = value
+            if value > self.best_eval_return:
+                self.best_eval_return = value
+                if self.out_dir is not None:
+                    save_checkpoint(os.path.join(self.out_dir, "best_model.npz"),
+                                    *snapshot)
+        return seconds
+
+    def _checkpoint_args(self) -> tuple:
+        """:func:`save_checkpoint`'s arguments after the path, for now."""
+        return (self.policy, self.value_net, self.obs_norm, self.ret_norm,
+                {"seed": self.seed, "step": self.global_step, **self.extra_meta})
+
     def save(self, path):
-        save_checkpoint(path, self.policy, self.value_net, self.obs_norm,
-                        self.ret_norm, {"seed": self.seed,
-                                        "step": self.global_step,
-                                        **self.extra_meta})
+        save_checkpoint(path, *self._checkpoint_args())
 
     # ------------------------------------------------------------------
     # Training loop
@@ -661,45 +801,69 @@ class PPOTrainer:
                            remaining)
 
     def train(self, total_steps: int | None = None) -> list[Diagnostics]:
+        """Collect/update cycles until ``total_steps`` (default: the
+        config's) is reached; returns every cycle's diagnostics.
+
+        Evaluations that fall due run in one :class:`EvalWorker`, started
+        here when the last cycle's step crosses an ``eval_every``
+        boundary and stopped before this returns or raises. Each cycle
+        reads its evaluations after the update.
+        """
         cfg = self.config
         target = total_steps if total_steps is not None else cfg.total_steps
-        while self.global_step < target:
-            self._eval_s = 0.0
-            start = time.perf_counter()
-            self.collect_rollout()
-            collected = time.perf_counter()
-            lr = self.learning_rate()
-            stats = ppo_update(self.policy, self.value_net, self.optimizer,
-                               self.buffer, cfg, lr, self.rng)
-            updated = time.perf_counter()
-            self._check_finite()
-            mean_ep = float(np.mean(self._episode_returns)) \
-                if self._episode_returns else math.nan
-            self.metrics.append(Diagnostics(
-                step=self.global_step,
-                approx_kl=stats["approx_kl"],
-                clip_fraction=stats["clip_fraction"],
-                action_std=tuple(self.policy.std()),
-                value_loss=stats["value_loss"],
-                entropy=stats["entropy"],
-                mean_episode_return=mean_ep,
-                eval_return=self.last_eval_return,
-                learning_rate=lr,
-                aborted=stats["aborted"],
-                epochs_completed=stats["epochs_completed"],
-            ))
-            self.cycle_times.append(CycleTimes(
-                collect_s=collected - start - self._eval_s,
-                update_s=updated - collected,
-                eval_s=self._eval_s,
-                env_steps_per_s=cfg.n_steps * cfg.n_envs / (updated - start),
-            ))
-            if self.out_dir is not None:
-                # Every finished update is on disk, even if a later one dies.
-                self.write_metrics(os.path.join(self.out_dir, "metrics.csv"))
+        per_cycle = cfg.n_steps * cfg.n_envs
+        # Whole cycles run until the step reaches target: ceil division.
+        cycles = max(0, -(-(target - self.global_step) // per_cycle))
+        if (self.global_step + cycles * per_cycle) // cfg.eval_every > self._eval_bucket:
+            self._evaluator = EvalWorker(self.env_factory,
+                                         self.seed + EVAL_ENV_SEED_OFFSET)
+        try:
+            while self.global_step < target:
+                self._cycle()
+        finally:
+            if self._evaluator is not None:
+                self._evaluator.close()
+                self._evaluator = None
+            self._pending.clear()
         if self.out_dir is not None:
             self.save(os.path.join(self.out_dir, "final_model.npz"))
         return self.metrics
+
+    def _cycle(self):
+        cfg = self.config
+        start = time.perf_counter()
+        self.collect_rollout()
+        collected = time.perf_counter()
+        lr = self.learning_rate()
+        stats = ppo_update(self.policy, self.value_net, self.optimizer,
+                           self.buffer, cfg, lr, self.rng)
+        updated = time.perf_counter()
+        eval_s = self._read_evaluations()
+        self._check_finite()
+        mean_ep = float(np.mean(self._episode_returns)) \
+            if self._episode_returns else math.nan
+        self.metrics.append(Diagnostics(
+            step=self.global_step,
+            approx_kl=stats["approx_kl"],
+            clip_fraction=stats["clip_fraction"],
+            action_std=tuple(self.policy.std()),
+            value_loss=stats["value_loss"],
+            entropy=stats["entropy"],
+            mean_episode_return=mean_ep,
+            eval_return=self.last_eval_return,
+            learning_rate=lr,
+            aborted=stats["aborted"],
+            epochs_completed=stats["epochs_completed"],
+        ))
+        self.cycle_times.append(CycleTimes(
+            collect_s=collected - start,
+            update_s=updated - collected,
+            eval_s=eval_s,
+            env_steps_per_s=cfg.n_steps * cfg.n_envs / (time.perf_counter() - start),
+        ))
+        if self.out_dir is not None:
+            # Every finished update is on disk, even if a later one dies.
+            self.write_metrics(os.path.join(self.out_dir, "metrics.csv"))
 
     def _check_finite(self):
         for p in self.policy.params + self.value_net.params:

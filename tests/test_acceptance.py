@@ -5,6 +5,7 @@ The two training-based criteria (11, 12) are stochastic by nature; they
 train real policies and take several minutes each.
 """
 
+import functools
 import math
 import time
 
@@ -418,10 +419,8 @@ def _teacher_gap(trainer, factory, episodes=4):
 
 def _train(track, seed, mode="joint", fixed_gain=0.6, steps=SMOKE_STEPS):
     env_cfg = EnvConfig(action_mode=mode, fixed_gain=fixed_gain)
-
-    def factory(s):
-        return RacingEnv(track, env_config=env_cfg, seed=s)
-
+    # A partial pickles, as the trainer's evaluation worker needs.
+    factory = functools.partial(RacingEnv, track, SIM, RewardWeights(), env_cfg)
     trainer = PPOTrainer(factory, PPOConfig(total_steps=steps), seed=seed,
                          extra_meta={"action_mode": mode,
                                      "fixed_gain": fixed_gain})

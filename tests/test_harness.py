@@ -485,7 +485,14 @@ def test_cli_compare_rejects_a_repeated_name_before_any_lap(tmp_path, capsys):
     ("eval", "sim:\n  dt_contrl: 0.05\n", "unknown sim key(s) dt_contrl"),
     ("train", "reward:\n  speeed: 1.0\n", "unknown reward key(s) speeed"),
     ("eval", "eval: [laps\n", "is not valid YAML"),
-], ids=["train_mode", "sim_key", "reward_key", "yaml"])
+    ("train", "train:\n  n_step: 7\n", "unknown train key(s) n_step; valid: mode,"),
+    ("eval", "track:\n  radus: 2.0\n", "unknown track key(s) radus; valid: kind,"),
+    ("eval", "eval:\n  lap: 3\n", "unknown eval key(s) lap; valid: laps,"),
+    ("eval", "controller:\n  gian: 0.5\n", "unknown controller key(s) gian; valid: type,"),
+    ("eval", "sim: 3\n", "config section sim must be a mapping, not 3"),
+    ("train", "train:\n  mode: [joint]\n", "train.mode ['joint']; valid: joint, ld-only"),
+], ids=["train_mode", "sim_key", "reward_key", "yaml", "train_key", "track_key",
+        "eval_key", "controller_key", "section_type", "train_mode_type"])
 def test_cli_config_mistake_is_an_error_line(tmp_path, capsys, command, extra, named):
     cfg = write_cli_config(tmp_path, extra)
     code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])

@@ -1,6 +1,12 @@
 import copy
 import csv
 import math
+import os
+import pickle
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -749,17 +755,24 @@ def test_metrics_csv_columns(tmp_path):
         assert column in header
 
 
-def test_metrics_csv_records_phase_timings(tmp_path, monkeypatch):
-    # A fake clock: each env step takes 1 ms, an evaluation 2 s and an
-    # update 0.5 s, so the split of every cycle is known exactly.
+class TimedEnv(QuadraticEnv):
+    """Each step advances the fake clock ``clock[0]`` by 1 ms. In the
+    evaluation worker, where no clock is faked, it advances a copy."""
+
     clock = [0.0]
+
+    def step(self, action):
+        self.clock[0] += 0.001
+        return super().step(action)
+
+
+def test_metrics_csv_records_phase_timings(tmp_path, monkeypatch):
+    # A fake clock: each env step takes 1 ms and an update 0.5 s, so the
+    # split of every cycle is known exactly. Evaluations run in the worker
+    # on its own clock, overlapping the cycle; eval_s is what it reports.
+    clock = [0.0]
+    monkeypatch.setattr(TimedEnv, "clock", clock)
     monkeypatch.setattr(ppo.time, "perf_counter", lambda: clock[0])
-
-    class TimedEnv(QuadraticEnv):
-        def step(self, action):
-            clock[0] += 0.001
-            return super().step(action)
-
     real_update = ppo.ppo_update
 
     def timed_update(*args):
@@ -767,26 +780,31 @@ def test_metrics_csv_records_phase_timings(tmp_path, monkeypatch):
         return real_update(*args)
 
     monkeypatch.setattr(ppo, "ppo_update", timed_update)
-    trainer = PPOTrainer(TimedEnv, small_config(eval_every=512), seed=2,
+    reported = []
+    real_result = ppo.EvalWorker.result
+
+    def recorded_result(self):
+        value, seconds = real_result(self)
+        reported.append(seconds)
+        return value, seconds
+
+    monkeypatch.setattr(ppo.EvalWorker, "result", recorded_result)
+    trainer = PPOTrainer(TimedEnv, small_config(eval_every=1024), seed=2,
                          out_dir=str(tmp_path))
-
-    def timed_evaluate(max_steps=None):
-        clock[0] += 2.0
-        return 1.0
-
-    trainer.evaluate = timed_evaluate
     trainer.train()
 
     with open(tmp_path / "metrics.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == len(trainer.cycle_times) == 4
-    for row, times in zip(rows, trainer.cycle_times):
+    assert len(reported) == 2 and all(seconds > 0.0 for seconds in reported)
+    for row, times, eval_s in zip(rows, trainer.cycle_times,
+                                  [0.0, reported[0], 0.0, reported[1]]):
         for column in ("collect_s", "update_s", "eval_s", "env_steps_per_s"):
             assert float(row[column]) == getattr(times, column)
         assert float(row["collect_s"]) == pytest.approx(0.512, abs=1e-9)
         assert float(row["update_s"]) == pytest.approx(0.5, abs=1e-9)
-        assert float(row["eval_s"]) == pytest.approx(2.0, abs=1e-9)
-        assert float(row["env_steps_per_s"]) == pytest.approx(512 / 3.012, rel=1e-9)
+        assert times.eval_s == eval_s
+        assert float(row["env_steps_per_s"]) == pytest.approx(512 / 1.012, rel=1e-9)
 
 
 @pytest.mark.parametrize("failure", ["env_raises", "diverges"])
@@ -824,3 +842,142 @@ def test_metrics_csv_holds_every_finished_update(tmp_path, monkeypatch, failure)
     assert 1 <= first.epochs_completed <= small_config().epochs
     assert float(rows[0]["learning_rate"]) == first.learning_rate
     assert float(rows[0]["action_std_1"]) == first.action_std[1]
+
+
+# ----------------------------------------------------------------------
+# The evaluation worker
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Every EvalWorker started during the test."""
+    started = []
+    real_init = ppo.EvalWorker.__init__
+
+    def recorded_init(self, *args):
+        real_init(self, *args)
+        started.append(self)
+
+    monkeypatch.setattr(ppo.EvalWorker, "__init__", recorded_init)
+    return started
+
+
+def assert_reaped(workers):
+    """train() started one worker and reaped it before it returned or raised."""
+    assert len(workers) == 1
+    assert workers[0]._proc.returncode is not None
+
+
+def test_best_model_is_the_evaluated_snapshot(tmp_path, workers):
+    trainer = PPOTrainer(QuadraticEnv, small_config(eval_every=512), seed=5,
+                         out_dir=str(tmp_path))
+    trainer.train()
+    assert_reaped(workers)
+
+    returns = [d.eval_return for d in trainer.metrics]
+    assert len(returns) == 4 and trainer.best_eval_return == max(returns)
+    bundle = load_checkpoint(tmp_path / "best_model.npz")
+    seed = 5 + ppo.EVAL_ENV_SEED_OFFSET
+    value = ppo.evaluate_episode(QuadraticEnv(seed), bundle.policy, bundle.obs_norm, seed)
+    assert value == trainer.best_eval_return
+    # Each cycle's evaluation falls due at its last step.
+    assert bundle.meta["step"] == trainer.metrics[returns.index(max(returns))].step
+
+
+def test_no_worker_without_an_evaluation_in_the_budget(workers):
+    trainer = PPOTrainer(QuadraticEnv, small_config(eval_every=2048), seed=5)
+    trainer.train(total_steps=1536)
+    assert workers == []
+    trainer.train(total_steps=2048)
+    assert_reaped(workers)
+    assert math.isfinite(trainer.last_eval_return)
+
+
+def test_worker_is_reaped_when_training_diverges(monkeypatch, workers):
+    real_update = ppo.ppo_update
+
+    def poisoned_update(policy, value_net, *args):
+        stats = real_update(policy, value_net, *args)
+        value_net.params[0][...] = np.nan
+        return stats
+
+    monkeypatch.setattr(ppo, "ppo_update", poisoned_update)
+    trainer = PPOTrainer(QuadraticEnv, small_config(eval_every=256), seed=3)
+    with pytest.raises(TrainingDiverged):
+        trainer.train()
+    assert_reaped(workers)
+
+
+class DiesInEvaluationEnv(QuadraticEnv):
+    """Raises ``error`` on every step of the evaluation env; training envs run."""
+
+    error = RuntimeError
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.evaluating = seed >= ppo.EVAL_ENV_SEED_OFFSET
+
+    def step(self, action):
+        if self.evaluating:
+            raise self.error("evaluation env died")
+        return super().step(action)
+
+
+class UnpicklableError(RuntimeError):
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+class DiesUnpicklablyInEvaluationEnv(DiesInEvaluationEnv):
+    error = UnpicklableError
+
+
+@pytest.mark.parametrize("env_factory", [DiesInEvaluationEnv,
+                                         DiesUnpicklablyInEvaluationEnv])
+def test_an_error_in_the_worker_is_raised_by_train(workers, env_factory):
+    # Two evaluations fall due in the first cycle: the first one's error is
+    # raised while the second is still unread.
+    trainer = PPOTrainer(env_factory, small_config(eval_every=256), seed=3)
+    with pytest.raises(RuntimeError, match="evaluation env died"):
+        trainer.train()
+    assert_reaped(workers)
+    assert trainer.metrics == []
+
+
+def test_an_unpicklable_env_factory_fails_before_training():
+    trainer = PPOTrainer(lambda seed: QuadraticEnv(seed),
+                         small_config(eval_every=512), seed=3)
+    with pytest.raises((AttributeError, pickle.PicklingError)):
+        trainer.train()
+    assert trainer.global_step == 0
+
+
+DEV_MODE_TRAINING = """
+import gc, sys
+from pursuitlab import config, ppo, raceline as rl
+cfg = config.load_config(sys.argv[1])
+cfg["train"].update(n_steps=256, minibatch_size=64, eval_every=256, max_steps=200)
+track = rl.scale_speeds(config.build_track(cfg), cfg["train"]["multiplier"])
+trainer = ppo.PPOTrainer(config.build_env_factory(cfg, track),
+                         config.build_ppo_config(cfg), seed=0)
+trainer.train(total_steps=512)
+assert [d.eval_return == d.eval_return for d in trainer.metrics] == [True, True]
+del trainer
+gc.collect()
+"""
+
+
+def test_training_with_evaluations_leaves_nothing_open_under_dev_mode():
+    """A pipe left open or a worker left unreaped is a ResourceWarning, and
+    in dev mode with ResourceWarning as an error it shows on stderr."""
+    config_path = Path(__file__).resolve().parent.parent / "configs" / "smoke_train.yaml"
+    src = str(Path(ppo.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+         "-c", DEV_MODE_TRAINING, str(config_path)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr[-4000:]
+    assert "ResourceWarning" not in done.stderr, done.stderr[-4000:]
