@@ -132,7 +132,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
-    entries = cfg.get("compare") or []
+    entries = cfg["compare"]
     if len(entries) < 2:
         print("compare requires at least 2 controller entries in the config",
               file=sys.stderr)

@@ -89,12 +89,27 @@ def _deep_merge(base: dict, overlay: dict) -> dict:
 _OPTIONAL_KEYS = {"controller": OPTIONAL_SPEC_KEYS}
 
 
+def _section_keys(section: str) -> list:
+    return [*DEFAULTS[section], *_OPTIONAL_KEYS.get(section, ())]
+
+
+def _check_keys(name: str, value, names, kind: str = "section"):
+    """Raise unless ``value`` is a mapping whose keys are all in ``names``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"config {kind} {name} must be a mapping, not {value!r}")
+    if unknown := sorted(set(value) - set(names)):
+        raise ValueError(f"unknown {name} key(s) {', '.join(unknown)}; "
+                         f"valid: {', '.join(names)}")
+
+
 def load_config(path=None) -> dict:
     """Defaults overlaid with the YAML file at ``path`` (if given).
 
     Every section that has a mapping of defaults must stay a mapping and
     may hold only those keys (the controller's also ``OPTIONAL_SPEC_KEYS``),
-    so a misspelt key is an error rather than a silent default.
+    so a misspelt key is an error rather than a silent default. Each
+    ``compare`` entry is a mapping of ``name`` and a ``controller`` checked
+    like the controller section.
     """
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
@@ -107,15 +122,14 @@ def load_config(path=None) -> dict:
             raise ValueError("config file must contain a mapping")
         cfg = _deep_merge(cfg, overlay)
     for section, defaults in DEFAULTS.items():
-        if not isinstance(defaults, dict):
-            continue
-        if not isinstance(cfg[section], dict):
-            raise ValueError(f"config section {section} must be a mapping, "
-                             f"not {cfg[section]!r}")
-        names = [*defaults, *_OPTIONAL_KEYS.get(section, ())]
-        if unknown := sorted(set(cfg[section]) - set(names)):
-            raise ValueError(f"unknown {section} key(s) {', '.join(unknown)}; "
-                             f"valid: {', '.join(names)}")
+        if isinstance(defaults, dict):
+            _check_keys(section, cfg[section], _section_keys(section))
+    if not isinstance(cfg["compare"], list):
+        raise ValueError(f"config section compare must be a list, not {cfg['compare']!r}")
+    for i, entry in enumerate(cfg["compare"]):
+        _check_keys(f"compare[{i}]", entry, ("name", "controller"), kind="entry")
+        _check_keys(f"compare[{i}].controller", entry.get("controller", {}),
+                    _section_keys("controller"), kind="entry")
     return cfg
 
 

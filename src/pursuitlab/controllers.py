@@ -37,37 +37,27 @@ class PurePursuitAdapter:
         return self.controller.step(state, self.index, now)
 
 
-class RLPurePursuitController:
-    """Checkpoint-backed policy publishing into the external-source slot.
+class PolicySource(ExternalSource):
+    """A checkpoint's policy as the slot's writer: each pull publishes the
+    deterministic action on the frozen-normalized observation. The action
+    mode is the policy's action size. Clear ``publishing`` to starve the
+    slot, and the teacher takes over."""
 
-    Each control step builds the raw observation, applies the frozen
-    normalization from the checkpoint, takes the deterministic (mean)
-    action, and publishes it fresh to the slot, which clips it. The
-    staleness fallback stays live underneath: withhold publications and
-    the teacher takes over.
-    """
+    observes = True
 
-    def __init__(self, bundle: PolicyBundle, raceline: rl.Raceline,
-                 timeout: float = STALENESS_TIMEOUT):
+    def __init__(self, bundle: PolicyBundle, timeout: float = STALENESS_TIMEOUT):
+        mode = "joint" if bundle.policy.act_dim == 2 else "ld_only"
+        if bundle.meta.get("action_mode", mode) != mode:
+            raise ValueError(f"checkpoint action_mode {bundle.meta['action_mode']!r} "
+                             f"disagrees with its {mode!r} policy")
+        super().__init__(mode, bundle.meta.get("fixed_gain", DEFAULT_FIXED_GAIN), timeout)
         self.bundle = bundle
-        self.raceline = raceline
-        self.source = ExternalSource(bundle.meta.get("action_mode", "joint"),
-                                     bundle.meta.get("fixed_gain", DEFAULT_FIXED_GAIN),
-                                     timeout)
-        self.controller = PurePursuitController(raceline, self.source)
-        self.publish_enabled = True
-        self.index = None  # the last step's waypoint, the next query's hint
+        self.publishing = True
 
-    def reset(self):
-        self.controller.reset(self.source.start())
-        self.index = None
-
-    def step(self, state: VehicleState, now: float) -> ControllerOutput:
-        self.index = rl.nearest_index(self.raceline, state.position, near=self.index)
-        if self.publish_enabled:
-            action = self.bundle.act(observe(state, rl.taps(self.raceline, self.index)))
-            self.source.publish(action, now)
-        return self.controller.step(state, self.index, now)
+    def pull(self, state: VehicleState, preview, now: float):
+        if self.publishing:
+            self.publish(self.bundle.act(observe(state, preview)), now)
+        return super().pull(state, preview, now)
 
 
 # Spec keys that build_controller reads when present, beyond the config's
@@ -90,7 +80,7 @@ def build_controller(spec: dict, raceline: rl.Raceline, sim_config: SimConfig):
     if kind == "adaptive":
         v_lo = float(spec.get("v_lo", np.min(raceline.v_max)))
         v_hi = float(spec.get("v_hi", np.max(raceline.v_max)))
-        if v_lo >= v_hi:  # degenerate constant-speed profile
+        if v_lo >= v_hi and not {"v_lo", "v_hi"} & spec.keys():  # constant-speed track
             v_hi = v_lo + 1.0
         return PurePursuitAdapter(raceline, AdaptiveLinearSource(
             v_lo, v_hi, float(spec.get("gain", DEFAULT_FIXED_GAIN))))
@@ -100,9 +90,8 @@ def build_controller(spec: dict, raceline: rl.Raceline, sim_config: SimConfig):
         path = spec.get("checkpoint")
         if not path:
             raise ValueError("rl controller requires a 'checkpoint' path")
-        bundle = load_checkpoint(path)
-        return RLPurePursuitController(bundle, raceline,
-                                       timeout=float(spec.get("timeout", STALENESS_TIMEOUT)))
+        return PurePursuitAdapter(raceline, PolicySource(
+            load_checkpoint(path), float(spec.get("timeout", STALENESS_TIMEOUT))))
     if kind == "mpc":
         fields = {k: spec[k] for k in MPC_SPEC_KEYS if k in spec}
         # The MPC plans for the plant that the simulator runs.

@@ -190,7 +190,7 @@ class RacingEnv:
         self.total_progress = 0
         # Waypoint nearest the current state, handed to the controller each step.
         self.prev_index = rl.nearest_index(track, self.state.position, near=spawn_index)
-        self.controller.reset(self.source.start())
+        self.controller.reset()
         self.prev_params = self.controller.smoothed
         self._done = False
         return observe(self.state, rl.taps(track, self.prev_index))

@@ -66,10 +66,12 @@ class PPOConfig:
             raise ValueError("lr_schedule must be 'linear' or 'cosine'")
         if not (0.0 < self.gamma <= 1.0 and 0.0 < self.gae_lambda <= 1.0):
             raise ValueError("gamma and gae_lambda must be in (0, 1]")
+        for name in ("n_steps", "minibatch_size", "epochs", "n_envs", "total_steps",
+                     "eval_every", "checkpoint_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if (self.n_steps * self.n_envs) % self.minibatch_size != 0:
             raise ValueError("minibatch_size must divide n_steps * n_envs")
-        if self.n_envs < 1:
-            raise ValueError("n_envs must be >= 1")
 
 
 def lr_schedule(kind: str, base: float, remaining: float) -> float:

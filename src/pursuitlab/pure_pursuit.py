@@ -151,6 +151,7 @@ class ExternalSource:
     fresh actions resume.
     """
 
+    observes = False  # whether pull reads its preview argument
     action_mode: str = "joint"  # joint | ld_only
     fixed_gain: float = DEFAULT_FIXED_GAIN  # gain pinned in ld_only mode
     timeout: float = STALENESS_TIMEOUT
@@ -187,6 +188,11 @@ class ExternalSource:
     def fresh(self, now: float) -> bool:
         return self.last_params is not None and (now - self.last_receipt) <= self.timeout
 
+    def pull(self, state: VehicleState, preview, now: float) -> PPParams | None:
+        """The parameters if fresh at ``now``, else None. A source that
+        ``observes`` first publishes from ``state`` and its ``preview`` taps."""
+        return self.last_params if self.fresh(now) else None
+
 
 class PurePursuitController:
     """Tracks a raceline with Pure Pursuit under one parameter source.
@@ -202,8 +208,9 @@ class PurePursuitController:
         self.source = source
         self.reset()
 
-    def reset(self, smoother_init: PPParams = PPParams(*SMOOTHER_INIT)):
-        self.smoothed = smoother_init
+    def reset(self):
+        self.smoothed = self.source.start() if isinstance(self.source, ExternalSource) \
+            else PPParams(*SMOOTHER_INIT)
 
     def _select_params(self, state: VehicleState, index: int, now: float):
         source = self.source
@@ -212,10 +219,15 @@ class PurePursuitController:
         if isinstance(source, AdaptiveLinearSource):
             lookahead = adaptive_lookahead(state.v, source.v_lo, source.v_hi)
             return clip_params(lookahead, source.gain), "adaptive", False
-        if isinstance(source, ExternalSource) and source.fresh(now):
-            return source.last_params, "rl", True
+        preview = None
+        if isinstance(source, ExternalSource):
+            if source.observes:
+                preview = rl.taps(self.raceline, index)
+            if (params := source.pull(state, preview, now)) is not None:
+                return params, "rl", True
         if isinstance(source, (TeacherSource, ExternalSource)):
-            preview = rl.taps(self.raceline, index)
+            if preview is None:
+                preview = rl.taps(self.raceline, index)
             return PPParams(teacher_lookahead(state.v, preview.kappa_max),
                             teacher_gain(state.v)), "teacher", True
         raise TypeError(f"unknown parameter source {type(source).__name__}")

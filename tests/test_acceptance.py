@@ -13,7 +13,7 @@ import numpy as np
 
 from pursuitlab import pure_pursuit as pp
 from pursuitlab import raceline as rl
-from pursuitlab.controllers import PurePursuitAdapter, RLPurePursuitController
+from pursuitlab.controllers import PolicySource, PurePursuitAdapter
 from pursuitlab.env import RacingEnv, EnvConfig, RewardWeights, compute_reward
 from pursuitlab.evaluation import run_laps, sweep_multipliers
 from pursuitlab.mpc import MPCConfig, MPCTracker
@@ -353,7 +353,8 @@ def test_criterion_10_teacher_fallback():
     bundle = PolicyBundle(policy, DenseNet((5, 8, 1), rng, final_gain=1.0),
                           RunningNormalizer(5),
                           {"action_mode": "joint", "fixed_gain": 0.6})
-    controller = RLPurePursuitController(bundle, track)
+    source = PolicySource(bundle)
+    controller = PurePursuitAdapter(track, source)
     full_eval = run_laps(controller, track, SIM, laps=3, max_lap_time=30.0)
     fresh_ok = (full_eval.teacher_steps == 0
                 and full_eval.teacher_summary()
@@ -365,8 +366,8 @@ def test_criterion_10_teacher_fallback():
     state = VehicleState(float(track.x[0]), float(track.y[0]), 0.0, 3.0)
     out = controller.step(state, 0.0)
     starve_ok = out.mode == "rl"
-    controller.publish_enabled = False
-    timeout = controller.source.timeout
+    source.publishing = False
+    timeout = source.timeout
     first_stale_step = None
     for k in range(1, 10):
         now = k * SIM.dt_control
@@ -486,8 +487,8 @@ def test_criterion_12_ordering_trend():
     res_fixed = sweep(lambda s: PurePursuitAdapter(s, FixedSource(1.5, 0.6)))
     res_adapt = sweep(lambda s: PurePursuitAdapter(s, AdaptiveLinearSource(
         float(s.v_max.min()), float(s.v_max.max()), 0.6)))
-    res_ld = sweep(lambda s: RLPurePursuitController(ldonly, s))
-    res_joint = sweep(lambda s: RLPurePursuitController(joint, s))
+    res_ld = sweep(lambda s: PurePursuitAdapter(s, PolicySource(ldonly)))
+    res_joint = sweep(lambda s: PurePursuitAdapter(s, PolicySource(joint)))
     res_mpc = sweep(lambda s: MPCTracker(s, MPCConfig()),
                     g=[0.8, 0.9, 1.0])
 

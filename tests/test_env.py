@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pursuitlab import raceline as rl
-from pursuitlab.controllers import RLPurePursuitController
+from pursuitlab.controllers import PolicySource, PurePursuitAdapter
 from pursuitlab.env import (EnvConfig, RacingEnv, RewardContext, RewardWeights,
                             compute_reward, observe, preshorten_ceiling)
 from pursuitlab.nets import DenseNet, GaussianPolicy
@@ -361,7 +361,8 @@ def test_env_and_rl_controller_share_the_slot(oval_track, mode, fixed_gain):
     bundle.policy.mean_net.params[-2] *= 300.0
     env = RacingEnv(oval_track, env_config=EnvConfig(
         action_mode=mode, fixed_gain=fixed_gain, max_steps=80), seed=2)
-    controller = RLPurePursuitController(bundle, oval_track)
+    source = PolicySource(bundle)
+    controller = PurePursuitAdapter(oval_track, source)
     obs = env.reset(seed=2)
     controller.reset()
     assert _as_bytes(env.controller.smoothed) == _as_bytes(controller.controller.smoothed)
@@ -371,7 +372,7 @@ def test_env_and_rl_controller_share_the_slot(oval_track, mode, fixed_gain):
         output = controller.step(state, now)
         action = bundle.act(obs)
         obs, _, done, info = env.step(action)
-        assert _as_bytes(info["raw_params"]) == _as_bytes(controller.source.last_params)
+        assert _as_bytes(info["raw_params"]) == _as_bytes(source.last_params)
         assert _as_bytes(info["params"]) == _as_bytes(output.params)
         clipped += info["raw_params"].lookahead != action[0]
     assert 0 < clipped < env.step_count, clipped

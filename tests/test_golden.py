@@ -20,7 +20,7 @@ import numpy as np
 from pursuitlab import raceline as rl
 from pursuitlab.config import (build_env_factory, build_ppo_config,
                                build_sim_config, build_track, load_config)
-from pursuitlab.controllers import RLPurePursuitController, build_controller
+from pursuitlab.controllers import PolicySource, PurePursuitAdapter, build_controller
 from pursuitlab.evaluation import run_laps
 from pursuitlab.nets import DenseNet, GaussianPolicy
 from pursuitlab.ppo import PolicyBundle, PPOTrainer, RunningNormalizer
@@ -94,7 +94,7 @@ def one_lap(kind: str) -> dict:
     track = build_track(cfg)
     sim = build_sim_config(cfg)
     if kind == "rl":
-        controller = RLPurePursuitController(untrained_bundle(), track)
+        controller = PurePursuitAdapter(track, PolicySource(untrained_bundle()))
     else:
         controller = build_controller({"type": kind}, track, sim)
     report = run_laps(controller, track, sim, laps=1,

@@ -9,7 +9,7 @@ from pursuitlab import raceline as rl
 from pursuitlab.config import (DEFAULTS, build_ppo_config, build_reward_weights,
                                build_sim_config, build_track, load_config)
 from pursuitlab.controllers import (DEFAULT_FIXED_GAIN, ControllerOutput,
-                                    PurePursuitAdapter, RLPurePursuitController,
+                                    PolicySource, PurePursuitAdapter,
                                     build_controller)
 from pursuitlab.env import RacingEnv, RewardWeights
 from pursuitlab.mpc import MPCStepInfo, MPCTracker
@@ -18,10 +18,12 @@ from pursuitlab.evaluation import (SOLVER_COLUMNS, SOLVER_HEALTH, LapReport,
                                    write_comparison_csv, write_laps_csv)
 from pursuitlab.files import TRACE_CORE
 from pursuitlab.nets import DenseNet, GaussianPolicy
-from pursuitlab.ppo import PolicyBundle, PPOConfig, RunningNormalizer
+from pursuitlab.ppo import (PolicyBundle, PPOConfig, ReturnNormalizer, RunningNormalizer,
+                            save_checkpoint)
 from pursuitlab.pure_pursuit import TeacherSource
 from pursuitlab.vehicle import Command, SimConfig
 
+from conftest import make_circle_csv
 from test_mpc import heldout_rect
 
 SIM = SimConfig()
@@ -38,6 +40,15 @@ def untrained_bundle():
                         DenseNet((5, 8, 1), rng, final_gain=1.0),
                         RunningNormalizer(5),
                         {"action_mode": "joint", "fixed_gain": 0.6})
+
+
+def write_checkpoint(path, act_dim, meta):
+    """An untrained checkpoint whose policy acts in ``act_dim`` dimensions."""
+    rng = np.random.default_rng(6)
+    policy = GaussianPolicy(5, act_dim, rng, mean_bias=[1.8, 0.7][:act_dim])
+    save_checkpoint(path, policy, DenseNet((5, 64, 64, 1), rng, final_gain=1.0),
+                    RunningNormalizer(5), ReturnNormalizer(0.99, 1), meta)
+    return str(path)
 
 
 class CrashController:
@@ -121,7 +132,7 @@ def test_lap_timing_is_interpolated_and_positive():
 def test_run_laps_locates_each_pose_once_per_layer(kind, track_queries):
     track = small_oval()
     if kind == "rl":
-        controller = RLPurePursuitController(untrained_bundle(), track)
+        controller = PurePursuitAdapter(track, PolicySource(untrained_bundle()))
     else:
         controller = build_controller({"type": kind}, track, SIM)
     report = run_laps(controller, track, SIM, laps=1, max_lap_time=20.0)
@@ -175,7 +186,7 @@ def test_every_trace_begins_with_the_shared_core(owner, tmp_path):
                 env.reset()
         env.close()
     else:
-        controller = RLPurePursuitController(untrained_bundle(), track) \
+        controller = PurePursuitAdapter(track, PolicySource(untrained_bundle())) \
             if owner == "rl" else build_controller({"type": owner}, track, SIM)
         steps = run_laps(controller, track, SIM, laps=1, max_lap_time=3.0,
                          trace_path=path).total_steps
@@ -200,7 +211,7 @@ def test_mirrored_track_gives_the_same_laps(kind):
     mirrored = rl.Raceline(track.x, -track.y, -track.kappa, track.v_base, track.half_width)
 
     def laps(raceline):
-        controller = RLPurePursuitController(untrained_bundle(), raceline) \
+        controller = PurePursuitAdapter(raceline, PolicySource(untrained_bundle())) \
             if kind == "rl" else build_controller({"type": kind}, raceline, SIM)
         return run_laps(controller, raceline, SIM, laps=2, max_lap_time=60.0)
 
@@ -374,20 +385,45 @@ def test_cli_reports_read_back_the_mpc_solver_health(tmp_path):
 # Controller factory and config
 # ----------------------------------------------------------------------
 
-def test_build_controller_types(oval_track):
-    assert isinstance(build_controller({"type": "teacher"}, oval_track, SIM),
-                      PurePursuitAdapter)
-    assert isinstance(build_controller({"type": "fixed", "lookahead": 1.2,
-                                        "gain": 0.8}, oval_track, SIM),
-                      PurePursuitAdapter)
-    assert isinstance(build_controller({"type": "adaptive"}, oval_track, SIM),
-                      PurePursuitAdapter)
+def test_build_controller_types(oval_track, tmp_path):
+    checkpoint = write_checkpoint(tmp_path / "policy.npz", 2, {})
+    for spec in ({"type": "fixed"}, {"type": "adaptive"}, {"type": "teacher"},
+                 {"type": "rl", "checkpoint": checkpoint}):
+        assert type(build_controller(spec, oval_track, SIM)) is PurePursuitAdapter
     assert isinstance(build_controller({"type": "mpc", "max_iter": 500},
                                        oval_track, SIM), MPCTracker)
     with pytest.raises(ValueError, match="checkpoint"):
         build_controller({"type": "rl"}, oval_track, SIM)
     with pytest.raises(ValueError, match="unknown"):
         build_controller({"type": "what"}, oval_track, SIM)
+
+
+def test_rl_action_mode_comes_from_the_policy(tmp_path):
+    """A lookahead-only checkpoint saved without the trainer's meta still
+    publishes 1-D actions, under the default fixed gain."""
+    track = small_oval()
+    spec = {"type": "rl", "checkpoint": write_checkpoint(tmp_path / "ld.npz", 1, {})}
+    controller = build_controller(spec, track, SIM)
+    assert controller.controller.source.action_mode == "ld_only"
+    report = run_laps(controller, track, SIM, laps=1, max_lap_time=5.0)
+    assert report.total_steps > 0 and report.teacher_steps == 0
+    assert controller.controller.smoothed.gain == DEFAULT_FIXED_GAIN
+
+
+def test_rl_checkpoint_meta_must_agree_with_its_policy(tmp_path, oval_track):
+    spec = {"type": "rl", "checkpoint": write_checkpoint(
+        tmp_path / "ld.npz", 1, {"action_mode": "joint"})}
+    with pytest.raises(ValueError, match="'joint'.*'ld_only'"):
+        build_controller(spec, oval_track, SIM)
+
+
+def test_adaptive_band_widens_only_when_taken_from_a_constant_speed_track():
+    track = rl.load_raceline(make_circle_csv(v=5.0), half_width=1.1)
+    source = build_controller({"type": "adaptive"}, track, SIM).controller.source
+    assert (source.v_lo, source.v_hi) == (5.0, 6.0)
+    for band in ({"v_lo": 5.0}, {"v_hi": 5.0}):  # a reversed pair: the CLI table
+        with pytest.raises(ValueError, match="v_lo must be < v_hi"):
+            build_controller({"type": "adaptive", **band}, track, SIM)
 
 
 def test_load_config_overlay(tmp_path):
@@ -491,14 +527,32 @@ def test_cli_compare_rejects_a_repeated_name_before_any_lap(tmp_path, capsys):
     ("eval", "controller:\n  gian: 0.5\n", "unknown controller key(s) gian; valid: type,"),
     ("eval", "sim: 3\n", "config section sim must be a mapping, not 3"),
     ("train", "train:\n  mode: [joint]\n", "train.mode ['joint']; valid: joint, ld-only"),
+    ("train", "train:\n  eval_every: 0\n", "eval_every must be >= 1"),
+    ("train", "train:\n  minibatch_size: 0\n", "minibatch_size must be >= 1"),
+    ("eval", "controller: {type: adaptive, v_lo: 5, v_hi: 3}\n", "v_lo must be < v_hi"),
+    ("sweep", "controller: {type: adaptive, v_hi: 0.5}\n", "v_lo must be < v_hi"),
+    ("compare", "compare: {name: pp}\n", "config section compare must be a list"),
+    ("compare", "compare:\n  - teacher\n  - fixed\n",
+     "config entry compare[0] must be a mapping, not 'teacher'"),
+    ("compare", "compare:\n  - {name: a, controler: {type: adaptive}}\n  - {name: b}\n",
+     "unknown compare[0] key(s) controler; valid: name, controller"),
+    ("compare", "compare:\n  - {name: a}\n  - {name: b, controller: {lookahed: 2.5}}\n",
+     "unknown compare[1].controller key(s) lookahed; valid: type,"),
+    ("compare", "compare:\n  - {name: a, controller: fixed}\n  - {name: b}\n",
+     "config entry compare[0].controller must be a mapping, not 'fixed'"),
 ], ids=["train_mode", "sim_key", "reward_key", "yaml", "train_key", "track_key",
-        "eval_key", "controller_key", "section_type", "train_mode_type"])
+        "eval_key", "controller_key", "section_type", "train_mode_type",
+        "eval_every_zero", "minibatch_zero", "reversed_band", "reversed_band_sweep",
+        "compare_type", "compare_entry_type", "compare_entry_key", "compare_controller_key",
+        "compare_controller_type"])
 def test_cli_config_mistake_is_an_error_line(tmp_path, capsys, command, extra, named):
+    """Each mistake ends in one ``error:`` line and exit 1, before any run."""
     cfg = write_cli_config(tmp_path, extra)
     code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
 
 
 def test_seed_is_a_train_only_flag():
@@ -561,7 +615,7 @@ def test_rl_controller_gain_constant_in_ld_only(tmp_path, oval_track):
                      "--mode", "ld-only"]) == 0
     from pursuitlab.ppo import load_checkpoint
     bundle = load_checkpoint(out / "final_model.npz")
-    controller = RLPurePursuitController(bundle, oval_track)
+    controller = PurePursuitAdapter(oval_track, PolicySource(bundle))
     controller.reset()
     from pursuitlab.vehicle import VehicleState
     state = VehicleState(float(oval_track.x[0]), float(oval_track.y[0]), 0.0, 2.0)
@@ -586,12 +640,13 @@ def test_rl_controller_falls_back_when_starved(tmp_path, oval_track):
     from pursuitlab.ppo import load_checkpoint
     from pursuitlab.vehicle import VehicleState
     bundle = load_checkpoint(out / "final_model.npz")
-    controller = RLPurePursuitController(bundle, oval_track, timeout=0.2)
+    source = PolicySource(bundle, timeout=0.2)
+    controller = PurePursuitAdapter(oval_track, source)
     controller.reset()
     state = VehicleState(float(oval_track.x[0]), float(oval_track.y[0]), 0.0, 2.0)
     out0 = controller.step(state, 0.0)
     assert out0.mode == "rl"
-    controller.publish_enabled = False  # starve the slot
+    source.publishing = False  # starve the slot
     modes = [controller.step(state, 0.05 * k).mode for k in range(1, 8)]
     assert "teacher" in modes
     # Within one control step past the timeout the teacher is active.

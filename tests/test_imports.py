@@ -126,8 +126,7 @@ def test_only_pose_owners_query_the_track():
     it is."""
     assert _package_call_scopes("rl", "locate", "nearest_index") == {
         "evaluation.run_laps", "env.RacingEnv.reset", "env.RacingEnv.step",
-        "controllers.PurePursuitAdapter.step", "controllers.RLPurePursuitController.step",
-        "mpc.MPCTracker.step"}
+        "controllers.PurePursuitAdapter.step", "mpc.MPCTracker.step"}
 
 
 def _clips_to_action_bounds(node):

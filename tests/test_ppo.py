@@ -238,6 +238,15 @@ def test_gae_requires_full_buffer():
         compute_gae(buf, np.array([0.0]), np.array([False]), 0.99, 0.98)
 
 
+@pytest.mark.parametrize("name", ["n_steps", "minibatch_size", "epochs", "n_envs",
+                                  "total_steps", "eval_every", "checkpoint_every"])
+def test_config_rejects_counts_below_one(name):
+    # Checked before the divisibility check, whose modulo a zero
+    # minibatch_size would divide by.
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+        PPOConfig(**{name: 0})
+
+
 # ----------------------------------------------------------------------
 # Clipped surrogate arithmetic
 # ----------------------------------------------------------------------
