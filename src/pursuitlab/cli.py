@@ -137,15 +137,11 @@ def cmd_compare(args) -> int:
         print("compare requires at least 2 controller entries in the config",
               file=sys.stderr)
         return 2
-    # Each entry writes <name>_trace.csv and <name>_laps.csv.
-    names = [entry.get("name", f"controller_{i}") for i, entry in enumerate(entries)]
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    if repeated:
-        raise ValueError(f"compare entry names repeat: {', '.join(repeated)}")
     out = _out_dir(args, "runs/compare")
 
     rows = []
-    for name, entry in zip(names, entries):
+    for entry in entries:  # each writes <name>_trace.csv and <name>_laps.csv
+        name = entry["name"]
         controller_cfg = {**cfg["controller"], **entry.get("controller", {})}
         report = _eval_once(cfg, controller_cfg, out, prefix=f"{name}_")
         rows.append((name, report))

@@ -10,14 +10,14 @@ from __future__ import annotations
 import copy
 import dataclasses
 import functools
+import os
 
 import yaml
 
 from . import raceline as rl
-from .controllers import OPTIONAL_SPEC_KEYS
+from .controllers import OPTIONAL_SPEC_KEYS, SPEC_DEFAULTS
 from .env import EnvConfig, RacingEnv, RewardWeights
 from .ppo import PPOConfig
-from .pure_pursuit import DEFAULT_FIXED_GAIN, DEFAULT_FIXED_LOOKAHEAD, STALENESS_TIMEOUT
 from .vehicle import SimConfig
 
 # train.<key> -> PPOConfig field. PPOConfig.hidden is not exposed.
@@ -49,10 +49,7 @@ DEFAULTS = {
     "controller": {
         "type": "teacher",  # fixed | adaptive | teacher | rl | mpc
         "multiplier": 1.0,
-        "lookahead": DEFAULT_FIXED_LOOKAHEAD,
-        "gain": DEFAULT_FIXED_GAIN,
-        "checkpoint": None,
-        "timeout": STALENESS_TIMEOUT,
+        **SPEC_DEFAULTS,
     },
     "eval": {
         "laps": 10,
@@ -109,7 +106,9 @@ def load_config(path=None) -> dict:
     may hold only those keys (the controller's also ``OPTIONAL_SPEC_KEYS``),
     so a misspelt key is an error rather than a silent default. Each
     ``compare`` entry is a mapping of ``name`` and a ``controller`` checked
-    like the controller section.
+    like the controller section. Its name (default ``controller_<i>``)
+    prefixes its output files, so it must be a plain file name, unique
+    among the entries.
     """
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
@@ -126,10 +125,18 @@ def load_config(path=None) -> dict:
             _check_keys(section, cfg[section], _section_keys(section))
     if not isinstance(cfg["compare"], list):
         raise ValueError(f"config section compare must be a list, not {cfg['compare']!r}")
+    names = []
     for i, entry in enumerate(cfg["compare"]):
         _check_keys(f"compare[{i}]", entry, ("name", "controller"), kind="entry")
         _check_keys(f"compare[{i}].controller", entry.get("controller", {}),
                     _section_keys("controller"), kind="entry")
+        name = entry.setdefault("name", f"controller_{i}")
+        if not isinstance(name, str) or name in ("", ".", "..") or any(
+                sep and sep in name for sep in ("/", os.sep, os.altsep)):
+            raise ValueError(f"compare[{i}].name must be a file name, not {name!r}")
+        names.append(name)
+    if repeated := sorted({name for name in names if names.count(name) > 1}):
+        raise ValueError(f"compare entry names repeat: {', '.join(repeated)}")
     return cfg
 
 

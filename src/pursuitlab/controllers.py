@@ -38,12 +38,10 @@ class PurePursuitAdapter:
 
 
 class PolicySource(ExternalSource):
-    """A checkpoint's policy as the slot's writer: each pull publishes the
+    """A checkpoint's policy as the slot's writer: each select publishes the
     deterministic action on the frozen-normalized observation. The action
     mode is the policy's action size. Clear ``publishing`` to starve the
     slot, and the teacher takes over."""
-
-    observes = True
 
     def __init__(self, bundle: PolicyBundle, timeout: float = STALENESS_TIMEOUT):
         mode = "joint" if bundle.policy.act_dim == 2 else "ld_only"
@@ -54,14 +52,18 @@ class PolicySource(ExternalSource):
         self.bundle = bundle
         self.publishing = True
 
-    def pull(self, state: VehicleState, preview, now: float):
+    def select(self, state: VehicleState, raceline: rl.Raceline, index: int, now: float):
         if self.publishing:
-            self.publish(self.bundle.act(observe(state, preview)), now)
-        return super().pull(state, preview, now)
+            self.publish(self.bundle.act(observe(state, rl.taps(raceline, index))), now)
+        return super().select(state, raceline, index, now)
 
 
-# Spec keys that build_controller reads when present, beyond the config's
-# controller defaults: the adaptive source's speed band and MPCConfig fields.
+# Defaults of the spec keys that build_controller reads besides the type;
+# the config's controller section takes them too.
+SPEC_DEFAULTS = {"lookahead": DEFAULT_FIXED_LOOKAHEAD, "gain": DEFAULT_FIXED_GAIN,
+                 "checkpoint": None, "timeout": STALENESS_TIMEOUT}
+# Spec keys that build_controller reads when present, beyond SPEC_DEFAULTS:
+# the adaptive source's speed band and MPCConfig fields.
 MPC_SPEC_KEYS = ("horizon", "dt", "v_floor", "rho", "tol", "max_iter")
 OPTIONAL_SPEC_KEYS = ("v_lo", "v_hi", *MPC_SPEC_KEYS)
 
@@ -73,25 +75,24 @@ def build_controller(spec: dict, raceline: rl.Raceline, sim_config: SimConfig):
     ``rl`` (requires ``checkpoint``), and ``mpc``.
     """
     kind = spec.get("type")
+    opts = {**SPEC_DEFAULTS, **spec}
     if kind == "fixed":
-        return PurePursuitAdapter(raceline, FixedSource(
-            float(spec.get("lookahead", DEFAULT_FIXED_LOOKAHEAD)),
-            float(spec.get("gain", DEFAULT_FIXED_GAIN))))
+        return PurePursuitAdapter(raceline, FixedSource(float(opts["lookahead"]),
+                                                        float(opts["gain"])))
     if kind == "adaptive":
         v_lo = float(spec.get("v_lo", np.min(raceline.v_max)))
         v_hi = float(spec.get("v_hi", np.max(raceline.v_max)))
         if v_lo >= v_hi and not {"v_lo", "v_hi"} & spec.keys():  # constant-speed track
             v_hi = v_lo + 1.0
         return PurePursuitAdapter(raceline, AdaptiveLinearSource(
-            v_lo, v_hi, float(spec.get("gain", DEFAULT_FIXED_GAIN))))
+            v_lo, v_hi, float(opts["gain"])))
     if kind == "teacher":
         return PurePursuitAdapter(raceline, TeacherSource())
     if kind == "rl":
-        path = spec.get("checkpoint")
-        if not path:
+        if not opts["checkpoint"]:
             raise ValueError("rl controller requires a 'checkpoint' path")
         return PurePursuitAdapter(raceline, PolicySource(
-            load_checkpoint(path), float(spec.get("timeout", STALENESS_TIMEOUT))))
+            load_checkpoint(opts["checkpoint"]), float(opts["timeout"])))
     if kind == "mpc":
         fields = {k: spec[k] for k in MPC_SPEC_KEYS if k in spec}
         # The MPC plans for the plant that the simulator runs.

@@ -834,9 +834,9 @@ class PPOTrainer:
     def _cycle(self):
         cfg = self.config
         start = time.perf_counter()
+        lr = self.learning_rate()  # at the progress where this update starts
         self.collect_rollout()
         collected = time.perf_counter()
-        lr = self.learning_rate()
         stats = ppo_update(self.policy, self.value_net, self.optimizer,
                            self.buffer, cfg, lr, self.rng)
         updated = time.perf_counter()

@@ -120,6 +120,9 @@ class FixedSource:
     lookahead: float
     gain: float
 
+    def select(self, state: VehicleState, raceline: rl.Raceline, index: int, now: float):
+        return clip_params(self.lookahead, self.gain), "fixed"
+
 
 @dataclass
 class AdaptiveLinearSource:
@@ -133,14 +136,23 @@ class AdaptiveLinearSource:
         if self.v_lo >= self.v_hi:
             raise ValueError("v_lo must be < v_hi")
 
+    def select(self, state: VehicleState, raceline: rl.Raceline, index: int, now: float):
+        lookahead = adaptive_lookahead(state.v, self.v_lo, self.v_hi)
+        return clip_params(lookahead, self.gain), "adaptive"
+
 
 @dataclass
 class TeacherSource:
     """Hand-designed speed/curvature schedules for both parameters."""
 
+    def select(self, state: VehicleState, raceline: rl.Raceline, index: int, now: float):
+        kappa_max = rl.taps(raceline, index).kappa_max
+        return PPParams(teacher_lookahead(state.v, kappa_max),
+                        teacher_gain(state.v)), "teacher"
+
 
 @dataclass
-class ExternalSource:
+class ExternalSource(TeacherSource):
     """Learned-parameter slot with a staleness fallback to the teacher.
 
     The one place a policy action becomes parameters: a single writer
@@ -151,7 +163,6 @@ class ExternalSource:
     fresh actions resume.
     """
 
-    observes = False  # whether pull reads its preview argument
     action_mode: str = "joint"  # joint | ld_only
     fixed_gain: float = DEFAULT_FIXED_GAIN  # gain pinned in ld_only mode
     timeout: float = STALENESS_TIMEOUT
@@ -188,54 +199,38 @@ class ExternalSource:
     def fresh(self, now: float) -> bool:
         return self.last_params is not None and (now - self.last_receipt) <= self.timeout
 
-    def pull(self, state: VehicleState, preview, now: float) -> PPParams | None:
-        """The parameters if fresh at ``now``, else None. A source that
-        ``observes`` first publishes from ``state`` and its ``preview`` taps."""
-        return self.last_params if self.fresh(now) else None
+    def select(self, state: VehicleState, raceline: rl.Raceline, index: int, now: float):
+        """The slot's parameters if fresh at ``now``, else the teacher's."""
+        if self.fresh(now):
+            return self.last_params, "rl"
+        return super().select(state, raceline, index, now)
 
 
 class PurePursuitController:
     """Tracks a raceline with Pure Pursuit under one parameter source.
 
-    Holds the smoothed parameters ``smoothed`` (advanced in external and
-    teacher modes only) so the same path runs during training and
-    deployment. The returned mode flag feeds the teacher-activation-rate
-    accounting.
+    The source's ``select(state, raceline, index, now)`` gives each step's
+    parameters and mode; teacher and rl parameters advance ``smoothed``,
+    which starts from the source's ``start()`` if it has one. The same path
+    runs during training and deployment. The returned mode flag feeds the
+    teacher-activation-rate accounting.
     """
 
     def __init__(self, raceline: rl.Raceline, source):
+        if not callable(getattr(source, "select", None)):
+            raise TypeError(f"unknown parameter source {type(source).__name__}")
         self.raceline = raceline
         self.source = source
         self.reset()
 
     def reset(self):
-        self.smoothed = self.source.start() if isinstance(self.source, ExternalSource) \
-            else PPParams(*SMOOTHER_INIT)
-
-    def _select_params(self, state: VehicleState, index: int, now: float):
-        source = self.source
-        if isinstance(source, FixedSource):
-            return clip_params(source.lookahead, source.gain), "fixed", False
-        if isinstance(source, AdaptiveLinearSource):
-            lookahead = adaptive_lookahead(state.v, source.v_lo, source.v_hi)
-            return clip_params(lookahead, source.gain), "adaptive", False
-        preview = None
-        if isinstance(source, ExternalSource):
-            if source.observes:
-                preview = rl.taps(self.raceline, index)
-            if (params := source.pull(state, preview, now)) is not None:
-                return params, "rl", True
-        if isinstance(source, (TeacherSource, ExternalSource)):
-            if preview is None:
-                preview = rl.taps(self.raceline, index)
-            return PPParams(teacher_lookahead(state.v, preview.kappa_max),
-                            teacher_gain(state.v)), "teacher", True
-        raise TypeError(f"unknown parameter source {type(source).__name__}")
+        start = getattr(self.source, "start", None)
+        self.smoothed = start() if start is not None else PPParams(*SMOOTHER_INIT)
 
     def step(self, state: VehicleState, index: int, now: float = 0.0) -> ControllerOutput:
         """One control step from ``state``, whose nearest waypoint is ``index``."""
-        params, mode, smoothing = self._select_params(state, index, now)
-        if smoothing:
+        params, mode = self.source.select(state, self.raceline, index, now)
+        if mode in ("teacher", "rl"):
             params = self.smoothed = smooth(self.smoothed, params)
         target = rl.lookahead_target(self.raceline, index, params.lookahead)
         _, y_prime = to_vehicle_frame(state, target)

@@ -6,7 +6,10 @@ simulator, the normalizers, the policy sampler and the Pure Pursuit step
 replaced their numpy forms; the MPC lap was recorded before the MPC's QP
 was built from a step-invariant template, and its two floats were
 re-pinned, 2e-14 relative from the old ones, when its QP came to be built
-over the controls alone (the condensing sums in another order). Every
+over the controls alone (the condensing sums in another order). The
+training pins were re-recorded when each update came to run at the
+learning rate of the step where it starts (the first at the base rate,
+no longer one update later in the schedule). Every
 float must stay exactly the same: the training metrics (including the
 eval returns), a digest of the final parameter and normalizer bytes, and
 the lap reports.
@@ -28,19 +31,19 @@ from pursuitlab.ppo import PolicyBundle, PPOTrainer, RunningNormalizer
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SMOKE_METRICS = [
-    {"step": 512, "approx_kl": 0.00044527919765950956, "clip_fraction": 0.00078125,
-     "value_loss": 4.52147810597869, "entropy": 1.4555005605748224,
+    {"step": 512, "approx_kl": 0.0004499811624373917, "clip_fraction": 0.00078125,
+     "value_loss": 4.520580086848883, "entropy": 1.455520323462944,
      "mean_episode_return": float("nan"), "eval_return": 67757.16701670778,
+     "learning_rate": 0.00024, "aborted": 0, "epochs_completed": 5,
+     "action_std_0": 0.5010626570530183, "action_std_1": 0.5009081033308171},
+    {"step": 1024, "approx_kl": 0.0003133591295117619, "clip_fraction": 0.0,
+     "value_loss": 1.651305089321644, "entropy": 1.457621086812539,
+     "mean_episode_return": float("nan"), "eval_return": 67612.08727997777,
      "learning_rate": 0.0002387712, "aborted": 0, "epochs_completed": 5,
-     "action_std_0": 0.5010571717590557, "action_std_1": 0.5009036875915042},
-    {"step": 1024, "approx_kl": 0.0003098064169727113, "clip_fraction": 0.0,
-     "value_loss": 1.651705053646591, "entropy": 1.4575905824345905,
-     "mean_episode_return": float("nan"), "eval_return": 67613.39694608316,
-     "learning_rate": 0.0002375424, "aborted": 0, "epochs_completed": 5,
-     "action_std_0": 0.5020343586015933, "action_std_1": 0.5009746561159784},
+     "action_std_0": 0.5020449476392408, "action_std_1": 0.500979371483728},
 ]
 # sha256 of the policy, value-net and normalizer bytes after the run.
-SMOKE_STATE_SHA256 = "1a5aa4c4338d7d6c5e941d23b5dab22d279f546e92669ed5a3be73d400d1aefc"
+SMOKE_STATE_SHA256 = "de94339032ec54bf5ed29895a2a1986939e7c6a288e25ec64c859eb4cd2cff0b"
 
 LAPS = {
     "fixed": {"times": [4.849999999999991], "completed": 1, "total_steps": 97,

@@ -8,7 +8,7 @@ from pursuitlab import cli
 from pursuitlab import raceline as rl
 from pursuitlab.config import (DEFAULTS, build_ppo_config, build_reward_weights,
                                build_sim_config, build_track, load_config)
-from pursuitlab.controllers import (DEFAULT_FIXED_GAIN, ControllerOutput,
+from pursuitlab.controllers import (DEFAULT_FIXED_GAIN, SPEC_DEFAULTS, ControllerOutput,
                                     PolicySource, PurePursuitAdapter,
                                     build_controller)
 from pursuitlab.env import RacingEnv, RewardWeights
@@ -20,7 +20,7 @@ from pursuitlab.files import TRACE_CORE
 from pursuitlab.nets import DenseNet, GaussianPolicy
 from pursuitlab.ppo import (PolicyBundle, PPOConfig, ReturnNormalizer, RunningNormalizer,
                             save_checkpoint)
-from pursuitlab.pure_pursuit import TeacherSource
+from pursuitlab.pure_pursuit import DEFAULT_FIXED_LOOKAHEAD, TeacherSource
 from pursuitlab.vehicle import Command, SimConfig
 
 from conftest import make_circle_csv
@@ -128,19 +128,22 @@ def test_lap_timing_is_interpolated_and_positive():
     assert np.std(times[1:]) < 0.5
 
 
-@pytest.mark.parametrize("kind", ["fixed", "teacher", "rl"])
+@pytest.mark.parametrize("kind", ["fixed", "adaptive", "teacher", "rl", "starved_rl"])
 def test_run_laps_locates_each_pose_once_per_layer(kind, track_queries):
     track = small_oval()
-    if kind == "rl":
-        controller = PurePursuitAdapter(track, PolicySource(untrained_bundle()))
+    if kind.endswith("rl"):
+        source = PolicySource(untrained_bundle())
+        source.publishing = kind == "rl"
+        controller = PurePursuitAdapter(track, source)
     else:
         controller = build_controller({"type": kind}, track, SIM)
     report = run_laps(controller, track, SIM, laps=1, max_lap_time=20.0)
     # One scan by the controller for its own step, and one by the lap
     # runner for the stepped pose, which also gives the only lateral error.
-    # The teacher schedule and the rl observation each read the taps once.
+    # The teacher schedule and the rl observation each read the taps once;
+    # a starved slot falls back to the teacher, which reads them once.
     assert report.total_steps > 0
-    taps_per_step = {"fixed": 0, "teacher": 1, "rl": 1}[kind]
+    taps_per_step = {"fixed": 0, "adaptive": 0, "teacher": 1, "rl": 1, "starved_rl": 1}[kind]
     assert track_queries == {"nearest_index": report.total_steps,
                              "locate": report.total_steps,
                              "lateral_error": 0,
@@ -396,6 +399,10 @@ def test_build_controller_types(oval_track, tmp_path):
         build_controller({"type": "rl"}, oval_track, SIM)
     with pytest.raises(ValueError, match="unknown"):
         build_controller({"type": "what"}, oval_track, SIM)
+    with pytest.raises(ValueError, match="unknown controller type None"):
+        build_controller({}, oval_track, SIM)
+    source = build_controller({"type": "fixed"}, oval_track, SIM).controller.source
+    assert (source.lookahead, source.gain) == (DEFAULT_FIXED_LOOKAHEAD, DEFAULT_FIXED_GAIN)
 
 
 def test_rl_action_mode_comes_from_the_policy(tmp_path):
@@ -452,6 +459,7 @@ def test_config_defaults_come_from_the_dataclasses():
     assert build_reward_weights(cfg) == RewardWeights()
     assert build_ppo_config(cfg) == PPOConfig(total_steps=200_000)
     assert cfg["train"]["fixed_gain"] == DEFAULT_FIXED_GAIN
+    assert cfg["controller"].items() >= SPEC_DEFAULTS.items()
 
 
 # ----------------------------------------------------------------------
@@ -540,11 +548,22 @@ def test_cli_compare_rejects_a_repeated_name_before_any_lap(tmp_path, capsys):
      "unknown compare[1].controller key(s) lookahed; valid: type,"),
     ("compare", "compare:\n  - {name: a, controller: fixed}\n  - {name: b}\n",
      "config entry compare[0].controller must be a mapping, not 'fixed'"),
+    ("compare", "compare:\n  - {name: a}\n  - {name: x/y}\n",
+     "compare[1].name must be a file name, not 'x/y'"),
+    ("compare", "compare:\n  - {name: ..}\n  - {name: b}\n",
+     "compare[0].name must be a file name, not '..'"),
+    ("compare", "compare:\n  - {name: a}\n  - {name: ''}\n",
+     "compare[1].name must be a file name, not ''"),
+    ("compare", "compare:\n  - {name: 7}\n  - {name: b}\n",
+     "compare[0].name must be a file name, not 7"),
+    ("compare", "compare:\n  - {name: controller_1}\n  - {controller: {type: fixed}}\n",
+     "compare entry names repeat: controller_1"),
 ], ids=["train_mode", "sim_key", "reward_key", "yaml", "train_key", "track_key",
         "eval_key", "controller_key", "section_type", "train_mode_type",
         "eval_every_zero", "minibatch_zero", "reversed_band", "reversed_band_sweep",
         "compare_type", "compare_entry_type", "compare_entry_key", "compare_controller_key",
-        "compare_controller_type"])
+        "compare_controller_type", "compare_name_path", "compare_name_dotdot",
+        "compare_name_empty", "compare_name_type", "compare_name_default_repeat"])
 def test_cli_config_mistake_is_an_error_line(tmp_path, capsys, command, extra, named):
     """Each mistake ends in one ``error:`` line and exit 1, before any run."""
     cfg = write_cli_config(tmp_path, extra)

@@ -630,6 +630,17 @@ def test_exact_update_count():
     assert trainer.global_step == 2048
 
 
+def test_each_update_runs_at_the_rate_where_it_starts():
+    """The first update runs at the base rate, and the last of a
+    whole-number budget (4 updates of 512 steps) above 0."""
+    config = small_config()
+    rates = [d.learning_rate for d in PPOTrainer(QuadraticEnv, config, seed=0).train()]
+    assert rates[0] == config.learning_rate
+    assert rates[-1] > 0.0
+    assert rates == [lr_schedule("linear", config.learning_rate, 1.0 - k / 4)
+                     for k in range(4)]
+
+
 def test_training_is_seed_reproducible():
     def run():
         trainer = PPOTrainer(QuadraticEnv, small_config(), seed=7)

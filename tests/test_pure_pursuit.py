@@ -323,6 +323,5 @@ def test_fresh_actions_every_step_never_trigger_teacher(oval_track):
 
 
 def test_controller_rejects_unknown_source(oval_track):
-    controller = pp.PurePursuitController(oval_track, object())
-    with pytest.raises(TypeError):
-        controller.step(VehicleState(0, 0, 0, 1.0), 0, now=0.0)
+    with pytest.raises(TypeError, match="object"):
+        pp.PurePursuitController(oval_track, object())
