@@ -58,7 +58,7 @@ def cmd_train(args) -> int:
 
 def _eval_once(cfg: dict, controller_cfg: dict, out: str, prefix: str = ""):
     sim_config = build_sim_config(cfg)
-    track = rl.scale_speeds(build_track(cfg), controller_cfg.get("multiplier", 1.0))
+    track = rl.scale_speeds(build_track(cfg), controller_cfg["multiplier"])
     controller = build_controller(controller_cfg, track, sim_config)
     report = run_laps(
         controller, track, sim_config,

@@ -30,20 +30,14 @@ PPO_KEYS = {"steps": "total_steps", **{name: name for name in (
 _PPO = PPOConfig()
 _ENV = EnvConfig()
 
-# Sections with a dataclass take its defaults; the rest are written out.
+# Sections with a dataclass take its defaults, and the track section the
+# keyword defaults of rl.synthesize_track; the rest are written out.
 DEFAULTS = {
     "seed": 0,
     "track": {
         "kind": "oval",  # oval | rounded_rectangle | file
         "path": None,
-        "straight": 10.0,
-        "radius": 3.0,
-        "length_x": 12.0,
-        "length_y": 6.0,
-        "spacing": 0.25,
-        "half_width": 1.1,
-        "v_cap": 8.0,
-        "a_lat_max": 3.0,
+        **rl.synthesize_track.__kwdefaults__,
     },
     "sim": dataclasses.asdict(SimConfig()),
     "controller": {
@@ -151,16 +145,10 @@ def build_track(cfg: dict) -> rl.Raceline:
         if not track.get("path"):
             raise ValueError("track.kind 'file' requires track.path")
         return rl.load_raceline_file(track["path"], track["half_width"])
-    common = dict(spacing=track["spacing"], half_width=track["half_width"],
-                  v_cap=track["v_cap"], a_lat_max=track["a_lat_max"],
-                  radius=track["radius"])
-    if kind == "oval":
-        return rl.synthesize_track("oval", straight=track["straight"], **common)
-    if kind == "rounded_rectangle":
-        return rl.synthesize_track("rounded_rectangle",
-                                   length_x=track["length_x"],
-                                   length_y=track["length_y"], **common)
-    raise ValueError(f"unknown track.kind {kind!r}")
+    if kind not in ("oval", "rounded_rectangle"):
+        raise ValueError(f"unknown track.kind {kind!r}")
+    return rl.synthesize_track(kind, **{key: track[key]
+                                        for key in rl.synthesize_track.__kwdefaults__})
 
 
 def build_sim_config(cfg: dict) -> SimConfig:

@@ -169,9 +169,11 @@ class RacingEnv:
         return self.source.action_dim
 
     def reset(self, seed: int | None = None, spawn_index: int | None = None) -> np.ndarray:
+        track = self.raceline
+        if spawn_index is not None and not 0 <= spawn_index < track.n:
+            raise ValueError(f"spawn_index must be in 0..{track.n - 1}, got {spawn_index}")
         if seed is not None:
             self.rng = np.random.default_rng(seed)
-        track = self.raceline
         if spawn_index is None:
             spawn_index = int(self.rng.integers(track.n))
         lat = float(self.rng.uniform(-1.0, 1.0)) * self.config.spawn_lateral_jitter

@@ -123,7 +123,7 @@ def _start_state(raceline: rl.Raceline, start_index: int = 0) -> VehicleState:
 def run_laps(controller, raceline: rl.Raceline, sim_config: SimConfig,
              laps: int = 10, max_lap_time: float = 120.0,
              trace_path=None, start_index: int = 0) -> LapReport:
-    """Drive ``laps`` consecutive laps from the start waypoint.
+    """Drive ``laps`` consecutive laps from the start waypoint ``start_index``.
 
     A collision (or exceeding ``max_lap_time``) marks the current lap
     incomplete and restarts the run from the start line. Lap split times
@@ -137,6 +137,8 @@ def run_laps(controller, raceline: rl.Raceline, sim_config: SimConfig,
         raise ValueError("laps must be >= 1")
     dt = sim_config.dt_control
     n = raceline.n
+    if not 0 <= start_index < n:
+        raise ValueError(f"start_index must be in 0..{n - 1}, got {start_index}")
     max_lap_steps = int(math.ceil(max_lap_time / dt))
 
     report = LapReport()
@@ -265,6 +267,8 @@ def sweep_multipliers(build_controller_fn, base_raceline: rl.Raceline,
     result is flagged.
     """
     grid = [float(m) for m in grid]
+    if not grid:
+        raise ValueError("multiplier grid must not be empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("multiplier grid must be strictly ascending")
 

@@ -70,6 +70,13 @@ class PPOConfig:
                      "eval_every", "checkpoint_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        # Written as `not x > 0` so that a NaN fails too.
+        for name in ("learning_rate", "clip_epsilon", "target_kl", "max_grad_norm"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0")
+        for name in ("entropy_coef", "value_coef"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0")
         if (self.n_steps * self.n_envs) % self.minibatch_size != 0:
             raise ValueError("minibatch_size must divide n_steps * n_envs")
 

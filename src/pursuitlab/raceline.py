@@ -8,9 +8,9 @@ tracker samples it for its horizon reference.
 
 The two track queries, :func:`nearest_index` and :func:`locate`, take an
 optional hint ``near``: the waypoint index that the previous query of the
-same moving pose returned. With a hint, a query searches the waypoints
-and segments around it and keeps that answer only where the track's
-clearance proves it global; otherwise it scans the whole loop. The hint
+same moving pose returned. Each query is one loop over a span of waypoints
+and segments: the window around the hint where the track's clearance
+proves the window's answer global, and the whole loop otherwise. The hint
 changes only the cost: every query returns the same index and lateral
 error, to the bit, with any hint or none.
 
@@ -125,28 +125,25 @@ class Raceline:
         # Cumulative arc length at each waypoint, plus the total lap length.
         self.cum_s = np.concatenate(([0.0], np.cumsum(seg_len)))
         self.total_length = float(self.cum_s[-1])
-        # Segment vectors for the lateral-error scan.
-        self._seg_dx = dx
-        self._seg_dy = dy
-        self._seg_len2 = seg_len * seg_len
 
         for a in (self.x, self.y, self.kappa, self.v_base, self.v_max,
-                  self.seg_len, self.cum_s, self._seg_dx, self._seg_dy,
-                  self._seg_len2):
+                  self.seg_len, self.cum_s):
             a.setflags(write=False)
         # Direction of the segment leaving each waypoint, for :func:`tangent_heading`.
         self._heading = tuple(math.atan2(sy, sx)
                               for sx, sy in zip(dx.tolist(), dy.tolist()))
         # Float copies for :func:`lookahead_target`'s per-step walk.
         self._walk = (self.cum_s.tolist(), x.tolist(), y.tolist(), seg_len.tolist())
-        # Float copies for the hinted queries' window scan, padded by
-        # NEAR_WINDOW entries on both sides so that no window wraps: entry e
-        # is waypoint (or segment) ring[e] = (e - NEAR_WINDOW) mod n, and the
-        # window around c is entries c .. c + 2 NEAR_WINDOW.
+        # Float copies for the track queries' scan, padded by NEAR_WINDOW
+        # entries on both sides so that no window wraps: entry e is waypoint
+        # (or segment) ring[e] = (e - NEAR_WINDOW) mod n, the window around c
+        # is entries c .. c + 2 NEAR_WINDOW, and the whole loop is entries
+        # NEAR_WINDOW .. NEAR_WINDOW + n - 1, waypoints 0 .. n - 1 in order.
+        seg_len2 = seg_len * seg_len
         ring = np.arange(-NEAR_WINDOW, n + NEAR_WINDOW) % n
         self._ring = (ring.tolist(), *(a[ring].tolist() for a in
-                                       (x, y, dx, dy, self._seg_len2)))
-        self._anchor_limit = _anchor_limits(x, y, dx, dy, self._seg_len2)
+                                       (x, y, dx, dy, seg_len2)))
+        self._anchor_limit = _anchor_limits(x, y, dx, dy, seg_len2)
 
         # Per-waypoint curvature previews, looked up by :func:`taps` and
         # :func:`local_curvature`. The windows wrap across the seam.
@@ -288,7 +285,7 @@ def _segment_pose(start, kind, kappa, local):
 def synthesize_track(kind: str, *, straight: float = 10.0, radius: float = 3.0,
                      length_x: float = 12.0, length_y: float = 6.0,
                      spacing: float = 0.25, half_width: float = 1.1,
-                     v_cap: float = 12.0, a_lat_max: float = 3.0) -> Raceline:
+                     v_cap: float = 8.0, a_lat_max: float = 3.0) -> Raceline:
     """Build a closed analytic raceline with an exact curvature profile.
 
     Two layouts are supported: ``oval`` (two straights of length ``straight``
@@ -299,7 +296,8 @@ def synthesize_track(kind: str, *, straight: float = 10.0, radius: float = 3.0,
     ``min(v_cap, sqrt(a_lat_max / |kappa|))``.
 
     The requested ``spacing`` is adjusted slightly so the perimeter divides
-    into a whole number of uniform steps and the loop closes exactly.
+    into a whole number of uniform steps and the loop closes exactly. The
+    keyword defaults are also the config's track defaults.
     """
     if not spacing > 0.0:
         raise ValueError("spacing must be > 0")
@@ -346,52 +344,57 @@ def synthesize_track(kind: str, *, straight: float = 10.0, radius: float = 3.0,
     return Raceline(xs, ys, ks, v, half_width)
 
 
-def _anchor(raceline: Raceline, px: float, py: float, near: int) -> int | None:
-    """Walk downhill in squared distance from waypoint ``near`` to a waypoint
-    c; return c if the window around c holds the answers of the track
-    queries of (px, py) (see :func:`_anchor_limits`), else None. A NaN or
-    infinite position returns None."""
-    _, x, y, _ = raceline._walk
-    n = raceline.n
-    c = near % n
-    rx = px - x[c]
-    ry = py - y[c]
-    d2 = rx * rx + ry * ry
-    for step in (1, n - 1):
-        for _ in range(NEAR_WINDOW):
-            j = (c + step) % n
-            rx = px - x[j]
-            ry = py - y[j]
-            dj = rx * rx + ry * ry
-            if not dj < d2:
-                break
-            c, d2 = j, dj
-    return c if d2 < raceline._anchor_limit[c] else None
+def _span(raceline: Raceline, px: float, py: float, near: int | None) -> tuple[int, int]:
+    """Entries ``start .. end - 1`` of ``raceline._ring`` that the track
+    queries of (px, py) scan.
+
+    With a hint, walk downhill in squared distance from waypoint ``near``
+    to a waypoint c, and return the window around c if it holds the
+    queries' answers (see :func:`_anchor_limits`). Otherwise return every
+    waypoint, or none for a NaN or infinite position, which is nowhere on
+    the track (the walk rejects it too).
+    """
+    if near is not None:
+        _, x, y, _ = raceline._walk
+        n = raceline.n
+        c = near % n
+        rx = px - x[c]
+        ry = py - y[c]
+        d2 = rx * rx + ry * ry
+        for step in (1, n - 1):
+            for _ in range(NEAR_WINDOW):
+                j = (c + step) % n
+                rx = px - x[j]
+                ry = py - y[j]
+                dj = rx * rx + ry * ry
+                if not dj < d2:
+                    break
+                c, d2 = j, dj
+        if d2 < raceline._anchor_limit[c]:
+            return c, c + 2 * NEAR_WINDOW + 1
+    if math.isfinite(px) and math.isfinite(py):
+        return NEAR_WINDOW, NEAR_WINDOW + raceline.n
+    return 0, 0
 
 
 def nearest_index(raceline: Raceline, p, near: int | None = None) -> int:
     """Index of the waypoint closest to position ``p``; ties take the smaller index.
 
     ``near`` is an optional hint, the index that the previous query of this
-    pose returned; see :func:`locate`. The result does not depend on it.
+    pose returned; see :func:`locate`. The result does not depend on it. A
+    NaN or infinite position gets index 0.
     """
-    if near is not None:
-        px, py = float(p[0]), float(p[1])
-        c = _anchor(raceline, px, py, near)
-        if c is not None:
-            ring, x, y = raceline._ring[:3]
-            end = c + 2 * NEAR_WINDOW + 1
-            best, index = math.inf, raceline.n
-            for i, wx, wy in zip(ring[c:end], x[c:end], y[c:end]):
-                rx = px - wx
-                ry = py - wy
-                d2 = rx * rx + ry * ry
-                if d2 < best or d2 == best and i < index:
-                    best, index = d2, i
-            return index
-    dx = raceline.x - p[0]
-    dy = raceline.y - p[1]
-    return int(np.argmin(dx * dx + dy * dy))
+    px, py = float(p[0]), float(p[1])
+    start, end = _span(raceline, px, py, near)
+    ring, x, y = raceline._ring[:3]
+    best, index = math.inf, 0
+    for i, wx, wy in zip(ring[start:end], x[start:end], y[start:end]):
+        rx = px - wx
+        ry = py - wy
+        d2 = rx * rx + ry * ry
+        if d2 < best or d2 == best and i < index:
+            best, index = d2, i
+    return index
 
 
 def tangent_heading(raceline: Raceline, i: int) -> float:
@@ -462,62 +465,47 @@ def locate(raceline: Raceline, p, near: int | None = None) -> tuple[int, float]:
     index, as in :func:`nearest_index`). The lateral error is the signed
     perpendicular distance from ``p`` to the nearest raceline segment
     (ties take the smaller segment index), positive on the left of the
-    local travel direction. Both come from one pass over the offsets of
+    local travel direction. Both come from one loop over the offsets of
     ``p`` from the waypoints.
 
     ``near`` is an optional hint: the index that the previous query of this
     pose returned. With it the query walks downhill from ``near`` to an
     anchor waypoint, as Pure Pursuit's search near the previous closest
-    point does (Coulter 1992), and scans only the window around the anchor
-    with the same float operations as the full scan. It keeps the window's
-    answer where the anchor is closer than half the track's clearance
-    there, which proves that answer global (see :func:`_anchor_limits`),
-    and scans the whole loop otherwise. So the result never depends on
-    ``near``; only the cost does.
+    point does (Coulter 1992), and loops over the window around the anchor
+    only where the anchor is closer than half the track's clearance there,
+    which proves the window's answer global (see :func:`_anchor_limits`).
+    Without a hint, or where that check fails, the same loop runs over
+    every waypoint and segment. So the result never depends on ``near``;
+    only the cost does.
 
     A position with a NaN or infinite coordinate is nowhere on the track:
-    it gets index 0 (the full scan's answer) and a NaN lateral error.
+    it gets index 0 and a NaN lateral error.
     """
     px, py = float(p[0]), float(p[1])
-    if near is not None:
-        c = _anchor(raceline, px, py, near)  # None for a non-finite position
-        if c is not None:
-            ring, x, y, dx, dy, len2 = raceline._ring
-            end = c + 2 * NEAR_WINDOW + 1
-            best, index = math.inf, raceline.n
-            best_seg, k = math.inf, raceline.n
-            for i, wx, wy, sx, sy, s2 in zip(ring[c:end], x[c:end], y[c:end],
-                                             dx[c:end], dy[c:end], len2[c:end]):
-                rx = px - wx
-                ry = py - wy
-                d2 = rx * rx + ry * ry
-                if d2 < best or d2 == best and i < index:
-                    best, index = d2, i
-                t = (rx * sx + ry * sy) / s2
-                if t < 0.0:
-                    t = 0.0
-                elif t > 1.0:
-                    t = 1.0
-                ex = rx - t * sx
-                ey = ry - t * sy
-                d2 = ex * ex + ey * ey
-                if d2 < best_seg or d2 == best_seg and i < k:
-                    best_seg, k, cross = d2, i, sx * ry - sy * rx
-            return index, (1.0 if cross >= 0.0 else -1.0) * math.sqrt(best_seg)
-    if not (math.isfinite(px) and math.isfinite(py)):
+    start, end = _span(raceline, px, py, near)
+    if start == end:
         return 0, math.nan
-    rx = px - raceline.x
-    ry = py - raceline.y
-    index = int(np.argmin(rx * rx + ry * ry))
-    t = (rx * raceline._seg_dx + ry * raceline._seg_dy) / raceline._seg_len2
-    np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
-    ex = rx - t * raceline._seg_dx
-    ey = ry - t * raceline._seg_dy
-    d2 = ex * ex + ey * ey
-    k = int(np.argmin(d2))
-    cross = raceline._seg_dx[k] * ry[k] - raceline._seg_dy[k] * rx[k]
-    sign = 1.0 if cross >= 0.0 else -1.0
-    return index, sign * math.sqrt(float(d2[k]))
+    ring, x, y, dx, dy, len2 = raceline._ring
+    best, index = math.inf, 0
+    best_seg, k, cross = math.inf, 0, 0.0
+    for i, wx, wy, sx, sy, s2 in zip(ring[start:end], x[start:end], y[start:end],
+                                     dx[start:end], dy[start:end], len2[start:end]):
+        rx = px - wx
+        ry = py - wy
+        d2 = rx * rx + ry * ry
+        if d2 < best or d2 == best and i < index:
+            best, index = d2, i
+        t = (rx * sx + ry * sy) / s2
+        if t < 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
+        ex = rx - t * sx
+        ey = ry - t * sy
+        d2 = ex * ex + ey * ey
+        if d2 < best_seg or d2 == best_seg and i < k:
+            best_seg, k, cross = d2, i, sx * ry - sy * rx
+    return index, (1.0 if cross >= 0.0 else -1.0) * math.sqrt(best_seg)
 
 
 def lateral_error(raceline: Raceline, p) -> float:

@@ -37,6 +37,23 @@ def track_queries(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def full_scans(monkeypatch):
+    """The hint of each track query that scans more than a window: the
+    whole loop, or nothing for a NaN or infinite position."""
+    scans = []
+    span = rl._span
+
+    def spy(raceline, px, py, near):
+        start, end = span(raceline, px, py, near)
+        if end - start != 2 * rl.NEAR_WINDOW + 1:
+            scans.append(near)
+        return start, end
+
+    monkeypatch.setattr(rl, "_span", spy)
+    return scans
+
+
 def make_circle_csv(n=100, radius=3.0, v=5.0, kappa=None):
     """CSV content for a circle raceline with optional per-row v overrides."""
     lines = ["x,y,kappa,v_max"]

@@ -192,6 +192,14 @@ def test_reset_is_deterministic(oval_track):
     np.testing.assert_array_equal(a, b)
 
 
+def test_reset_rejects_a_spawn_waypoint_off_the_loop(oval_track):
+    env = RacingEnv(oval_track, seed=1)
+    for spawn_index in (-1, oval_track.n):
+        with pytest.raises(ValueError,
+                           match=rf"^spawn_index must be in 0\.\.{oval_track.n - 1}, "):
+            env.reset(spawn_index=spawn_index)
+
+
 def test_reset_spawn_index_is_nearest(oval_track):
     env = RacingEnv(oval_track, seed=1)
     for spawn in (0, 17, 60):

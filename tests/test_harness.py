@@ -150,6 +150,26 @@ def test_run_laps_locates_each_pose_once_per_layer(kind, track_queries):
                              "taps": taps_per_step * report.total_steps}
 
 
+@pytest.mark.parametrize("kind", ["teacher", "mpc"])
+def test_completed_laps_scan_the_whole_loop_once(kind, full_scans):
+    track = heldout_rect()
+    report = run_laps(build_controller({"type": kind}, track, SIM), track, SIM,
+                      laps=3, max_lap_time=60.0)
+    assert report.completed == 3
+    # Only the controller's first query after the reset, which has no hint,
+    # scans the whole loop; every later query, the lap runner's included,
+    # is answered by the window around its hint.
+    assert full_scans == [None]
+
+
+def test_run_laps_rejects_a_start_waypoint_off_the_loop():
+    track = small_oval()
+    for start_index in (-1, track.n):
+        with pytest.raises(ValueError,
+                           match=rf"^start_index must be in 0\.\.{track.n - 1}, "):
+            run_laps(CrashController(), track, SIM, laps=1, start_index=start_index)
+
+
 def test_run_continues_after_collision_reset():
     track = small_oval()
 
@@ -460,6 +480,15 @@ def test_config_defaults_come_from_the_dataclasses():
     assert build_ppo_config(cfg) == PPOConfig(total_steps=200_000)
     assert cfg["train"]["fixed_gain"] == DEFAULT_FIXED_GAIN
     assert cfg["controller"].items() >= SPEC_DEFAULTS.items()
+    # The track section is synthesize_track's keyword defaults, whose speed
+    # cap every run without a config uses.
+    assert cfg["track"]["v_cap"] == 8.0
+    for kind in ("oval", "rounded_rectangle"):
+        cfg["track"]["kind"] = kind
+        built, synthesized = build_track(cfg), rl.synthesize_track(kind)
+        for name in ("x", "y", "kappa", "v_max"):
+            assert np.array_equal(getattr(built, name), getattr(synthesized, name))
+        assert built.half_width == synthesized.half_width
 
 
 # ----------------------------------------------------------------------
@@ -537,6 +566,8 @@ def test_cli_compare_rejects_a_repeated_name_before_any_lap(tmp_path, capsys):
     ("train", "train:\n  mode: [joint]\n", "train.mode ['joint']; valid: joint, ld-only"),
     ("train", "train:\n  eval_every: 0\n", "eval_every must be >= 1"),
     ("train", "train:\n  minibatch_size: 0\n", "minibatch_size must be >= 1"),
+    ("train", "train:\n  learning_rate: -0.001\n", "learning_rate must be > 0"),
+    ("sweep", "eval:\n  sweep_grid: []\n", "multiplier grid must not be empty"),
     ("eval", "controller: {type: adaptive, v_lo: 5, v_hi: 3}\n", "v_lo must be < v_hi"),
     ("sweep", "controller: {type: adaptive, v_hi: 0.5}\n", "v_lo must be < v_hi"),
     ("compare", "compare: {name: pp}\n", "config section compare must be a list"),
@@ -560,7 +591,8 @@ def test_cli_compare_rejects_a_repeated_name_before_any_lap(tmp_path, capsys):
      "compare entry names repeat: controller_1"),
 ], ids=["train_mode", "sim_key", "reward_key", "yaml", "train_key", "track_key",
         "eval_key", "controller_key", "section_type", "train_mode_type",
-        "eval_every_zero", "minibatch_zero", "reversed_band", "reversed_band_sweep",
+        "eval_every_zero", "minibatch_zero", "negative_rate", "empty_grid",
+        "reversed_band", "reversed_band_sweep",
         "compare_type", "compare_entry_type", "compare_entry_key", "compare_controller_key",
         "compare_controller_type", "compare_name_path", "compare_name_dotdot",
         "compare_name_empty", "compare_name_type", "compare_name_default_repeat"])

@@ -277,8 +277,9 @@ def oracle_reference(raceline, state, config):
     v_ref = max(state.v, config.v_floor)
     advance = max(int(round(v_ref * config.dt / raceline.mean_spacing)), 1)
     indices = (i0 + advance * np.arange(config.horizon + 1)) % raceline.n
-    headings = np.array([math.atan2(raceline._seg_dy[i], raceline._seg_dx[i])
-                         for i in indices])
+    seg_dx = np.roll(raceline.x, -1) - raceline.x
+    seg_dy = np.roll(raceline.y, -1) - raceline.y
+    headings = np.array([math.atan2(seg_dy[i], seg_dx[i]) for i in indices])
     states = np.column_stack([raceline.x[indices], raceline.y[indices],
                               raceline.v_max[indices], np.unwrap(headings)])
     controls = np.zeros((config.horizon, NU))

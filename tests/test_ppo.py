@@ -247,6 +247,18 @@ def test_config_rejects_counts_below_one(name):
         PPOConfig(**{name: 0})
 
 
+@pytest.mark.parametrize("name, value, bound", [
+    ("learning_rate", -1e-3, "> 0"), ("learning_rate", 0.0, "> 0"),
+    ("max_grad_norm", -1.0, "> 0"), ("clip_epsilon", 0.0, "> 0"),
+    ("target_kl", math.nan, "> 0"), ("entropy_coef", -0.01, ">= 0"),
+    ("value_coef", math.nan, ">= 0")])
+def test_config_rejects_rates_that_break_training(name, value, bound):
+    # A negative learning rate ascends the loss, and a negative
+    # max_grad_norm flips every clipped gradient.
+    with pytest.raises(ValueError, match=f"^{name} must be {bound}$"):
+        PPOConfig(**{name: value})
+
+
 # ----------------------------------------------------------------------
 # Clipped surrogate arithmetic
 # ----------------------------------------------------------------------

@@ -391,8 +391,7 @@ def test_scale_composition_is_exact(oval_track):
 def test_every_cached_array_is_read_only(oval_track):
     for track in (oval_track, rl.scale_speeds(oval_track, 1.2)):
         arrays = {k: v for k, v in vars(track).items() if isinstance(v, np.ndarray)}
-        assert {"x", "y", "kappa", "v_base", "v_max", "seg_len", "cum_s",
-                "_seg_dx", "_seg_dy", "_seg_len2"} == set(arrays)
+        assert {"x", "y", "kappa", "v_base", "v_max", "seg_len", "cum_s"} == set(arrays)
         for name, a in arrays.items():
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
@@ -530,15 +529,6 @@ def test_locate_is_nearest_index_and_lateral_error(track, waypoint, along, offse
     assert rl.nearest_index(track, p, near=near) == index
     hinted_index, hinted_error = rl.locate(track, p, near=near)
     assert (hinted_index, hinted_error.hex()) == (index, lateral_error.hex())
-
-
-@pytest.fixture
-def full_scans(monkeypatch):
-    """Lengths of the arrays that ``np.argmin`` scans, as the track queries' full scans."""
-    scans = []
-    argmin = np.argmin
-    monkeypatch.setattr(np, "argmin", lambda a: scans.append(len(a)) or argmin(a))
-    return scans
 
 
 def test_hinted_queries_near_the_line_scan_only_their_window(oval_track, full_scans):
