@@ -1,5 +1,5 @@
-"""Golden outcomes: a short training run, one lap per PP controller and
-one MPC lap.
+"""Golden outcomes: a short training run, one lap per PP controller, one
+MPC lap, and two runs whose laps are lost and restarted.
 
 The pinned values were recorded before the per-step float kernels of the
 simulator, the normalizers, the policy sampler and the Pure Pursuit step
@@ -63,6 +63,26 @@ LAPS = {
             "steering_rate_rms": 1.4823406428524704},
 }
 
+# Runs that lose laps: each lost lap restarts from the start line. The
+# fixed controller at x1.3 crashes on laps 2 and 4; the teacher, given
+# 3 s a lap, times out on every lap. ``trace_sha256`` is that of trace.csv.
+RESTARTS = {
+    "fixed": {"times": [4.11666666666666, float("nan"), 4.116666666666684,
+                        float("nan"), 4.116666666666726],
+              "completed": [True, False, True, False, True],
+              "total_steps": 311, "teacher_steps": 0,
+              "mean_abs_lateral_error": 0.07401926426150321,
+              "steering_rate_rms": 1.233735123369769,
+              "trace_sha256": "de8dba86b05fdade506db72f4bc5d0b220d07488e18c5458a56e2e73de7e2f05"},
+    "teacher": {"times": [float("nan")] * 3, "completed": [False] * 3,
+                "total_steps": 180, "teacher_steps": 180,
+                "mean_abs_lateral_error": 0.09286187325152974,
+                "steering_rate_rms": 0.6954201706387226,
+                "trace_sha256": "795266b00448152875ea42abe1f7b389e84293747f3e1173855e26dee78d7ab4"},
+}
+# (speed multiplier, laps, max_lap_time) of each restart run.
+RESTART_RUNS = {"fixed": (1.3, 5, 60.0), "teacher": (1.0, 3, 3.0)}
+
 
 def smoke_training() -> PPOTrainer:
     """configs/smoke_train.yaml for two 512-step updates, evaluating after each."""
@@ -110,6 +130,25 @@ def one_lap(kind: str) -> dict:
             "steering_rate_rms": report.steering_rate_rms}
 
 
+def restart_run(kind: str, trace_path) -> dict:
+    """A :data:`RESTART_RUNS` run on the held-out rectangle, traced to
+    ``trace_path``; every lap's time and flag, and the report's counts and
+    floats."""
+    multiplier, laps, max_lap_time = RESTART_RUNS[kind]
+    cfg = load_config(CONFIGS / "heldout_rect.yaml")
+    track = rl.scale_speeds(build_track(cfg), multiplier)
+    sim = build_sim_config(cfg)
+    report = run_laps(build_controller({"type": kind}, track, sim), track, sim,
+                      laps=laps, max_lap_time=max_lap_time, trace_path=trace_path)
+    return {"times": [lap.time for lap in report.laps],
+            "completed": [lap.completed for lap in report.laps],
+            "total_steps": report.total_steps,
+            "teacher_steps": report.teacher_steps,
+            "mean_abs_lateral_error": report.mean_abs_lateral_error,
+            "steering_rate_rms": report.steering_rate_rms,
+            "trace_sha256": hashlib.sha256(trace_path.read_bytes()).hexdigest()}
+
+
 def test_smoke_training_outcomes_are_pinned():
     trainer = smoke_training()
     np.testing.assert_equal([d.row() for d in trainer.metrics], SMOKE_METRICS)
@@ -118,3 +157,9 @@ def test_smoke_training_outcomes_are_pinned():
 
 def test_one_lap_outcomes_are_pinned():
     np.testing.assert_equal({kind: one_lap(kind) for kind in LAPS}, LAPS)
+
+
+def test_restarted_laps_are_pinned(tmp_path):
+    np.testing.assert_equal(
+        {kind: restart_run(kind, tmp_path / f"{kind}.csv") for kind in RESTARTS},
+        RESTARTS)
