@@ -52,10 +52,10 @@ class RewardWeights:
         for name in ("speed", "lookahead_tracking", "gain_tracking",
                      "lookahead_jerk", "gain_jerk", "curvature",
                      "lookahead_curvature", "preshorten_bonus", "collision",
-                     "slow", "progress"):
-            if getattr(self, name) < 0.0:
+                     "slow", "progress", "kappa_bend", "v_slow"):
+            if not getattr(self, name) >= 0.0:  # NaN fails too
                 raise ValueError(f"{name} must be >= 0")
-        if self.clip_lo >= self.clip_hi:
+        if not self.clip_lo < self.clip_hi:
             raise ValueError("clip_lo must be < clip_hi")
 
 
@@ -128,7 +128,7 @@ class EnvConfig:
     fixed_gain: float = DEFAULT_FIXED_GAIN  # gain pinned in ld_only mode
 
     def __post_init__(self):
-        if self.laps < 1 or self.max_steps < 1:
+        if not (self.laps >= 1 and self.max_steps >= 1):
             raise ValueError("laps and max_steps must be >= 1")
 
 

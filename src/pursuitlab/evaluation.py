@@ -144,80 +144,66 @@ def run_laps(controller, raceline: rl.Raceline, sim_config: SimConfig,
     report = LapReport()
     abs_lat_sum = 0.0
     steer_rate_sq_sum = 0.0
-    global_step = 0
-
-    state = _start_state(raceline, start_index)
-    controller.reset()
-    prev_delta = 0.0
-    prev_index = start_index
-
-    lap_no = 1
-    lap_progress = 0
-    lap_start_time = 0.0
-    lap_steps = 0
     clock = 0.0
 
     with contextlib.nullcontext() if trace_path is None else \
             trace_csv(trace_path, LAP_TRACE_COLUMNS) as trace:
+        lap_no = 1
         while lap_no <= laps:
-            output = controller.step(state, clock)
-            new_state, applied_delta = control_step(state, output.command,
+            # An attempt: from the start line until ``laps`` laps are done
+            # or the current one is lost.
+            state = _start_state(raceline, start_index)
+            controller.reset()
+            prev_delta = 0.0
+            prev_index = start_index
+            lap_progress = 0
+            lap_start_time = clock
+            lap_steps = 0
+            while lap_no <= laps:
+                output = controller.step(state, clock)
+                state, applied_delta = control_step(state, output.command,
                                                     prev_delta, sim_config)
-            steer_rate_sq_sum += ((applied_delta - prev_delta) / dt) ** 2
-            state = new_state
-            prev_delta = applied_delta
-            clock += dt
-            lap_steps += 1
-            global_step += 1
+                steer_rate_sq_sum += ((applied_delta - prev_delta) / dt) ** 2
+                prev_delta = applied_delta
+                clock += dt
+                lap_steps += 1
 
-            index, lat = rl.locate(raceline, state.position, near=prev_index)
-            advance = rl.progress_count(prev_index, index, n)
-            prev_index = index
-            abs_lat_sum += abs(lat)
-            if output.mode == "teacher":
-                report.teacher_steps += 1
-            report.total_steps += 1
-            health = output.solver
-            if health is not None:
-                report.record_solver(health)
+                index, lat = rl.locate(raceline, state.position, near=prev_index)
+                advance = rl.progress_count(prev_index, index, n)
+                prev_index = index
+                abs_lat_sum += abs(lat)
+                if output.mode == "teacher":
+                    report.teacher_steps += 1
+                report.total_steps += 1
+                health = output.solver
+                if health is not None:
+                    report.record_solver(health)
 
-            if trace is not None:
-                params = output.params
-                trace(global_step, clock, index, state, output.command, lat,
-                      output.mode, lap=lap_no,
-                      lookahead=None if params is None else params.lookahead,
-                      gain=None if params is None else params.gain,
-                      kappa_max=rl.taps(raceline, index).kappa_max,
-                      **({} if health is None else
-                         {name: getattr(health, name) for name in SOLVER_COLUMNS}))
+                if trace is not None:
+                    params = output.params
+                    trace(report.total_steps, clock, index, state, output.command, lat,
+                          output.mode, lap=lap_no,
+                          lookahead=None if params is None else params.lookahead,
+                          gain=None if params is None else params.gain,
+                          kappa_max=rl.taps(raceline, index).kappa_max,
+                          **({} if health is None else
+                             {name: getattr(health, name) for name in SOLVER_COLUMNS}))
 
-            crashed = collision_check(raceline, lat)
-            timed_out = lap_steps >= max_lap_steps
-            if crashed or timed_out:
-                report.laps.append(LapRecord(lap_no, math.nan, False))
-                lap_no += 1
-                state = _start_state(raceline, start_index)
-                controller.reset()
-                prev_delta = 0.0
-                prev_index = start_index
-                lap_progress = 0
-                lap_start_time = clock
-                lap_steps = 0
-                continue
+                if collision_check(raceline, lat) or lap_steps >= max_lap_steps:
+                    report.laps.append(LapRecord(lap_no, math.nan, False))
+                    lap_no += 1
+                    break
 
-            before = lap_progress
-            lap_progress += advance
-            while lap_progress >= n and lap_no <= laps:
-                # Interpolate the start-line crossing inside this control step.
-                frac = (n - before) / (lap_progress - before) \
-                    if lap_progress > before else 1.0
-                crossing = clock - dt + frac * dt
-                report.laps.append(LapRecord(lap_no, crossing - lap_start_time, True))
-                lap_no += 1
-                lap_start_time = crossing
-                lap_progress -= n
-                before = 0
-                lap_steps = 0
+                # A step crosses the start line at most once: advance <= n // 2
+                # (progress_count) and lap_progress < n.
+                if lap_progress + advance >= n:
+                    # Interpolate the crossing inside this control step.
+                    crossing = clock - dt + (n - lap_progress) / advance * dt
+                    report.laps.append(LapRecord(lap_no, crossing - lap_start_time, True))
+                    lap_no += 1
+                    lap_start_time = crossing
+                    lap_steps = 0
+                lap_progress = (lap_progress + advance) % n
 
     if report.total_steps:
         report.mean_abs_lateral_error = abs_lat_sum / report.total_steps

@@ -299,18 +299,17 @@ class MPCTracker:
     def reset(self):
         self.index = None  # the last step's waypoint, the next query's hint
         self.prev_command = Command(0.0, 0.0)
-        self._warm_x = None
-        self._warm_y = None
-        self.last_info = MPCStepInfo()
+        # The last converged step's info, whose solution warm-starts the next.
+        self.last_info = self._warm = MPCStepInfo()
 
     def step(self, state: VehicleState, now: float = 0.0) -> ControllerOutput:
         self.index = rl.nearest_index(self.raceline, state.position, near=self.index)
         cmd, info = mpc_step(self.raceline, state, self.index, self.prev_command,
-                             self.config, warm=(self._warm_x, self._warm_y))
+                             self.config,
+                             warm=(self._warm.solution_x, self._warm.solution_y))
         self.last_info = info
         if info.converged:
-            self._warm_x = info.solution_x
-            self._warm_y = info.solution_y
+            self._warm = info
         self.prev_command = cmd
         return ControllerOutput(cmd, None, "mpc", info)
 

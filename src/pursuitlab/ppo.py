@@ -17,7 +17,6 @@ master seed by fixed offsets, so runs are reproducible.
 from __future__ import annotations
 
 import collections
-import copy
 import csv
 import json
 import math
@@ -551,9 +550,11 @@ def serve_evaluations():
     """Evaluation worker loop, the body of :class:`EvalWorker`'s process.
 
     Reads pickles from stdin: first ``(env_factory, seed)``, then one
-    ``(policy, obs_norm)`` per evaluation. Answers each on stdout, in
-    order, with ``(return, seconds)`` or the exception that the episode
-    raised. The env is built once, on the first request. Ends at EOF.
+    snapshot per evaluation, :func:`save_checkpoint`'s arguments after the
+    path, of which it evaluates the policy and ``obs_norm``. Answers each
+    on stdout, in order, with ``(return, seconds)`` or the exception that
+    the episode raised. The env is built once, on the first request. Ends
+    at EOF.
     """
     replies = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)  # stray prints go to stderr, not into the replies
@@ -566,7 +567,7 @@ def serve_evaluations():
     with replies:
         while True:
             try:
-                policy, obs_norm = pickle.load(requests)
+                policy, _, obs_norm, _, _ = pickle.load(requests)
             except EOFError:
                 return
             start = time.perf_counter()
@@ -594,7 +595,7 @@ class EvalWorker:
     It is started with the parent's ``sys.path`` and builds its env once,
     from ``env_factory(seed)``; the factory is pickled here, so an
     unpicklable one fails before any request. :meth:`submit` sends a
-    policy and its statistics by value and returns at once;
+    pickled snapshot of the trainer and returns at once;
     :meth:`result` waits for the oldest unread answer. :meth:`close`
     stops the process and reaps it.
     """
@@ -605,10 +606,12 @@ class EvalWorker:
             [sys.executable, "-c", _WORKER_CODE, json.dumps(sys.path)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE)
 
-    def submit(self, policy: GaussianPolicy, obs_norm: RunningNormalizer):
+    def submit(self, snapshot: bytes):
+        """Send ``snapshot``, the pickled :func:`save_checkpoint` arguments
+        after the path, to be evaluated."""
         # The set-up message goes with the first request, by when the
         # worker has started and reads it without stalling the trainer.
-        data = self._setup + pickle.dumps((policy, obs_norm))
+        data = self._setup + snapshot
         self._setup = b""
         self._proc.stdin.write(data)
         self._proc.stdin.flush()
@@ -686,8 +689,8 @@ class PPOTrainer:
         self._eval_bucket = 0
         self._checkpoint_bucket = 0
         self._evaluator: EvalWorker | None = None  # only while train() runs
-        # save_checkpoint arguments of each submitted, unread evaluation
-        self._pending: collections.deque[tuple] = collections.deque()
+        # pickled save_checkpoint arguments of each submitted, unread evaluation
+        self._pending: collections.deque[bytes] = collections.deque()
 
         self._obs = np.stack([env.reset() for env in self.envs])
         self._episode_start = np.ones(config.n_envs, dtype=bool)
@@ -765,9 +768,8 @@ class PPOTrainer:
                 raise RuntimeError("an evaluation fell due outside train(), "
                                    "whose worker runs them")
             self._eval_bucket = bucket
-            snapshot = copy.deepcopy(self._checkpoint_args())
-            policy, _, obs_norm, _, _ = snapshot
-            self._evaluator.submit(policy, obs_norm)
+            snapshot = pickle.dumps(self._checkpoint_args())
+            self._evaluator.submit(snapshot)
             self._pending.append(snapshot)
         bucket = self.global_step // cfg.checkpoint_every
         if bucket > self._checkpoint_bucket:
@@ -789,7 +791,7 @@ class PPOTrainer:
                 self.best_eval_return = value
                 if self.out_dir is not None:
                     save_checkpoint(os.path.join(self.out_dir, "best_model.npz"),
-                                    *snapshot)
+                                    *pickle.loads(snapshot))
         return seconds
 
     def _checkpoint_args(self) -> tuple:

@@ -106,7 +106,7 @@ def teacher_gain(v: float) -> float:
 
 def adaptive_lookahead(v: float, v_lo: float, v_hi: float) -> float:
     """Velocity-linear lookahead mapping [v_lo, v_hi] onto [1.0, 2.5] m."""
-    if v_lo >= v_hi:
+    if not v_lo < v_hi:  # NaN fails too
         raise ValueError("v_lo must be < v_hi")
     lo, hi = ADAPTIVE_LOOKAHEAD_BOUNDS
     raw = lo + (v - v_lo) * (hi - lo) / (v_hi - v_lo)
@@ -133,7 +133,7 @@ class AdaptiveLinearSource:
     gain: float
 
     def __post_init__(self):
-        if self.v_lo >= self.v_hi:
+        if not self.v_lo < self.v_hi:
             raise ValueError("v_lo must be < v_hi")
 
     def select(self, state: VehicleState, raceline: rl.Raceline, index: int, now: float):
@@ -172,7 +172,7 @@ class ExternalSource(TeacherSource):
     def __post_init__(self):
         if self.action_mode not in ("joint", "ld_only"):
             raise ValueError(f"unknown action_mode {self.action_mode!r}")
-        if self.timeout <= 0.0:
+        if not self.timeout > 0.0:  # NaN fails too
             raise ValueError("timeout must be > 0")
 
     @property

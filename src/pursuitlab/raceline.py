@@ -36,6 +36,8 @@ TAP_OFFSETS = (0, 5, 12)
 LOCAL_CURVATURE_OFFSETS = np.arange(-2, 3)
 
 MIN_WAYPOINTS = 20
+# Corridor half-width [m] of a track that does not give its own.
+HALF_WIDTH = 1.1
 SPACING_RANGE = (0.05, 1.0)
 CLOSURE_FACTOR = 3.0
 
@@ -188,7 +190,7 @@ def _anchor_limits(x, y, dx, dy, seg_len2) -> list:
     return (reach * reach).tolist()
 
 
-def load_raceline(source: str, half_width: float = 1.1) -> Raceline:
+def load_raceline(source: str, half_width: float = HALF_WIDTH) -> Raceline:
     """Parse delimited-text raceline content into a :class:`Raceline`.
 
     ``source`` is the file content (not a path): comma-separated with a
@@ -239,7 +241,7 @@ def load_raceline(source: str, half_width: float = 1.1) -> Raceline:
     return Raceline(rows["x"], rows["y"], rows["kappa"], rows["v_max"], half_width)
 
 
-def load_raceline_file(path, half_width: float = 1.1) -> Raceline:
+def load_raceline_file(path, half_width: float = HALF_WIDTH) -> Raceline:
     """Read ``path`` and parse it with :func:`load_raceline`."""
     with open(path, "r", encoding="utf-8") as f:
         return load_raceline(f.read(), half_width)
@@ -284,7 +286,7 @@ def _segment_pose(start, kind, kappa, local):
 
 def synthesize_track(kind: str, *, straight: float = 10.0, radius: float = 3.0,
                      length_x: float = 12.0, length_y: float = 6.0,
-                     spacing: float = 0.25, half_width: float = 1.1,
+                     spacing: float = 0.25, half_width: float = HALF_WIDTH,
                      v_cap: float = 8.0, a_lat_max: float = 3.0) -> Raceline:
     """Build a closed analytic raceline with an exact curvature profile.
 

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -121,6 +122,29 @@ def test_reward_clip_bounds():
                          progress=0, collision=True, slow=True,
                          teacher_lookahead=0.35, teacher_gain=0.45)
     assert compute_reward(ctx2, weights) == -30.0
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"speed": math.nan}, "speed must be >= 0"),
+    ({"collision": -1.0}, "collision must be >= 0"),
+    ({"kappa_bend": math.nan}, "kappa_bend must be >= 0"),
+    ({"v_slow": -0.5}, "v_slow must be >= 0"),
+    ({"clip_lo": math.nan}, "clip_lo must be < clip_hi"),
+    ({"clip_hi": math.nan}, "clip_lo must be < clip_hi"),
+    ({"clip_lo": 5.0, "clip_hi": 5.0}, "clip_lo must be < clip_hi"),
+], ids=["nan_speed", "negative_collision", "nan_kappa_bend", "negative_v_slow",
+        "nan_clip_lo", "nan_clip_hi", "empty_clip"])
+def test_reward_weights_reject_nan_and_out_of_range_values(change, message):
+    with pytest.raises(ValueError, match=message):
+        RewardWeights(**change)
+
+
+@pytest.mark.parametrize("change", [{"laps": 0}, {"laps": math.nan},
+                                    {"max_steps": 0}, {"max_steps": math.nan}],
+                         ids=["zero_laps", "nan_laps", "zero_steps", "nan_steps"])
+def test_env_config_rejects_nan_and_nonpositive_caps(change):
+    with pytest.raises(ValueError, match="laps and max_steps must be >= 1"):
+        EnvConfig(**change)
 
 
 def test_preshorten_bonus_factorial():

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import math
 
 import numpy as np
@@ -489,6 +490,10 @@ def test_config_defaults_come_from_the_dataclasses():
         for name in ("x", "y", "kappa", "v_max"):
             assert np.array_equal(getattr(built, name), getattr(synthesized, name))
         assert built.half_width == synthesized.half_width
+    # Both CSV loaders default to the same corridor.
+    for loader in (rl.load_raceline, rl.load_raceline_file):
+        default = inspect.signature(loader).parameters["half_width"].default
+        assert default == cfg["track"]["half_width"]
 
 
 # ----------------------------------------------------------------------
@@ -570,6 +575,8 @@ def test_cli_compare_rejects_a_repeated_name_before_any_lap(tmp_path, capsys):
     ("sweep", "eval:\n  sweep_grid: []\n", "multiplier grid must not be empty"),
     ("eval", "controller: {type: adaptive, v_lo: 5, v_hi: 3}\n", "v_lo must be < v_hi"),
     ("sweep", "controller: {type: adaptive, v_hi: 0.5}\n", "v_lo must be < v_hi"),
+    ("eval", "controller: {type: adaptive, v_lo: .nan}\n", "v_lo must be < v_hi"),
+    ("train", "reward: {speed: .nan}\n", "speed must be >= 0"),
     ("compare", "compare: {name: pp}\n", "config section compare must be a list"),
     ("compare", "compare:\n  - teacher\n  - fixed\n",
      "config entry compare[0] must be a mapping, not 'teacher'"),
@@ -592,7 +599,7 @@ def test_cli_compare_rejects_a_repeated_name_before_any_lap(tmp_path, capsys):
 ], ids=["train_mode", "sim_key", "reward_key", "yaml", "train_key", "track_key",
         "eval_key", "controller_key", "section_type", "train_mode_type",
         "eval_every_zero", "minibatch_zero", "negative_rate", "empty_grid",
-        "reversed_band", "reversed_band_sweep",
+        "reversed_band", "reversed_band_sweep", "nan_band", "nan_reward",
         "compare_type", "compare_entry_type", "compare_entry_key", "compare_controller_key",
         "compare_controller_type", "compare_name_path", "compare_name_dotdot",
         "compare_name_empty", "compare_name_type", "compare_name_default_repeat"])

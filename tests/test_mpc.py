@@ -611,8 +611,7 @@ def test_tracker_info_carries_the_solution_once_converged():
     assert info.solution_y.shape == (2 * NU * config.horizon + 2 * (config.horizon - 1),)
     assert np.all(np.isfinite(info.solution_y))
     assert np.all(info.solution_y >= 0.0)
-    assert tracker._warm_x is info.solution_x
-    assert tracker._warm_y is info.solution_y
+    assert tracker._warm is info
     tracker.reset()
     assert tracker.index is None
 

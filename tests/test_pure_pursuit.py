@@ -251,8 +251,18 @@ def test_external_source_freshness():
 
 
 def test_external_source_rejects_bad_timeout():
-    with pytest.raises(ValueError):
-        pp.ExternalSource(timeout=0.0)
+    for timeout in (0.0, -0.1, math.nan):  # a NaN slot would never be fresh
+        with pytest.raises(ValueError, match="timeout must be > 0"):
+            pp.ExternalSource(timeout=timeout)
+
+
+@pytest.mark.parametrize("v_lo, v_hi", [(math.nan, 8.0), (2.0, math.nan), (3.0, 3.0)],
+                         ids=["nan_v_lo", "nan_v_hi", "empty_band"])
+def test_adaptive_band_rejects_nan_and_empty_bands(v_lo, v_hi):
+    with pytest.raises(ValueError, match="v_lo must be < v_hi"):
+        pp.adaptive_lookahead(5.0, v_lo, v_hi)
+    with pytest.raises(ValueError, match="v_lo must be < v_hi"):
+        pp.AdaptiveLinearSource(v_lo, v_hi, 0.8)
 
 
 def test_controller_external_fresh_is_rl_mode():
