@@ -23,9 +23,11 @@ def _out_dir(args, default: str) -> str:
     return out
 
 
-def _write_text(path: str, text: str):
-    with atomic_open(path) as f:
-        f.write(text)
+def _report(out: str, text: str):
+    """Write ``text`` as the lines of ``out``/report.txt and print it."""
+    with atomic_open(os.path.join(out, "report.txt")) as f:
+        f.write(text + "\n")
+    print(text)
 
 
 def cmd_train(args) -> int:
@@ -70,21 +72,6 @@ def _eval_once(cfg: dict, controller_cfg: dict, out: str, prefix: str = ""):
     return report
 
 
-def _report_text(name: str, report) -> str:
-    stats = report.stats()
-    lines = [
-        f"controller: {name}",
-        f"laps completed: {report.completed}/{report.attempted}",
-        (f"lap time mean {stats['mean']:.2f} s, std {stats['std']:.2f}, "
-         f"min {stats['min']:.2f}, max {stats['max']:.2f}"),
-        f"teacher mode: {report.teacher_summary()}",
-        f"mean |lateral error|: {report.mean_abs_lateral_error:.4f} m",
-        f"steering-rate RMS: {report.steering_rate_rms:.4f} rad/s",
-        f"solver (held, ADMM, KKT solves p50/p95/max): {report.solver_summary()}".rstrip(),
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     if args.checkpoint is not None:
@@ -93,9 +80,7 @@ def cmd_eval(args) -> int:
     out = _out_dir(args, "runs/eval")
 
     report = _eval_once(cfg, cfg["controller"], out)
-    text = _report_text(cfg["controller"]["type"], report)
-    _write_text(os.path.join(out, "report.txt"), text)
-    print(text, end="")
+    _report(out, format_comparison([(cfg["controller"]["type"], report)]))
     return 0
 
 
@@ -122,11 +107,9 @@ def cmd_sweep(args) -> int:
     write_comparison_csv(rows, os.path.join(out, "sweep.csv"))
     status = "full completion" if result.fully_completing else \
         "NO multiplier fully completed; best available"
-    text = (f"controller: {controller_cfg['type']}\n"
-            f"best multiplier: {result.best_multiplier} ({status})\n\n"
-            + format_comparison(rows) + "\n")
-    _write_text(os.path.join(out, "report.txt"), text)
-    print(text, end="")
+    _report(out, f"controller: {controller_cfg['type']}\n"
+                 f"best multiplier: {result.best_multiplier} ({status})\n\n"
+                 + format_comparison(rows))
     return 0
 
 
@@ -146,10 +129,8 @@ def cmd_compare(args) -> int:
         report = _eval_once(cfg, controller_cfg, out, prefix=f"{name}_")
         rows.append((name, report))
 
-    table = format_comparison(rows)
     write_comparison_csv(rows, os.path.join(out, "compare.csv"))
-    _write_text(os.path.join(out, "report.txt"), table + "\n")
-    print(table)
+    _report(out, format_comparison(rows))
     return 0
 
 

@@ -14,6 +14,7 @@ import os
 
 import yaml
 
+from . import evaluation as ev
 from . import raceline as rl
 from .controllers import OPTIONAL_SPEC_KEYS, SPEC_DEFAULTS
 from .env import EnvConfig, RacingEnv, RewardWeights
@@ -30,8 +31,8 @@ PPO_KEYS = {"steps": "total_steps", **{name: name for name in (
 _PPO = PPOConfig()
 _ENV = EnvConfig()
 
-# Sections with a dataclass take its defaults, and the track section the
-# keyword defaults of rl.synthesize_track; the rest are written out.
+# Sections with a dataclass take its defaults, the track section the keyword
+# defaults of rl.synthesize_track, the eval section evaluation's; the rest are written out.
 DEFAULTS = {
     "seed": 0,
     "track": {
@@ -46,10 +47,10 @@ DEFAULTS = {
         **SPEC_DEFAULTS,
     },
     "eval": {
-        "laps": 10,
-        "max_lap_time": 120.0,
+        "laps": ev.LAPS,
+        "max_lap_time": ev.MAX_LAP_TIME,
         "sweep_grid": [round(0.80 + 0.05 * i, 2) for i in range(11)],
-        "refine_step": 0.01,
+        "refine_step": ev.REFINE_STEP,
     },
     "compare": [],
     "train": {
@@ -132,10 +133,6 @@ def load_config(path=None) -> dict:
     if repeated := sorted({name for name in names if names.count(name) > 1}):
         raise ValueError(f"compare entry names repeat: {', '.join(repeated)}")
     return cfg
-
-
-def dump_default_config() -> str:
-    return yaml.safe_dump(DEFAULTS, sort_keys=False)
 
 
 def build_track(cfg: dict) -> rl.Raceline:

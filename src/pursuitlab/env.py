@@ -130,6 +130,9 @@ class EnvConfig:
     def __post_init__(self):
         if not (self.laps >= 1 and self.max_steps >= 1):
             raise ValueError("laps and max_steps must be >= 1")
+        for name in ("spawn_lateral_jitter", "spawn_heading_jitter", "spawn_speed_fraction"):
+            if not getattr(self, name) >= 0.0:  # NaN fails too
+                raise ValueError(f"{name} must be >= 0")
 
 
 class RacingEnv:
@@ -191,7 +194,7 @@ class RacingEnv:
         self.step_count = 0
         self.total_progress = 0
         # Waypoint nearest the current state, handed to the controller each step.
-        self.prev_index = rl.nearest_index(track, self.state.position, near=spawn_index)
+        self.prev_index = rl.locate(track, self.state.position, near=spawn_index)[0]
         self.controller.reset()
         self.prev_params = self.controller.smoothed
         self._done = False

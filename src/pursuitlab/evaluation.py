@@ -28,6 +28,10 @@ LAP_TRACE_COLUMNS = ("lap", "lookahead", "gain", "kappa_max", *SOLVER_COLUMNS)
 # The MPC's solver health over a run, from LapReport.solver_health.
 SOLVER_HEALTH = ("held_steps", "admm_fallbacks", "kkt_solves_p50", "kkt_solves_p95",
                  "kkt_solves_max")
+# The protocol's defaults, which the config's eval section takes.
+LAPS = 10
+MAX_LAP_TIME = 120.0  # [s]
+REFINE_STEP = 0.01
 
 
 @dataclass
@@ -121,7 +125,7 @@ def _start_state(raceline: rl.Raceline, start_index: int = 0) -> VehicleState:
 
 
 def run_laps(controller, raceline: rl.Raceline, sim_config: SimConfig,
-             laps: int = 10, max_lap_time: float = 120.0,
+             laps: int = LAPS, max_lap_time: float = MAX_LAP_TIME,
              trace_path=None, start_index: int = 0) -> LapReport:
     """Drive ``laps`` consecutive laps from the start waypoint ``start_index``.
 
@@ -241,8 +245,9 @@ class SweepResult:
 
 
 def sweep_multipliers(build_controller_fn, base_raceline: rl.Raceline,
-                      sim_config: SimConfig, grid, laps: int = 10,
-                      max_lap_time: float = 120.0, refine_step: float = 0.0) -> SweepResult:
+                      sim_config: SimConfig, grid, laps: int = LAPS,
+                      max_lap_time: float = MAX_LAP_TIME,
+                      refine_step: float = REFINE_STEP) -> SweepResult:
     """Find the largest speed multiplier with full lap completion.
 
     ``build_controller_fn(raceline)`` must return a fresh controller bound
@@ -287,36 +292,40 @@ def sweep_multipliers(build_controller_fn, base_raceline: rl.Raceline,
     return SweepResult(entries, best.multiplier, True)
 
 
+def lap_row(name: str, report: LapReport) -> dict:
+    """One report as a row of the comparison table: lap-time statistics,
+    completed and attempted laps, teacher steps, tracking error, steering
+    smoothness, and :data:`SOLVER_HEALTH` (blank for Pure Pursuit)."""
+    health = report.solver_health() or dict.fromkeys(SOLVER_HEALTH, "")
+    return {"controller": name, **report.stats(), "completed": report.completed,
+            "attempted": report.attempted, "teacher_steps": report.teacher_steps,
+            "total_steps": report.total_steps,
+            "mean_abs_lateral_error": report.mean_abs_lateral_error,
+            "steering_rate_rms": report.steering_rate_rms, **health}
+
+
+# A lap_row as text, with the teacher share [%] and the solver summary.
+_TEXT_ROW = ("{controller:<32}{mean:>8.2f}{std:>8.2f}{min:>8.2f}{max:>8.2f}"
+             "{completed:>5d}/{attempted:<2d}{share:>10.3f}{mean_abs_lateral_error:>9.4f}"
+             "{steering_rate_rms:>12.4f}  {solver}")
+
+
 def format_comparison(rows: list[tuple[str, LapReport]]) -> str:
-    """Plain-text table of lap-time statistics per controller, and the MPC's
-    solver health (blank for Pure Pursuit)."""
+    """Plain-text table of :func:`lap_row` per controller: lap times [s],
+    laps completed/attempted, teacher share [%], mean |lateral error| [m],
+    steering-rate RMS [rad/s] and the MPC's solver health."""
     header = (f"{'Controller':<32}{'Mean':>8}{'Std':>8}{'Min':>8}{'Max':>8}{'Laps':>8}"
+              f"{'Teacher%':>10}{'|lat| m':>9}{'steer rad/s':>12}"
               f"  Solver (held, ADMM, KKT solves p50/p95/max)")
-    lines = [header, "-" * len(header)]
-    for name, report in rows:
-        stats = report.stats()
-        lines.append((
-            f"{name:<32}"
-            f"{stats['mean']:>8.2f}{stats['std']:>8.2f}"
-            f"{stats['min']:>8.2f}{stats['max']:>8.2f}"
-            f"{report.completed:>5d}/{report.attempted:<2d}"
-            f"  {report.solver_summary()}").rstrip())
-    return "\n".join(lines)
+    return "\n".join([header, "-" * len(header), *(
+        _TEXT_ROW.format(**lap_row(name, report), share=100.0 * report.teacher_fraction,
+                         solver=report.solver_summary()).rstrip()
+        for name, report in rows)])
 
 
 def write_comparison_csv(rows: list[tuple[str, LapReport]], path):
+    """One CSV line of :func:`lap_row` per controller, under its keys."""
     with atomic_open(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(["controller", "mean", "std", "min", "max",
-                         "completed", "attempted", "teacher_steps",
-                         "total_steps", "mean_abs_lateral_error",
-                         "steering_rate_rms", *SOLVER_HEALTH])
-        for name, report in rows:
-            stats = report.stats()
-            health = report.solver_health() or dict.fromkeys(SOLVER_HEALTH, "")
-            writer.writerow([name, stats["mean"], stats["std"], stats["min"],
-                             stats["max"], report.completed, report.attempted,
-                             report.teacher_steps, report.total_steps,
-                             report.mean_abs_lateral_error,
-                             report.steering_rate_rms,
-                             *(health[key] for key in SOLVER_HEALTH)])
+        writer = csv.DictWriter(f, list(lap_row("", LapReport())))
+        writer.writeheader()
+        writer.writerows(lap_row(name, report) for name, report in rows)

@@ -57,9 +57,13 @@ class PPParams:
 
 
 def clip_params(lookahead, gain) -> PPParams:
-    """(lookahead, gain) clipped to the action bounds."""
-    return PPParams(_clip(float(lookahead), *LOOKAHEAD_BOUNDS),
-                    _clip(float(gain), *GAIN_BOUNDS))
+    """(lookahead, gain) clipped to the action bounds; a NaN is an error."""
+    lookahead, gain = float(lookahead), float(gain)
+    if lookahead != lookahead:
+        raise ValueError("lookahead must not be NaN")
+    if gain != gain:
+        raise ValueError("gain must not be NaN")
+    return PPParams(_clip(lookahead, *LOOKAHEAD_BOUNDS), _clip(gain, *GAIN_BOUNDS))
 
 
 def smooth(previous: PPParams, raw: PPParams) -> PPParams:
@@ -115,13 +119,16 @@ def adaptive_lookahead(v: float, v_lo: float, v_hi: float) -> float:
 
 @dataclass
 class FixedSource:
-    """Constant (lookahead, gain)."""
+    """Constant (lookahead, gain), clipped once."""
 
     lookahead: float
     gain: float
 
+    def __post_init__(self):
+        self.params = clip_params(self.lookahead, self.gain)
+
     def select(self, state: VehicleState, raceline: rl.Raceline, index: int, now: float):
-        return clip_params(self.lookahead, self.gain), "fixed"
+        return self.params, "fixed"
 
 
 @dataclass
@@ -135,6 +142,7 @@ class AdaptiveLinearSource:
     def __post_init__(self):
         if not self.v_lo < self.v_hi:
             raise ValueError("v_lo must be < v_hi")
+        clip_params(ADAPTIVE_LOOKAHEAD_BOUNDS[0], self.gain)  # a NaN gain raises
 
     def select(self, state: VehicleState, raceline: rl.Raceline, index: int, now: float):
         lookahead = adaptive_lookahead(state.v, self.v_lo, self.v_hi)
@@ -174,6 +182,7 @@ class ExternalSource(TeacherSource):
             raise ValueError(f"unknown action_mode {self.action_mode!r}")
         if not self.timeout > 0.0:  # NaN fails too
             raise ValueError("timeout must be > 0")
+        clip_params(SMOOTHER_INIT[0], self.fixed_gain)  # a NaN fixed gain raises
 
     @property
     def action_dim(self) -> int:

@@ -147,6 +147,14 @@ def test_env_config_rejects_nan_and_nonpositive_caps(change):
         EnvConfig(**change)
 
 
+@pytest.mark.parametrize("name", ["spawn_lateral_jitter", "spawn_heading_jitter",
+                                  "spawn_speed_fraction"])
+@pytest.mark.parametrize("value", [math.nan, -0.1], ids=["nan", "negative"])
+def test_env_config_rejects_nan_and_negative_spawn_values(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+        EnvConfig(**{name: value})
+
+
 def test_preshorten_bonus_factorial():
     w = RewardWeights()
     v = 4.0

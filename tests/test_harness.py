@@ -267,7 +267,7 @@ def test_sweep_returns_largest_fully_completing():
     track = small_oval()
     result = sweep_multipliers(make_threshold_builder(track, 1.1), track, SIM,
                                grid=[0.9, 1.0, 1.1, 1.2], laps=2,
-                               max_lap_time=30.0)
+                               max_lap_time=30.0, refine_step=0.0)
     assert result.fully_completing
     assert result.best_multiplier == 1.1
 
@@ -275,7 +275,7 @@ def test_sweep_returns_largest_fully_completing():
 def test_sweep_single_entry_grid():
     track = small_oval()
     result = sweep_multipliers(make_threshold_builder(track, 2.0), track, SIM,
-                               grid=[1.0], laps=1, max_lap_time=30.0)
+                               grid=[1.0], laps=1, max_lap_time=30.0, refine_step=0.0)
     assert result.best_multiplier == 1.0
     assert len(result.entries) == 1
 
@@ -290,7 +290,7 @@ def test_sweep_non_monotone_still_takes_largest_passing():
         return PurePursuitAdapter(scaled, TeacherSource())
 
     result = sweep_multipliers(build, track, SIM, grid=[0.9, 1.0, 1.1],
-                               laps=1, max_lap_time=30.0)
+                               laps=1, max_lap_time=30.0, refine_step=0.0)
     assert result.best_multiplier == 1.1
 
 
@@ -365,7 +365,8 @@ def test_solver_health_counts_held_steps_fallbacks_and_kkt_solves(tmp_path):
     assert all(pp_row[key] == "" for key in SOLVER_HEALTH)
     assert {key: float(mpc_row[key]) for key in SOLVER_HEALTH} == health
     pp_line, mpc_line = format_comparison(rows).splitlines()[2:]
-    assert pp_line.split() == ["teacher", "nan", "nan", "nan", "nan", "0/0"]
+    assert pp_line.split() == ["teacher", "nan", "nan", "nan", "nan", "0/0", "0.000",
+                               "nan", "nan"]
     assert mpc_line.endswith("held 1/5 steps, ADMM 2, KKT solves 3/6.6/7")
 
 
@@ -401,8 +402,62 @@ def test_cli_reports_read_back_the_mpc_solver_health(tmp_path):
     table = (tmp_path / "c" / "report.txt").read_text().splitlines()
     assert table[2].startswith("teacher") and "held" not in table[2]
     assert table[3].startswith("mpc") and table[3].endswith(summary)
-    assert (tmp_path / "e" / "report.txt").read_text().splitlines()[-1] \
-        == f"solver (held, ADMM, KKT solves p50/p95/max): {summary}"
+    row = (tmp_path / "e" / "report.txt").read_text().splitlines()[2]
+    assert row.startswith("mpc") and row.endswith(summary)
+
+
+def read_table(path):
+    """The rows of a report.txt table: name -> (the eight cells after the
+    name, the solver summary)."""
+    lines = path.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("Controller")) + 2
+    rows = {}
+    for line in lines[start:]:
+        cells = line.split(maxsplit=9)
+        rows[cells[0]] = (cells[1:9], cells[9] if len(cells) > 9 else "")
+    return rows
+
+
+def printed(row):
+    """A compare.csv or sweep.csv row as report.txt prints it."""
+    total = int(row["total_steps"])
+    cells = [*(f"{float(row[key]):.2f}" for key in ("mean", "std", "min", "max")),
+             f"{row['completed']}/{row['attempted']}",
+             f"{100.0 * int(row['teacher_steps']) / total:.3f}",
+             f"{float(row['mean_abs_lateral_error']):.4f}",
+             f"{float(row['steering_rate_rms']):.4f}"]
+    solver = "" if row["held_steps"] == "" else (
+        f"held {row['held_steps']}/{total} steps, ADMM {row['admm_fallbacks']}, KKT solves "
+        + "/".join(f"{float(row[key]):g}" for key in SOLVER_HEALTH[2:]))
+    return cells, solver
+
+
+def test_cli_reports_print_the_lap_rows_of_the_csvs(tmp_path):
+    """Every row of each report.txt of eval, sweep and compare prints lap
+    times, laps, teacher share, tracking error, steering smoothness and
+    solver health, as compare.csv or sweep.csv holds them."""
+    extra = ("controller:\n  type: mpc\n"
+             "compare:\n"
+             "  - name: teacher\n"
+             "    controller: {type: teacher}\n"
+             "  - name: mpc\n"
+             "    controller: {type: mpc}\n")
+    cfg = write_cli_config(tmp_path, extra)
+    for command in ("eval", "sweep", "compare"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+
+    compare = {row["controller"]: printed(row)
+               for row in csv.DictReader(open(tmp_path / "compare" / "compare.csv"))}
+    sweep = {row["controller"]: printed(row)
+             for row in csv.DictReader(open(tmp_path / "sweep" / "sweep.csv"))}
+    assert list(compare) == ["teacher", "mpc"] and list(sweep) == ["x0.90", "x1.00"]
+    assert compare["teacher"][0][5] == "100.000" and compare["mpc"][1].startswith("held ")
+    assert read_table(tmp_path / "compare" / "report.txt") == compare
+    assert read_table(tmp_path / "sweep" / "report.txt") == sweep
+    # eval runs the config's controller, which is compare's mpc entry and
+    # the sweep's x1.00.
+    assert read_table(tmp_path / "eval" / "report.txt") == {"mpc": compare["mpc"]}
+    assert sweep["x1.00"] == compare["mpc"]
 
 
 # ----------------------------------------------------------------------
@@ -494,6 +549,13 @@ def test_config_defaults_come_from_the_dataclasses():
     for loader in (rl.load_raceline, rl.load_raceline_file):
         default = inspect.signature(loader).parameters["half_width"].default
         assert default == cfg["track"]["half_width"]
+    # The eval section is the lap protocol's defaults, which the lap runner
+    # and the sweep take; every CLI sweep refines at 0.01.
+    laps_defaults = inspect.signature(run_laps).parameters
+    sweep_defaults = inspect.signature(sweep_multipliers).parameters
+    for key in ("laps", "max_lap_time"):
+        assert laps_defaults[key].default == sweep_defaults[key].default == cfg["eval"][key]
+    assert sweep_defaults["refine_step"].default == cfg["eval"]["refine_step"] == 0.01
 
 
 # ----------------------------------------------------------------------
@@ -516,9 +578,9 @@ def test_cli_eval_writes_outputs(tmp_path):
     assert code == 0
     for name in ("report.txt", "laps.csv", "trace.csv"):
         assert (out / name).exists()
-    report = (out / "report.txt").read_text()
-    assert "teacher mode" in report
-    assert report.splitlines()[-1] == "solver (held, ADMM, KKT solves p50/p95/max):"
+    row = (out / "report.txt").read_text().splitlines()[2].split()
+    assert row[0] == "teacher" and row[6] == "100.000"  # teacher share [%]
+    assert "held" not in row
 
 
 def test_cli_eval_missing_checkpoint_fails(tmp_path):
@@ -577,6 +639,8 @@ def test_cli_compare_rejects_a_repeated_name_before_any_lap(tmp_path, capsys):
     ("sweep", "controller: {type: adaptive, v_hi: 0.5}\n", "v_lo must be < v_hi"),
     ("eval", "controller: {type: adaptive, v_lo: .nan}\n", "v_lo must be < v_hi"),
     ("train", "reward: {speed: .nan}\n", "speed must be >= 0"),
+    ("eval", "controller: {type: fixed, lookahead: .nan}\n", "lookahead must not be NaN"),
+    ("sweep", "controller: {type: adaptive, gain: .nan}\n", "gain must not be NaN"),
     ("compare", "compare: {name: pp}\n", "config section compare must be a list"),
     ("compare", "compare:\n  - teacher\n  - fixed\n",
      "config entry compare[0] must be a mapping, not 'teacher'"),
@@ -600,6 +664,7 @@ def test_cli_compare_rejects_a_repeated_name_before_any_lap(tmp_path, capsys):
         "eval_key", "controller_key", "section_type", "train_mode_type",
         "eval_every_zero", "minibatch_zero", "negative_rate", "empty_grid",
         "reversed_band", "reversed_band_sweep", "nan_band", "nan_reward",
+        "nan_lookahead", "nan_gain",
         "compare_type", "compare_entry_type", "compare_entry_key", "compare_controller_key",
         "compare_controller_type", "compare_name_path", "compare_name_dotdot",
         "compare_name_empty", "compare_name_type", "compare_name_default_repeat"])
@@ -660,7 +725,7 @@ def test_cli_train_and_eval_checkpoint_roundtrip(tmp_path):
                      "--checkpoint", str(final)])
     assert code == 0
     report = (out2 / "report.txt").read_text()
-    assert "controller: rl" in report
+    assert report.splitlines()[2].split()[0] == "rl"
 
 
 def test_rl_controller_gain_constant_in_ld_only(tmp_path, oval_track):

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -145,3 +146,38 @@ def test_one_clipper_to_the_action_bounds():
     assert _package_scopes(_clips_to_action_bounds) == {
         "pure_pursuit.clip_params", "pure_pursuit.teacher_lookahead",
         "pure_pursuit.teacher_gain"}
+
+
+def _uses(tree):
+    """Yield every name that ``tree`` reads: a bare name, an attribute, or a
+    word of a string that is not a docstring (code that a subprocess runs)."""
+    docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in docstrings:
+            yield from re.findall(r"\w+", node.value)
+
+
+def test_every_public_name_has_a_use():
+    """Each module-level public function and class of the package is read
+    somewhere in src/, tests/ or bench/ outside its own definition."""
+    package = Path(pursuitlab.__file__).resolve().parent
+    root = package.parent.parent
+    uses = {}
+    for path in sorted(p for part in ("src", "tests", "bench")
+                       for p in (root / part).rglob("*.py")):
+        for name in _uses(ast.parse(path.read_text(encoding="utf-8"))):
+            uses[name] = uses.get(name, 0) + 1
+    unused = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_") \
+                    and uses.get(node.name, 0) == sum(1 for name in _uses(node)
+                                                       if name == node.name):
+                unused.append(f"{path.stem}.{node.name}")
+    assert unused == []

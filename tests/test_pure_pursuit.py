@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from pursuitlab import pure_pursuit as pp
 from pursuitlab import raceline as rl
@@ -187,8 +187,7 @@ def test_smoothed_params_stay_in_bounds():
 reals = st.floats(allow_nan=False)
 
 
-@example(math.nan, 0.8)
-@given(st.floats(), st.floats())
+@given(reals, reals)
 def test_joint_action_is_clipped_into_the_bounds(lookahead, gain):
     source = pp.ExternalSource("joint")
     params = source.publish([lookahead, gain], now=0.0)
@@ -206,6 +205,27 @@ def test_ld_only_action_passes_the_fixed_gain_through(lookahead, fixed_gain):
     # An in-range fixed gain passes as it is; an out-of-range one comes back
     # clipped, like a joint action's gain.
     assert params == pp.clip_params(lookahead, fixed_gain)
+
+
+@pytest.mark.parametrize("action, name", [((math.nan, 0.8), "lookahead"),
+                                          ((2.0, math.nan), "gain")],
+                         ids=["nan_lookahead", "nan_gain"])
+def test_publish_rejects_a_nan_action(action, name):
+    source = pp.ExternalSource("joint")
+    with pytest.raises(ValueError, match=f"^{name} must not be NaN$"):
+        source.publish(action, now=0.0)
+    assert source.last_params is None
+
+
+@pytest.mark.parametrize("build", [lambda: pp.FixedSource(math.nan, 0.8),
+                                   lambda: pp.FixedSource(2.0, math.nan),
+                                   lambda: pp.AdaptiveLinearSource(2.0, 8.0, math.nan),
+                                   lambda: pp.ExternalSource("ld_only", math.nan)],
+                         ids=["fixed_lookahead", "fixed_gain", "adaptive_gain",
+                              "external_fixed_gain"])
+def test_sources_reject_a_nan_constant_when_built(build):
+    with pytest.raises(ValueError, match="must not be NaN"):
+        build()
 
 
 def test_smoother_start_per_action_mode():
