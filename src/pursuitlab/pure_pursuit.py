@@ -63,7 +63,8 @@ def clip_params(lookahead, gain) -> PPParams:
         raise ValueError("lookahead must not be NaN")
     if gain != gain:
         raise ValueError("gain must not be NaN")
-    return PPParams(_clip(lookahead, *LOOKAHEAD_BOUNDS), _clip(gain, *GAIN_BOUNDS))
+    return PPParams(max(LOOKAHEAD_BOUNDS[0], min(LOOKAHEAD_BOUNDS[1], lookahead)),
+                    max(GAIN_BOUNDS[0], min(GAIN_BOUNDS[1], gain)))
 
 
 def smooth(previous: PPParams, raw: PPParams) -> PPParams:

@@ -6,15 +6,16 @@ controller in this package: Pure Pursuit walks it for lookahead targets,
 the curvature taps feed the learned policy's observation, and the MPC
 tracker samples it for its horizon reference.
 
-The two track queries, :func:`nearest_index` and :func:`locate`, take an
-optional hint ``near``: the waypoint index that the previous query of the
-same moving pose returned. Each query is one loop over a span of waypoints
-and segments: the window around the hint where the track's clearance
-proves the window's answer global, and the whole loop otherwise. The hint
-changes only the cost: every query returns the same index and lateral
-error, to the bit, with any hint or none.
+The track query :func:`locate` (:func:`nearest_index` is its index) takes
+an optional hint ``near``: the waypoint index that the previous query of
+the same moving pose returned. Each query is one loop over a span of
+waypoints and segments: the window around the hint where the track's
+clearance proves the window's answer global, and the whole loop otherwise.
+The hint changes only the cost: every query returns the same index and
+lateral error, to the bit, with any hint or none.
 
-Racelines are immutable after construction and safe to query concurrently.
+Racelines are immutable after construction but for :func:`locate`'s last
+answer, one tuple replaced whole, and are safe to query concurrently.
 """
 
 from __future__ import annotations
@@ -146,6 +147,7 @@ class Raceline:
         self._ring = (ring.tolist(), *(a[ring].tolist() for a in
                                        (x, y, dx, dy, seg_len2)))
         self._anchor_limit = _anchor_limits(x, y, dx, dy, seg_len2)
+        self._located = (math.nan,) * 4  # locate's last (px, py, index, lateral error)
 
         # Per-waypoint curvature previews, looked up by :func:`taps` and
         # :func:`local_curvature`. The windows wrap across the seam.
@@ -380,23 +382,8 @@ def _span(raceline: Raceline, px: float, py: float, near: int | None) -> tuple[i
 
 
 def nearest_index(raceline: Raceline, p, near: int | None = None) -> int:
-    """Index of the waypoint closest to position ``p``; ties take the smaller index.
-
-    ``near`` is an optional hint, the index that the previous query of this
-    pose returned; see :func:`locate`. The result does not depend on it. A
-    NaN or infinite position gets index 0.
-    """
-    px, py = float(p[0]), float(p[1])
-    start, end = _span(raceline, px, py, near)
-    ring, x, y = raceline._ring[:3]
-    best, index = math.inf, 0
-    for i, wx, wy in zip(ring[start:end], x[start:end], y[start:end]):
-        rx = px - wx
-        ry = py - wy
-        d2 = rx * rx + ry * ry
-        if d2 < best or d2 == best and i < index:
-            best, index = d2, i
-    return index
+    """Index of the waypoint closest to ``p``: :func:`locate`'s, hint and all."""
+    return locate(raceline, p, near)[0]
 
 
 def tangent_heading(raceline: Raceline, i: int) -> float:
@@ -464,11 +451,10 @@ def locate(raceline: Raceline, p, near: int | None = None) -> tuple[int, float]:
     """Nearest waypoint index and signed lateral error of position ``p``.
 
     The index is the waypoint closest to ``p`` (ties take the smaller
-    index, as in :func:`nearest_index`). The lateral error is the signed
-    perpendicular distance from ``p`` to the nearest raceline segment
-    (ties take the smaller segment index), positive on the left of the
-    local travel direction. Both come from one loop over the offsets of
-    ``p`` from the waypoints.
+    index). The lateral error is the signed perpendicular distance from
+    ``p`` to the nearest raceline segment (ties take the smaller segment
+    index), positive on the left of the local travel direction. Both come
+    from one loop over the offsets of ``p`` from the waypoints.
 
     ``near`` is an optional hint: the index that the previous query of this
     pose returned. With it the query walks downhill from ``near`` to an
@@ -480,10 +466,18 @@ def locate(raceline: Raceline, p, near: int | None = None) -> tuple[int, float]:
     every waypoint and segment. So the result never depends on ``near``;
     only the cost does.
 
+    A repeat query of the last finite position located (``==`` on both
+    coordinates) returns the stored answer and scans nothing: the answer
+    depends only on the position and the geometry, which
+    :func:`scale_speeds` copies share.
+
     A position with a NaN or infinite coordinate is nowhere on the track:
-    it gets index 0 and a NaN lateral error.
+    it gets index 0 and a NaN lateral error, and is not stored.
     """
     px, py = float(p[0]), float(p[1])
+    located_x, located_y, index, lateral = raceline._located
+    if px == located_x and py == located_y:
+        return index, lateral
     start, end = _span(raceline, px, py, near)
     if start == end:
         return 0, math.nan
@@ -507,7 +501,9 @@ def locate(raceline: Raceline, p, near: int | None = None) -> tuple[int, float]:
         d2 = ex * ex + ey * ey
         if d2 < best_seg or d2 == best_seg and i < k:
             best_seg, k, cross = d2, i, sx * ry - sy * rx
-    return index, (1.0 if cross >= 0.0 else -1.0) * math.sqrt(best_seg)
+    lateral = (1.0 if cross >= 0.0 else -1.0) * math.sqrt(best_seg)
+    raceline._located = (px, py, index, lateral)
+    return index, lateral
 
 
 def lateral_error(raceline: Raceline, p) -> float:

@@ -38,6 +38,21 @@ def track_queries(monkeypatch):
 
 
 @pytest.fixture
+def track_scans(monkeypatch):
+    """The hint of every track query that scans: one entry per ``_span``
+    call, which a query answered from the stored answer does not make."""
+    scans = []
+    span = rl._span
+
+    def spy(raceline, px, py, near):
+        scans.append(near)
+        return span(raceline, px, py, near)
+
+    monkeypatch.setattr(rl, "_span", spy)
+    return scans
+
+
+@pytest.fixture
 def full_scans(monkeypatch):
     """The hint of each track query that scans more than a window: the
     whole loop, or nothing for a NaN or infinite position."""

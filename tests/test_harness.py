@@ -129,8 +129,9 @@ def test_lap_timing_is_interpolated_and_positive():
     assert np.std(times[1:]) < 0.5
 
 
-@pytest.mark.parametrize("kind", ["fixed", "adaptive", "teacher", "rl", "starved_rl"])
-def test_run_laps_locates_each_pose_once_per_layer(kind, track_queries):
+@pytest.mark.parametrize("kind", ["fixed", "adaptive", "teacher", "rl", "starved_rl",
+                                  "mpc"])
+def test_run_laps_locates_each_pose_once_per_layer(kind, track_queries, track_scans):
     track = small_oval()
     if kind.endswith("rl"):
         source = PolicySource(untrained_bundle())
@@ -139,16 +140,29 @@ def test_run_laps_locates_each_pose_once_per_layer(kind, track_queries):
     else:
         controller = build_controller({"type": kind}, track, SIM)
     report = run_laps(controller, track, SIM, laps=1, max_lap_time=20.0)
-    # One scan by the controller for its own step, and one by the lap
-    # runner for the stepped pose, which also gives the only lateral error.
+    # The lap runner scans once for each stepped pose, which also gives the
+    # only lateral error. The controller's query of that pose at its next
+    # step (nearest_index, which is locate's index) gets the stored answer;
+    # only its first query of the attempt, at the start pose, scans.
     # The teacher schedule and the rl observation each read the taps once;
     # a starved slot falls back to the teacher, which reads them once.
-    assert report.total_steps > 0
-    taps_per_step = {"fixed": 0, "adaptive": 0, "teacher": 1, "rl": 1, "starved_rl": 1}[kind]
-    assert track_queries == {"nearest_index": report.total_steps,
-                             "locate": report.total_steps,
-                             "lateral_error": 0,
-                             "taps": taps_per_step * report.total_steps}
+    assert report.total_steps > 0 and report.attempted == 1
+    assert len(track_scans) == report.total_steps + 1
+    assert track_scans[0] is None
+    taps_per_step = {"fixed": 0, "adaptive": 0, "teacher": 1, "rl": 1, "starved_rl": 1,
+                     "mpc": 0}[kind]
+    assert (track_queries["lateral_error"], track_queries["taps"]) == (
+        0, taps_per_step * report.total_steps)
+
+
+def test_run_laps_scans_the_start_pose_once_per_attempt(track_scans):
+    track = small_oval()
+    report = run_laps(build_controller({"type": "teacher"}, track, SIM), track, SIM,
+                      laps=3, max_lap_time=1.0)
+    # Every lap times out, so each is its own attempt from the start line.
+    assert [lap.completed for lap in report.laps] == [False] * 3
+    assert len(track_scans) == report.total_steps + 3
+    assert track_scans.count(None) == 3
 
 
 @pytest.mark.parametrize("kind", ["teacher", "mpc"])

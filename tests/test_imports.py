@@ -130,6 +130,14 @@ def test_only_pose_owners_query_the_track():
         "controllers.PurePursuitAdapter.step", "mpc.MPCTracker.step"}
 
 
+def test_one_writer_of_the_stored_track_answer():
+    """Only locate reads or replaces the raceline's stored answer, which the
+    raceline sets up empty, so no other code can store a wrong one."""
+    assert _package_scopes(lambda node: isinstance(node, ast.Attribute)
+                           and node.attr == "_located") == {
+        "raceline.locate", "raceline.Raceline.__init__"}
+
+
 def _clips_to_action_bounds(node):
     """Whether ``node`` is a clip, min or max call that reads an action bound."""
     func = getattr(node, "func", None)

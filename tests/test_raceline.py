@@ -476,6 +476,11 @@ def lateral_error_formula(track, p):
     return sign * math.sqrt(float(d2[k]))
 
 
+def unqueried(track):
+    """A raceline built from ``track``'s arrays, with no stored answer."""
+    return rl.Raceline(track.x, track.y, track.kappa, track.v_base, track.half_width)
+
+
 def make_hairpin_csv(gap=0.1, spacing=0.25):
     """CSV content for a 6 x 4 m loop with a 3.5 m deep slot cut into its
     top side: the slot's two walls are ``gap`` apart, so positions in it lie
@@ -520,15 +525,15 @@ def test_locate_is_nearest_index_and_lateral_error(track, waypoint, along, offse
     heading = rl.tangent_heading(track, i)
     p = (track.x[i] + along * track.seg_len[i] * math.cos(heading) - offset * math.sin(heading),
          track.y[i] + along * track.seg_len[i] * math.sin(heading) + offset * math.cos(heading))
-    index, lateral_error = rl.locate(track, p)
-    assert index == rl.nearest_index(track, p)
-    assert lateral_error == lateral_error_formula(track, p)
-    assert rl.lateral_error(track, p) == lateral_error
-    # A hint near the pose or anywhere on the loop changes no bit of either.
     near = i + hint if -12 <= hint <= 12 else hint
-    assert rl.nearest_index(track, p, near=near) == index
-    hinted_index, hinted_error = rl.locate(track, p, near=near)
-    assert (hinted_index, hinted_error.hex()) == (index, lateral_error.hex())
+    index, lateral_error = rl.locate(track, p, near=near)
+    assert lateral_error == lateral_error_formula(track, p)
+    assert rl.nearest_index(track, p) == index
+    assert rl.lateral_error(track, p) == lateral_error
+    # A hint near the pose or anywhere on the loop changes no bit of either:
+    # the unhinted query runs on a raceline that has no stored answer.
+    unhinted_index, unhinted_error = rl.locate(unqueried(track), p)
+    assert (unhinted_index, unhinted_error.hex()) == (index, lateral_error.hex())
 
 
 def test_hinted_queries_near_the_line_scan_only_their_window(oval_track, full_scans):
@@ -554,14 +559,56 @@ def test_hinted_queries_between_close_corridors_match_the_full_scan(full_scans):
             expected[px, py] = (rl.nearest_index(track, (px, py)), rl.locate(track, (px, py)))
     full_scans.clear()
     served = []  # per hinted query: answered without a full scan
-    for p, (index, located) in expected.items():
-        for near in range(index - 2 * rl.NEAR_WINDOW, index + 2 * rl.NEAR_WINDOW + 1, 3):
-            for query, answer in ((rl.nearest_index, index), (rl.locate, located)):
-                scans = len(full_scans)
-                assert query(track, p, near=near) == answer
-                served.append(len(full_scans) == scans)
+    # Consecutive queries are of different positions, so each one scans.
+    for offset in range(-2 * rl.NEAR_WINDOW, 2 * rl.NEAR_WINDOW + 1, 3):
+        for p, (index, located) in expected.items():
+            scans = len(full_scans)
+            assert rl.locate(track, p, near=index + offset) == located
+            served.append(len(full_scans) == scans)
     # Near the slot's walls only the full scan can answer; elsewhere the window does.
     assert any(served) and not all(served)
+
+
+SPECIAL_COORDINATES = (0.0, -0.0, math.nan, math.inf, -math.inf)
+
+
+def one_step(args):
+    """A seen position as it was (axis None), or one float step towards
+    ``towards`` on ``axis``."""
+    p, axis, towards = args
+    return p if axis is None else tuple(math.nextafter(c, towards) if k == axis else c
+                                        for k, c in enumerate(p))
+
+
+@given(data=st.data())
+def test_stored_answers_match_a_fresh_unhinted_query(data):
+    track = rl.synthesize_track("oval", spacing=0.5)  # waypoint 0 sits at (0, 0)
+    tracks = (track, rl.scale_speeds(track, 1.3), rl.scale_speeds(track, 0.7))
+    fresh = {}  # position bits -> the answer on a raceline queried once, unhinted
+    on = st.integers(0, track.n - 1).map(lambda i: (float(track.x[i]), float(track.y[i])))
+    coordinate = st.one_of(st.sampled_from(SPECIAL_COORDINATES),
+                           st.sampled_from(track.x.tolist() + track.y.tolist()),
+                           st.floats(-15.0, 25.0))
+    hints = st.one_of(st.none(), st.integers(-2 * track.n, 2 * track.n))
+    seen = []
+    for _ in range(data.draw(st.integers(1, 30))):
+        positions = [on, st.tuples(coordinate, coordinate)]
+        if seen:
+            positions.append(st.tuples(st.sampled_from(seen), st.sampled_from((None, 0, 1)),
+                                       st.sampled_from((math.inf, -math.inf))).map(one_step))
+        p = data.draw(st.one_of(*positions))
+        seen.append(p)
+        which = data.draw(st.sampled_from(tracks))
+        near = data.draw(hints)
+        key = tuple(float(c).hex() for c in p)
+        if key not in fresh:
+            index, lateral_error = rl.locate(unqueried(track), p)
+            fresh[key] = (index, lateral_error.hex())
+        if data.draw(st.booleans()):
+            assert rl.nearest_index(which, p, near=near) == fresh[key][0]
+        else:
+            index, lateral_error = rl.locate(which, p, near=near)
+            assert (index, lateral_error.hex()) == fresh[key]
 
 
 @pytest.mark.filterwarnings("error")
