@@ -21,7 +21,7 @@ from .env import EnvConfig, RacingEnv, RewardWeights
 from .ppo import PPOConfig
 from .vehicle import SimConfig
 
-# train.<key> -> PPOConfig field. PPOConfig.hidden is not exposed.
+# train.<key> -> PPOConfig field.
 PPO_KEYS = {"steps": "total_steps", **{name: name for name in (
     "n_steps", "minibatch_size", "epochs", "gamma", "gae_lambda",
     "clip_epsilon", "target_kl", "entropy_coef", "value_coef",

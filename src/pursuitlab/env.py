@@ -13,14 +13,12 @@ run several independent instances for parallel collection.
 
 from __future__ import annotations
 
-import contextlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import raceline as rl
-from .files import trace_csv
 from .pure_pursuit import (DEFAULT_FIXED_GAIN, ExternalSource, PurePursuitController,
                            TEACHER_L_BASE, TEACHER_L_SPEED, teacher_gain, teacher_lookahead)
 from .vehicle import SimConfig, VehicleState, collision_check, control_step, wrap_angle
@@ -77,12 +75,6 @@ class RewardContext:
     teacher_gain: float
 
 
-# The env's own trace columns: the published (clipped) action, the reward
-# and the reward's inputs by name (``v`` is already in the trace's core).
-ENV_TRACE_COLUMNS = ("raw_lookahead", "raw_gain", "reward",
-                     *(f.name for f in fields(RewardContext) if f.name != "v"))
-
-
 def preshorten_ceiling(v: float) -> float:
     """Lookahead ceiling under which the pre-shortening bonus can fire."""
     return TEACHER_L_BASE + TEACHER_L_SPEED * v
@@ -118,7 +110,10 @@ def observe(state: VehicleState, preview: rl.CurvatureTaps) -> np.ndarray:
 class EnvConfig:
     # Long horizon: with a 5-feature observation the critic cannot see
     # episode phase, so frequent lap-count terminations put an invisible
-    # sawtooth in the returns and stall learning. The step cap binds.
+    # sawtooth in the returns and stall learning. Which cap ends an episode
+    # depends on the track: under the teacher, transfer_train.yaml's oval
+    # (x1.6, 155 waypoints) ends at the lap cap at step 3255, smoke_train.yaml's
+    # (x1.3, 238 waypoints) at the step cap after 34.3 laps.
     laps: int = 50
     max_steps: int = 6000
     spawn_lateral_jitter: float = 0.1
@@ -136,17 +131,11 @@ class EnvConfig:
 
 
 class RacingEnv:
-    """Gym-style episodic wrapper around raceline + Pure Pursuit + simulator.
-
-    ``trace_path`` optionally receives one ``files.trace_csv`` row per
-    step, with :data:`ENV_TRACE_COLUMNS` as the env's own, for reward
-    debugging; the file appears at :meth:`close`.
-    """
+    """Gym-style episodic wrapper around raceline + Pure Pursuit + simulator."""
 
     def __init__(self, raceline: rl.Raceline, sim_config: SimConfig = SimConfig(),
                  weights: RewardWeights = RewardWeights(),
-                 env_config: EnvConfig = EnvConfig(), seed: int = 0,
-                 trace_path=None):
+                 env_config: EnvConfig = EnvConfig(), seed: int = 0):
         self.raceline = raceline
         self.sim_config = sim_config
         self.weights = weights
@@ -154,14 +143,7 @@ class RacingEnv:
         self.rng = np.random.default_rng(seed)
         self.source = ExternalSource(env_config.action_mode, env_config.fixed_gain)
         self.controller = PurePursuitController(raceline, self.source)
-        self._trace = contextlib.ExitStack()
-        self._trace_row = None if trace_path is None else \
-            self._trace.enter_context(trace_csv(trace_path, ENV_TRACE_COLUMNS))
         self._done = True
-
-    def close(self):
-        """Publish the trace file, if any; a second call does nothing."""
-        self._trace.close()
 
     @property
     def observation_dim(self) -> int:
@@ -201,7 +183,8 @@ class RacingEnv:
         return observe(self.state, rl.taps(track, self.prev_index))
 
     def step(self, action):
-        """Returns (observation, reward, done, info)."""
+        """Returns (observation, reward, done, info); ``info`` carries the
+        published action, the applied command and the reward's inputs."""
         if self._done:
             raise RuntimeError("step() called on a finished episode; call reset()")
         track = self.raceline
@@ -238,12 +221,6 @@ class RacingEnv:
         )
         reward = compute_reward(ctx, self.weights)
         obs = observe(self.state, preview)
-        if self._trace_row is not None:
-            self._trace_row(
-                self.step_count, self.step_count * self.sim_config.dt_control,
-                index, self.state, result.command, lateral_error, result.mode,
-                raw_lookahead=raw.lookahead, raw_gain=raw.gain, reward=reward,
-                **{name: value for name, value in vars(ctx).items() if name != "v"})
         self.prev_params = result.params
 
         laps_complete = self.total_progress >= self.config.laps * track.n
@@ -256,6 +233,7 @@ class RacingEnv:
             "laps_complete": laps_complete,
             "params": result.params,
             "raw_params": raw,
+            "command": result.command,
             "mode": result.mode,
             "lateral_error": lateral_error,
             "progress": progress,

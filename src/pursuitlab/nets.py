@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 LOG_STD_INIT = math.log(0.5)
+HIDDEN = (64, 64)  # hidden-layer widths of the policy's mean net and the value net
 LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -101,7 +102,7 @@ class GaussianPolicy:
     """
 
     def __init__(self, obs_dim: int, act_dim: int, rng: np.random.Generator,
-                 hidden=(64, 64), mean_bias=None):
+                 hidden=HIDDEN, mean_bias=None):
         self.obs_dim = obs_dim
         self.act_dim = act_dim
         self.mean_net = DenseNet((obs_dim, *hidden, act_dim), rng,

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .files import atomic_open
-from .nets import Adam, DenseNet, GaussianPolicy, clip_gradients
+from .nets import HIDDEN, Adam, DenseNet, GaussianPolicy, clip_gradients
 from .pure_pursuit import GAIN_BOUNDS, LOOKAHEAD_BOUNDS
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -58,7 +58,6 @@ class PPOConfig:
     eval_every: int = 5000
     checkpoint_every: int = 25000
     n_envs: int = 1
-    hidden: tuple = (64, 64)
 
     def __post_init__(self):
         if self.lr_schedule not in ("linear", "cosine"):
@@ -670,10 +669,8 @@ class PPOTrainer:
         mean_bias = [0.5 * (LOOKAHEAD_BOUNDS[0] + LOOKAHEAD_BOUNDS[1])]
         if act_dim == 2:
             mean_bias.append(0.5 * (GAIN_BOUNDS[0] + GAIN_BOUNDS[1]))
-        self.policy = GaussianPolicy(obs_dim, act_dim, self.rng,
-                                     hidden=config.hidden, mean_bias=mean_bias)
-        self.value_net = DenseNet((obs_dim, *config.hidden, 1), self.rng,
-                                  final_gain=1.0)
+        self.policy = GaussianPolicy(obs_dim, act_dim, self.rng, mean_bias=mean_bias)
+        self.value_net = DenseNet((obs_dim, *HIDDEN, 1), self.rng, final_gain=1.0)
         self.optimizer = Adam(self.policy.params + self.value_net.params)
         self.obs_norm = RunningNormalizer(obs_dim)
         self.ret_norm = ReturnNormalizer(config.gamma, config.n_envs)

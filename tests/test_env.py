@@ -11,7 +11,7 @@ from pursuitlab.env import (EnvConfig, RacingEnv, RewardContext, RewardWeights,
 from pursuitlab.nets import DenseNet, GaussianPolicy
 from pursuitlab.ppo import PolicyBundle, RunningNormalizer
 from pursuitlab.pure_pursuit import GAIN_BOUNDS, teacher_gain, teacher_lookahead
-from pursuitlab.vehicle import VehicleState
+from pursuitlab.vehicle import VehicleState, control_step
 
 
 def reward_oracle(ctx: RewardContext, w: RewardWeights) -> float:
@@ -439,8 +439,8 @@ def test_controller_index_is_the_nearest_waypoint_of_the_state(oval_track):
     assert any(b < a for a, b in zip(indices[:20], indices[1:21]))  # seam crossed
 
 
-def test_env_step_locates_the_new_pose_once(tmp_path, oval_track, track_queries):
-    env = RacingEnv(oval_track, seed=2, trace_path=tmp_path / "trace.csv")
+def test_env_step_locates_the_new_pose_once(oval_track, track_queries):
+    env = RacingEnv(oval_track, seed=2)
     obs = env.reset(seed=2)
     for _ in range(40):
         track_queries.update(nearest_index=0, locate=0, lateral_error=0, taps=0)
@@ -450,48 +450,28 @@ def test_env_step_locates_the_new_pose_once(tmp_path, oval_track, track_queries)
                                  "taps": 1}
         if done:
             obs = env.reset()
-    env.close()
 
 
-def test_training_trace_csv(tmp_path, oval_track):
-    import csv
-    path = tmp_path / "train_trace.csv"
-    env = RacingEnv(oval_track, seed=0, trace_path=path)
+def _state_bytes(state):
+    return struct.pack("<4d", state.x, state.y, state.theta, state.v)
+
+
+def test_step_return_carries_the_reward_observation_and_command(oval_track):
+    """The reward follows from info's reward context, the observation from
+    the state and its waypoint, and the state from the previous one under
+    info's command, each to the bit, across episode ends."""
+    env = RacingEnv(oval_track, env_config=EnvConfig(max_steps=10), seed=0)
     obs = env.reset(seed=0)
-    observed = []
-    for _ in range(25):
-        obs, _, done, _ = env.step(teacher_action(obs))
-        observed.append(obs)
+    resets = 0
+    for _ in range(30):
+        state, prev_delta = env.state, env.prev_delta
+        obs, r, done, info = env.step(teacher_action(obs))
+        assert struct.pack("<d", r) == struct.pack(
+            "<d", compute_reward(info["reward_context"], env.weights))
+        assert obs.tobytes() == observe(env.state, rl.taps(oval_track, env.prev_index)).tobytes()
+        assert _state_bytes(env.state) == _state_bytes(
+            control_step(state, info["command"], prev_delta, env.sim_config)[0])
         if done:
             obs = env.reset()
-    env.close()
-    rows = list(csv.DictReader(open(path)))
-    assert len(rows) == 25
-    assert {"raw_lookahead", "lookahead", "reward", "collision", "mode"} \
-        <= set(rows[0].keys())
-    # The observation and the reward follow from the row and the raceline.
-    kinds = {"progress": int, "collision": lambda s: bool(int(s)),
-             "slow": lambda s: bool(int(s))}
-    for row, obs in zip(rows, observed):
-        preview = rl.taps(oval_track, int(row["index"]))
-        assert observe(VehicleState(0.0, 0.0, 0.0, float(row["v"])), preview).tolist() \
-            == obs.tolist()
-        ctx = RewardContext(**{name: kinds.get(name, float)(row[name])
-                               for name in RewardContext.__dataclass_fields__})
-        assert compute_reward(ctx, env.weights) == float(row["reward"])
-
-
-def test_training_trace_appears_whole_at_close(tmp_path, oval_track):
-    path = tmp_path / "trace.csv"
-    env = RacingEnv(oval_track, seed=0, trace_path=path)
-    obs = env.reset(seed=0)
-    for _ in range(10):
-        obs, _, done, _ = env.step(teacher_action(obs))
-        if done:
-            obs = env.reset()
-    assert not path.exists()
-    env.close()
-    assert list(tmp_path.iterdir()) == [path]
-    assert len(path.read_text().splitlines()) == 1 + 10  # header, one row per step
-    env.close()
-    assert list(tmp_path.iterdir()) == [path]
+            resets += 1
+    assert resets == 3

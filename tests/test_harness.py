@@ -12,7 +12,7 @@ from pursuitlab.config import (DEFAULTS, build_ppo_config, build_reward_weights,
 from pursuitlab.controllers import (DEFAULT_FIXED_GAIN, SPEC_DEFAULTS, ControllerOutput,
                                     PolicySource, PurePursuitAdapter,
                                     build_controller)
-from pursuitlab.env import RacingEnv, RewardWeights
+from pursuitlab.env import RewardWeights
 from pursuitlab.mpc import MPCStepInfo, MPCTracker
 from pursuitlab.evaluation import (SOLVER_COLUMNS, SOLVER_HEALTH, LapReport,
                                    format_comparison, run_laps, sweep_multipliers,
@@ -209,34 +209,25 @@ def test_run_continues_after_collision_reset():
     assert report.completed >= 1  # finishes remaining laps after the reset
 
 
-@pytest.mark.parametrize("owner", ["fixed", "adaptive", "teacher", "rl", "mpc", "env"])
+@pytest.mark.parametrize("owner", ["fixed", "adaptive", "teacher", "rl", "mpc"])
 def test_every_trace_begins_with_the_shared_core(owner, tmp_path):
-    """The lap runner's trace for each controller and the training env's
-    trace share one format: the core columns, then the owner's own."""
+    """The lap runner's trace for each controller has one format: the core
+    columns, then the runner's own."""
     track = heldout_rect()
     path = tmp_path / "trace.csv"
-    if owner == "env":
-        env = RacingEnv(track, SIM, seed=0, trace_path=path)
-        env.reset(seed=0)
-        steps = 60
-        for _ in range(steps):
-            if env.step(np.array([1.5, 0.6]))[2]:
-                env.reset()
-        env.close()
-    else:
-        controller = PurePursuitAdapter(track, PolicySource(untrained_bundle())) \
-            if owner == "rl" else build_controller({"type": owner}, track, SIM)
-        steps = run_laps(controller, track, SIM, laps=1, max_lap_time=3.0,
-                         trace_path=path).total_steps
+    controller = PurePursuitAdapter(track, PolicySource(untrained_bundle())) \
+        if owner == "rl" else build_controller({"type": owner}, track, SIM)
+    steps = run_laps(controller, track, SIM, laps=1, max_lap_time=3.0,
+                     trace_path=path).total_steps
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         header, rows = reader.fieldnames, list(reader)
     assert tuple(header[:len(TRACE_CORE)]) == TRACE_CORE
     assert len(set(header)) == len(header)
-    assert len(rows) == steps  # one row per control step or env step
+    assert len(rows) == steps  # one row per control step
     if owner == "mpc":
         assert {(row["solver"], row["converged"]) for row in rows} == {("active_set", "1")}
-    elif owner != "env":
+    else:
         assert {row[name] for row in rows for name in SOLVER_COLUMNS} == {""}
 
 

@@ -99,6 +99,16 @@ def test_per_step_traces_have_one_writer():
                       "ppo.PPOTrainer.write_metrics"}
 
 
+def test_only_the_lap_runner_writes_a_per_step_trace():
+    """The training env returns each step's values from step() instead of
+    writing them; the lap runner's trace is the one per-step file."""
+    def matches(node):
+        func = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and "trace_csv" in (
+            getattr(func, "id", None), getattr(func, "attr", None))
+    assert _package_scopes(matches) == {"evaluation.run_laps"}
+
+
 def _unhinted_track_queries(tree):
     """Yield the line of every ``rl.locate`` or ``rl.nearest_index`` call in
     ``tree`` that passes no ``near`` hint, by keyword or third argument."""
