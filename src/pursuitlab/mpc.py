@@ -25,10 +25,17 @@ Both solvers read those rows: the QP poses them to ADMM with ``l = -inf``,
 so the active-set multipliers are ADMM's ``y``. Once per raceline and
 wheelbase, a table holds each waypoint's (x, y, v_max) and feedforward
 steering ``arctan(L kappa)``; the raceline holds each waypoint's tangent
-heading. A step gathers its horizon from those tables
-(:func:`build_reference`), computes the A/B/c entries of every knot on
-floats in one call (:func:`linearize`), and condenses them into the QP's
-cost by a forward recursion over the knots (:func:`assemble_qp`).
+heading. A horizon depends on the state only through its start waypoint
+and its advance, the waypoints it steps per knot, so its state-free half
+is condensed once per (start waypoint, advance) and kept in a memo per
+raceline and config (:func:`mpc_qp`): the horizon gathered from those
+tables (:func:`build_reference`), the A/B/c entries of every knot computed
+on floats in one call (:func:`linearize`), and the lift of the controls
+onto the states and the QP's Hessian, by a forward recursion over the
+knots (:func:`assemble_qp`). A lap revisits its horizons, so most steps
+find theirs in the memo. Each step then rolls the current state forward
+through the knots' A and c and poses its own QP
+(:meth:`CondensedHorizon.qp`).
 
 MPC state order is (x, y, v, psi) and control order is (a, delta).
 """
@@ -162,6 +169,13 @@ def _unwrap(angles: list) -> list:
     return unwrapped
 
 
+def _advance(raceline: rl.Raceline, state: VehicleState, config: MPCConfig) -> int:
+    """Waypoints between consecutive knots: the distance covered in ``dt``
+    at the state's speed, floored at ``v_floor``, and at least one."""
+    v_ref = max(state.v, config.v_floor)
+    return max(int(round(v_ref * config.dt / raceline.mean_spacing)), 1)
+
+
 def build_reference(raceline: rl.Raceline, state: VehicleState, index: int,
                     config: MPCConfig) -> HorizonReference:
     """Sample the horizon by advancing waypoints proportional to speed.
@@ -169,8 +183,7 @@ def build_reference(raceline: rl.Raceline, state: VehicleState, index: int,
     The horizon starts at ``index``, the waypoint nearest the state.
     """
     xyv, steering = _waypoint_table(raceline, config.plant.wheelbase)
-    v_ref = max(state.v, config.v_floor)
-    advance = max(int(round(v_ref * config.dt / raceline.mean_spacing)), 1)
+    advance = _advance(raceline, state, config)
     indices = (index + advance * np.arange(config.horizon + 1)) % raceline.n
 
     states = np.empty((config.horizon + 1, NX))
@@ -226,43 +239,78 @@ def linearize(states, controls, wheelbase: float, dt: float):
             np.array(c_entries).reshape(-1, NX))
 
 
-def assemble_qp(reference: HorizonReference, linearization, state: VehicleState,
-                config: MPCConfig) -> QPProblem:
-    """The step's QP over the controls u = [u_0 .. u_{T-1}].
+@dataclass(frozen=True)
+class CondensedHorizon:
+    """The state-free half of one horizon's QP; every array is read-only.
+
+    ``reference`` holds the horizon's reference states, ``a_blocks`` and
+    ``c_blocks`` the A and c of each knot, ``weighted`` the state weights
+    times the lift S of the controls onto the stacked states, and ``P``
+    the whole Hessian: the tracking cost plus the template's effort and
+    rate cost.
+    """
+
+    reference: np.ndarray  # (horizon+1, 4)
+    a_blocks: np.ndarray  # (horizon, 4, 4)
+    c_blocks: np.ndarray  # (horizon, 4)
+    weighted: np.ndarray  # (4 (horizon+1), 2 horizon)
+    P: np.ndarray
+    template: QPTemplate
+
+    def qp(self, state: VehicleState) -> QPProblem:
+        """The QP from ``state``: its states x_k = S_k u + o_k, with o_0 the
+        state and o_{k+1} = A_k o_k + c_k, give the gradient
+        g = 2 sum_k S_k' W_k (o_k - r_k). The rows ``A = C`` and the bounds
+        ``u = h`` are the template's read-only arrays, with ``l = -inf``;
+        ``P``, ``q`` and ``l`` are the step's own.
+        """
+        a_blocks, c_blocks = self.a_blocks, self.c_blocks
+        offset = np.empty_like(self.reference)
+        # Current-state psi expressed in the reference's unwrap branch.
+        psi_ref = float(self.reference[0, 3])
+        offset[0] = (state.x, state.y, state.v, psi_ref + wrap_angle(state.theta - psi_ref))
+        for k in range(len(a_blocks)):
+            offset[k + 1] = a_blocks[k] @ offset[k] + c_blocks[k]
+        template = self.template
+        return QPProblem(self.P.copy(),
+                         2.0 * (self.weighted.T @ (offset.ravel() - self.reference.ravel())),
+                         template.C, np.full_like(template.h, -np.inf), template.h)
+
+
+def assemble_qp(reference: HorizonReference, linearization,
+                config: MPCConfig) -> CondensedHorizon:
+    """Condense the horizon's QP over the controls u = [u_0 .. u_{T-1}].
 
     The states follow from the current state and ``linearization`` =
     stacked (A, B, c) from :func:`linearize` by the forward recursion
-    x_k = S_k u + o_k, with S_0 = 0, o_0 the current state,
-    S_{k+1} = A_k S_k + B_k E_k (E_k picks u_k out of u) and
-    o_{k+1} = A_k o_k + c_k. The tracking cost sum_k (x_k - r_k)' W_k (x_k - r_k)
-    then adds H = 2 sum_k S_k' W_k S_k to the template's effort and rate
-    cost, and g = 2 sum_k S_k' W_k (o_k - r_k). The rows ``A = C`` and the
-    bounds ``u = h`` are the template's read-only arrays, with ``l = -inf``;
-    ``P``, ``q`` and ``l`` are the step's own.
+    x_k = S_k u + o_k, with S_0 = 0, S_{k+1} = A_k S_k + B_k E_k (E_k picks
+    u_k out of u), and offsets o_k that :meth:`CondensedHorizon.qp` rolls
+    forward from the state. The tracking cost
+    sum_k (x_k - r_k)' W_k (x_k - r_k) then adds H = 2 sum_k S_k' W_k S_k
+    to the template's effort and rate cost; no state enters H.
     """
     horizon = config.horizon
-    a_blocks, b_blocks, offsets = linearization
-    if not (len(a_blocks) == len(b_blocks) == len(offsets) == horizon):
+    a_blocks, b_blocks, c_blocks = linearization
+    if not (len(a_blocks) == len(b_blocks) == len(c_blocks) == horizon):
         raise ValueError("need one linearization per horizon step")
     if reference.states.shape != (horizon + 1, NX):
         raise ValueError("reference length must be horizon + 1")
     template = qp_template(config)
 
     lift = np.zeros((horizon + 1, NX, NU * horizon))
-    offset = np.empty((horizon + 1, NX))
-    # Current-state psi expressed in the reference's unwrap branch.
-    psi_ref = float(reference.states[0, 3])
-    offset[0] = (state.x, state.y, state.v, psi_ref + wrap_angle(state.theta - psi_ref))
     for k in range(horizon):
         lift[k + 1] = a_blocks[k] @ lift[k]
         lift[k + 1, :, NU * k:NU * (k + 1)] = b_blocks[k]
-        offset[k + 1] = a_blocks[k] @ offset[k] + offsets[k]
     lift = lift.reshape(-1, NU * horizon)
     weighted = template.state_weights[:, None] * lift
     tracking = lift.T @ weighted
-    return QPProblem(tracking + tracking.T + template.P,
-                     2.0 * (weighted.T @ (offset.ravel() - reference.states.ravel())),
-                     template.C, np.full_like(template.h, -np.inf), template.h)
+    condensed = CondensedHorizon(np.array(reference.states, dtype=float),
+                                 np.array(a_blocks, dtype=float),
+                                 np.array(c_blocks, dtype=float), weighted,
+                                 tracking + tracking.T + template.P, template)
+    for name in ("reference", "a_blocks", "c_blocks", "weighted", "P"):
+        getattr(condensed, name).setflags(write=False)
+    return condensed
 
 
 @dataclass
@@ -350,13 +398,36 @@ def solve_qp(qp: QPProblem, config: MPCConfig, warm=(None, None)) -> MPCStepInfo
                        kkt_solves=kkt_solves, solution_x=fallback.x, solution_y=fallback.y)
 
 
+@functools.lru_cache(maxsize=8)
+def _horizon_memo(raceline: rl.Raceline, config: MPCConfig) -> dict:
+    """(start waypoint, advance) -> :class:`CondensedHorizon` for one
+    raceline and config; :func:`_condensed_horizon` fills it."""
+    return {}
+
+
+def _condensed_horizon(raceline: rl.Raceline, state: VehicleState, index: int,
+                       config: MPCConfig) -> CondensedHorizon:
+    """The memo's entry for the state's horizon, condensed on first use."""
+    memo = _horizon_memo(raceline, config)
+    key = (index, _advance(raceline, state, config))
+    condensed = memo.get(key)
+    if condensed is None:
+        reference = build_reference(raceline, state, index, config)
+        condensed = memo[key] = assemble_qp(
+            reference, linearize(reference.states, reference.controls,
+                                 config.plant.wheelbase, config.dt), config)
+    return condensed
+
+
 def mpc_qp(raceline: rl.Raceline, state: VehicleState, index: int,
            config: MPCConfig) -> QPProblem:
-    """The step's QP; ``index`` as in :func:`build_reference`."""
-    reference = build_reference(raceline, state, index, config)
-    linearization = linearize(reference.states, reference.controls,
-                              config.plant.wheelbase, config.dt)
-    return assemble_qp(reference, linearization, state, config)
+    """The step's QP; ``index`` as in :func:`build_reference`.
+
+    Equal to ``assemble_qp(reference, linearize(...), config).qp(state)``
+    of the state's :func:`build_reference`, byte for byte, with the
+    state-free half memoized per (raceline, config, index, advance).
+    """
+    return _condensed_horizon(raceline, state, index, config).qp(state)
 
 
 def mpc_step(raceline: rl.Raceline, state: VehicleState, index: int,

@@ -25,7 +25,7 @@ from pursuitlab.config import (build_env_factory, build_ppo_config,
                                build_sim_config, build_track, load_config)
 from pursuitlab.controllers import PolicySource, PurePursuitAdapter, build_controller
 from pursuitlab.evaluation import run_laps
-from pursuitlab.nets import DenseNet, GaussianPolicy
+from pursuitlab.nets import HIDDEN, DenseNet, GaussianPolicy
 from pursuitlab.ppo import PolicyBundle, PPOTrainer, RunningNormalizer
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -106,7 +106,7 @@ def state_digest(trainer: PPOTrainer) -> str:
 def untrained_bundle() -> PolicyBundle:
     rng = np.random.default_rng(3)
     return PolicyBundle(GaussianPolicy(5, 2, rng, mean_bias=[2.175, 0.8]),
-                        DenseNet((5, 64, 64, 1), rng, final_gain=1.0),
+                        DenseNet((5, *HIDDEN, 1), rng, final_gain=1.0),
                         RunningNormalizer(5),
                         {"action_mode": "joint", "fixed_gain": 0.6})
 

@@ -18,7 +18,7 @@ from pursuitlab.evaluation import (SOLVER_COLUMNS, SOLVER_HEALTH, LapReport,
                                    format_comparison, run_laps, sweep_multipliers,
                                    write_comparison_csv, write_laps_csv)
 from pursuitlab.files import TRACE_CORE
-from pursuitlab.nets import DenseNet, GaussianPolicy
+from pursuitlab.nets import HIDDEN, DenseNet, GaussianPolicy
 from pursuitlab.ppo import (PolicyBundle, PPOConfig, ReturnNormalizer, RunningNormalizer,
                             save_checkpoint)
 from pursuitlab.pure_pursuit import DEFAULT_FIXED_LOOKAHEAD, TeacherSource
@@ -47,7 +47,7 @@ def write_checkpoint(path, act_dim, meta):
     """An untrained checkpoint whose policy acts in ``act_dim`` dimensions."""
     rng = np.random.default_rng(6)
     policy = GaussianPolicy(5, act_dim, rng, mean_bias=[1.8, 0.7][:act_dim])
-    save_checkpoint(path, policy, DenseNet((5, 64, 64, 1), rng, final_gain=1.0),
+    save_checkpoint(path, policy, DenseNet((5, *HIDDEN, 1), rng, final_gain=1.0),
                     RunningNormalizer(5), ReturnNormalizer(0.99, 1), meta)
     return str(path)
 

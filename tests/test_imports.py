@@ -148,6 +148,20 @@ def test_one_writer_of_the_stored_track_answer():
         "raceline.locate", "raceline.Raceline.__init__"}
 
 
+def _calls(name):
+    """Whether a node is a call of the bare name ``name``."""
+    return lambda node: isinstance(node, ast.Call) \
+        and getattr(node.func, "id", None) == name
+
+
+def test_one_writer_of_the_horizon_memo():
+    """Only the fill function reaches the MPC's memo of condensed horizons,
+    so no other code can store an entry under a wrong key; and no cache keys
+    on ``id()``, which a later object can reuse."""
+    assert _package_scopes(_calls("_horizon_memo")) == {"mpc._condensed_horizon"}
+    assert _package_scopes(_calls("id")) == set()
+
+
 def _clips_to_action_bounds(node):
     """Whether ``node`` is a clip, min or max call that reads an action bound."""
     func = getattr(node, "func", None)

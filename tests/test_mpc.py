@@ -173,7 +173,7 @@ def test_assemble_decision_dimension_horizon_one():
     config = MPCConfig(horizon=1)
     state = VehicleState(float(track.x[0]), float(track.y[0]), 0.0, 2.5)
     ref, lins = one_step_problem(track, state, config)
-    qp = assemble_qp(ref, lins, state, config)
+    qp = assemble_qp(ref, lins, config).qp(state)
     assert qp.n == NU * 1  # the controls alone
 
 
@@ -182,7 +182,7 @@ def test_assemble_rate_row_count():
     config = MPCConfig(horizon=8)
     state = VehicleState(float(track.x[0]), float(track.y[0]), 0.0, 2.5)
     ref, lins = one_step_problem(track, state, config)
-    qp = assemble_qp(ref, lins, state, config)
+    qp = assemble_qp(ref, lins, config).qp(state)
     m_box = 2 * NU * config.horizon  # an upper and a lower row per control
     assert qp.m - m_box == 2 * (config.horizon - 1)
 
@@ -192,7 +192,7 @@ def test_assemble_zero_state_weights_give_zero_controls():
     config = MPCConfig(state_weights=(0, 0, 0, 0), terminal_weights=(0, 0, 0, 0))
     state = VehicleState(float(track.x[2]), float(track.y[2]), 0.0, 2.5)
     ref, lins = one_step_problem(track, state, config)
-    qp = assemble_qp(ref, lins, state, config)
+    qp = assemble_qp(ref, lins, config).qp(state)
     result = admm_solve(qp)
     assert result.converged
     np.testing.assert_allclose(result.x, 0.0, atol=1e-5)
@@ -204,7 +204,7 @@ def test_assemble_rejects_wrong_linearization_count():
     state = VehicleState(float(track.x[0]), float(track.y[0]), 0.0, 2.5)
     ref, lins = one_step_problem(track, state, config)
     with pytest.raises(ValueError):
-        assemble_qp(ref, tuple(blocks[:-1] for blocks in lins), state, config)
+        assemble_qp(ref, tuple(blocks[:-1] for blocks in lins), config)
 
 
 weights = st.tuples(*[st.floats(0.0, 50.0)] * NX)
@@ -245,7 +245,8 @@ def test_assemble_qp_matches_the_mpc_cost_and_constraints(
     lins = [(rng.standard_normal((NX, NX)), rng.standard_normal((NX, NU)),
              rng.standard_normal(NX)) for _ in range(horizon)]
     state = VehicleState(*rng.uniform(-5.0, 5.0, 4))
-    qp = assemble_qp(ref, tuple(np.array(blocks) for blocks in zip(*lins)), state, config)
+    qp = assemble_qp(ref, tuple(np.array(blocks) for blocks in zip(*lins)),
+                     config).qp(state)
 
     u = rng.uniform(-5.0, 5.0, qp.n)
     psi0 = ref.states[0, 3] + wrap_angle(state.theta - ref.states[0, 3])
@@ -444,7 +445,7 @@ def test_qp_chain_matches_the_per_knot_oracle_bytes(
                          rl.tangent_heading(track, i) + heading_error, speed)
     reference = build_reference(track, state, rl.nearest_index(track, state.position), config)
     qp = assemble_qp(reference, linearize(reference.states, reference.controls,
-                                          config.plant.wheelbase, config.dt), state, config)
+                                          config.plant.wheelbase, config.dt), config).qp(state)
     states, expected = oracle_qp(track, state, config)
     assert reference.states.tobytes() == states.tobytes()
     assert_eliminates_the_oracle_states(qp, expected, np.random.default_rng(0))
@@ -507,13 +508,66 @@ def test_template_is_keyed_on_the_whole_config(change, field):
                                             np.random.default_rng(2))
 
 
+@functools.lru_cache(maxsize=None)
+def memo_tracks():
+    """The held-out rectangle, its x1.6 copy and the uniform oval, each one
+    object for the whole session, so that examples meet each other's entries."""
+    rect = heldout_rect()
+    return {"heldout": rect, "heldout_x1.6": rl.scale_speeds(rect, 1.6),
+            "oval": uniform_speed_oval()}
+
+
+def cold_qp(track, state, index, config):
+    reference = build_reference(track, state, index, config)
+    return assemble_qp(reference, linearize(reference.states, reference.controls,
+                                            config.plant.wheelbase, config.dt),
+                       config).qp(state)
+
+
+pose = st.tuples(st.sampled_from(["heldout", "heldout_x1.6", "oval"]),
+                 st.integers(0, 7),                           # eighth of the loop
+                 st.tuples(*[st.floats(-0.3, 0.3)] * 2),      # offset from it
+                 st.floats(-0.5, 0.5),                        # heading error
+                 st.floats(0.0, 9.0),                         # speed
+                 st.one_of(st.none(), st.integers(0, 300)))   # hint
+
+
+@settings(max_examples=60, deadline=None)
+@given(poses=st.lists(pose, min_size=1, max_size=12),
+       config=st.sampled_from([MPCConfig(), MPCConfig(horizon=3)]))
+def test_memoized_qps_equal_cold_builds_bytes(poses, config):
+    """Each mpc_qp equals, byte for byte, the QP built cold from
+    build_reference -> linearize -> assemble_qp, whether the state-free half
+    is condensed by that call or found in the memo; a second state on the
+    same waypoint and speed always finds it."""
+    tracks = memo_tracks()
+    for name, eighth, offset, heading_error, speed, hint in poses:
+        track = tracks[name]
+        i = eighth * track.n // 8
+        state = VehicleState(float(track.x[i]) + offset[0], float(track.y[i]) + offset[1],
+                             rl.tangent_heading(track, i) + heading_error, speed)
+        index = rl.nearest_index(track, state.position,
+                                 near=None if hint is None else hint % track.n)
+        other = VehicleState(state.x - offset[1], state.y + offset[0],
+                             state.theta - heading_error, speed)
+        for s in (state, other):
+            assert qp_bytes(mpc_qp(track, s, index, config)) \
+                == qp_bytes(cold_qp(track, s, index, config))
+    # The scaled copy's v_max, so its A, differs: it never reads the source's entries.
+    rect, scaled = tracks["heldout"], tracks["heldout_x1.6"]
+    assert mpc._horizon_memo(rect, config) is not mpc._horizon_memo(scaled, config)
+    for key, entry in mpc._horizon_memo(rect, config).items():
+        twin = mpc._horizon_memo(scaled, config).get(key)
+        assert twin is None or not np.array_equal(twin.a_blocks, entry.a_blocks)
+
+
 def test_solution_respects_actuator_and_rate_limits():
     track = uniform_speed_oval(straight=8.0)
     config = MPCConfig()
     state = VehicleState(float(track.x[3]) + 0.4, float(track.y[3]) - 0.3,
                          0.4, 3.5)
     ref, lins = one_step_problem(track, state, config)
-    qp = assemble_qp(ref, lins, state, config)
+    qp = assemble_qp(ref, lins, config).qp(state)
     result = admm_solve(qp)
     assert result.converged
     controls = result.x.reshape(config.horizon, NU)
@@ -772,6 +826,31 @@ def heldout_lap(config=MPCConfig()):
             return output
 
     return run_laps(Recorder(), track, SimConfig(), laps=1, max_lap_time=60.0), infos
+
+
+def test_the_memo_holds_the_horizons_a_run_visits(monkeypatch):
+    """After 10 held-out laps the memo holds one entry per distinct
+    (waypoint, advance) the steps asked for, each condensed once."""
+    track, config = heldout_rect(), MPCConfig()
+    visited, built = [], []
+    step_qp, build = mpc.mpc_qp, mpc.build_reference
+
+    def spy_qp(raceline, state, index, config):
+        v_ref = max(state.v, config.v_floor)
+        visited.append((index, max(int(round(v_ref * config.dt / raceline.mean_spacing)), 1)))
+        return step_qp(raceline, state, index, config)
+
+    def spy_build(*args):
+        built.append(args[2])
+        return build(*args)
+    monkeypatch.setattr(mpc, "mpc_qp", spy_qp)
+    monkeypatch.setattr(mpc, "build_reference", spy_build)
+    report = run_laps(MPCTracker(track, config), track, SimConfig(), laps=10,
+                      max_lap_time=60.0)
+    assert report.completed == 10
+    memo = mpc._horizon_memo(track, config)
+    assert set(memo) == set(visited)
+    assert len(built) == len(memo) < len(visited)
 
 
 def test_a_heldout_lap_takes_the_active_set_path(admm_calls):

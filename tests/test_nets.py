@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pursuitlab.nets import Adam, DenseNet, GaussianPolicy, clip_gradients
+from pursuitlab.nets import HIDDEN, Adam, DenseNet, GaussianPolicy, clip_gradients
 
 
 def finite_difference_grads(params, loss_fn, h=1e-5):
@@ -85,7 +85,7 @@ def test_a_stack_of_batches_is_the_forward_of_each_batch(kind, n_envs):
     if kind == "policy":
         net = GaussianPolicy(5, 2, rng, mean_bias=[2.175, 0.8]).mean_net
     else:
-        net = DenseNet((5, 64, 64, 1), rng, final_gain=1.0)
+        net = DenseNet((5, *HIDDEN, 1), rng, final_gain=1.0)
     stack = rng.standard_normal((512, n_envs, 5))
     stacked = net(stack)
     assert stacked.shape == (512, n_envs, net.sizes[-1])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from pursuitlab import ppo
-from pursuitlab.nets import Adam, DenseNet, GaussianPolicy
+from pursuitlab.nets import HIDDEN, Adam, DenseNet, GaussianPolicy
 from pursuitlab.ppo import (PPOConfig, PPOTrainer, PolicyBundle,
                             ReturnNormalizer, RolloutBuffer, RunningNormalizer,
                             TrainingDiverged, clipped_surrogate, compute_gae,
@@ -357,7 +357,7 @@ def test_advantage_rescaling_leaves_update_invariant():
     for scale in (1.0, 37.5):
         rng = np.random.default_rng(5)
         policy = GaussianPolicy(5, 2, np.random.default_rng(6))
-        value_net = DenseNet((5, 64, 64, 1), np.random.default_rng(7),
+        value_net = DenseNet((5, *HIDDEN, 1), np.random.default_rng(7),
                              final_gain=1.0)
         # Use realistic stored log-probs so ratios vary.
         buf = random_buffer(rng)
@@ -378,7 +378,7 @@ def test_advantage_rescaling_leaves_update_invariant():
 def test_update_reports_epoch_skip_on_kl_breach():
     rng = np.random.default_rng(9)
     policy = GaussianPolicy(5, 2, np.random.default_rng(10))
-    value_net = DenseNet((5, 64, 64, 1), np.random.default_rng(11),
+    value_net = DenseNet((5, *HIDDEN, 1), np.random.default_rng(11),
                          final_gain=1.0)
     buf = random_buffer(rng)
     optimizer = Adam(policy.mean_net.params + [policy.log_std]
