@@ -32,9 +32,12 @@ raceline and config (:func:`mpc_qp`): the horizon gathered from those
 tables (:func:`build_reference`), the A/B/c entries of every knot computed
 on floats in one call (:func:`linearize`), and the lift of the controls
 onto the states and the QP's Hessian, by a forward recursion over the
-knots (:func:`assemble_qp`). A lap revisits its horizons, so most steps
-find theirs in the memo. Each step then rolls the current state forward
-through the knots' A and c and poses its own QP
+knots (:func:`assemble_qp`), which also builds and validates the horizon's
+:class:`QPProblem` once. A lap revisits its horizons, so most steps find
+theirs in the memo. Each step then rolls the current state forward
+through the knots' A and c into its own gradient and poses its QP as a
+shallow copy of the horizon's that carries it; the Hessian, rows and
+bounds are the horizon's read-only arrays, not copied or checked again
 (:meth:`CondensedHorizon.qp`).
 
 MPC state order is (x, y, v, psi) and control order is (a, delta).
@@ -42,6 +45,7 @@ MPC state order is (x, y, v, psi) and control order is (a, delta).
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass, field
@@ -244,25 +248,28 @@ class CondensedHorizon:
     """The state-free half of one horizon's QP; every array is read-only.
 
     ``reference`` holds the horizon's reference states, ``a_blocks`` and
-    ``c_blocks`` the A and c of each knot, ``weighted`` the state weights
-    times the lift S of the controls onto the stacked states, and ``P``
-    the whole Hessian: the tracking cost plus the template's effort and
-    rate cost.
+    ``c_blocks`` the A and c of each knot, and ``weighted`` the state
+    weights times the lift S of the controls onto the stacked states.
+    ``problem`` is the horizon's QP, validated once, with a zero gradient:
+    ``P`` the whole Hessian (the tracking cost plus the template's effort
+    and rate cost), the rows ``A = C`` and bounds ``u = h`` of the template
+    and ``l = -inf``. Each step's QP shares those arrays and carries its
+    own gradient (:meth:`qp`).
     """
 
     reference: np.ndarray  # (horizon+1, 4)
     a_blocks: np.ndarray  # (horizon, 4, 4)
     c_blocks: np.ndarray  # (horizon, 4)
     weighted: np.ndarray  # (4 (horizon+1), 2 horizon)
-    P: np.ndarray
-    template: QPTemplate
+    problem: QPProblem
 
     def qp(self, state: VehicleState) -> QPProblem:
         """The QP from ``state``: its states x_k = S_k u + o_k, with o_0 the
         state and o_{k+1} = A_k o_k + c_k, give the gradient
-        g = 2 sum_k S_k' W_k (o_k - r_k). The rows ``A = C`` and the bounds
-        ``u = h`` are the template's read-only arrays, with ``l = -inf``;
-        ``P``, ``q`` and ``l`` are the step's own.
+        g = 2 sum_k S_k' W_k (o_k - r_k). It is a shallow copy of
+        ``problem`` with ``q = g``, the step's own array; ``P``, ``A``, ``l``
+        and ``u`` are the horizon's read-only arrays, checked once when the
+        horizon was condensed.
         """
         a_blocks, c_blocks = self.a_blocks, self.c_blocks
         offset = np.empty_like(self.reference)
@@ -271,10 +278,9 @@ class CondensedHorizon:
         offset[0] = (state.x, state.y, state.v, psi_ref + wrap_angle(state.theta - psi_ref))
         for k in range(len(a_blocks)):
             offset[k + 1] = a_blocks[k] @ offset[k] + c_blocks[k]
-        template = self.template
-        return QPProblem(self.P.copy(),
-                         2.0 * (self.weighted.T @ (offset.ravel() - self.reference.ravel())),
-                         template.C, np.full_like(template.h, -np.inf), template.h)
+        step = copy.copy(self.problem)
+        step.q = 2.0 * (self.weighted.T @ (offset.ravel() - self.reference.ravel()))
+        return step
 
 
 def assemble_qp(reference: HorizonReference, linearization,
@@ -287,7 +293,9 @@ def assemble_qp(reference: HorizonReference, linearization,
     u_k out of u), and offsets o_k that :meth:`CondensedHorizon.qp` rolls
     forward from the state. The tracking cost
     sum_k (x_k - r_k)' W_k (x_k - r_k) then adds H = 2 sum_k S_k' W_k S_k
-    to the template's effort and rate cost; no state enters H.
+    to the template's effort and rate cost; no state enters H. H, the
+    template's rows and bounds and ``l = -inf`` form the horizon's
+    :class:`QPProblem`, validated here once for all of its steps.
     """
     horizon = config.horizon
     a_blocks, b_blocks, c_blocks = linearization
@@ -304,12 +312,14 @@ def assemble_qp(reference: HorizonReference, linearization,
     lift = lift.reshape(-1, NU * horizon)
     weighted = template.state_weights[:, None] * lift
     tracking = lift.T @ weighted
+    problem = QPProblem(tracking + tracking.T + template.P, np.zeros(NU * horizon),
+                        template.C, np.full_like(template.h, -np.inf), template.h)
     condensed = CondensedHorizon(np.array(reference.states, dtype=float),
                                  np.array(a_blocks, dtype=float),
-                                 np.array(c_blocks, dtype=float), weighted,
-                                 tracking + tracking.T + template.P, template)
-    for name in ("reference", "a_blocks", "c_blocks", "weighted", "P"):
-        getattr(condensed, name).setflags(write=False)
+                                 np.array(c_blocks, dtype=float), weighted, problem)
+    for array in (condensed.reference, condensed.a_blocks, condensed.c_blocks, weighted,
+                  problem.P, problem.q, problem.l):
+        array.setflags(write=False)
     return condensed
 
 
@@ -370,7 +380,8 @@ def solve_qp(qp: QPProblem, config: MPCConfig, warm=(None, None)) -> MPCStepInfo
     ``A x <= u``, warm-started from ``warm`` (the previous step's controls
     and row multipliers): the controls are the start point, and the rows
     that carry a multiplier and are still tight the working set. The result
-    stands if its residuals on ``qp`` are below ``config.tol``; otherwise
+    stands if its residuals on ``qp`` (:func:`residuals`: the largest bound
+    violation and stationarity error) are below ``config.tol``; otherwise
     warm-started ADMM solves ``qp``.
     """
     x0, y0 = warm

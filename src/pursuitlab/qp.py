@@ -173,12 +173,15 @@ def residuals(qp: QPProblem, x: np.ndarray, y: np.ndarray) -> tuple[float, float
     """Primal and dual residuals of ``(x, y)`` on ``qp``, in ``admm_solve``'s terms.
 
     The primal residual is the largest bound violation of ``A x`` (ADMM's
-    ``A x - z`` with ``z`` the projection of ``A x`` onto ``[l, u]``); the dual
-    residual is the stationarity error ``P x + q + A' y``.
+    ``A x - z`` with ``z`` the projection of ``A x`` onto ``[l, u]``), the
+    largest of ``A x - u``, ``l - A x`` and 0; the dual residual is the
+    largest entry of ``|P x + q + A' y|``. Both are the bits of the infinity
+    norms of those vectors, NaN included.
     """
     ax = qp.A @ x
-    primal = float(np.linalg.norm(ax - np.clip(ax, qp.l, qp.u), np.inf)) if qp.m else 0.0
-    dual = float(np.linalg.norm(qp.P @ x + qp.q + qp.A.T @ y, np.inf))
+    # abs() clears the sign bit of a -0.0 or NaN maximum, as a norm would.
+    primal = abs(float(np.maximum(ax - qp.u, qp.l - ax).max(initial=0.0)))
+    dual = float(np.abs(qp.P @ x + qp.q + qp.A.T @ y).max())
     return primal, dual
 
 

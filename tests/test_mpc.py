@@ -460,12 +460,11 @@ def test_unwrap_matches_numpy_bytes(angles):
     assert np.array(mpc._unwrap(angles)).tobytes() == expected.tobytes()
 
 
-def test_template_arrays_are_read_only_and_steps_own_the_rest():
+def test_template_arrays_are_read_only_and_shared():
     track = heldout_rect()
     config = MPCConfig()
     state = VehicleState(float(track.x[40]) + 0.2, float(track.y[40]), 0.5, 4.0)
     qp = mpc_qp(track, state, rl.nearest_index(track, state.position), config)
-    before = qp_bytes(qp)
     template = qp_template(config)
     for name, shared in (("A", "C"), ("u", "h")):  # the template's rows and bounds
         assert np.shares_memory(getattr(qp, name), getattr(template, shared))
@@ -478,12 +477,7 @@ def test_template_arrays_are_read_only_and_steps_own_the_rest():
         c_mat, h = oracle_control_rows(oracle_qp(track, state, short)[1], NU * horizon)
         assert qp_template(short).C.tobytes() == c_mat.tobytes()
         assert qp_template(short).h.tobytes() == h.tobytes()
-    # P, q and l are the step's own copies.
-    for array in (qp.P, qp.q, qp.l):
-        array[...] = 7.0
-    again = mpc_qp(track, state, rl.nearest_index(track, state.position), config)
-    assert qp_bytes(again) == before
-    assert_eliminates_the_oracle_states(again, oracle_qp(track, state, config)[1],
+    assert_eliminates_the_oracle_states(qp, oracle_qp(track, state, config)[1],
                                         np.random.default_rng(1))
 
 
@@ -873,19 +867,54 @@ def test_a_heldout_lap_completes_on_admm_alone(monkeypatch, admm_calls):
 
 
 def test_every_qp_of_a_heldout_lap_is_over_the_controls(monkeypatch):
-    built = []
+    solved = []
+    solve = mpc.solve_qp
 
-    def spy(*args, **kwargs):
-        built.append(QPProblem(*args, **kwargs))
-        return built[-1]
-    monkeypatch.setattr(mpc, "QPProblem", spy)
+    def spy(qp, *args, **kwargs):
+        solved.append(qp)
+        return solve(qp, *args, **kwargs)
+    monkeypatch.setattr(mpc, "solve_qp", spy)
     config = MPCConfig()
     report, infos = heldout_lap(config)
     assert report.completed == 1
-    assert len(built) == len(infos) > 100
-    assert {qp.n for qp in built} == {NU * config.horizon}
+    assert len(solved) == len(infos) > 100
+    assert {qp.n for qp in solved} == {NU * config.horizon}
     assert not hasattr(qp_module, "condense")
     assert not hasattr(qp_module, "CondensedQP")
+
+
+def test_each_horizon_validates_one_qp_that_its_steps_share(monkeypatch):
+    """Over 3 held-out laps QPProblem validates once per memo entry; every
+    step's P, A, l and u are its horizon's read-only arrays, and its q is
+    a fresh array of its own."""
+    track, config = heldout_rect(), MPCConfig()
+    validations, steps = [], []
+    validate, step_qp = QPProblem.__post_init__, mpc.mpc_qp
+
+    def counted(self):
+        validations.append(self)
+        validate(self)
+
+    def spy(raceline, state, index, config):
+        qp = step_qp(raceline, state, index, config)
+        steps.append((qp, mpc._condensed_horizon(raceline, state, index, config)))
+        return qp
+    monkeypatch.setattr(QPProblem, "__post_init__", counted)
+    monkeypatch.setattr(mpc, "mpc_qp", spy)
+    report = run_laps(MPCTracker(track, config), track, SimConfig(), laps=3,
+                      max_lap_time=60.0)
+    assert report.completed == 3
+    memo = mpc._horizon_memo(track, config)
+    assert len(validations) == len(memo) < len(steps)
+    assert {id(entry.problem) for entry in memo.values()} == {id(qp) for qp in validations}
+    for qp, horizon in steps:
+        assert qp is not horizon.problem
+        assert all(getattr(qp, name) is getattr(horizon.problem, name) for name in "PAlu")
+        for array in (qp.P, qp.A, qp.l, qp.u):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        assert qp.q.flags.writeable and qp.q.flags.owndata
+    assert len({id(qp.q) for qp, _ in steps}) == len(steps)
 
 
 def test_a_heldout_lap_solves_each_working_set_once(monkeypatch):

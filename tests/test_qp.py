@@ -350,3 +350,47 @@ def test_residuals_measure_bound_violation_and_stationarity():
     assert residuals(qp, np.array([0.5]), np.array([0.5])) == (0.0, 0.0)
     assert residuals(qp, np.array([0.75]), np.array([0.5])) == (0.25, 0.25)
     assert residuals(qp, np.array([-0.75]), np.array([0.0])) == (0.25, 1.75)
+
+
+def reference_residuals(qp, x, y):
+    """The residuals as they were computed through np.clip and two
+    infinity norms; the oracle for ``residuals``' bits."""
+    ax = qp.A @ x
+    primal = float(np.linalg.norm(ax - np.clip(ax, qp.l, qp.u), np.inf)) if qp.m else 0.0
+    dual = float(np.linalg.norm(qp.P @ x + qp.q + qp.A.T @ y, np.inf))
+    return primal, dual
+
+
+# Per row: a two-sided box, an equality row, a free side, or no bound at all.
+ROW_KINDS = ("two_sided", "equal", "lower_only", "upper_only", "free")
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 6), kinds=st.lists(st.sampled_from(ROW_KINDS), max_size=10),
+       nan_at=st.one_of(st.none(), st.integers(0, 5)), scale=st.sampled_from([0.0, 1e-3, 1.0, 1e3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_residuals_match_the_reference_bits(n, kinds, nan_at, scale, seed):
+    rng = np.random.default_rng(seed)
+    m = len(kinds)
+    factor = rng.standard_normal((n, n))
+    a = rng.standard_normal((m, n))
+    a[rng.random((m, n)) < 0.2] = 0.0
+    x = scale * rng.standard_normal(n)
+    if nan_at is not None:
+        x[nan_at % n] = np.nan
+    # Boxes around random centres, so that A x falls inside, above and below them.
+    centre = a @ rng.standard_normal(n)
+    width = rng.uniform(0.0, 2.0, m)
+    lower, upper = centre - width, centre + width
+    for i, kind in enumerate(kinds):
+        if kind == "equal":
+            lower[i] = upper[i]
+        elif kind in ("upper_only", "free"):
+            lower[i] = -np.inf
+        if kind in ("lower_only", "free"):
+            upper[i] = np.inf
+    qp = QPProblem(factor.T @ factor, rng.standard_normal(n), a, lower, upper)
+    y = rng.standard_normal(m)
+    with np.errstate(invalid="ignore"):
+        got, expected = residuals(qp, x, y), reference_residuals(qp, x, y)
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
