@@ -139,6 +139,8 @@ def run_laps(controller, raceline: rl.Raceline, sim_config: SimConfig,
     """
     if laps < 1:
         raise ValueError("laps must be >= 1")
+    if not 0.0 < max_lap_time < math.inf:  # NaN fails too
+        raise ValueError(f"max_lap_time must be finite and > 0, got {max_lap_time}")
     dt = sim_config.dt_control
     n = raceline.n
     if not 0 <= start_index < n:

@@ -44,13 +44,10 @@ DEFAULT_FIXED_LOOKAHEAD = 1.5
 STALENESS_TIMEOUT = 0.2
 
 
-def _clip(value, lo, hi):
-    return max(lo, min(hi, value))
-
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PPParams:
-    """Lookahead distance [m] and steering gain pair."""
+    """Lookahead distance [m] and steering gain pair; a slotted value
+    record, never written after construction."""
 
     lookahead: float
     gain: float
@@ -94,19 +91,20 @@ def pp_steering(y_prime: float, lookahead: float, gain: float) -> float:
     """
     if lookahead <= 0.0:
         raise ValueError("lookahead must be > 0")
-    return _clip(gain * 2.0 * y_prime / (lookahead * lookahead),
-                 -STEER_CLIP, STEER_CLIP)
+    raw = gain * 2.0 * y_prime / (lookahead * lookahead)
+    return max(-STEER_CLIP, min(STEER_CLIP, raw))
 
 
 def teacher_lookahead(v: float, kappa_max: float) -> float:
     """Hand-designed lookahead target, clipped to the action bounds."""
     raw = TEACHER_L_BASE + TEACHER_L_SPEED * v - TEACHER_L_CURVATURE * kappa_max
-    return _clip(raw, *LOOKAHEAD_BOUNDS)
+    return max(LOOKAHEAD_BOUNDS[0], min(LOOKAHEAD_BOUNDS[1], raw))
 
 
 def teacher_gain(v: float) -> float:
     """Hand-designed gain target, clipped to the action bounds."""
-    return _clip(TEACHER_G_SLOPE * v + TEACHER_G_INTERCEPT, *GAIN_BOUNDS)
+    raw = TEACHER_G_SLOPE * v + TEACHER_G_INTERCEPT
+    return max(GAIN_BOUNDS[0], min(GAIN_BOUNDS[1], raw))
 
 
 def adaptive_lookahead(v: float, v_lo: float, v_hi: float) -> float:
@@ -115,7 +113,7 @@ def adaptive_lookahead(v: float, v_lo: float, v_hi: float) -> float:
         raise ValueError("v_lo must be < v_hi")
     lo, hi = ADAPTIVE_LOOKAHEAD_BOUNDS
     raw = lo + (v - v_lo) * (hi - lo) / (v_hi - v_lo)
-    return _clip(raw, lo, hi)
+    return max(lo, min(hi, raw))
 
 
 @dataclass

@@ -3,6 +3,12 @@
 Stepping is pure: every function maps (state, command, config) to a new
 state without touching shared mutable data, so identical inputs produce
 bit-identical outputs and independent simulations can run concurrently.
+The per-step records (:class:`VehicleState`, :class:`Command`,
+:class:`ControllerOutput` and ``pure_pursuit.PPParams``) are slotted value
+records rather than frozen dataclasses, because a frozen ``__init__`` sets
+each field through ``object.__setattr__`` and a control step builds
+several of them; no code writes a record after building it, and none
+hashes one.
 """
 
 from __future__ import annotations
@@ -26,9 +32,10 @@ def wrap_angle(angle: float) -> float:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VehicleState:
-    """Planar pose plus longitudinal speed."""
+    """Planar pose plus longitudinal speed; a slotted value record, never
+    written after construction."""
 
     x: float
     y: float
@@ -40,9 +47,10 @@ class VehicleState:
         return (self.x, self.y)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Command:
-    """Steering angle [rad] and commanded speed [m/s].
+    """Steering angle [rad] and commanded speed [m/s]; a slotted value
+    record, never written after construction.
 
     The MPC sets ``delta`` to a bicycle-model steering angle. Pure Pursuit
     sets it to gain x lookahead-circle curvature [1/m], clipped at
@@ -55,11 +63,12 @@ class Command:
     v_cmd: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ControllerOutput:
     """One control step's command, the Pure Pursuit parameters it applied
     (None for the MPC), the mode that produced it, and the MPC's solver
-    health (None for Pure Pursuit)."""
+    health (None for Pure Pursuit); a slotted value record, never written
+    after construction."""
 
     command: Command
     params: PPParams | None
@@ -69,6 +78,9 @@ class ControllerOutput:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Simulator settings, built once; frozen and hashable, because
+    ``MPCConfig`` holds one and the MPC's caches key on it."""
+
     wheelbase: float = 0.33
     dt_physics: float = 0.01
     dt_control: float = 0.05
@@ -82,8 +94,11 @@ class SimConfig:
                      "delta_rate_max", "a_max", "speed_gain"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
-        if abs(self.substeps * self.dt_physics - self.dt_control) > 1e-9:
-            raise ValueError("dt_control must be an integer multiple of dt_physics")
+        for name in ("dt_physics", "dt_control"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.substeps < 1 or abs(self.substeps * self.dt_physics - self.dt_control) > 1e-9:
+            raise ValueError("dt_control must be a positive integer multiple of dt_physics")
 
     @property
     def substeps(self) -> int:

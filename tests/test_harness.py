@@ -1,3 +1,4 @@
+import copy
 import csv
 import inspect
 import math
@@ -183,6 +184,48 @@ def test_run_laps_rejects_a_start_waypoint_off_the_loop():
         with pytest.raises(ValueError,
                            match=rf"^start_index must be in 0\.\.{track.n - 1}, "):
             run_laps(CrashController(), track, SIM, laps=1, start_index=start_index)
+
+
+@pytest.mark.parametrize("max_lap_time", [0.0, -5.0, math.nan, math.inf])
+def test_lap_runs_reject_a_max_lap_time_they_cannot_honour(max_lap_time):
+    track = small_oval()
+    message = r"^max_lap_time must be finite and > 0, got "
+    with pytest.raises(ValueError, match=message):
+        run_laps(build_controller({"type": "teacher"}, track, SIM), track, SIM,
+                 laps=2, max_lap_time=max_lap_time)
+    with pytest.raises(ValueError, match=message):
+        sweep_multipliers(lambda r: build_controller({"type": "teacher"}, r, SIM),
+                          track, SIM, [1.0], laps=1, max_lap_time=max_lap_time)
+
+
+@pytest.mark.parametrize("kind", ["fixed", "adaptive", "teacher", "rl"])
+def test_lap_runs_write_no_record_after_building_it(kind, monkeypatch):
+    """The per-step records are slotted, not frozen: no code may write one
+    once built, so each compares equal after 3 laps to a copy taken when
+    it was built (the fixed source's pair: before the run)."""
+    track = heldout_rect()
+    controller = PurePursuitAdapter(track, PolicySource(untrained_bundle())) \
+        if kind == "rl" else build_controller({"type": kind}, track, SIM)
+    source = controller.controller.source
+    kept = [(source.params, copy.copy(source.params))] if kind == "fixed" else []
+    if kind == "rl":
+        def publish(action, now, _publish=source.publish):
+            params = _publish(action, now)
+            kept.append((params, copy.copy(params)))
+            return params
+        monkeypatch.setattr(source, "publish", publish)
+
+    def step(state, now, _step=controller.step):
+        output = _step(state, now)
+        kept.append(((state, output), copy.deepcopy((state, output))))
+        return output
+    monkeypatch.setattr(controller, "step", step)
+
+    report = run_laps(controller, track, SIM, laps=3, max_lap_time=60.0)
+    published = report.total_steps if kind == "rl" else 0
+    assert len(kept) == report.total_steps + published + (kind == "fixed") > 100
+    for record, at_build in kept:
+        assert record == at_build
 
 
 def test_run_continues_after_collision_reset():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pursuitlab import raceline as rl
-from pursuitlab.vehicle import (Command, SimConfig, VehicleState,
+from pursuitlab.mpc import MPCConfig
+from pursuitlab.pure_pursuit import PPParams
+from pursuitlab.vehicle import (Command, ControllerOutput, SimConfig, VehicleState,
                                 collision_check, control_step, rk4_step,
                                 speed_controller, wrap_angle)
 
@@ -258,6 +261,16 @@ def test_sim_config_validates_substep_ratio():
         SimConfig(dt_control=0.025, dt_physics=0.01)
 
 
+@pytest.mark.parametrize("periods, message", [
+    ({"dt_physics": math.inf}, "dt_physics must be finite"),  # 0 substeps
+    ({"dt_control": math.inf}, "dt_control must be finite"),  # inf substeps
+    ({"dt_physics": 1e300, "dt_control": 1e-300}, "positive integer multiple"),
+], ids=["inf_dt_physics", "inf_dt_control", "zero_substeps"])
+def test_sim_config_rejects_a_simulator_that_never_steps(periods, message):
+    with pytest.raises(ValueError, match=message):
+        SimConfig(**periods)
+
+
 @pytest.mark.parametrize("name", ["wheelbase", "dt_physics", "dt_control", "delta_max",
                                   "delta_rate_max", "a_max", "speed_gain", "rk4_dt"])
 def test_positive_settings_reject_nan(name):
@@ -310,3 +323,32 @@ def test_collision_non_finite_pose_is_off_track(position):
 @pytest.mark.parametrize("error", [math.nan, math.inf, -math.inf])
 def test_collision_non_finite_error_is_off_track(error):
     assert collision_check(make_square_raceline(), error)
+
+
+# ----------------------------------------------------------------------
+# Record contract: per-step records are slotted, configs frozen
+# ----------------------------------------------------------------------
+
+PER_STEP_RECORDS = [VehicleState(0.0, 0.0, 0.0, 1.0), Command(0.1, 2.0), PPParams(1.0, 0.9),
+                    ControllerOutput(Command(0.1, 2.0), PPParams(1.0, 0.9), "fixed")]
+
+
+@pytest.mark.parametrize("record", PER_STEP_RECORDS, ids=lambda r: type(r).__name__)
+def test_per_step_records_are_slotted(record):
+    """A control step builds several of these, and a frozen dataclass's
+    ``__init__``, slotted or not, costs about twice a plain slotted one's."""
+    fields = tuple(f.name for f in dataclasses.fields(record))
+    assert not type(record).__dataclass_params__.frozen
+    assert type(record).__slots__ == fields
+    assert not hasattr(record, "__dict__")
+    assert record == dataclasses.replace(record)
+    assert repr(record).startswith(f"{type(record).__name__}({fields[0]}=")
+
+
+@pytest.mark.parametrize("config", [SimConfig(), MPCConfig()], ids=lambda c: type(c).__name__)
+def test_configs_stay_frozen_and_hashable(config):
+    """``mpc.qp_template`` and the horizon memo key ``lru_cache`` on them."""
+    assert hash(config) == hash(dataclasses.replace(config))
+    for field in dataclasses.fields(config):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, field.name, getattr(config, field.name))
