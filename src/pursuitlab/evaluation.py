@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,8 +138,8 @@ def run_laps(controller, raceline: rl.Raceline, sim_config: SimConfig,
     control step, with :data:`LAP_TRACE_COLUMNS` as the runner's own; the
     file appears when the run returns and not at all if it raises.
     """
-    if laps < 1:
-        raise ValueError("laps must be >= 1")
+    if not isinstance(laps, numbers.Integral) or laps < 1:  # NaN and 2.5 fail too
+        raise ValueError(f"laps must be an integer >= 1, got {laps!r}")
     if not 0.0 < max_lap_time < math.inf:  # NaN fails too
         raise ValueError(f"max_lap_time must be finite and > 0, got {max_lap_time}")
     dt = sim_config.dt_control

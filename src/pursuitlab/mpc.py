@@ -30,13 +30,15 @@ and its advance, the waypoints it steps per knot, so its state-free half
 is condensed once per (start waypoint, advance) and kept in a memo per
 raceline and config (:func:`mpc_qp`): the horizon gathered from those
 tables (:func:`build_reference`), the A/B/c entries of every knot computed
-on floats in one call (:func:`linearize`), and the lift of the controls
-onto the states and the QP's Hessian, by a forward recursion over the
-knots (:func:`assemble_qp`), which also builds and validates the horizon's
-:class:`QPProblem` once. A lap revisits its horizons, so most steps find
-theirs in the memo. Each step then rolls the current state forward
-through the knots' A and c into its own gradient and poses its QP as a
-shallow copy of the horizon's that carries it; the Hessian, rows and
+on floats in one call (:func:`linearize`), and, by one forward recursion
+over the knots, the lift of the controls onto the states, the QP's
+Hessian and the step's gradient as an affine map of the state
+(:func:`assemble_qp`), which also builds and validates the horizon's
+:class:`QPProblem` once. The gradient is affine in the state because the
+states are: x_k = S_k u + Phi_k s + psi_k. A lap revisits its horizons,
+so most steps find theirs in the memo. Each step then forms its gradient
+as ``G s + g0``, one 4-column matrix-vector product, and poses its QP as
+a shallow copy of the horizon's that carries it; the Hessian, rows and
 bounds are the horizon's read-only arrays, not copied or checked again
 (:meth:`CondensedHorizon.qp`).
 
@@ -247,39 +249,33 @@ def linearize(states, controls, wheelbase: float, dt: float):
 class CondensedHorizon:
     """The state-free half of one horizon's QP; every array is read-only.
 
-    ``reference`` holds the horizon's reference states, ``a_blocks`` and
-    ``c_blocks`` the A and c of each knot, and ``weighted`` the state
-    weights times the lift S of the controls onto the stacked states.
-    ``problem`` is the horizon's QP, validated once, with a zero gradient:
-    ``P`` the whole Hessian (the tracking cost plus the template's effort
-    and rate cost), the rows ``A = C`` and bounds ``u = h`` of the template
-    and ``l = -inf``. Each step's QP shares those arrays and carries its
-    own gradient (:meth:`qp`).
+    The step's gradient is affine in its state s = (x, y, v, psi):
+    q = G s + g0 (:meth:`qp`), with ``G`` the gradient map and ``g0`` the
+    gradient offset that :func:`assemble_qp` condensed from the knots'
+    A and c. ``psi_ref`` is the reference heading of knot 0, whose unwrap
+    branch the state's heading is taken in. ``problem`` is the horizon's
+    QP, validated once, with a zero gradient: ``P`` the whole Hessian (the
+    tracking cost plus the template's effort and rate cost), the rows
+    ``A = C`` and bounds ``u = h`` of the template and ``l = -inf``. Each
+    step's QP shares those arrays and carries its own gradient.
     """
 
-    reference: np.ndarray  # (horizon+1, 4)
-    a_blocks: np.ndarray  # (horizon, 4, 4)
-    c_blocks: np.ndarray  # (horizon, 4)
-    weighted: np.ndarray  # (4 (horizon+1), 2 horizon)
+    psi_ref: float
+    G: np.ndarray  # (2 horizon, 4)
+    g0: np.ndarray  # (2 horizon,)
     problem: QPProblem
 
     def qp(self, state: VehicleState) -> QPProblem:
-        """The QP from ``state``: its states x_k = S_k u + o_k, with o_0 the
-        state and o_{k+1} = A_k o_k + c_k, give the gradient
-        g = 2 sum_k S_k' W_k (o_k - r_k). It is a shallow copy of
-        ``problem`` with ``q = g``, the step's own array; ``P``, ``A``, ``l``
-        and ``u`` are the horizon's read-only arrays, checked once when the
+        """The QP from ``state``: a shallow copy of ``problem`` with
+        ``q = G s + g0``, the step's own array, where s is the state with its
+        heading in the reference's unwrap branch. ``P``, ``A``, ``l`` and
+        ``u`` are the horizon's read-only arrays, checked once when the
         horizon was condensed.
         """
-        a_blocks, c_blocks = self.a_blocks, self.c_blocks
-        offset = np.empty_like(self.reference)
-        # Current-state psi expressed in the reference's unwrap branch.
-        psi_ref = float(self.reference[0, 3])
-        offset[0] = (state.x, state.y, state.v, psi_ref + wrap_angle(state.theta - psi_ref))
-        for k in range(len(a_blocks)):
-            offset[k + 1] = a_blocks[k] @ offset[k] + c_blocks[k]
+        psi_ref = self.psi_ref
         step = copy.copy(self.problem)
-        step.q = 2.0 * (self.weighted.T @ (offset.ravel() - self.reference.ravel()))
+        step.q = self.G.dot((state.x, state.y, state.v,
+                             psi_ref + wrap_angle(state.theta - psi_ref))) + self.g0
         return step
 
 
@@ -287,15 +283,18 @@ def assemble_qp(reference: HorizonReference, linearization,
                 config: MPCConfig) -> CondensedHorizon:
     """Condense the horizon's QP over the controls u = [u_0 .. u_{T-1}].
 
-    The states follow from the current state and ``linearization`` =
-    stacked (A, B, c) from :func:`linearize` by the forward recursion
-    x_k = S_k u + o_k, with S_0 = 0, S_{k+1} = A_k S_k + B_k E_k (E_k picks
-    u_k out of u), and offsets o_k that :meth:`CondensedHorizon.qp` rolls
-    forward from the state. The tracking cost
+    The states follow from the state s and ``linearization`` = stacked
+    (A, B, c) from :func:`linearize` by one forward recursion,
+    x_k = S_k u + Phi_k s + psi_k, with S_0 = 0, S_{k+1} = A_k S_k + B_k E_k
+    (E_k picks u_k out of u), Phi_0 = I, Phi_{k+1} = A_k Phi_k, psi_0 = 0
+    and psi_{k+1} = A_k psi_k + c_k. The tracking cost
     sum_k (x_k - r_k)' W_k (x_k - r_k) then adds H = 2 sum_k S_k' W_k S_k
-    to the template's effort and rate cost; no state enters H. H, the
-    template's rows and bounds and ``l = -inf`` form the horizon's
-    :class:`QPProblem`, validated here once for all of its steps.
+    to the template's effort and rate cost, and the gradient
+    2 sum_k S_k' W_k (Phi_k s + psi_k - r_k) = G s + g0, with
+    G = 2 sum_k S_k' W_k Phi_k and g0 = 2 sum_k S_k' W_k (psi_k - r_k);
+    no state enters H, G or g0. H, the template's rows and bounds and
+    ``l = -inf`` form the horizon's :class:`QPProblem`, validated here once
+    for all of its steps.
     """
     horizon = config.horizon
     a_blocks, b_blocks, c_blocks = linearization
@@ -306,19 +305,26 @@ def assemble_qp(reference: HorizonReference, linearization,
     template = qp_template(config)
 
     lift = np.zeros((horizon + 1, NX, NU * horizon))
+    # [Phi_k | psi_k] per knot: without controls the states are Phi_k s + psi_k.
+    free = np.zeros((horizon + 1, NX, NX + 1))
+    free[0, :, :NX] = np.eye(NX)
     for k in range(horizon):
         lift[k + 1] = a_blocks[k] @ lift[k]
         lift[k + 1, :, NU * k:NU * (k + 1)] = b_blocks[k]
+        free[k + 1] = a_blocks[k] @ free[k]
+        free[k + 1, :, NX] += c_blocks[k]
     lift = lift.reshape(-1, NU * horizon)
     weighted = template.state_weights[:, None] * lift
     tracking = lift.T @ weighted
     problem = QPProblem(tracking + tracking.T + template.P, np.zeros(NU * horizon),
                         template.C, np.full_like(template.h, -np.inf), template.h)
-    condensed = CondensedHorizon(np.array(reference.states, dtype=float),
-                                 np.array(a_blocks, dtype=float),
-                                 np.array(c_blocks, dtype=float), weighted, problem)
-    for array in (condensed.reference, condensed.a_blocks, condensed.c_blocks, weighted,
-                  problem.P, problem.q, problem.l):
+    free = free.reshape(-1, NX + 1)
+    free[:, NX] -= np.asarray(reference.states, dtype=float).ravel()  # psi_k - r_k
+    gradient = 2.0 * (weighted.T @ free)
+    condensed = CondensedHorizon(float(reference.states[0, 3]),
+                                 np.ascontiguousarray(gradient[:, :NX]),
+                                 np.ascontiguousarray(gradient[:, NX]), problem)
+    for array in (condensed.G, condensed.g0, problem.P, problem.q, problem.l):
         array.setflags(write=False)
     return condensed
 

@@ -76,6 +76,11 @@ class ControllerOutput:
     solver: MPCStepInfo | None = None
 
 
+# Physics substeps per control step: 200 times the default of 5. More would
+# make one control_step cost thousands of RK4 advances.
+MAX_SUBSTEPS = 1000
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Simulator settings, built once; frozen and hashable, because
@@ -97,6 +102,9 @@ class SimConfig:
         for name in ("dt_physics", "dt_control"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if self.substeps > MAX_SUBSTEPS:
+            raise ValueError(f"dt_control / dt_physics must be at most {MAX_SUBSTEPS} "
+                             f"substeps, got {self.substeps}")
         if self.substeps < 1 or abs(self.substeps * self.dt_physics - self.dt_control) > 1e-9:
             raise ValueError("dt_control must be a positive integer multiple of dt_physics")
 

@@ -198,6 +198,18 @@ def test_lap_runs_reject_a_max_lap_time_they_cannot_honour(max_lap_time):
                           track, SIM, [1.0], laps=1, max_lap_time=max_lap_time)
 
 
+@pytest.mark.parametrize("laps", [math.nan, 2.5, 0])
+def test_lap_runs_reject_a_lap_count_that_is_not_a_whole_positive_number(laps):
+    """NaN used to drive no lap, and 2.5 two."""
+    track = small_oval()
+    message = r"^laps must be an integer >= 1, got "
+    with pytest.raises(ValueError, match=message):
+        run_laps(build_controller({"type": "teacher"}, track, SIM), track, SIM, laps=laps)
+    with pytest.raises(ValueError, match=message):
+        sweep_multipliers(lambda r: build_controller({"type": "teacher"}, r, SIM),
+                          track, SIM, [1.0], laps=laps)
+
+
 @pytest.mark.parametrize("kind", ["fixed", "adaptive", "teacher", "rl"])
 def test_lap_runs_write_no_record_after_building_it(kind, monkeypatch):
     """The per-step records are slotted, not frozen: no code may write one

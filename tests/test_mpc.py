@@ -451,6 +451,61 @@ def test_qp_chain_matches_the_per_knot_oracle_bytes(
     assert_eliminates_the_oracle_states(qp, expected, np.random.default_rng(0))
 
 
+def rolled_gradient(reference_states, linearization, state, config):
+    """The step's gradient as each step once formed it, and its scale: the
+    state rolled through the knots, o_0 = s and o_{k+1} = A_k o_k + c_k,
+    then 2 weighted'(o - r) with weighted = W S, the lift S from the
+    recursion S_{k+1} = A_k S_k + B_k E_k. The scale is the same sum taken
+    over absolute values, at its largest entry."""
+    a_blocks, b_blocks, c_blocks = linearization
+    horizon = config.horizon
+    lift = np.zeros((horizon + 1, NX, NU * horizon))
+    for k in range(horizon):
+        lift[k + 1] = a_blocks[k] @ lift[k]
+        lift[k + 1, :, NU * k:NU * (k + 1)] = b_blocks[k]
+    weighted = qp_template(config).state_weights[:, None] * lift.reshape(-1, NU * horizon)
+    offset = np.empty_like(reference_states)
+    psi_ref = float(reference_states[0, 3])
+    offset[0] = (state.x, state.y, state.v, psi_ref + wrap_angle(state.theta - psi_ref))
+    for k in range(horizon):
+        offset[k + 1] = a_blocks[k] @ offset[k] + c_blocks[k]
+    gap = offset.ravel() - reference_states.ravel()
+    size = np.abs(offset.ravel()) + np.abs(reference_states.ravel())
+    return 2.0 * (weighted.T @ gap), 2.0 * (np.abs(weighted).T @ size).max()
+
+
+@settings(max_examples=80, deadline=None)
+@given(horizon=st.integers(1, 10), state_w=weights, terminal_w=weights,
+       dt=st.sampled_from([0.05, 0.1, 0.2]),
+       kind=st.sampled_from(["heldout", "oval", "rounded_rectangle", "mirrored_oval"]),
+       size=st.floats(2.0, 20.0), radius=st.floats(1.0, 5.0),
+       v_cap=st.floats(1.0, 12.0), where=st.floats(0.0, 1.0),
+       offset=st.tuples(st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)),
+       heading=st.floats(-math.pi, math.pi), speed=st.floats(0.0, 14.0))
+@example(horizon=8, state_w=(13.5, 13.5, 5.5, 13.0), terminal_w=(13.5, 13.5, 5.5, 13.0),
+         dt=0.1, kind="heldout", size=2.0, radius=1.0, v_cap=1.0, where=0.5,
+         offset=(0.0, 0.0), heading=math.pi, speed=6.0)
+def test_affine_gradient_matches_the_rolled_out_state(
+        horizon, state_w, terminal_w, dt, kind, size, radius, v_cap, where, offset,
+        heading, speed):
+    """q = G s + g0 of the condensed horizon is the gradient that rolling
+    the state through the knots gives, to 1e-12 of the gradient's scale,
+    for any heading, so on either side of the reference's unwrap branch."""
+    track = synthesized(kind, size, radius, v_cap)
+    config = MPCConfig(horizon=horizon, dt=dt, state_weights=state_w,
+                       terminal_weights=terminal_w)
+    i = int(where * track.n) % track.n
+    state = VehicleState(float(track.x[i]) + offset[0], float(track.y[i]) + offset[1],
+                         heading, speed)
+    reference = build_reference(track, state, rl.nearest_index(track, state.position), config)
+    linearization = linearize(reference.states, reference.controls,
+                              config.plant.wheelbase, config.dt)
+    qp = assemble_qp(reference, linearization, config).qp(state)
+    expected, scale = rolled_gradient(reference.states, linearization, state, config)
+    assert qp.q.shape == expected.shape == (NU * horizon,)
+    assert np.abs(qp.q - expected).max() <= 1e-12 * scale + 4 * np.finfo(float).tiny
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(st.floats(-20.0, 20.0),
                           st.sampled_from([0.0, -0.0, math.pi, -math.pi, 2 * math.pi])),
@@ -552,7 +607,7 @@ def test_memoized_qps_equal_cold_builds_bytes(poses, config):
     assert mpc._horizon_memo(rect, config) is not mpc._horizon_memo(scaled, config)
     for key, entry in mpc._horizon_memo(rect, config).items():
         twin = mpc._horizon_memo(scaled, config).get(key)
-        assert twin is None or not np.array_equal(twin.a_blocks, entry.a_blocks)
+        assert twin is None or not np.array_equal(twin.G, entry.G)
 
 
 def test_solution_respects_actuator_and_rate_limits():

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 from pursuitlab import raceline as rl
 from pursuitlab.mpc import MPCConfig
 from pursuitlab.pure_pursuit import PPParams
-from pursuitlab.vehicle import (Command, ControllerOutput, SimConfig, VehicleState,
-                                collision_check, control_step, rk4_step,
+from pursuitlab.vehicle import (MAX_SUBSTEPS, Command, ControllerOutput, SimConfig,
+                                VehicleState, collision_check, control_step, rk4_step,
                                 speed_controller, wrap_angle)
 
 from conftest import make_square_raceline
@@ -269,6 +269,16 @@ def test_sim_config_validates_substep_ratio():
 def test_sim_config_rejects_a_simulator_that_never_steps(periods, message):
     with pytest.raises(ValueError, match=message):
         SimConfig(**periods)
+
+
+@pytest.mark.parametrize("dt_physics", [1e-12, 0.05 / (MAX_SUBSTEPS + 1)],
+                         ids=["5e10_substeps", "one_over_the_bound"])
+def test_sim_config_bounds_the_substeps_per_control_step(dt_physics):
+    """Only builds the configs: a step of the rejected ones would run
+    thousands (or 5e10) of RK4 advances."""
+    assert SimConfig(dt_physics=0.05 / MAX_SUBSTEPS).substeps == MAX_SUBSTEPS
+    with pytest.raises(ValueError, match=rf"at most {MAX_SUBSTEPS} substeps"):
+        SimConfig(dt_physics=dt_physics)
 
 
 @pytest.mark.parametrize("name", ["wheelbase", "dt_physics", "dt_control", "delta_max",
