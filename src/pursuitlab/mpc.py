@@ -22,17 +22,15 @@ changes form a read-only :class:`QPTemplate`, built once per frozen
 :class:`MPCConfig` (:func:`qp_template`): the effort and rate cost, the
 state weights, and the box and rate rows as one-sided rows ``C u <= h``.
 Both solvers read those rows: the QP poses them to ADMM with ``l = -inf``,
-so the active-set multipliers are ADMM's ``y``. Once per raceline and
-wheelbase, a table holds each waypoint's (x, y, v_max) and feedforward
-steering ``arctan(L kappa)``; the raceline holds each waypoint's tangent
-heading. A horizon depends on the state only through its start waypoint
-and its advance, the waypoints it steps per knot, so its state-free half
-is condensed once per (start waypoint, advance) and kept in a memo per
-raceline and config (:func:`mpc_qp`): the horizon gathered from those
-tables (:func:`build_reference`), the A/B/c entries of every knot computed
-on floats in one call (:func:`linearize`), and, by one forward recursion
-over the knots, the lift of the controls onto the states, the QP's
-Hessian and the step's gradient as an affine map of the state
+so the active-set multipliers are ADMM's ``y``. A horizon depends on the
+state only through its start waypoint and its advance, the waypoints it
+steps per knot, so its state-free half is condensed once per (start
+waypoint, advance) and kept in a memo per raceline and config
+(:func:`mpc_qp`). A memo miss builds the horizon in numpy: the knots'
+waypoints and unwrapped tangent headings (:func:`build_reference`), the
+A/B/c of every knot at once (:func:`linearize`), and, by one forward
+recursion over the knots, the lift of the controls onto the states, the
+QP's Hessian and the step's gradient as an affine map of the state
 (:func:`assemble_qp`), which also builds and validates the horizon's
 :class:`QPProblem` once. The gradient is affine in the state because the
 states are: x_k = S_k u + Phi_k s + psi_k. A lap revisits its horizons,
@@ -50,6 +48,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,20 +76,28 @@ class MPCConfig:
     plant: SimConfig = SimConfig()  # validated by SimConfig itself
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if not self.dt > 0.0:
-            raise ValueError("dt must be > 0")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be > 0")
-        if not self.rho > 0.0:
-            raise ValueError("rho must be > 0")
-        if not self.max_iter >= 1:
-            raise ValueError("max_iter must be >= 1")
+        for name in ("horizon", "max_iter"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
+        # Written as `not x > 0` so that a NaN fails too; an infinite dt or
+        # v_floor overflows the first step's advance.
+        for name in ("dt", "tol", "rho"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ValueError(f"{name} must be > 0")
+            if value == math.inf:
+                raise ValueError(f"{name} must be finite")
+        if not 0.0 <= self.v_floor < math.inf:
+            raise ValueError("v_floor must be finite and >= 0")
         for w in (*self.state_weights, *self.terminal_weights,
                   *self.control_weights, *self.control_rate_weights):
             if not w >= 0.0:
                 raise ValueError("weights must be >= 0")
+            if w == math.inf:
+                raise ValueError("weights must be finite")
 
 
 @dataclass
@@ -150,31 +157,6 @@ def qp_template(config: MPCConfig) -> QPTemplate:
     return template
 
 
-@functools.lru_cache(maxsize=8)
-def _waypoint_table(raceline: rl.Raceline, wheelbase: float):
-    """Per-waypoint (x, y, v_max) rows and feedforward steering arctan(L kappa)."""
-    xyv = np.column_stack([raceline.x, raceline.y, raceline.v_max])
-    steering = np.arctan(wheelbase * raceline.kappa)
-    xyv.setflags(write=False)
-    steering.setflags(write=False)
-    return xyv, steering
-
-
-def _unwrap(angles: list) -> list:
-    """``np.unwrap(angles).tolist()``, operation for operation on floats."""
-    unwrapped = [angles[0]]
-    correction = 0.0  # running sum of the 2 pi jumps removed so far
-    for previous, angle in zip(angles, angles[1:]):
-        jump = angle - previous
-        if not abs(jump) < math.pi:
-            wrapped = (jump + math.pi) % math.tau - math.pi
-            if wrapped == -math.pi and jump > 0.0:
-                wrapped = math.pi
-            correction += wrapped - jump
-        unwrapped.append(angle + correction)
-    return unwrapped
-
-
 def _advance(raceline: rl.Raceline, state: VehicleState, config: MPCConfig) -> int:
     """Waypoints between consecutive knots: the distance covered in ``dt``
     at the state's speed, floored at ``v_floor``, and at least one."""
@@ -188,15 +170,13 @@ def build_reference(raceline: rl.Raceline, state: VehicleState, index: int,
 
     The horizon starts at ``index``, the waypoint nearest the state.
     """
-    xyv, steering = _waypoint_table(raceline, config.plant.wheelbase)
     advance = _advance(raceline, state, config)
     indices = (index + advance * np.arange(config.horizon + 1)) % raceline.n
-
-    states = np.empty((config.horizon + 1, NX))
-    states[:, :3] = xyv[indices]
-    states[:, 3] = _unwrap([rl.tangent_heading(raceline, i) for i in indices.tolist()])
+    headings = np.unwrap([rl.tangent_heading(raceline, i) for i in indices.tolist()])
+    states = np.column_stack([raceline.x[indices], raceline.y[indices],
+                              raceline.v_max[indices], headings])
     controls = np.zeros((config.horizon, NU))
-    controls[:, 1] = steering[indices[:-1]]
+    controls[:, 1] = np.arctan(config.plant.wheelbase * raceline.kappa[indices[:-1]])
     return HorizonReference(states, controls)
 
 
@@ -207,42 +187,35 @@ def linearize(states, controls, wheelbase: float, dt: float):
     the knots are the ``len(controls)`` first states. Returns stacked
     (A, B, c) of shapes (knots, 4, 4), (knots, 4, 2) and (knots, 4), with
     x_{t+1} = A_t x_t + B_t u_t + c_t exact at knot t:
-    A_t ref_x + B_t ref_u + c_t = ref_x + dt f(ref).
+    A_t ref_x + B_t ref_u + c_t = ref_x + dt f(ref), where
+    A = I + dt J_x, B = dt J_u and c = dt (f - J_x ref_x - J_u ref_u).
 
-    The entries are computed on floats in the order of the matrix form
-    A = I + dt J_x, B = dt J_u, c = dt (f - J_x ref_x - J_u ref_u). Each
-    ``+ 0.0`` is the contribution of an identity or a zero Jacobian entry,
-    which turns a -0.0 into 0.0 as numpy's sums do.
+    The trigonometry is taken on floats, with ``math`` and ``** 2``:
+    numpy's ``tan`` and square round some inputs differently, and the
+    entries must keep the bytes of the per-knot form.
     """
-    a_entries, b_entries, c_entries = [], [], []
-    for (_, _, v, psi), (accel, delta) in zip(np.asarray(states, dtype=float).tolist(),
-                                              np.asarray(controls, dtype=float).tolist()):
-        if abs(delta) >= math.pi / 2.0:
-            raise ValueError("reference steering must satisfy |delta| < pi/2")
-        cos_psi = math.cos(psi)
-        sin_psi = math.sin(psi)
-        tan_delta = math.tan(delta)
-        # The nonzero Jacobian entries besides d(v')/da = 1.
-        dx_dpsi = -v * sin_psi
-        dy_dpsi = v * cos_psi
-        dpsi_dv = tan_delta / wheelbase
-        dpsi_ddelta = v / (wheelbase * math.cos(delta) ** 2)
-
-        a_entries += (1.0, 0.0, dt * cos_psi + 0.0, dt * dx_dpsi + 0.0,
-                      0.0, 1.0, dt * sin_psi + 0.0, dt * dy_dpsi + 0.0,
-                      0.0, 0.0, 1.0, 0.0,
-                      0.0, 0.0, dt * dpsi_dv + 0.0, 1.0)
-        b_entries += (0.0, 0.0, 0.0, 0.0, dt, 0.0, 0.0, dt * dpsi_ddelta)
-        c_entries += (
-            dt * (v * cos_psi - (cos_psi * v + dx_dpsi * psi + 0.0)),
-            dt * (v * sin_psi - (sin_psi * v + dy_dpsi * psi + 0.0)),
-            dt * (accel - (accel + 0.0)),
-            dt * (v / wheelbase * tan_delta - (dpsi_dv * v + 0.0)
-                  - (dpsi_ddelta * delta + 0.0)),
-        )
-    return (np.array(a_entries).reshape(-1, NX, NX),
-            np.array(b_entries).reshape(-1, NX, NU),
-            np.array(c_entries).reshape(-1, NX))
+    controls = np.asarray(controls, dtype=float)
+    states = np.asarray(states, dtype=float)[:len(controls)]
+    v, psi = states[:, 2], states[:, 3]
+    accel, delta = controls.T
+    if np.any(np.abs(delta) >= math.pi / 2.0):
+        raise ValueError("reference steering must satisfy |delta| < pi/2")
+    cos_psi, sin_psi, tan_delta, cos2_delta = np.array(
+        [(math.cos(p), math.sin(p), math.tan(d), math.cos(d) ** 2)
+         for p, d in zip(psi.tolist(), delta.tolist())]).reshape(-1, 4).T
+    jac_x = np.zeros((len(controls), NX, NX))
+    jac_x[:, 0, 2] = cos_psi
+    jac_x[:, 0, 3] = -v * sin_psi
+    jac_x[:, 1, 2] = sin_psi
+    jac_x[:, 1, 3] = v * cos_psi
+    jac_x[:, 3, 2] = tan_delta / wheelbase
+    jac_u = np.zeros((len(controls), NX, NU))
+    jac_u[:, 2, 0] = 1.0
+    jac_u[:, 3, 1] = v / (wheelbase * cos2_delta)
+    f = np.column_stack([v * cos_psi, v * sin_psi, accel, v / wheelbase * tan_delta])
+    return (np.eye(NX) + dt * jac_x, dt * jac_u,
+            dt * (f - (jac_x @ states[:, :, None])[:, :, 0]
+                  - (jac_u @ controls[:, :, None])[:, :, 0]))
 
 
 @dataclass(frozen=True)
@@ -355,9 +328,8 @@ class MPCTracker:
     def __init__(self, raceline: rl.Raceline, config: MPCConfig = MPCConfig()):
         self.raceline = raceline
         self.config = config
-        # Build the step-invariant tables now rather than in the first step.
+        # Build the step-invariant template now rather than in the first step.
         qp_template(config)
-        _waypoint_table(raceline, config.plant.wheelbase)
         self.reset()
 
     def reset(self):

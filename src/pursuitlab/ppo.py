@@ -20,6 +20,7 @@ import collections
 import csv
 import json
 import math
+import numbers
 import os
 import pickle
 import signal
@@ -64,6 +65,12 @@ class PPOConfig:
             raise ValueError("lr_schedule must be 'linear' or 'cosine'")
         if not (0.0 < self.gamma <= 1.0 and 0.0 < self.gae_lambda <= 1.0):
             raise ValueError("gamma and gae_lambda must be in (0, 1]")
+        # Used as counts (``range``, array sizes); the other counts are
+        # only compared and divided, where an integral float works.
+        for name in ("n_steps", "minibatch_size", "epochs", "n_envs"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("n_steps", "minibatch_size", "epochs", "n_envs", "total_steps",
                      "eval_every", "checkpoint_every"):
             if getattr(self, name) < 1:

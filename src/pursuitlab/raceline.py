@@ -68,11 +68,13 @@ class Raceline:
         kappa: signed curvature at each waypoint [1/m] (left turns positive).
         v_base: unscaled reference speed at each waypoint [m/s], all > 0.
         half_width: lateral corridor half-width [m].
-        speed_scale: uniform multiplier applied to ``v_base``; kept separate
-            so repeated scaling composes exactly.
+
+    ``speed_scale`` is the uniform multiplier applied to ``v_base``, 1 here;
+    :func:`scale_speeds` sets it on its copy, kept separate from ``v_base``
+    so that repeated scaling composes exactly.
     """
 
-    def __init__(self, x, y, kappa, v_base, half_width, speed_scale=1.0):
+    def __init__(self, x, y, kappa, v_base, half_width):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         kappa = np.asarray(kappa, dtype=float)
@@ -90,8 +92,6 @@ class Raceline:
             raise ValueError("every v_max must be > 0")
         if not half_width > 0.0:
             raise ValueError("half_width must be > 0")
-        if not speed_scale > 0.0:
-            raise ValueError("speed_scale must be > 0")
 
         # Segment i joins waypoint i to (i+1) mod N; the last entry closes
         # the loop across the seam.
@@ -119,7 +119,7 @@ class Raceline:
         self.y = y
         self.kappa = kappa
         self.v_base = v_base
-        self.speed_scale = float(speed_scale)
+        self.speed_scale = 1.0
         self.v_max = v_base * self.speed_scale
         self.half_width = float(half_width)
         self.n = n
@@ -303,6 +303,10 @@ def synthesize_track(kind: str, *, straight: float = 10.0, radius: float = 3.0,
     into a whole number of uniform steps and the loop closes exactly. The
     keyword defaults are also the config's track defaults.
     """
+    for name, value in (("straight", straight), ("radius", radius), ("length_x", length_x),
+                        ("length_y", length_y), ("spacing", spacing)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not spacing > 0.0:
         raise ValueError("spacing must be > 0")
     if not (v_cap > 0.0 and a_lat_max > 0.0):

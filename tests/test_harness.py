@@ -720,6 +720,11 @@ def test_cli_compare_rejects_a_repeated_name_before_any_lap(tmp_path, capsys):
      "compare[0].name must be a file name, not 7"),
     ("compare", "compare:\n  - {name: controller_1}\n  - {controller: {type: fixed}}\n",
      "compare entry names repeat: controller_1"),
+    ("eval", "controller: {type: mpc, dt: .inf}\n", "dt must be finite"),
+    ("eval", "controller: {type: mpc, v_floor: .inf}\n", "v_floor must be finite and >= 0"),
+    ("eval", "controller: {type: mpc, max_iter: 2.5}\n", "max_iter must be an integer, got 2.5"),
+    ("train", "train: {epochs: 2.5}\n", "epochs must be an integer, got 2.5"),
+    ("eval", "track: {radius: .inf}\n", "radius must be finite, got inf"),
 ], ids=["train_mode", "sim_key", "reward_key", "yaml", "train_key", "track_key",
         "eval_key", "controller_key", "section_type", "train_mode_type",
         "eval_every_zero", "minibatch_zero", "negative_rate", "empty_grid",
@@ -727,7 +732,9 @@ def test_cli_compare_rejects_a_repeated_name_before_any_lap(tmp_path, capsys):
         "nan_lookahead", "nan_gain",
         "compare_type", "compare_entry_type", "compare_entry_key", "compare_controller_key",
         "compare_controller_type", "compare_name_path", "compare_name_dotdot",
-        "compare_name_empty", "compare_name_type", "compare_name_default_repeat"])
+        "compare_name_empty", "compare_name_type", "compare_name_default_repeat",
+        "mpc_infinite_dt", "mpc_infinite_v_floor", "mpc_fractional_max_iter",
+        "fractional_epochs", "infinite_radius"])
 def test_cli_config_mistake_is_an_error_line(tmp_path, capsys, command, extra, named):
     """Each mistake ends in one ``error:`` line and exit 1, before any run."""
     cfg = write_cli_config(tmp_path, extra)

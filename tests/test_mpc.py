@@ -434,8 +434,8 @@ def test_qp_chain_matches_the_per_knot_oracle_bytes(
         horizon, state_w, terminal_w, control_w, rate_w, dt, kind, size, radius,
         v_cap, where, offset, heading_error, speed):
     """build_reference -> linearize -> assemble_qp gives the oracle's
-    reference byte for byte, signs of zero included, and the oracle's QP with
-    its states eliminated."""
+    reference states and controls byte for byte, signs of zero included, and
+    the oracle's QP with its states eliminated."""
     track = synthesized(kind, size, radius, v_cap)
     config = MPCConfig(horizon=horizon, dt=dt, state_weights=state_w,
                        terminal_weights=terminal_w, control_weights=control_w,
@@ -446,9 +446,41 @@ def test_qp_chain_matches_the_per_knot_oracle_bytes(
     reference = build_reference(track, state, rl.nearest_index(track, state.position), config)
     qp = assemble_qp(reference, linearize(reference.states, reference.controls,
                                           config.plant.wheelbase, config.dt), config).qp(state)
-    states, expected = oracle_qp(track, state, config)
+    states, controls = oracle_reference(track, state, config)
     assert reference.states.tobytes() == states.tobytes()
-    assert_eliminates_the_oracle_states(qp, expected, np.random.default_rng(0))
+    assert reference.controls.tobytes() == controls.tobytes()
+    assert_eliminates_the_oracle_states(qp, oracle_qp(track, state, config)[1],
+                                        np.random.default_rng(0))
+
+
+JUST_UNDER_QUARTER_TURN = math.nextafter(math.pi / 2.0, 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(knots=st.lists(st.tuples(
+           st.floats(-50.0, 50.0), st.floats(-50.0, 50.0),
+           st.one_of(st.floats(0.0, 15.0), st.sampled_from([0.0, -0.0])),
+           st.one_of(st.floats(-4.0 * math.pi, 4.0 * math.pi),
+                     st.sampled_from([math.pi, -math.pi, 3.0 * math.pi])),
+           st.one_of(st.floats(-5.0, 5.0), st.sampled_from([0.0, -0.0])),
+           st.one_of(st.floats(-1.5, 1.5),
+                     st.sampled_from([0.0, -0.0, JUST_UNDER_QUARTER_TURN,
+                                      -JUST_UNDER_QUARTER_TURN]))),
+       min_size=1, max_size=10),
+       wheelbase=st.floats(0.1, 2.0), dt=st.sampled_from([0.05, 0.1, 0.2]))
+def test_linearize_matches_the_per_knot_oracle_bytes(knots, wheelbase, dt):
+    """All knots at once give each knot's oracle (A, B, c) byte for byte,
+    signs of zero included, for headings past +-pi, zero speeds and
+    steering, and steering just short of a quarter turn."""
+    states = np.array([knot[:NX] for knot in knots] + [(1.0, 2.0, 3.0, 4.0)])
+    controls = np.array([knot[NX:] for knot in knots])
+    a_blocks, b_blocks, c_blocks = linearize(states, controls, wheelbase, dt)
+    assert (a_blocks.shape, b_blocks.shape, c_blocks.shape) == (
+        (len(knots), NX, NX), (len(knots), NX, NU), (len(knots), NX))
+    for t in range(len(knots)):
+        expected = oracle_linearize(states[t], controls[t], wheelbase, dt)
+        for got, want in zip((a_blocks[t], b_blocks[t], c_blocks[t]), expected):
+            assert got.tobytes() == want.tobytes()
 
 
 def rolled_gradient(reference_states, linearization, state, config):
@@ -504,15 +536,6 @@ def test_affine_gradient_matches_the_rolled_out_state(
     expected, scale = rolled_gradient(reference.states, linearization, state, config)
     assert qp.q.shape == expected.shape == (NU * horizon,)
     assert np.abs(qp.q - expected).max() <= 1e-12 * scale + 4 * np.finfo(float).tiny
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.one_of(st.floats(-20.0, 20.0),
-                          st.sampled_from([0.0, -0.0, math.pi, -math.pi, 2 * math.pi])),
-                min_size=1, max_size=12))
-def test_unwrap_matches_numpy_bytes(angles):
-    expected = np.unwrap(np.array(angles))
-    assert np.array(mpc._unwrap(angles)).tobytes() == expected.tobytes()
 
 
 def test_template_arrays_are_read_only_and_shared():
@@ -1071,9 +1094,25 @@ def test_config_rejects_nan(field):
 @pytest.mark.parametrize("field, value", [
     ("tol", 0.0), ("tol", -1e-6), ("tol", math.nan),
     ("rho", 0.0), ("rho", -1.0), ("rho", math.nan),
-    ("max_iter", 0), ("max_iter", -3)])
+    ("max_iter", 0), ("max_iter", -3),
+    ("tol", math.inf), ("rho", math.inf), ("max_iter", 2.5), ("max_iter", math.nan),
+    ("horizon", 0), ("horizon", 2.5), ("horizon", 8.0), ("dt", math.inf), ("dt", 0.0),
+    ("v_floor", math.inf), ("v_floor", -0.5), ("v_floor", math.nan)])
 def test_config_rejects_broken_solver_settings(field, value):
     """ADMM divides by rho, a tol of 0 or NaN is never met, and max_iter 0
-    runs no solver: each would hold the previous command on every step."""
+    runs no solver: each would hold the previous command on every step. A
+    fractional max_iter or horizon is no count of iterations or knots, and
+    an infinite dt or v_floor overflows the first step's advance."""
     with pytest.raises(ValueError, match=field):
         MPCConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["state_weights", "terminal_weights",
+                                   "control_weights", "control_rate_weights"])
+def test_config_rejects_infinite_weights(field):
+    """An infinite weight makes the QP's cost infinite, so no solver
+    converges and the previous command is held on every step."""
+    weights = list(getattr(MPCConfig(), field))
+    weights[-1] = math.inf
+    with pytest.raises(ValueError, match="weights must be finite"):
+        MPCConfig(**{field: tuple(weights)})

@@ -247,6 +247,19 @@ def test_config_rejects_counts_below_one(name):
         PPOConfig(**{name: 0})
 
 
+@pytest.mark.parametrize("name", ["n_steps", "minibatch_size", "epochs", "n_envs"])
+@pytest.mark.parametrize("value", [2.5, 256.0, math.nan])
+def test_config_requires_whole_counts_where_they_size_or_loop(name, value):
+    # ``range`` and the buffers' shapes take these; a float dies mid-run.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+        PPOConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["total_steps", "eval_every", "checkpoint_every"])
+def test_config_takes_an_integral_float_where_a_count_is_only_compared(name):
+    PPOConfig(**{name: 25000.0})
+
+
 @pytest.mark.parametrize("name, value, bound", [
     ("learning_rate", -1e-3, "> 0"), ("learning_rate", 0.0, "> 0"),
     ("max_grad_norm", -1.0, "> 0"), ("clip_epsilon", 0.0, "> 0"),

@@ -333,7 +333,6 @@ NAN = float("nan")
 
 @pytest.mark.parametrize("build", [
     lambda t: rl.Raceline(t.x, t.y, t.kappa, t.v_base, half_width=NAN),
-    lambda t: rl.Raceline(t.x, t.y, t.kappa, t.v_base, t.half_width, speed_scale=NAN),
     lambda t: rl.scale_speeds(t, NAN),
     lambda t: rl.lookahead_target(t, 0, NAN),
     lambda t: rl.synthesize_track("oval", half_width=NAN),
@@ -344,13 +343,23 @@ NAN = float("nan")
     lambda t: rl.synthesize_track("oval", straight=NAN),
     lambda t: rl.synthesize_track("rounded_rectangle", length_x=NAN),
     lambda t: rl.synthesize_track("rounded_rectangle", length_y=NAN),
-], ids=["half_width", "speed_scale", "scale_speeds", "lookahead", "synth_half_width",
+], ids=["half_width", "scale_speeds", "lookahead", "synth_half_width",
         "spacing", "v_cap", "a_lat_max", "radius", "straight", "length_x", "length_y"])
 def test_positive_settings_reject_nan(oval_track, build):
     """A NaN passes ``x <= 0`` checks; a NaN half-width would make every
     collision check false, so no lap could fail."""
     with pytest.raises(ValueError):
         build(oval_track)
+
+
+@pytest.mark.parametrize("name", ["straight", "radius", "length_x", "length_y", "spacing"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, NAN])
+def test_synthesized_track_dimensions_must_be_finite(name, value):
+    """An infinite radius or side makes the perimeter infinite, whose
+    waypoint count overflows; the error names the dimension, of either
+    layout, since a config passes all of them."""
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        rl.synthesize_track("rounded_rectangle", **{name: value})
 
 
 # ----------------------------------------------------------------------
