@@ -10,7 +10,9 @@ from __future__ import annotations
 import copy
 import dataclasses
 import functools
+import numbers
 import os
+from collections.abc import Hashable
 
 import yaml
 
@@ -85,6 +87,12 @@ def _section_keys(section: str) -> list:
     return [*DEFAULTS[section], *_OPTIONAL_KEYS.get(section, ())]
 
 
+def _numeric_keys(section: str) -> list:
+    """The keys of ``section`` that must hold a number."""
+    return [*(key for key, value in DEFAULTS[section].items() if _is_number(value)),
+            *_OPTIONAL_KEYS.get(section, ())]
+
+
 def _check_keys(name: str, value, names, kind: str = "section"):
     """Raise unless ``value`` is a mapping whose keys are all in ``names``."""
     if not isinstance(value, dict):
@@ -94,12 +102,63 @@ def _check_keys(name: str, value, names, kind: str = "section"):
                          f"valid: {', '.join(names)}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _number_hint(value) -> str:
+    """For a string that Python reads as a number, how to write it so that
+    YAML does: YAML 1.1 reads a float only with a dot and a signed exponent."""
+    if not isinstance(value, str):
+        return ""
+    try:
+        float(value)
+    except ValueError:
+        return ""
+    mantissa, e, exponent = value.strip().lower().partition("e")
+    if e:
+        mantissa += "" if "." in mantissa else ".0"
+        exponent = exponent if exponent[:1] in ("+", "-") else "+" + exponent
+    written = mantissa + e + exponent
+    return (f" (YAML reads it as a string; write {written})"
+            if _is_number(yaml.safe_load(written)) else "")
+
+
+def _check_numbers(prefix: str, section: dict, names):
+    """Raise unless each of ``names`` that ``section`` holds is a number."""
+    for name in names:
+        value = section.get(name)
+        if name in section and not _is_number(value):
+            raise ValueError(f"{prefix}{name} must be a number, got {value!r}"
+                             f"{_number_hint(value)}")
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that refuses a key repeated in one mapping, at any
+    depth, where PyYAML keeps the last one."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            key = self.construct_object(key_node, deep=deep)
+            if not isinstance(key, Hashable):
+                continue  # refused by the SafeLoader
+            if key in seen:
+                mark = key_node.start_mark
+                raise ValueError(f"config file {mark.name} repeats key {key!r} "
+                                 f"on line {mark.line + 1}")
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_config(path=None) -> dict:
     """Defaults overlaid with the YAML file at ``path`` (if given).
 
     Every section that has a mapping of defaults must stay a mapping and
     may hold only those keys (the controller's also ``OPTIONAL_SPEC_KEYS``),
-    so a misspelt key is an error rather than a silent default. Each
+    so a misspelt key is an error rather than a silent default. A key
+    repeated in one mapping is an error too, and so is a value that is not
+    a number where the default is one (or under ``OPTIONAL_SPEC_KEYS``). Each
     ``compare`` entry is a mapping of ``name`` and a ``controller`` checked
     like the controller section. Its name (default ``controller_<i>``)
     prefixes its output files, so it must be a plain file name, unique
@@ -109,15 +168,17 @@ def load_config(path=None) -> dict:
     if path is not None:
         with open(path, "r", encoding="utf-8") as f:
             try:
-                overlay = yaml.safe_load(f) or {}
+                overlay = yaml.load(f, Loader=_UniqueKeyLoader) or {}
             except yaml.YAMLError as exc:
                 raise ValueError(f"config file {path} is not valid YAML: {exc}") from None
         if not isinstance(overlay, dict):
             raise ValueError("config file must contain a mapping")
         cfg = _deep_merge(cfg, overlay)
+    _check_numbers("", cfg, [key for key, value in DEFAULTS.items() if _is_number(value)])
     for section, defaults in DEFAULTS.items():
         if isinstance(defaults, dict):
             _check_keys(section, cfg[section], _section_keys(section))
+            _check_numbers(f"{section}.", cfg[section], _numeric_keys(section))
     if not isinstance(cfg["compare"], list):
         raise ValueError(f"config section compare must be a list, not {cfg['compare']!r}")
     names = []
@@ -125,6 +186,8 @@ def load_config(path=None) -> dict:
         _check_keys(f"compare[{i}]", entry, ("name", "controller"), kind="entry")
         _check_keys(f"compare[{i}].controller", entry.get("controller", {}),
                     _section_keys("controller"), kind="entry")
+        _check_numbers(f"compare[{i}].controller.", entry.get("controller", {}),
+                       _numeric_keys("controller"))
         name = entry.setdefault("name", f"controller_{i}")
         if not isinstance(name, str) or name in ("", ".", "..") or any(
                 sep and sep in name for sep in ("/", os.sep, os.altsep)):

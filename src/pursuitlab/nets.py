@@ -57,15 +57,15 @@ class DenseNet:
         """Batch forward pass. Returns (output, cache) with cache holding
         each layer's input and post-activation."""
         cache = []
-        return self._layers(x, cache), cache
+        return self._layers(np.atleast_2d(np.asarray(x, dtype=float)), cache), cache
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Batch forward pass for inference: :meth:`forward`'s output, with
         no cache built."""
-        return self._layers(x, None)
+        return self._layers(np.atleast_2d(np.asarray(x, dtype=float)), None)
 
-    def _layers(self, x, cache):
-        h = np.atleast_2d(np.asarray(x, dtype=float))
+    def _layers(self, h: np.ndarray, cache):
+        """The layers over ``h``, a float array that is taken as it is."""
         last = self.n_layers - 1
         for i in range(self.n_layers):
             out = h @ self.params[2 * i] + self.params[2 * i + 1]
@@ -116,21 +116,30 @@ class GaussianPolicy:
     def std(self) -> np.ndarray:
         return np.exp(self.log_std)
 
-    def sample(self, obs: np.ndarray, rng: np.random.Generator):
-        """Draw one action; returns (action, log_prob).
-
-        The log-probability is :meth:`log_prob_of`'s, summed on floats in
-        numpy's order (from 0.0, one term at a time).
-        """
-        mean = self.mean_net(obs)[0]
-        std = np.exp(self.log_std)
-        action = mean + std * rng.standard_normal(self.act_dim)
-        square_sum = 0.0
-        for z in ((action - mean) / std).tolist():
-            square_sum += z * z
+    def sampling_constants(self) -> tuple[list, float]:
+        """``(std, log_std_sum)`` for :meth:`sample`: ``np.exp(log_std)`` as
+        floats and the log-stds summed in numpy's order (from 0.0, one term
+        at a time)."""
         log_std_sum = 0.0
         for log_std in self.log_std.tolist():
             log_std_sum += log_std
+        return np.exp(self.log_std).tolist(), log_std_sum
+
+    def sample(self, obs: np.ndarray, rng: np.random.Generator, constants=None):
+        """Draw one action for the float row ``obs``, ``(1, obs_dim)`` or
+        ``(obs_dim,)``; returns ``(action, log_prob)``, on floats with the
+        array forms' results, the action as a list. A caller that samples
+        many times under unchanged parameters passes ``constants``, the
+        :meth:`sampling_constants` it took once."""
+        std, log_std_sum = constants or self.sampling_constants()
+        mean = self.mean_net._layers(obs, None).ravel().tolist()
+        action, square_sum = [], 0.0
+        for m, s, noise in zip(mean, std, rng.standard_normal(self.act_dim).tolist()):
+            a = m + s * noise
+            # A std that underflowed to 0 takes numpy's quotient, a NaN.
+            z = (a - m) / s if s else float(np.divide(a - m, s))
+            square_sum += z * z
+            action.append(a)
         return action, -0.5 * square_sum - log_std_sum - 0.5 * self.act_dim * LOG_2PI
 
     def mean_action(self, obs: np.ndarray) -> np.ndarray:

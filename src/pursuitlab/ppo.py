@@ -8,10 +8,11 @@ of the policy and normalization statistics, and versioned checkpoints that
 fully restore deterministic evaluation.
 
 Rollouts may fan out over several sequentially-stepped environments; the
-update itself is a single-threaded critical section. Scheduled
-evaluations run in a worker process while collection goes on, so the
-trainer's ``env_factory`` must pickle. Every random stream derives from the
-master seed by fixed offsets, so runs are reproducible.
+update itself is a single-threaded critical section. A collected step
+runs on Python floats, giving the floats of the numpy forms it replaced.
+Scheduled evaluations run in a worker process while collection goes on,
+so the trainer's ``env_factory`` must pickle. Every random stream derives
+from the master seed by fixed offsets, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -101,9 +102,9 @@ class RunningNormalizer:
     """Running mean/variance in the numerically-stable parallel-update form.
 
     ``scale`` is ``sqrt(var + eps)``, kept with the statistics: every
-    assignment of ``var`` assigns it too, so :meth:`apply`, which runs on
-    every collected and evaluated step while the statistics change at most
-    once per step, only subtracts, divides and clips.
+    assignment of ``var`` assigns it too, so normalizing a collected or
+    evaluated step, while the statistics change at most once per step,
+    only subtracts, divides and clips.
     """
 
     def __init__(self, shape, clip: float = 10.0, eps: float = 1e-8):
@@ -116,11 +117,14 @@ class RunningNormalizer:
         self.clip = clip
         self.eps = eps
 
-    def update(self, batch: np.ndarray):
-        batch = np.atleast_2d(np.asarray(batch, dtype=float))
-        if batch.shape[0] == 1:
-            self._update_row(batch[0].tolist())
+    def update(self, batch, out: np.ndarray | None = None):
+        """Fold the rows of the 2-D ``batch`` into the statistics and, with
+        ``out``, write the rows normalized by the new statistics into it,
+        with :meth:`apply`'s floats."""
+        if len(batch) == 1 and self._update_row(
+                np.asarray(batch[0], dtype=float).tolist(), out):
             return
+        batch = np.atleast_2d(np.asarray(batch, dtype=float))
         batch_count = batch.shape[0]
         # The steps of ``batch.mean(axis=0)`` and ``batch.var(axis=0)``,
         # without their per-call overhead; the floats are the same.
@@ -132,46 +136,63 @@ class RunningNormalizer:
             self.var = batch_var
             self.scale = np.sqrt(batch_var + self.eps)
             self.count = float(batch_count)
-            return
-        delta = batch_mean - self.mean
-        total = self.count + batch_count
-        self.mean = self.mean + delta * batch_count / total
-        m_a = self.var * self.count
-        m_b = batch_var * batch_count
-        m2 = m_a + m_b + delta * delta * self.count * batch_count / total
-        self.var = m2 / total
-        self.scale = np.sqrt(self.var + self.eps)
-        self.count = total
+        else:
+            delta = batch_mean - self.mean
+            total = self.count + batch_count
+            self.mean = self.mean + delta * batch_count / total
+            m_a = self.var * self.count
+            m_b = batch_var * batch_count
+            m2 = m_a + m_b + delta * delta * self.count * batch_count / total
+            self.var = m2 / total
+            self.scale = np.sqrt(self.var + self.eps)
+            self.count = total
+        if out is not None:
+            out[...] = self.apply(batch)
 
-    def _update_row(self, row: list):
+    def _update_row(self, row: list, out: np.ndarray | None = None):
         """:meth:`update` with one row, on floats, giving the same floats.
 
         numpy's reduction adds the row to 0.0, so the row's mean is
         ``0.0 + x`` (a -0.0 becomes 0.0) and its variance ``(x - mean)**2``,
         which is NaN for an infinite or NaN ``x``. A batch count of 1
         multiplies exactly, so it is left out. ``math.sqrt`` rounds as
-        ``np.sqrt`` does, and a variance is never below 0.
+        ``np.sqrt`` does, and a variance is never below 0. The normalized
+        value ``min(max(z, -clip), clip)`` keeps a NaN and a -0.0 ``z`` as
+        ``np.minimum(np.maximum(z, -clip), clip)`` does.
+
+        Where two NaNs meet in a sum or a product, numpy keeps the first's
+        sign and Python either's (its generic and specialized adds differ),
+        so a row that makes a NaN statistic changes nothing and returns
+        False, for the array path to take it.
         """
         count = self.count
         total = count + 1.0
-        eps = self.eps
-        mean, var, scale = [], [], []
+        eps, clip = self.eps, self.clip
+        mean, var, scale, normalized = [], [], [], []
         for x, m, v in zip(row, self.mean.tolist(), self.var.tolist()):
             row_mean = 0.0 + x
             d = x - row_mean
             if count == 0.0:
-                mean.append(row_mean)
+                m = row_mean
                 v = d * d
             else:
                 delta = row_mean - m
-                mean.append(m + delta / total)
+                m = m + delta / total
                 v = (v * count + d * d + delta * delta * count / total) / total
+            if m != m or v != v:
+                return False
+            s = math.sqrt(v + eps)
+            mean.append(m)
             var.append(v)
-            scale.append(math.sqrt(v + eps))
+            scale.append(s)
+            normalized.append(min(max((x - m) / s, -clip), clip))
         self.mean = np.array(mean)
         self.var = np.array(var)
         self.scale = np.array(scale)
         self.count = total
+        if out is not None:
+            out[0] = normalized
+        return True
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         z = (np.asarray(x, dtype=float) - self.mean) / self.scale
@@ -198,23 +219,21 @@ class ReturnNormalizer:
         self.stats = RunningNormalizer(1, clip=clip, eps=eps)
         self.clip = clip
 
-    def update(self, rewards: np.ndarray, dones: np.ndarray) -> np.ndarray:
+    def update(self, rewards, dones, out: np.ndarray):
         """Fold rewards into the accumulator, update the variance, and
-        return the normalized rewards."""
-        rewards = np.asarray(rewards, dtype=float)
-        if rewards.shape == (1,):
-            # One environment, on floats with the array path's results.
-            reward = rewards.item()
+        write the normalized rewards into ``out``."""
+        if len(rewards) == 1:
+            # One env on floats with the array path's results; a NaN takes it.
+            reward = rewards[0]
             accumulated = self.accumulator.item() * self.gamma + reward
-            self.stats._update_row([accumulated])
-            scaled = reward / self.stats.scale.item()
-            self.accumulator[0] = 0.0 if dones[0] else accumulated
-            return np.array([min(max(scaled, -self.clip), self.clip)])
-        self.accumulator = self.accumulator * self.gamma + rewards
+            if self.stats._update_row([accumulated]):
+                self.accumulator[0] = 0.0 if dones[0] else accumulated
+                out[0] = min(max(reward / self.stats.scale.item(), -self.clip), self.clip)
+                return
+        self.accumulator = self.accumulator * self.gamma + np.asarray(rewards, dtype=float)
         self.stats.update(self.accumulator[:, None])
-        normalized = self.apply(rewards)
+        out[...] = self.apply(rewards)
         self.accumulator[np.asarray(dones, dtype=bool)] = 0.0
-        return normalized
 
     def apply(self, rewards: np.ndarray) -> np.ndarray:
         scaled = np.asarray(rewards, dtype=float) / self.stats.scale
@@ -689,15 +708,15 @@ class PPOTrainer:
         self.metrics: list[Diagnostics] = []
         self.cycle_times: list[CycleTimes] = []  # one per entry of metrics
         self._episode_returns: list[float] = []
-        self._running_returns = np.zeros(config.n_envs)
+        self._running_returns = [0.0] * config.n_envs
         self._eval_bucket = 0
         self._checkpoint_bucket = 0
         self._evaluator: EvalWorker | None = None  # only while train() runs
         # pickled save_checkpoint arguments of each submitted, unread evaluation
         self._pending: collections.deque[bytes] = collections.deque()
 
-        self._obs = np.stack([env.reset() for env in self.envs])
-        self._episode_start = np.ones(config.n_envs, dtype=bool)
+        self._obs = [env.reset() for env in self.envs]
+        self._episode_start = [True] * config.n_envs
 
     # ------------------------------------------------------------------
     # Collection
@@ -707,50 +726,62 @@ class PPOTrainer:
         """Fill the buffer with ``n_steps`` steps of every training env, then
         its values, advantages and returns.
 
-        Each step does only what the next env step needs: it updates the
-        observation statistics, writes the normalized observations into
-        the buffer's next row, samples each env's action and
-        log-probability into that row, steps the envs and stores the
-        normalized rewards. The value net cannot change before the update,
-        so the values come after the loop, from one forward pass over the
-        ``(n_steps, n_envs, obs_dim)`` observations. numpy's matmul runs
-        each ``(n_envs, obs_dim)`` slice of that stack with the same BLAS
-        call as a forward of that slice alone, so the values are the
-        floats a per-step pass would give (tests/test_nets.py checks it).
+        Each step does only what the next env step needs:
+        :meth:`RunningNormalizer.update` folds the raw observations into the
+        statistics and writes them, normalized, into the buffer's next row;
+        each env's action and log-probability are drawn from its slice of
+        that row, with the policy's std taken once per rollout; and
+        :meth:`ReturnNormalizer.update` writes the scaled rewards into the
+        row. The rest stays Python values until the loop ends. The value
+        net cannot change before the update either, so the values come
+        after the loop, from one forward pass over the ``(n_steps, n_envs,
+        obs_dim)`` observations. numpy's matmul runs each ``(n_envs,
+        obs_dim)`` slice of that stack with the same BLAS call as a forward
+        of that slice alone, so the values are the floats a per-step pass
+        would give (tests/test_nets.py checks it, and tests/test_ppo.py a
+        whole rollout against its array form).
 
         An evaluation that falls due is handed to :meth:`train`'s worker,
         so a call outside :meth:`train` must not cross ``eval_every``.
         """
-        buffer = self.buffer
+        buffer, cfg = self.buffer, self.config
         buffer.reset()
+        sample, rng = self.policy.sample, self.rng
+        constants = self.policy.sampling_constants()  # fixed until the update
         self._episode_returns = []
-        cfg = self.config
-        dones = self._episode_start  # a step's dones start the next step's episodes
-        for _ in range(cfg.n_steps):
-            self.obs_norm.update(self._obs)
-            t = buffer.add(self.obs_norm.apply(self._obs), dones)
-            norm_obs, actions = buffer.obs[t], buffer.actions[t]
-            log_probs, rewards = buffer.log_probs[t], buffer.rewards[t]
-            for i in range(cfg.n_envs):
-                actions[i], log_probs[i] = self.policy.sample(norm_obs[i], self.rng)
-
+        running = self._running_returns
+        # A step's dones start the next step's episodes.
+        raw, dones = self._obs, self._episode_start
+        actions, log_probs, starts = [], [], []
+        for t in range(cfg.n_steps):
+            norm_obs = buffer.obs[t]
+            self.obs_norm.update(raw, norm_obs)
+            starts.append(dones)
+            raw, rewards, dones = [], [], []
             for i, env in enumerate(self.envs):
-                obs_i, reward_i, done_i, _ = env.step(actions[i])
-                rewards[i] = reward_i
-                dones[i] = done_i
-                self._running_returns[i] += reward_i
-                if done_i:
-                    self._episode_returns.append(self._running_returns[i])
-                    self._running_returns[i] = 0.0
-                    obs_i = env.reset()
-                self._obs[i] = obs_i
-
-            rewards[:] = self.ret_norm.update(rewards, dones)
+                action, log_prob = sample(norm_obs[i:i + 1], rng, constants)
+                actions.append(action)
+                log_probs.append(log_prob)
+                obs, reward, done, _ = env.step(action)
+                running[i] += reward
+                if done:
+                    self._episode_returns.append(running[i])
+                    running[i] = 0.0
+                    obs = env.reset()
+                raw.append(obs)
+                rewards.append(reward)
+                dones.append(done)
+            self.ret_norm.update(rewards, dones, buffer.rewards[t])
             self.global_step += cfg.n_envs
             self._maybe_eval_and_checkpoint()
+        self._obs, self._episode_start = raw, dones
 
+        buffer.flat(buffer.actions)[:] = actions
+        buffer.flat(buffer.log_probs)[:] = log_probs
+        buffer.episode_starts[:] = starts
+        buffer.pos = buffer.n_steps
         buffer.values[:] = self.value_net(buffer.obs)[..., 0]
-        last_values = self.value_net(self.obs_norm.apply(self._obs))[:, 0]
+        last_values = self.value_net(self.obs_norm.apply(raw))[:, 0]
         compute_gae(buffer, last_values, dones, cfg.gamma, cfg.gae_lambda)
 
     # ------------------------------------------------------------------

@@ -2,8 +2,10 @@
 MPC lap, and two runs whose laps are lost and restarted.
 
 The pinned values were recorded before the per-step float kernels of the
-simulator, the normalizers, the policy sampler and the Pure Pursuit step
-replaced their numpy forms; the MPC lap was recorded before the MPC's QP
+simulator, the normalizers (the statistics, then also the normalized
+observation row and the scaled reward), the policy sampler (its
+log-probability, then also its action) and the Pure Pursuit step replaced
+their numpy forms; the MPC lap was recorded before the MPC's QP
 was built from a step-invariant template, and its two floats were
 re-pinned, 2e-14 relative from the old ones, when its QP came to be
 built over the controls alone (the condensing sums in another order),

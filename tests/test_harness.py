@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 
 from pursuitlab import cli
 from pursuitlab import raceline as rl
@@ -578,6 +579,37 @@ def test_load_config_overlay(tmp_path):
     assert cfg["seed"] == 42
 
 
+@pytest.mark.parametrize("text, line", [
+    ("track: {kind: oval, straight: 8.0}\ntrack: {v_cap: 6.0}\n", 2),
+    ("train:\n  n_envs: 2\n  epochs: 3\n  n_envs: 1\n", 4),
+    ("compare:\n  - name: a\n    controller: {type: mpc, dt: 0.1, dt: 0.2}\n", 3),
+])
+def test_load_config_refuses_a_repeated_key_at_any_depth(tmp_path, text, line):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"repeats key '[a-z_]+' on line {line}$"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("text, named", [
+    ("seed: '7'\n", "seed must be a number, got '7' (YAML reads it as a string; write 7)"),
+    ("train: {epochs: true}\n", "train.epochs must be a number, got True"),
+    ("train: {gamma: 1e0}\n", "write 1.0e+0"),
+    ("controller: {type: adaptive, v_lo: null}\n", "controller.v_lo must be a number, got None"),
+    ("compare:\n  - {name: a, controller: {type: mpc, horizon: '8'}}\n",
+     "compare[0].controller.horizon must be a number, got '8'"),
+    ("reward: {speed: fast}\n", "reward.speed must be a number, got 'fast'"),
+])
+def test_load_config_wants_a_number_where_the_default_is_one(tmp_path, text, named):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    with pytest.raises(ValueError) as error:
+        load_config(path)
+    assert named in str(error.value)
+    if "fast" in text:
+        assert "write" not in str(error.value)
+
+
 def test_build_track_kinds(tmp_path):
     cfg = load_config()
     assert build_track(cfg).n > 20
@@ -622,12 +654,31 @@ def test_config_defaults_come_from_the_dataclasses():
 # CLI
 # ----------------------------------------------------------------------
 
+CLI_CONFIG = ("track:\n  kind: oval\n  straight: 8.0\n  v_cap: 6.0\n"
+              "eval:\n  laps: 2\n  sweep_grid: [0.9, 1.0]\n  refine_step: 0.0\n")
+
+
 def write_cli_config(tmp_path, extra=""):
+    """:data:`CLI_CONFIG` with the YAML text ``extra``. A ``track`` or
+    ``eval`` mapping in ``extra`` is merged into its base section, since a
+    config file may name a key only once; any other ``extra`` is appended as
+    written, so that broken YAML stays broken."""
+    text = CLI_CONFIG + extra
+    try:
+        overlay = yaml.safe_load(extra)
+    except yaml.YAMLError:
+        overlay = None
+    if isinstance(overlay, dict) and any(isinstance(overlay.get(key), dict)
+                                         for key in ("track", "eval")):
+        merged = yaml.safe_load(CLI_CONFIG)
+        for key, value in overlay.items():
+            if isinstance(value, dict) and key in merged:
+                merged[key].update(value)
+            else:
+                merged[key] = value
+        text = yaml.safe_dump(merged, sort_keys=False)
     path = tmp_path / "cfg.yaml"
-    path.write_text(
-        "track:\n  kind: oval\n  straight: 8.0\n  v_cap: 6.0\n"
-        "eval:\n  laps: 2\n  sweep_grid: [0.9, 1.0]\n  refine_step: 0.0\n"
-        + extra)
+    path.write_text(text)
     return path
 
 
@@ -725,6 +776,13 @@ def test_cli_compare_rejects_a_repeated_name_before_any_lap(tmp_path, capsys):
     ("eval", "controller: {type: mpc, max_iter: 2.5}\n", "max_iter must be an integer, got 2.5"),
     ("train", "train: {epochs: 2.5}\n", "epochs must be an integer, got 2.5"),
     ("eval", "track: {radius: .inf}\n", "radius must be finite, got inf"),
+    ("eval", "controller:\n  type: fixed\ncontroller:\n  gain: 0.5\n",
+     "repeats key 'controller' on line 11"),
+    ("train", "train: {learning_rate: 3e-4}\n",
+     "train.learning_rate must be a number, got '3e-4' (YAML reads it as a string; "
+     "write 3.0e-4)"),
+    ("eval", "controller: {type: mpc, dt: \"0.1\"}\n",
+     "controller.dt must be a number, got '0.1'"),
 ], ids=["train_mode", "sim_key", "reward_key", "yaml", "train_key", "track_key",
         "eval_key", "controller_key", "section_type", "train_mode_type",
         "eval_every_zero", "minibatch_zero", "negative_rate", "empty_grid",
@@ -734,7 +792,8 @@ def test_cli_compare_rejects_a_repeated_name_before_any_lap(tmp_path, capsys):
         "compare_controller_type", "compare_name_path", "compare_name_dotdot",
         "compare_name_empty", "compare_name_type", "compare_name_default_repeat",
         "mpc_infinite_dt", "mpc_infinite_v_floor", "mpc_fractional_max_iter",
-        "fractional_epochs", "infinite_radius"])
+        "fractional_epochs", "infinite_radius", "duplicate_key", "string_rate",
+        "quoted_dt"])
 def test_cli_config_mistake_is_an_error_line(tmp_path, capsys, command, extra, named):
     """Each mistake ends in one ``error:`` line and exit 1, before any run."""
     cfg = write_cli_config(tmp_path, extra)

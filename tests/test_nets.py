@@ -146,6 +146,18 @@ def test_sample_collapses_to_mean_at_tiny_std():
     np.testing.assert_allclose(action, policy.mean_action(obs), atol=1e-12)
 
 
+def test_sample_at_a_std_that_underflowed_gives_the_array_forms_nan():
+    rng = np.random.default_rng(4)
+    policy = GaussianPolicy(5, 2, rng)
+    policy.log_std[:] = -800.0  # exp underflows to 0.0
+    obs = rng.standard_normal((1, 5))
+    with np.errstate(invalid="ignore"):
+        action, log_prob = policy.sample(obs, np.random.default_rng(0))
+        want, _ = policy.log_prob_of(policy.mean_action(obs)[None], np.array([action]))
+    assert action == policy.mean_action(obs).tolist()
+    assert math.isnan(log_prob) and math.isnan(want[0])
+
+
 def test_log_prob_at_mode():
     rng = np.random.default_rng(5)
     policy = GaussianPolicy(5, 2, rng)

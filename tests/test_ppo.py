@@ -474,6 +474,9 @@ def split_batches(draw):
 @example(split=(np.array([[-0.0, 1.0], [-0.0, -0.0], [math.inf, 2.0],
                           [3.0, math.nan]]), [1, 2, 3]),
          probe=[0.0, math.nan, math.inf, -math.inf, -0.0])
+# A NaN row meets the NaN variance that the infinite row left (see
+# RunningNormalizer._update_row).
+@example(split=(np.array([[math.inf], [math.nan]]), [1]), probe=[0.0] * 5)
 @given(split_batches(),
        st.lists(st.floats(-1e7, 1e7) | SPECIAL_FLOATS, min_size=5, max_size=5))
 def test_normalizer_update_is_bit_identical_to_mean_var_moments(split, probe):
@@ -523,7 +526,8 @@ def test_return_normalizer_divides_by_running_std():
         r = float(rng.uniform(-1, 3))
         acc = acc * 0.99 + r
         accs.append(acc)
-        got = rn.update(np.array([r]), np.array([False]))
+        got = np.empty(1)
+        rn.update(np.array([r]), np.array([False]), got)
         expected = r / math.sqrt(np.var(accs) + 1e-8)
         assert got[0] == pytest.approx(min(10.0, max(-10.0, expected)), rel=1e-9)
 
@@ -550,18 +554,20 @@ def reward_streams(draw):
 
 @example(stream=(1, [([-0.0], [False]), ([1.5], [True]), ([-0.0], [False]),
                      ([math.inf], [False]), ([2.0], [True])]), gamma=0.99)
+@example(stream=(1, [([math.inf], [False]), ([math.nan], [False])]), gamma=1.0)
 @given(reward_streams(), st.floats(0.5, 1.0))
 def test_return_normalizer_update_is_bit_identical_to_the_array_update(stream, gamma):
     n_envs, steps = stream
     rn = ReturnNormalizer(gamma=gamma, n_envs=n_envs)
     state = {"accumulator": np.zeros(n_envs), "mean": np.zeros(1),
              "var": np.ones(1), "count": 0.0}
+    row = np.empty(n_envs)
     for rewards, dones in steps:
-        rewards, dones = np.array(rewards), np.array(dones)
         with np.errstate(invalid="ignore", over="ignore"):
-            got = rn.update(rewards, dones)
-            want = reference_return_update(state, rewards, dones, gamma)
-        assert got.tobytes() == want.tobytes()
+            rn.update(rewards, dones, row)  # as the trainer passes them: lists
+            want = reference_return_update(state, np.array(rewards), np.array(dones),
+                                           gamma)
+        assert row.tobytes() == want.tobytes()
         assert rn.accumulator.tobytes() == state["accumulator"].tobytes()
         assert rn.stats.mean.tobytes() == state["mean"].tobytes()
         assert rn.stats.var.tobytes() == state["var"].tobytes()
@@ -570,9 +576,44 @@ def test_return_normalizer_update_is_bit_identical_to_the_array_update(stream, g
 
 def test_return_normalizer_resets_accumulator_on_done():
     rn = ReturnNormalizer(gamma=0.99, n_envs=2)
-    rn.update(np.array([1.0, 2.0]), np.array([False, True]))
+    rn.update([1.0, 2.0], [False, True], np.empty(2))
     assert rn.accumulator[0] == 1.0
     assert rn.accumulator[1] == 0.0
+
+
+@st.composite
+def statistics_and_row(draw):
+    """A normalizer, fresh or with drawn statistics, and one row whose
+    entries are any float, a special one, or at either clip bound of the
+    statistics (a huge count leaves them all but unmoved by the row)."""
+    dim = draw(st.integers(1, 5))
+    norm = RunningNormalizer(dim)
+    if draw(st.booleans()):
+        moments = st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim)
+        norm.load_state({"mean": draw(moments), "var": np.abs(draw(moments)),
+                         "count": draw(st.sampled_from([1.0, 37.0, 2.0 ** 60]))})
+    row = []
+    for m, s in zip(norm.mean.tolist(), norm.scale.tolist()):
+        at_clip = m + draw(st.sampled_from([-1.0, 1.0])) * norm.clip * s
+        row.append(draw(st.floats(-1e4, 1e4) | SPECIAL_FLOATS | st.sampled_from(
+            [at_clip, math.nextafter(at_clip, -math.inf),
+             math.nextafter(at_clip, math.inf)])))
+    return norm, row
+
+
+@example(drawn=(RunningNormalizer(4), [math.nan, math.inf, -math.inf, -0.0]))
+@given(statistics_and_row())
+def test_row_update_writes_what_apply_gives_on_the_new_statistics(drawn):
+    norm, row = drawn
+    reference = copy.deepcopy(norm)
+    out = np.empty((1, len(row)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        norm.update([np.array(row)], out)  # as the trainer passes a step's rows
+        reference.update(np.array([row]))
+        assert out.tobytes() == reference.apply(np.array([row])).tobytes()
+    assert norm.mean.tobytes() == reference.mean.tobytes()
+    assert norm.var.tobytes() == reference.var.tobytes()
+    assert norm.scale.tobytes() == reference.scale.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -727,6 +768,75 @@ def test_collected_values_are_the_value_net_of_each_step(n_envs):
     for t in range(config.n_steps):
         values = trainer.value_net(buffer.obs[t])[:, 0]
         assert buffer.values[t].tobytes() == values.tobytes()
+
+
+def array_sample(policy, obs, rng):
+    """The sampler's array form: the mean of the 1-D row ``obs``, one numpy
+    draw, and the update's own :meth:`GaussianPolicy.log_prob_of`."""
+    mean = policy.mean_net(obs)[0]
+    action = mean + np.exp(policy.log_std) * rng.standard_normal(policy.act_dim)
+    log_prob, _ = policy.log_prob_of(mean[None], action[None])
+    return action, log_prob[0]
+
+
+def array_collect(trainer, carried):
+    """One rollout of ``trainer`` in numpy's array forms, the oracle of
+    :meth:`PPOTrainer.collect_rollout`: ``update`` and ``apply`` of the
+    observation batch into ``RolloutBuffer.add``, :func:`array_sample` per
+    env, and the array return update. ``carried`` holds the observations,
+    dones, running returns and return moments between rollouts."""
+    cfg, buffer = trainer.config, trainer.buffer
+    buffer.reset()
+    obs, dones = carried["obs"], carried["dones"]
+    finished = []
+    for _ in range(cfg.n_steps):
+        trainer.obs_norm.update(obs)
+        t = buffer.add(trainer.obs_norm.apply(obs), dones)
+        for i in range(cfg.n_envs):
+            buffer.actions[t, i], buffer.log_probs[t, i] = array_sample(
+                trainer.policy, buffer.obs[t, i], trainer.rng)
+        obs, dones = obs.copy(), dones.copy()
+        for i, env in enumerate(trainer.envs):
+            obs[i], buffer.rewards[t, i], dones[i], _ = env.step(buffer.actions[t, i])
+            carried["running"][i] += buffer.rewards[t, i]
+            if dones[i]:
+                finished.append(carried["running"][i])
+                carried["running"][i] = 0.0
+                obs[i] = env.reset()
+        buffer.rewards[t] = reference_return_update(
+            carried["returns"], buffer.rewards[t], dones, cfg.gamma)
+    carried["obs"], carried["dones"] = obs, dones
+    buffer.values[:] = trainer.value_net(buffer.obs)[..., 0]
+    last_values = trainer.value_net(trainer.obs_norm.apply(obs))[:, 0]
+    compute_gae(buffer, last_values, dones, cfg.gamma, cfg.gae_lambda)
+    return finished
+
+
+@pytest.mark.parametrize("n_envs", [1, 2])
+def test_collection_is_bit_identical_to_its_array_form(n_envs):
+    """Two rollouts, each with episodes that end inside it (after 5 and 8
+    steps), against :func:`array_collect` on a trainer of the same seed."""
+    config = small_config(n_steps=32, minibatch_size=16, total_steps=128, n_envs=n_envs)
+    trainer = PPOTrainer(RecordingEnv, config, seed=3)
+    oracle = PPOTrainer(RecordingEnv, config, seed=3)
+    carried = {"obs": np.array(oracle._obs), "dones": np.ones(n_envs, dtype=bool),
+               "running": np.zeros(n_envs),
+               "returns": {"accumulator": np.zeros(n_envs), "mean": np.zeros(1),
+                           "var": np.ones(1), "count": 0.0}}
+    for _ in range(2):
+        trainer.collect_rollout()
+        finished = array_collect(oracle, carried)
+        assert trainer._episode_returns == finished
+        for name in ("obs", "actions", "log_probs", "rewards", "episode_starts",
+                     "values", "advantages", "returns"):
+            got, want = getattr(trainer.buffer, name), getattr(oracle.buffer, name)
+            assert got.tobytes() == want.tobytes(), name
+        for name in ("mean", "var", "scale"):
+            assert (getattr(trainer.obs_norm, name).tobytes()
+                    == getattr(oracle.obs_norm, name).tobytes())
+        assert trainer.ret_norm.stats.var.tobytes() == carried["returns"]["var"].tobytes()
+        assert trainer.ret_norm.accumulator.tobytes() == \
+            carried["returns"]["accumulator"].tobytes()
 
 
 def test_value_loss_decreases_on_constant_reward():
