@@ -128,9 +128,9 @@ class GaussianPolicy:
     def sample(self, obs: np.ndarray, rng: np.random.Generator, constants=None):
         """Draw one action for the float row ``obs``, ``(1, obs_dim)`` or
         ``(obs_dim,)``; returns ``(action, log_prob)``, on floats with the
-        array forms' results, the action as a list. A caller that samples
-        many times under unchanged parameters passes ``constants``, the
-        :meth:`sampling_constants` it took once."""
+        array forms' results, a NaN's sign aside, the action as a list. A
+        caller that samples many times under unchanged parameters passes
+        ``constants``, the :meth:`sampling_constants` it took once."""
         std, log_std_sum = constants or self.sampling_constants()
         mean = self.mean_net._layers(obs, None).ravel().tolist()
         action, square_sum = [], 0.0

@@ -293,7 +293,8 @@ def compute_gae(buffer: RolloutBuffer, last_values: np.ndarray,
     of its array form over all envs at once
     (``delta = r + gamma * v' * (1 - done') - v``,
     ``gae = delta + gamma * lam * (1 - done') * gae``), so the floats are
-    the same without numpy's per-call cost on every step.
+    the same, a NaN's sign aside, without numpy's per-call cost on every
+    step.
     """
     if not buffer.full:
         raise ValueError("buffer must be full before computing advantages")

@@ -9,8 +9,9 @@ tracker samples it for its horizon reference.
 The track query :func:`locate` (:func:`nearest_index` is its index) takes
 an optional hint ``near``: the waypoint index that the previous query of
 the same moving pose returned. Each query is one loop over a span of
-waypoints and segments: the window around the hint where the track's
-clearance proves the window's answer global, and the whole loop otherwise.
+waypoints and segments: the narrowest window around the hint where the
+track's clearance proves the window's answer global, and the whole loop
+otherwise.
 The hint changes only the cost: every query returns the same index and
 lateral error, to the bit, with any hint or none.
 
@@ -44,8 +45,10 @@ CLOSURE_FACTOR = 3.0
 
 # A hinted track query walks at most NEAR_WINDOW waypoints each way downhill
 # in distance from its hint to an anchor waypoint c, then scans the
-# waypoints and segments c - NEAR_WINDOW .. c + NEAR_WINDOW. NEAR_WINDOW is
-# below MIN_WAYPOINTS // 2, so every loop has segments outside the window.
+# waypoints and segments c - k .. c + k for the smallest radius
+# k <= NEAR_WINDOW whose window the track's clearance at c proves to hold
+# the answer. NEAR_WINDOW is below MIN_WAYPOINTS // 2, so every loop has
+# segments outside the widest window.
 NEAR_WINDOW = 8
 
 
@@ -137,15 +140,17 @@ class Raceline:
                               for sx, sy in zip(dx.tolist(), dy.tolist()))
         # Float copies for :func:`lookahead_target`'s per-step walk.
         self._walk = (self.cum_s.tolist(), x.tolist(), y.tolist(), seg_len.tolist())
-        # Float copies for the track queries' scan, padded by NEAR_WINDOW
-        # entries on both sides so that no window wraps: entry e is waypoint
-        # (or segment) ring[e] = (e - NEAR_WINDOW) mod n, the window around c
-        # is entries c .. c + 2 NEAR_WINDOW, and the whole loop is entries
-        # NEAR_WINDOW .. NEAR_WINDOW + n - 1, waypoints 0 .. n - 1 in order.
+        # The track queries' scan table, one row of floats per entry, padded
+        # by NEAR_WINDOW entries on both sides so that no window wraps: entry
+        # e is (i, x, y, dx, dy, seg_len2) of waypoint (and segment)
+        # i = (e - NEAR_WINDOW) mod n, the window of radius k around c is
+        # entries c + NEAR_WINDOW - k .. c + NEAR_WINDOW + k, and the whole
+        # loop is entries NEAR_WINDOW .. NEAR_WINDOW + n - 1, waypoints
+        # 0 .. n - 1 in order.
         seg_len2 = seg_len * seg_len
         ring = np.arange(-NEAR_WINDOW, n + NEAR_WINDOW) % n
-        self._ring = (ring.tolist(), *(a[ring].tolist() for a in
-                                       (x, y, dx, dy, seg_len2)))
+        self._ring = list(zip(ring.tolist(), *(a[ring].tolist() for a in
+                                               (x, y, dx, dy, seg_len2))))
         self._anchor_limit = _anchor_limits(x, y, dx, dy, seg_len2)
         self._located = (math.nan,) * 4  # locate's last (px, py, index, lateral error)
 
@@ -163,33 +168,46 @@ class Raceline:
 
 
 def _anchor_limits(x, y, dx, dy, seg_len2) -> list:
-    """Per waypoint c, the squared distance from c below which a position's
-    track queries have their answers inside the window around c.
+    """Per waypoint c, the squared distances from c below which a position's
+    track queries have their answers inside the window of radius k around
+    c: a tuple of one limit per k = 1 .. NEAR_WINDOW, never decreasing.
 
-    The clearance of c is its distance to the nearest segment more than
-    NEAR_WINDOW indices away. A position p at distance r from waypoint c is
-    within r of c and of segments c - 1 and c, and at least clearance - r
-    from every waypoint and segment outside the window (each waypoint starts
-    its segment). So if 2 r < clearance, nothing outside the window beats or
-    ties the window's nearest waypoint or segment. The slack, 1e-9 of the
+    The clearance C_k of c is its distance to the nearest segment more than
+    k indices away. A position p at distance r from waypoint c is within r
+    of c and of segment c, and at least C_k - r from every waypoint and
+    segment more than k indices from c (each waypoint starts its segment).
+    So if 2 r < C_k, nothing outside the window c - k .. c + k beats or ties
+    the window's nearest waypoint or segment. The slack, 1e-9 of the
     coordinates' scale, covers the rounding of the distances.
     """
     n = len(x)
     index = np.arange(n)
+
+    def gap(rows, segments):
+        """Distances from waypoints ``rows`` to segments ``segments``."""
+        rx = x[rows] - x[segments]
+        ry = y[rows] - y[segments]
+        sx, sy = dx[segments], dy[segments]
+        t = np.clip((rx * sx + ry * sy) / seg_len2[segments], 0.0, 1.0)
+        return np.hypot(rx - t * sx, ry - t * sy)
+
     clearance = np.empty(n)
     block = max(1, (1 << 20) // n)  # rows per pass, bounding the temporaries
     for start in range(0, n, block):
-        rows = index[start:start + block]
-        rx = x[rows, None] - x
-        ry = y[rows, None] - y
-        t = np.clip((rx * dx + ry * dy) / seg_len2, 0.0, 1.0)
-        gap = np.hypot(rx - t * dx, ry - t * dy)
-        apart = (rows[:, None] - index) % n
-        gap[np.minimum(apart, n - apart) <= NEAR_WINDOW] = np.inf
-        clearance[rows] = gap.min(axis=1)
+        rows = index[start:start + block, None]
+        far = gap(rows, index)
+        apart = (rows - index) % n
+        far[np.minimum(apart, n - apart) <= NEAR_WINDOW] = np.inf
+        clearance[start:start + block] = far.min(axis=1)
     slack = 1e-9 * (1.0 + max(np.max(np.abs(x)), np.max(np.abs(y))))
-    reach = np.maximum(clearance - slack, 0.0) / 2.0
-    return (reach * reach).tolist()
+    limits = np.empty((n, NEAR_WINDOW))
+    for k in range(NEAR_WINDOW, 0, -1):
+        reach = np.maximum(clearance - slack, 0.0) / 2.0
+        limits[:, k - 1] = reach * reach
+        # C_(k-1) adds the two segments k indices away.
+        clearance = np.minimum(clearance, np.minimum(gap(index, (index + k) % n),
+                                                     gap(index, (index - k) % n)))
+    return [tuple(row) for row in limits.tolist()]
 
 
 def load_raceline(source: str, half_width: float = HALF_WIDTH) -> Raceline:
@@ -357,10 +375,11 @@ def _span(raceline: Raceline, px: float, py: float, near: int | None) -> tuple[i
     queries of (px, py) scan.
 
     With a hint, walk downhill in squared distance from waypoint ``near``
-    to a waypoint c, and return the window around c if it holds the
-    queries' answers (see :func:`_anchor_limits`). Otherwise return every
-    waypoint, or none for a NaN or infinite position, which is nowhere on
-    the track (the walk rejects it too).
+    to a waypoint c, and return the narrowest window around c, entries
+    c + NEAR_WINDOW - k .. c + NEAR_WINDOW + k, that holds the queries'
+    answers (see :func:`_anchor_limits`). Otherwise return every waypoint,
+    or none for a NaN or infinite position, which is nowhere on the track
+    (the walk rejects it too).
     """
     if near is not None:
         _, x, y, _ = raceline._walk
@@ -378,8 +397,10 @@ def _span(raceline: Raceline, px: float, py: float, near: int | None) -> tuple[i
                 if not dj < d2:
                     break
                 c, d2 = j, dj
-        if d2 < raceline._anchor_limit[c]:
-            return c, c + 2 * NEAR_WINDOW + 1
+        # The smallest radius k whose limit exceeds d2, if any does.
+        k = bisect.bisect_right(raceline._anchor_limit[c], d2) + 1
+        if k <= NEAR_WINDOW:
+            return c + NEAR_WINDOW - k, c + NEAR_WINDOW + k + 1
     if math.isfinite(px) and math.isfinite(py):
         return NEAR_WINDOW, NEAR_WINDOW + raceline.n
     return 0, 0
@@ -463,9 +484,10 @@ def locate(raceline: Raceline, p, near: int | None = None) -> tuple[int, float]:
     ``near`` is an optional hint: the index that the previous query of this
     pose returned. With it the query walks downhill from ``near`` to an
     anchor waypoint, as Pure Pursuit's search near the previous closest
-    point does (Coulter 1992), and loops over the window around the anchor
-    only where the anchor is closer than half the track's clearance there,
-    which proves the window's answer global (see :func:`_anchor_limits`).
+    point does (Coulter 1992), and loops over the narrowest window around
+    the anchor, at most NEAR_WINDOW waypoints each way, whose clearance is
+    more than twice the anchor's distance from ``p``, which proves the
+    window's answer global (see :func:`_anchor_limits`).
     Without a hint, or where that check fails, the same loop runs over
     every waypoint and segment. So the result never depends on ``near``;
     only the cost does.
@@ -485,11 +507,9 @@ def locate(raceline: Raceline, p, near: int | None = None) -> tuple[int, float]:
     start, end = _span(raceline, px, py, near)
     if start == end:
         return 0, math.nan
-    ring, x, y, dx, dy, len2 = raceline._ring
     best, index = math.inf, 0
     best_seg, k, cross = math.inf, 0, 0.0
-    for i, wx, wy, sx, sy, s2 in zip(ring[start:end], x[start:end], y[start:end],
-                                     dx[start:end], dy[start:end], len2[start:end]):
+    for i, wx, wy, sx, sy, s2 in raceline._ring[start:end]:
         rx = px - wx
         ry = py - wy
         d2 = rx * rx + ry * ry

@@ -54,14 +54,15 @@ def track_scans(monkeypatch):
 
 @pytest.fixture
 def full_scans(monkeypatch):
-    """The hint of each track query that scans more than a window: the
-    whole loop, or nothing for a NaN or infinite position."""
+    """The hint of each track query that scans no window: the whole loop,
+    or nothing for a NaN or infinite position. A window around the anchor
+    is narrower than the loop and never empty."""
     scans = []
     span = rl._span
 
     def spy(raceline, px, py, near):
         start, end = span(raceline, px, py, near)
-        if end - start != 2 * rl.NEAR_WINDOW + 1:
+        if end - start in (0, raceline.n):
             scans.append(near)
         return start, end
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from pursuitlab import raceline as rl
 
 from conftest import make_circle_csv, make_square_raceline
+from test_mpc import heldout_rect
 
 
 # ----------------------------------------------------------------------
@@ -507,6 +508,11 @@ def make_hairpin_csv(gap=0.1, spacing=0.25):
                                           for x, y in zip(xs.tolist(), ys.tolist()))
 
 
+def hairpin_track():
+    """The hairpin loop with its slot's walls 0.1 m apart."""
+    return rl.load_raceline(make_hairpin_csv(gap=0.1))
+
+
 spacings = st.floats(0.1, 0.5)
 layouts = st.one_of(
     st.builds(lambda straight, radius, spacing: rl.synthesize_track(
@@ -524,16 +530,23 @@ layouts = st.one_of(
 )
 
 
+def beside(track, i, along, offset):
+    """The position ``offset`` metres to the left of the point ``along`` the
+    way down segment ``i``."""
+    heading = rl.tangent_heading(track, i)
+    return (float(track.x[i] + along * track.seg_len[i] * math.cos(heading)
+                  - offset * math.sin(heading)),
+            float(track.y[i] + along * track.seg_len[i] * math.sin(heading)
+                  + offset * math.cos(heading)))
+
+
 @given(track=layouts, waypoint=st.integers(0, 10**6), along=st.floats(0.0, 1.0),
        offset=st.one_of(st.floats(-1.5, 1.5), st.floats(-30.0, 30.0)),
        hint=st.one_of(st.integers(-12, 12), st.integers(0, 10**6)))
 def test_locate_is_nearest_index_and_lateral_error(track, waypoint, along, offset, hint):
-    # A pose `offset` to the left of a point `along` the way down a segment:
-    # near the line, and far off it on either side.
+    # A pose near the line, and far off it on either side.
     i = waypoint % track.n
-    heading = rl.tangent_heading(track, i)
-    p = (track.x[i] + along * track.seg_len[i] * math.cos(heading) - offset * math.sin(heading),
-         track.y[i] + along * track.seg_len[i] * math.sin(heading) + offset * math.cos(heading))
+    p = beside(track, i, along, offset)
     near = i + hint if -12 <= hint <= 12 else hint
     index, lateral_error = rl.locate(track, p, near=near)
     assert lateral_error == lateral_error_formula(track, p)
@@ -559,7 +572,7 @@ def test_hinted_queries_near_the_line_scan_only_their_window(oval_track, full_sc
 
 
 def test_hinted_queries_between_close_corridors_match_the_full_scan(full_scans):
-    track = rl.load_raceline(make_hairpin_csv(gap=0.1))
+    track = hairpin_track()
     # Positions in and around the slot, each hinted from waypoints up to
     # 2 NEAR_WINDOW away along the loop, on its own wall or across the slot.
     expected = {}
@@ -578,6 +591,75 @@ def test_hinted_queries_between_close_corridors_match_the_full_scan(full_scans):
     assert any(served) and not all(served)
 
 
+def training_oval():
+    """The oval of configs/transfer_train.yaml."""
+    return rl.synthesize_track("oval", straight=10.0, radius=3.0, spacing=0.25,
+                               v_cap=8.0, a_lat_max=3.0)
+
+
+def radius_limits(track):
+    """Per radius k = 1 .. NEAR_WINDOW, each waypoint's limit written out
+    on its own: half its distance, less the slack, to the nearest segment
+    more than k indices away, squared. Row NEAR_WINDOW - 1 is the single
+    limit per waypoint that the whole window once had."""
+    n = track.n
+    dx = np.roll(track.x, -1) - track.x
+    dy = np.roll(track.y, -1) - track.y
+    rx = track.x[:, None] - track.x
+    ry = track.y[:, None] - track.y
+    t = np.clip((rx * dx + ry * dy) / (track.seg_len * track.seg_len), 0.0, 1.0)
+    gap = np.hypot(rx - t * dx, ry - t * dy)
+    apart = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    apart = np.minimum(apart, n - apart)
+    slack = 1e-9 * (1.0 + max(np.max(np.abs(track.x)), np.max(np.abs(track.y))))
+    limits = []
+    for k in range(1, rl.NEAR_WINDOW + 1):
+        reach = np.maximum(np.where(apart > k, gap, np.inf).min(axis=1) - slack, 0.0) / 2.0
+        limits.append((reach * reach).tolist())
+    return limits
+
+
+TIGHT_TRACKS = {"training_oval": training_oval, "heldout_rect": heldout_rect,
+                "hairpin": hairpin_track}
+
+
+@pytest.mark.parametrize("make_track", TIGHT_TRACKS.values(), ids=TIGHT_TRACKS)
+def test_anchor_limits_grow_with_the_radius_to_the_whole_window_limit(make_track):
+    track = make_track()
+    limits = track._anchor_limit
+    assert len(limits) == track.n
+    assert all(len(row) == rl.NEAR_WINDOW for row in limits)
+    assert all(list(row) == sorted(row) for row in limits)
+    expected = radius_limits(track)
+    # Each radius's limit, the whole window's included, to the bit.
+    for k in range(rl.NEAR_WINDOW):
+        assert [row[k].hex() for row in limits] == [v.hex() for v in expected[k]]
+
+
+@pytest.mark.parametrize("make_track", TIGHT_TRACKS.values(), ids=TIGHT_TRACKS)
+def test_hinted_queries_scan_the_narrowest_window_that_holds(make_track):
+    track = make_track()
+    x, y = track.x.tolist(), track.y.tolist()
+    radii = []
+    for i in range(track.n):
+        for along, offset in ((0.0, 0.0), (0.5, -1.5), (0.5, -0.3), (0.5, -0.05),
+                              (0.5, 0.0), (0.5, 0.1), (0.5, 0.6)):
+            px, py = beside(track, i, along, offset)
+            start, end = rl._span(track, px, py, i + 3)
+            if end - start == track.n:
+                continue
+            # The window of radius k around the anchor c.
+            k = (end - start - 1) // 2
+            c = start - rl.NEAR_WINDOW + k
+            assert end - start == 2 * k + 1 and 0 <= c < track.n
+            rx, ry = px - x[c], py - y[c]
+            d2 = rx * rx + ry * ry
+            assert d2 < track._anchor_limit[c][k - 1]
+            assert k == 1 or not d2 < track._anchor_limit[c][k - 2]
+            radii.append(k)
+    assert min(radii) == 1 < max(radii)
+
+
 SPECIAL_COORDINATES = (0.0, -0.0, math.nan, math.inf, -math.inf)
 
 
@@ -591,24 +673,36 @@ def one_step(args):
 
 @given(data=st.data())
 def test_stored_answers_match_a_fresh_unhinted_query(data):
-    track = rl.synthesize_track("oval", spacing=0.5)  # waypoint 0 sits at (0, 0)
+    # Waypoint 0 of each sits at (0, 0); the rectangle's corners are 2 m
+    # curves and the hairpin's slot walls 0.1 m apart.
+    track = data.draw(st.sampled_from((lambda: rl.synthesize_track("oval", spacing=0.5),
+                                       heldout_rect, hairpin_track)))()
     tracks = (track, rl.scale_speeds(track, 1.3), rl.scale_speeds(track, 0.7))
     fresh = {}  # position bits -> the answer on a raceline queried once, unhinted
-    on = st.integers(0, track.n - 1).map(lambda i: (float(track.x[i]), float(track.y[i])))
+    waypoint = st.integers(0, track.n - 1)
+    on = waypoint.map(lambda i: ((float(track.x[i]), float(track.y[i])), i))
+    # Across the segment leaving a waypoint, out to the corridor and beyond.
+    across = st.builds(lambda i, along, offset: (beside(track, i, along, offset), i),
+                       waypoint, st.floats(0.0, 1.0),
+                       st.floats(-2.0 * track.half_width, 2.0 * track.half_width))
     coordinate = st.one_of(st.sampled_from(SPECIAL_COORDINATES),
                            st.sampled_from(track.x.tolist() + track.y.tolist()),
                            st.floats(-15.0, 25.0))
-    hints = st.one_of(st.none(), st.integers(-2 * track.n, 2 * track.n))
+    anywhere = st.tuples(coordinate, coordinate).map(lambda p: (p, None))
     seen = []
     for _ in range(data.draw(st.integers(1, 30))):
-        positions = [on, st.tuples(coordinate, coordinate)]
+        positions = [on, across, anywhere]
         if seen:
             positions.append(st.tuples(st.sampled_from(seen), st.sampled_from((None, 0, 1)),
-                                       st.sampled_from((math.inf, -math.inf))).map(one_step))
-        p = data.draw(st.one_of(*positions))
+                                       st.sampled_from((math.inf, -math.inf)))
+                             .map(lambda args: (one_step(args), None)))
+        p, i = data.draw(st.one_of(*positions))
         seen.append(p)
         which = data.draw(st.sampled_from(tracks))
-        near = data.draw(hints)
+        hints = [st.none(), st.integers(-2 * track.n, 2 * track.n)]
+        if i is not None:  # within NEAR_WINDOW of the waypoint the position is beside
+            hints.append(st.integers(i - rl.NEAR_WINDOW, i + rl.NEAR_WINDOW))
+        near = data.draw(st.one_of(*hints))
         key = tuple(float(c).hex() for c in p)
         if key not in fresh:
             index, lateral_error = rl.locate(unqueried(track), p)
